@@ -411,7 +411,33 @@ def cmd_verify(Nx: int = 64, Ny: int = 33, corrupt: str | None = None) -> dict:
     }
 
 
-def _collect_run(cfg: RunConfig):
+class _Timings:
+    """Wall time per run phase (time.perf_counter), for metadata.json.
+
+    Phases are charged by laps: each `lap(phase)` charges the time since
+    the previous lap (or since construction), so the phase totals never
+    exceed the wall time they were measured in.
+    """
+
+    PHASES = ("setup", "stepping", "diagnostics", "io")
+
+    def __init__(self):
+        self.seconds = dict.fromkeys(self.PHASES, 0.0)
+        self._mark = time.perf_counter()
+
+    def lap(self, phase: str) -> None:
+        now = time.perf_counter()
+        self.seconds[phase] += now - self._mark
+        self._mark = now
+
+    def to_dict(self, steps: int) -> dict:
+        out = {f"{phase}_s": sec for phase, sec in self.seconds.items()}
+        stepping = self.seconds["stepping"]
+        out["steps_per_s"] = steps / stepping if stepping > 0.0 else 0.0
+        return out
+
+
+def _collect_run(cfg: RunConfig, clock: _Timings):
     """Execute the configured single run; returns (samples, extras, abort)."""
     p = cfg.gevrey_params()
     u0, u1 = cfg.make_data()
@@ -428,17 +454,22 @@ def _collect_run(cfg: RunConfig):
         state = make_hns_data(u0, p, eps=cfg.eps, u1=(None if cfg.u1 == "zero" else u1))
         step = lambda s, check: hns_step(s, dt, check=check, n_proj=cfg.n_proj)
         div_rel = [state.divergence_rel()]
+    clock.lap("setup")
     samples = [Sample.from_state(state)]
+    clock.lap("diagnostics")
     done = 0
     try:
         for i in range(n_steps):
             state = step(state, (i + 1) % cfg.n_check == 0)
+            clock.lap("stepping")
             done = i + 1
             if done % cfg.sample_every == 0:
                 samples.append(Sample.from_state(state))
                 if div_rel is not None:
                     div_rel.append(state.divergence_rel())
+                clock.lap("diagnostics")
     except SolverAbort as exc:
+        clock.lap("stepping")
         abort = str(exc)
         state = exc.state if exc.state is not None else state
     return samples, state, div_rel, dt, n_steps, done, abort
@@ -459,17 +490,21 @@ def cmd_run(cfg: RunConfig) -> Path:
     (out / "snapshots").mkdir(exist_ok=True)
 
     t_wall = time.perf_counter()
+    clock = _Timings()
     p = cfg.gevrey_params()
-    samples, state, div_rel, dt, n_steps, done, abort = _collect_run(cfg)
+    samples, state, div_rel, dt, n_steps, done, abort = _collect_run(cfg, clock)
     write_snapshot(out / "snapshots" / "initial.snap", _sample_state(samples[0], cfg))
     write_snapshot(out / "snapshots" / "final.snap", state)
+    clock.lap("io")
 
     if cfg.kind == "prandtl":
         report = energy_E_s(samples, 0.5, p)
-        _energy_csv(out / "energy.csv", samples, report, pair=False)
     else:
         report = energy_E1(samples, cfg.eps, p)
-        _energy_csv(out / "energy.csv", samples, report, pair=True, div_rel=div_rel)
+    clock.lap("diagnostics")
+    _energy_csv(out / "energy.csv", samples, report, pair=cfg.kind == "hns",
+                div_rel=div_rel)
+    clock.lap("io")
 
     meta = {
         "version": VERSION_STRING,
@@ -480,6 +515,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         "completed_steps": done,
         "n_samples": len(samples),
         "abort": abort,
+        "timings": clock.to_dict(done),
         "wall_time_s": time.perf_counter() - t_wall,
     }
     with open(out / "metadata.json", "w", encoding="utf-8") as fh:
@@ -509,22 +545,27 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     out = resolve_output_dir(cfg.directory)
     out.mkdir(parents=True, exist_ok=True)
     t_wall = time.perf_counter()
+    clock = _Timings()
     p = cfg.gevrey_params()
     u0, u1 = cfg.make_data()
     dt = cfg.effective_dt()
     n_steps = int(round(cfg.T_final / dt))
+    clock.lap("setup")
 
     def run_reference():
         state = PrandtlState(u=u0, ut=u1)
         samples = [_pair_sample(state)]
+        clock.lap("diagnostics")
         try:
             for i in range(n_steps):
                 state = prandtl_step(
                     state, dt, factor=cfg.pressure_factor,
                     check=(i + 1) % cfg.n_check == 0,
                 )
+                clock.lap("stepping")
                 if (i + 1) % cfg.sample_every == 0:
                     samples.append(_pair_sample(state))
+                    clock.lap("diagnostics")
         except SolverAbort as exc:
             raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
         return samples
@@ -533,14 +574,18 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         if cfg.self_test:
             return run_reference()
         state = make_hns_data(u0, p, eps=eps)
+        clock.lap("setup")
         samples = [Sample.from_state(state)]
+        clock.lap("diagnostics")
         try:
             for i in range(n_steps):
                 state = hns_step(
                     state, dt, check=(i + 1) % cfg.n_check == 0, n_proj=cfg.n_proj
                 )
+                clock.lap("stepping")
                 if (i + 1) % cfg.sample_every == 0:
                     samples.append(Sample.from_state(state))
+                    clock.lap("diagnostics")
         except SolverAbort as exc:
             raise RuntimeError(f"sweep member eps={eps} aborted: {exc}") from exc
         return samples
@@ -572,6 +617,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         energy_errors.append(
             float(energy_E1(diffs, eps, p, decay_rates=False).composite[-1])
         )
+        clock.lap("diagnostics")
 
     if cfg.self_test or min(sup_errors) <= 0.0:
         slope = intercept = None
@@ -589,6 +635,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         directory=str(out),
     )
     result.validate()
+    clock.lap("diagnostics")
 
     _write_csv(
         out / "sweep.csv",
@@ -600,6 +647,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
             np.asarray(energy_errors),
         ],
     )
+    clock.lap("io")
     meta = {
         "version": VERSION_STRING,
         "config": cfg.to_dict(),
@@ -608,6 +656,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         "self_test": cfg.self_test,
         "dt": dt,
         "planned_steps": n_steps,
+        "timings": clock.to_dict(n_steps * (1 + len(cfg.eps_list))),
         "wall_time_s": time.perf_counter() - t_wall,
     }
     with open(out / "metadata.json", "w", encoding="utf-8") as fh:

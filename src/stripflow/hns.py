@@ -140,10 +140,6 @@ class HnsState:
             )
 
 
-def _dxx(f: Field) -> Field:
-    return dx(dx(f))
-
-
 def _pin_mean_row(f: Field) -> Field:
     out = f.copy()
     out.coeff[0] = 0.0
@@ -179,16 +175,17 @@ class _Projector:
             A = (1.0 / eps**2) * DMD - grid.xi[m] ** 2 * np.diag(mask)
             blocks.append(csc_matrix(A))
         self.lu = splu(block_diag(blocks, format="csc"))
-        bad = np.abs(self.lu.U.diagonal()) < 1e-300
-        assert not bad.any(), "projection operator is singular on this grid"
+        if np.any(np.abs(self.lu.U.diagonal()) < 1e-300):
+            raise np.linalg.LinAlgError(
+                "projection operator is singular on this grid")
         self._D = D
         self._mask = mask
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """Solve for the stacked positive-frequency right-hand sides."""
-        n = rhs.size
-        flat = rhs.reshape(n)
-        sol = self.lu.solve(np.column_stack([flat.real, flat.imag]))
+        flat = rhs.ravel()
+        # SuperLU copies a C-ordered (n, 2) right-hand side; hand it Fortran
+        sol = self.lu.solve(np.array([flat.real, flat.imag]).T)
         return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
 
 
@@ -210,8 +207,8 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
     D = proj._D
     mask = proj._mask
     ms = proj.modes
-    div = f1 * grid._dx_mult[:, None] + f2 @ D.T
-    q = proj.solve(div[ms])
+    div = f1[ms] * grid._dx_mult[ms, None] + f2[ms] @ D.T
+    q = proj.solve(div)
     c1 = np.zeros_like(f1)
     c2 = np.zeros_like(f2)
     c1[ms] = (1j * grid.xi[ms, None]) * q * mask[None, :]
@@ -227,6 +224,13 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
 # ---------------------------------------------------------------------------
 # Classical per-mode Neumann pressure solve
 # ---------------------------------------------------------------------------
+
+def _pivot(piv, state: HnsState):
+    """Pass Thomas-sweep pivots through, aborting if one vanished (or is NaN)."""
+    if not np.min(np.abs(piv)) > 0.0:
+        raise SolverAbort("tridiagonal pivot vanished", state)
+    return piv
+
 
 def pressure_solve(state: HnsState, N1: Field, N2: Field,
                    Lu: Field, Lv: Field) -> Field:
@@ -266,13 +270,11 @@ def pressure_solve(state: HnsState, N1: Field, N2: Field,
         # Thomas sweeps, vectorized across the modes
         cp = np.empty_like(b)
         dp = np.empty_like(d)
-        piv = b[:, 0]
-        assert np.min(np.abs(piv)) > 0.0, "tridiagonal pivot vanished"
+        piv = _pivot(b[:, 0], state)
         cp[:, 0] = c[:, 0] / piv
         dp[:, 0] = d[:, 0] / piv
         for j in range(1, Ny):
-            piv = b[:, j] - a[:, j] * cp[:, j - 1]
-            assert np.min(np.abs(piv)) > 0.0, "tridiagonal pivot vanished"
+            piv = _pivot(b[:, j] - a[:, j] * cp[:, j - 1], state)
             cp[:, j] = c[:, j] / piv
             dp[:, j] = (d[:, j] - a[:, j] * dp[:, j - 1]) / piv
         sol = np.empty_like(d)
@@ -297,8 +299,7 @@ def pressure_solve(state: HnsState, N1: Field, N2: Field,
         cp[0] = sup[0] / piv
         dp[0] = rhs_m[0] / piv
         for j in range(1, Ny - 1):
-            piv = dia[j] - sub[j] * cp[j - 1]
-            assert abs(piv) > 0.0, "tridiagonal pivot vanished"
+            piv = _pivot(dia[j] - sub[j] * cp[j - 1], state)
             cp[j] = sup[j] / piv if j < Ny - 2 else 0.0
             dp[j] = (rhs_m[j] - sub[j] * dp[j - 1]) / piv
         sol = np.empty(Ny - 1, dtype=complex)
@@ -329,14 +330,15 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     eps = state.eps
     u, v, ut, vt = state.u, state.v, state.ut, state.vt
 
-    Lu = eps**2 * _dxx(u) + dyy(u)
-    Lv = eps**2 * _dxx(v) + dyy(v)
+    exx = (eps**2 * g._dxx_mult)[:, None]
+    Lu = Field(g, u.coeff * exx) + dyy(u)
+    Lv = Field(g, v.coeff * exx) + dyy(v)
     F1 = Lu - ut
     F2 = Lv - vt
     N1 = N2 = None
     if not disable_nonlinear:
-        N1 = multiply(u, dx(u)) + multiply(v, dy(u))
-        N2 = multiply(u, dx(v)) + multiply(v, dy(v))
+        N1 = multiply((u, v), (dx(u), dy(u)))
+        N2 = multiply((u, v), (dx(v), dy(v)))
         F1 = F1 - N1
         F2 = F2 - N2
     f1 = F1.coeff.copy()

@@ -115,9 +115,8 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
 
 
 def _advection(u: Field) -> Field:
-    """Dealliased u d_x u + v d_y u with the slaved v."""
-    v = recover_v(u)
-    return multiply(u, dx(u)) + multiply(v, dy(u))
+    """Dealiased u d_x u + v d_y u with the slaved v."""
+    return multiply((u, recover_v(u)), (dx(u), dy(u)))
 
 
 def _pressure_from(visc: Field, N: Field | None, factor: float) -> Field:

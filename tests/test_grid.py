@@ -324,6 +324,77 @@ class TestDealiasAndProducts:
         assert np.abs(out.coeff[:, -1]).max() == 0.0
         assert np.abs(out.coeff[:, 1] - 1.0).max() == 0.0
 
+    @pytest.mark.parametrize("pairs", [1, 2, 3])
+    def test_sequence_form_is_sum_of_products(self, pairs):
+        # 3 pairs: one packed pair plus the odd leftover
+        g = make_grid(48, 17)
+        rng = np.random.default_rng(pairs)
+        fs = [to_spectral(g, rng.standard_normal((g.Nx, g.Ny))) for _ in range(pairs)]
+        hs = [to_spectral(g, rng.standard_normal((g.Nx, g.Ny))) for _ in range(pairs)]
+        expect = multiply(fs[0], hs[0])
+        for f, h in zip(fs[1:], hs[1:]):
+            expect = expect + multiply(f, h)
+        got = multiply(fs, hs)
+        err = np.abs(got.coeff - expect.coeff).max()
+        assert err <= 1e-13 * np.abs(expect.coeff).max()
+        assert np.abs(got.coeff[~g.dealias_mask]).max() == 0.0
+
+    def test_sequence_form_rejects_bad_input(self):
+        g = make_grid(16, 9)
+        f = band_limited_field(g, 3)
+        with pytest.raises(ValueError, match="equal-length"):
+            multiply((), ())
+        with pytest.raises(ValueError, match="equal-length"):
+            multiply((f, f), (f,))
+        other = band_limited_field(make_grid(32, 9), 3)
+        with pytest.raises(ValueError, match="grid mismatch"):
+            multiply((f, f), (f, other))
+
+
+class TestTransformCount:
+    """Products are fused: un-fusing them must fail here, not only in a trace."""
+
+    @pytest.fixture
+    def count_transforms(self, monkeypatch):
+        """Run a thunk with np.fft.fft/ifft counted; return the counts."""
+
+        def run(thunk):
+            calls = {"fft": 0, "ifft": 0}
+            for name in calls:
+                original = getattr(np.fft, name)
+
+                def counted(*args, _name=name, _original=original, **kwargs):
+                    calls[_name] += 1
+                    return _original(*args, **kwargs)
+
+                monkeypatch.setattr(np.fft, name, counted)
+            thunk()
+            monkeypatch.undo()
+            return calls
+
+        return run
+
+    def test_two_field_product(self, count_transforms):
+        f = band_limited_field(make_grid(16, 9), 3)
+        df = dx(f)
+        assert count_transforms(lambda: multiply(f, df)) == {"fft": 1, "ifft": 2}
+
+    def test_prandtl_rhs(self, count_transforms):
+        from stripflow.prandtl import PrandtlState, prandtl_rhs
+
+        g = make_grid(16, 9)
+        s = PrandtlState(pin_walls(band_limited_field(g, 3)), Field.zeros(g))
+        assert count_transforms(lambda: prandtl_rhs(s)) == {"fft": 1, "ifft": 2}
+
+    def test_hns_rhs(self, count_transforms):
+        from stripflow.hns import HnsState, hns_rhs
+
+        g = make_grid(16, 9)
+        u, v = (pin_walls(band_limited_field(g, 3, seed)) for seed in (0, 1))
+        z = Field.zeros(g)
+        s = HnsState(u, v, z, z.copy(), eps=0.5)
+        assert count_transforms(lambda: hns_rhs(s)) == {"fft": 2, "ifft": 4}
+
 
 class TestParsevalProperty:
     def test_spectral_equals_physical_energy(self):

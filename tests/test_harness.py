@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -233,6 +234,7 @@ class TestCmdRun:
         assert meta["completed_steps"] == 0
         assert (out / "energy.csv").exists()  # partial outputs retained
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_blowup_abort_is_recorded(self, tmp_path):
         cfg = small_cfg(tmp_path, amplitude=1e8, T_final=2.0)
         out = cmd_run(cfg)
@@ -250,6 +252,22 @@ class TestCmdRun:
     def test_sweep_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cmd_run handles"):
             cmd_run(small_cfg(tmp_path, kind="sweep"))
+
+    @pytest.mark.parametrize("kind", ["prandtl", "hns", "sweep"])
+    def test_timings_in_metadata(self, tmp_path, kind):
+        if kind == "sweep":
+            out = Path(cmd_sweep(small_cfg(
+                tmp_path, kind=kind, T_final=0.25, eps_list=(0.2, 0.1, 0.05),
+            )).directory)
+        else:
+            out = cmd_run(small_cfg(tmp_path, kind=kind, eps=0.3))
+        meta = json.loads((out / "metadata.json").read_text())
+        timings = meta["timings"]
+        phases = ("setup_s", "stepping_s", "diagnostics_s", "io_s")
+        assert set(timings) == set(phases) | {"steps_per_s"}
+        assert all(v >= 0.0 for v in timings.values())
+        assert sum(timings[k] for k in phases) <= meta["wall_time_s"]
+        assert timings["steps_per_s"] > 0.0
 
 
 class TestCmdSweep:
