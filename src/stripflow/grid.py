@@ -18,7 +18,6 @@ differences inside and second-order one-sided stencils on the walls.
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 __all__ = [
     "Grid",
@@ -30,6 +29,7 @@ __all__ = [
     "dy",
     "dyy",
     "dy_matrix",
+    "cumulative_trapezoid",
     "integrate_y",
     "mean_y",
     "l2_norm",
@@ -229,6 +229,16 @@ def dy_matrix(grid: Grid) -> np.ndarray:
     return D
 
 
+def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
+    """Cumulative trapezoid rule along the last axis with spacing h.
+
+    Zero in the first column; the arithmetic and its order are those of
+    scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0).
+    """
+    cum = np.cumsum(h * (c[..., 1:] + c[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1)
+
+
 def integrate_y(f: Field, upper: float | None = None):
     """Trapezoidal integral from y = 0.
 
@@ -237,7 +247,7 @@ def integrate_y(f: Field, upper: float | None = None):
     over [0, upper] as a complex array of length Nx.
     """
     g = f.grid
-    cum = cumulative_trapezoid(f.coeff, dx=g.dy, axis=1, initial=0.0)
+    cum = cumulative_trapezoid(f.coeff, g.dy)
     if upper is None:
         return Field(g, cum)
     j = int(round(upper / g.dy))

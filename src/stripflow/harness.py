@@ -30,7 +30,8 @@ import numpy as np
 
 from . import __version__
 from .diagnostics import EnergyReport, Sample, energy_E1, energy_E_s
-from .gevrey import PROFILES, GevreyParams, make_gevrey_data
+from .gevrey import (PROFILES, GevreyParams, initial_norm_H0, initial_norm_H1,
+                     make_gevrey_data)
 from .grid import Field, Grid, l2_norm
 from .hns import CFL_LIMIT, HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, SolverAbort, prandtl_step, recover_v
@@ -479,8 +480,11 @@ def cmd_run(cfg: RunConfig) -> Path:
     """Run one configured solver; returns the populated run directory.
 
     Writes energy.csv (per-sample diagnostics), snapshots/initial.snap
-    and snapshots/final.snap, and metadata.json.  A solver abort keeps
-    whatever was collected and is flagged in the metadata.
+    and snapshots/final.snap, and metadata.json.  The metadata carries
+    `data_norm`, the paper's smallness quantity of the initial state
+    (initial_norm_H0 at s = 1/2 for prandtl, initial_norm_H1 for hns).
+    A solver abort keeps whatever was collected and is flagged in the
+    metadata; final.snap then holds the last accepted step.
     """
     cfg.validate()
     if cfg.kind not in ("prandtl", "hns"):
@@ -497,10 +501,13 @@ def cmd_run(cfg: RunConfig) -> Path:
     write_snapshot(out / "snapshots" / "final.snap", state)
     clock.lap("io")
 
+    first = samples[0]
     if cfg.kind == "prandtl":
         report = energy_E_s(samples, 0.5, p)
+        data_norm = initial_norm_H0(first.u, first.ut, 0.5, p)
     else:
         report = energy_E1(samples, cfg.eps, p)
+        data_norm = initial_norm_H1(first.u, first.v, first.ut, first.vt, cfg.eps, p)
     clock.lap("diagnostics")
     _energy_csv(out / "energy.csv", samples, report, pair=cfg.kind == "hns",
                 div_rel=div_rel)
@@ -514,6 +521,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         "planned_steps": n_steps,
         "completed_steps": done,
         "n_samples": len(samples),
+        "data_norm": float(data_norm),
         "abort": abort,
         "timings": clock.to_dict(done),
         "wall_time_s": time.perf_counter() - t_wall,

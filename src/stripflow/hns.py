@@ -25,9 +25,11 @@ Two discrete realizations are provided:
       (-xi^2 M + eps^-2 D M D) q = i xi F1 + D F2,
 
   and the masked weighted gradient (i xi M q, eps^-2 M D q) is subtracted.
-  By construction the discrete divergence d_x(dut) + d_y(dvt) of the
-  resulting acceleration vanishes at *every* row to solver precision, so
-  the state divergence never drifts beyond integrator roundoff.
+  All modes share the pencil (D M D, M), diagonalised once per Ny, so one
+  projection of every mode is two real matrix products.  By construction
+  the discrete divergence d_x(dut) + d_y(dvt) of the resulting
+  acceleration vanishes at *every* row to solver precision, so the state
+  divergence never drifts beyond integrator roundoff.
 
 The x-mean of v is pinned to zero throughout: integrating the constraint
 up from the wall forces it, and it is the nullspace of the projection
@@ -42,13 +44,11 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.sparse import block_diag, csc_matrix
-from scipy.sparse.linalg import splu
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import Field, dx, dy, dyy, dy_matrix, l2_norm, mean_y, multiply, pin_walls
-from .prandtl import SolverAbort, recover_v
+from .grid import (Field, cumulative_trapezoid, dx, dy, dyy, dy_matrix, l2_norm,
+                   mean_y, multiply, pin_walls)
+from .prandtl import SolverAbort, recover_v, stage_abort
 
 log = logging.getLogger(__name__)
 
@@ -150,43 +150,97 @@ def _pin_mean_row(f: Field) -> Field:
 # Exact discrete projection
 # ---------------------------------------------------------------------------
 
-class _Projector:
-    """Factored per-mode operator  -xi^2 M + eps^-2 D M D  for one (grid, eps).
+class _Eigenbasis:
+    """Shared eigenbasis of the pencil (K, M) for one Ny, with K = D M D.
 
-    One sparse LU factorization covers all strictly-positive frequencies
-    (the zero and Nyquist frequencies carry no x-derivative and are
-    excluded; v is pinned at the mean mode instead).
+    Every x-mode's operator is eps^-2 (K - s M) with s = eps^2 xi^2, so the
+    pencil diagonalises them all at once (the fast diagonalisation method
+    of Lynch, Rice & Thomas, Numer. Math. 6 (1964) 185).  With i the
+    interior rows and b = {0, Ny-1} the walls, M_bb = 0 and K_bb is
+    diagonal, so eliminating the walls leaves the Schur complement
+    S = K_ii - K_ib K_bb^-1 K_bi = P diag(lam) P^-1.  Lifting P to
+    V_f (wall rows -K_bb^-1 K_bi P) and adding the two wall unit vectors
+    V_b gives V with (K - s M) V = W diag(lam - s, 1, 1), W = [M V_f, K V_b].
+
+    The eigenvalues are real and <= 0; the two that vanish come from the
+    kernel of K (the constant and (-1)^j) and are set to exactly 0.0.
+    """
+
+    def __init__(self, grid):
+        Ny = grid.Ny
+        D = dy_matrix(grid)
+        mask = np.ones(Ny)
+        mask[0] = mask[-1] = 0.0
+        K = D @ (mask[:, None] * D)
+        walls = [0, Ny - 1]
+        kbb = np.diag(K)[walls]
+        lift = -K[walls, 1:-1] / kbb[:, None]  # -K_bb^-1 K_bi
+        S = K[1:-1, 1:-1] + K[1:-1][:, walls] @ lift
+        lam, P = np.linalg.eig(S)
+        scale = np.abs(lam).max()
+        tol = Ny * np.finfo(float).eps * scale
+        if np.iscomplexobj(lam):
+            if np.abs(lam.imag).max() > tol:
+                raise np.linalg.LinAlgError(
+                    "projection pencil has complex eigenvalues on this grid")
+            lam, P = lam.real, P.real
+        if lam.max() > tol:
+            raise np.linalg.LinAlgError(
+                "projection pencil has a positive eigenvalue on this grid")
+        kernel = np.argsort(np.abs(lam))[:2]
+        if np.abs(lam[kernel]).max() > tol:
+            raise np.linalg.LinAlgError(
+                "projection pencil lacks its two-dimensional kernel on this grid")
+        lam[kernel] = 0.0
+        V = np.zeros((Ny, Ny))
+        V[1:-1, :-2] = P
+        V[walls, :-2] = lift @ P
+        V[walls, [Ny - 2, Ny - 1]] = 1.0
+        W = mask[:, None] * V
+        W[:, -2:] = K[:, walls]
+        Winv = np.linalg.inv(W)
+        self.lam = lam
+        self.mask = mask
+        #: maps stacked [i xi f1 | f2] rows to eigen-coefficients of q
+        self.gather = np.vstack([Winv.T, (Winv @ D).T])
+        #: maps eigen-coefficients to [q | eps^2 c2]
+        self.spread = np.hstack([V.T, (mask[:, None] * (D @ V)).T])
+
+
+_EIGENBASES: dict = {}
+
+
+def _eigenbasis(grid) -> _Eigenbasis:
+    """Pencil eigenbasis for grid.Ny, shared by every Nx, Lx and eps."""
+    if grid.Ny not in _EIGENBASES:
+        _EIGENBASES[grid.Ny] = _Eigenbasis(grid)
+    return _EIGENBASES[grid.Ny]
+
+
+class _Projector:
+    """Inverse of the per-mode operator  -xi^2 M + eps^-2 D M D  for one
+    (grid, eps), applied through the Ny-shared pencil eigenbasis.
+
+    Per mode, A_m^-1 = V diag(eps^2 / (lam - eps^2 xi_m^2), eps^2, eps^2)
+    W^-1, so a projection is two real matrix products over every
+    strictly-positive frequency (the zero and Nyquist frequencies carry no
+    x-derivative and are excluded; v is pinned at the mean mode instead).
     """
 
     def __init__(self, grid, eps: float):
         self.grid = grid
         self.eps = eps
-        Ny = grid.Ny
-        D = dy_matrix(grid)
-        MD = D.copy()
-        MD[0] = 0.0
-        MD[-1] = 0.0
-        DMD = D @ MD
-        mask = np.ones(Ny)
-        mask[0] = mask[-1] = 0.0
+        basis = _eigenbasis(grid)
         self.modes = np.arange(1, grid.Nx // 2)  # xi != 0, one per pair
-        blocks = []
-        for m in self.modes:
-            A = (1.0 / eps**2) * DMD - grid.xi[m] ** 2 * np.diag(mask)
-            blocks.append(csc_matrix(A))
-        self.lu = splu(block_diag(blocks, format="csc"))
-        if np.any(np.abs(self.lu.U.diagonal()) < 1e-300):
-            raise np.linalg.LinAlgError(
-                "projection operator is singular on this grid")
-        self._D = D
-        self._mask = mask
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve for the stacked positive-frequency right-hand sides."""
-        flat = rhs.ravel()
-        # SuperLU copies a C-ordered (n, 2) right-hand side; hand it Fortran
-        sol = self.lu.solve(np.array([flat.real, flat.imag]).T)
-        return (sol[:, 0] + 1j * sol[:, 1]).reshape(rhs.shape)
+        e2 = eps**2
+        scale = np.full((self.modes.size, grid.Ny), e2)
+        scale[:, :-2] = e2 / (basis.lam[None, :] - e2 * grid.xi[self.modes, None] ** 2)
+        self._scale = np.vstack([scale, scale])  # real rows, then imaginary
+        self._gather = basis.gather
+        self._spread = np.hstack([basis.spread[:, :grid.Ny],
+                                  basis.spread[:, grid.Ny:] / e2])
+        #: c1 = i xi M q, over every row (q is zero off the modes)
+        self._c1_mult = grid._dx_mult[:, None] * basis.mask[None, :]
 
 
 _PROJECTORS: dict = {}
@@ -204,21 +258,28 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
     the divergence of (f1 - c1, f2 - c2) vanishes at every positive
     frequency; the mean and Nyquist columns are untouched."""
     proj = _get_projector(grid, eps)
-    D = proj._D
-    mask = proj._mask
-    ms = proj.modes
-    div = f1[ms] * grid._dx_mult[ms, None] + f2[ms] @ D.T
-    q = proj.solve(div)
-    c1 = np.zeros_like(f1)
+    nm, Ny = proj.modes.size, grid.Ny
+    pos = slice(1, nm + 1)  # modes 1 .. Nx/2-1
+    neg = slice(grid.Nx - 1, grid.Nx - nm - 1, -1)  # their partners -m
+    xi = grid.xi[pos, None]
+    # rows: real parts, then imaginary parts; columns: i xi f1, then f2.
+    # Filled and reused in place: fresh temporaries of this size cost
+    # page faults on every call.
+    buf = np.empty((2 * nm, 2 * Ny))
+    np.multiply(f1[pos].imag, -xi, out=buf[:nm, :Ny])
+    np.multiply(f1[pos].real, xi, out=buf[nm:, :Ny])
+    buf[:nm, Ny:] = f2[pos].real
+    buf[nm:, Ny:] = f2[pos].imag
+    z = buf @ proj._gather
+    z *= proj._scale
+    out = np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
+    q = np.zeros_like(f1)
     c2 = np.zeros_like(f2)
-    c1[ms] = (1j * grid.xi[ms, None]) * q * mask[None, :]
-    c2[ms] = (1.0 / eps**2) * (q @ D.T) * mask[None, :]
-    c1[grid.Nx - ms] = np.conj(c1[ms])
-    c2[grid.Nx - ms] = np.conj(c2[ms])
-    qfull = np.zeros_like(f1)
-    qfull[ms] = q
-    qfull[grid.Nx - ms] = np.conj(q)
-    return c1, c2, qfull
+    for f, cols in ((q, slice(0, Ny)), (c2, slice(Ny, 2 * Ny))):
+        f.real[pos] = out[:nm, cols]
+        f.imag[pos] = out[nm:, cols]
+        np.conj(f[pos], out=f[neg])
+    return q * proj._c1_mult, c2, q
 
 
 # ---------------------------------------------------------------------------
@@ -360,8 +421,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
             # mean-mode pressure profile is diagnostic only:
             # d_y p = -eps^2 N2 at the mean mode (v, Lv vanish there)
             if N2 is not None:
-                prof = -eps**2 * cumulative_trapezoid(
-                    N2.coeff[0], dx=g.dy, initial=0.0)
+                prof = -eps**2 * cumulative_trapezoid(N2.coeff[0], g.dy)
                 prof -= g.trapz_w @ prof / g.trapz_w.sum()
                 q[0] = prof
             report["pressure"] = Field(g, q)
@@ -404,8 +464,9 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     flags = dict(disable_nonlinear=disable_nonlinear,
                  disable_pressure=disable_pressure)
 
-    def stage(s):
-        return hns_rhs(s, **flags)
+    def stage(index, s):
+        with stage_abort(index, state):
+            return hns_rhs(s, **flags)
 
     def nudge(h, k):
         return HnsState(
@@ -416,10 +477,10 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
             eps=state.eps, t=state.t,
         )
 
-    k1 = stage(state)
-    k2 = stage(nudge(0.5 * dt, k1))
-    k3 = stage(nudge(0.5 * dt, k2))
-    k4 = stage(nudge(dt, k3))
+    k1 = stage(1, state)
+    k2 = stage(2, nudge(0.5 * dt, k1))
+    k3 = stage(3, nudge(0.5 * dt, k2))
+    k4 = stage(4, nudge(dt, k3))
 
     ks = list(zip(k1, k2, k3, k4))
     w = (1.0, 2.0, 2.0, 1.0)

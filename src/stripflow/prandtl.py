@@ -27,6 +27,7 @@ driven only by the O(amplitude^2 dy^2) discrete advection defect.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
@@ -45,6 +46,7 @@ from .grid import (
 
 __all__ = [
     "SolverAbort",
+    "stage_abort",
     "PrandtlState",
     "recover_v",
     "pressure_gradient",
@@ -70,6 +72,20 @@ class SolverAbort(RuntimeError):
         super().__init__(reason)
         self.reason = reason
         self.state = state
+
+
+@contextmanager
+def stage_abort(stage: int, state):
+    """Re-raise a SolverAbort from RK stage `stage` against the step's input.
+
+    A stage state is not a step state (it is stamped with the step's start
+    time but holds a partial update), so the abort carries `state`, the
+    last accepted step, and names the stage in its reason.
+    """
+    try:
+        yield
+    except SolverAbort as exc:
+        raise SolverAbort(f"RK stage {stage}: {exc.reason}", state) from exc
 
 
 @dataclass
@@ -185,16 +201,17 @@ def prandtl_step(
             state,
         )
 
-    def rhs(u, ut):
-        return prandtl_rhs(
-            PrandtlState(u, ut, state.t), factor, disable_nonlinear
-        )
+    def rhs(stage, u, ut):
+        with stage_abort(stage, state):
+            return prandtl_rhs(
+                PrandtlState(u, ut, state.t), factor, disable_nonlinear
+            )
 
     u, ut = state.u, state.ut
-    k1u, k1t = rhs(u, ut)
-    k2u, k2t = rhs(u + (0.5 * dt) * k1u, ut + (0.5 * dt) * k1t)
-    k3u, k3t = rhs(u + (0.5 * dt) * k2u, ut + (0.5 * dt) * k2t)
-    k4u, k4t = rhs(u + dt * k3u, ut + dt * k3t)
+    k1u, k1t = rhs(1, u, ut)
+    k2u, k2t = rhs(2, u + (0.5 * dt) * k1u, ut + (0.5 * dt) * k1t)
+    k3u, k3t = rhs(3, u + (0.5 * dt) * k2u, ut + (0.5 * dt) * k2t)
+    k4u, k4t = rhs(4, u + dt * k3u, ut + dt * k3t)
     sixth = dt / 6.0
     new_u = pin_walls(u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
     new_ut = pin_walls(ut + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t))

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import paley
 from .gevrey import GevreyParams, apply_gevrey, phi as gevrey_phi, radius, theta
@@ -121,7 +120,10 @@ def check_theta_ode(p: GevreyParams) -> CheckResult:
     """Closed-form theta against a high-accuracy integration of its ODE.
 
     theta solves theta' = delta^{1/2} - (K/2) theta with theta(0) = 0.
+    scipy is imported here so that the run path does not load it.
     """
+    from scipy.integrate import solve_ivp
+
     K, sd = p.K, p.sqrt_delta
     ts = np.linspace(0.0, 20.0, 81)
     sol = solve_ivp(

@@ -7,6 +7,7 @@ from stripflow import grid as sg
 from stripflow.grid import (
     Field,
     Grid,
+    cumulative_trapezoid,
     dealias,
     dx,
     dy,
@@ -252,6 +253,22 @@ class TestIntegration:
             errs.append(np.abs(out.coeff[0].real - np.sin(np.pi * g.y) / np.pi).max())
         assert errs[0] < 1e-3
         assert 3.4 < errs[0] / errs[1] < 4.6
+
+    @pytest.mark.parametrize("dtype", [float, complex])
+    def test_cumulative_trapezoid_is_scipys(self, dtype):
+        # same arithmetic in the same order, so equal to the last bit
+        from scipy.integrate import cumulative_trapezoid as scipy_cumtrapz
+
+        rng = np.random.default_rng(17)
+        c = rng.standard_normal((12, 33)).astype(dtype)
+        if dtype is complex:
+            c += 1j * rng.standard_normal((12, 33))
+        h = 1.0 / 32
+        for arr in (c, c[3]):
+            expect = scipy_cumtrapz(arr, dx=h, axis=-1, initial=0.0)
+            got = cumulative_trapezoid(arr, h)
+            assert got.dtype == expect.dtype
+            assert np.array_equal(got, expect)
 
     def test_upper_bound_on_node(self):
         g = make_grid(8, 33)

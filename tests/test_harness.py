@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +23,7 @@ from stripflow.harness import (
     write_snapshot,
 )
 from stripflow.hns import make_hns_data
-from stripflow.gevrey import GevreyParams
+from stripflow.gevrey import GevreyParams, initial_norm_H0, initial_norm_H1
 from stripflow.prandtl import PrandtlState, SolverAbort
 
 
@@ -268,6 +271,59 @@ class TestCmdRun:
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings[k] for k in phases) <= meta["wall_time_s"]
         assert timings["steps_per_s"] > 0.0
+
+    @pytest.mark.parametrize("kind", ["prandtl", "hns"])
+    def test_data_norm_in_metadata(self, tmp_path, kind):
+        cfg = small_cfg(tmp_path, kind=kind, eps=0.3, u1="half-decay")
+        meta = json.loads((cmd_run(cfg) / "metadata.json").read_text())
+        p = cfg.gevrey_params()
+        u0, u1 = cfg.make_data()
+        if kind == "prandtl":
+            expect = initial_norm_H0(u0, u1, 0.5, p)
+        else:
+            s = make_hns_data(u0, p, eps=cfg.eps, u1=u1)
+            expect = initial_norm_H1(s.u, s.v, s.ut, s.vt, cfg.eps, p)
+        assert np.isfinite(meta["data_norm"]) and meta["data_norm"] > 0.0
+        assert meta["data_norm"] == expect
+
+    def test_stage_abort_snapshot_is_a_step_state(self, tmp_path):
+        cfg = small_cfg(tmp_path, amplitude=1e8, T_final=2.0)
+        out = cmd_run(cfg)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert "RK stage" in meta["abort"]
+        final = read_snapshot(out / "snapshots" / "final.snap")
+        assert final.t == pytest.approx(meta["completed_steps"] * meta["dt"])
+        assert np.all(np.isfinite(final.u.coeff))
+
+
+class TestScipyFreeRunPath:
+    SCRIPT = """
+import json, sys
+from stripflow import cli
+root = sys.argv[1]
+for kind in ("prandtl", "hns", "sweep"):
+    cfg = {"grid": {"Nx": 16, "Ny": 17},
+           "data": {"m_max": 2},
+           "solver": {"T_final": 0.125},
+           "experiment": {"kind": kind, "eps": 0.3, "eps_list": [0.2, 0.1, 0.05]},
+           "output": {"directory": f"{root}/{kind}", "sample_every": 2}}
+    path = f"{root}/{kind}.json"
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    cli.main(["sweep" if kind == "sweep" else "run", "--config", path])
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
+"""
+
+    def test_run_and_sweep_never_import_scipy(self, tmp_path):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
+        assert (tmp_path / "sweep" / "sweep.csv").exists()
 
 
 class TestCmdSweep:

@@ -1,13 +1,17 @@
 """Tests for the anisotropic constrained solver."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stripflow import hns
 from stripflow.grid import (
     Field,
     Grid,
     dx,
     dy,
+    dy_matrix,
     dyy,
     l2_norm,
     multiply,
@@ -17,6 +21,7 @@ from stripflow.grid import (
 from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.hns import (
     HnsState,
+    _project_pair,
     divergence_cleanup,
     hns_rhs,
     hns_step,
@@ -160,6 +165,97 @@ class TestPressureSolve:
         assert 1.6 < diffs[1] / diffs[2] < 2.4
 
 
+def random_pair(g: Grid, seed: int):
+    """Spectra of two real random fields with pinned wall rows."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        c = np.fft.fft(rng.standard_normal((g.Nx, g.Ny)), axis=0, norm="forward")
+        c[:, 0] = c[:, -1] = 0.0
+        out.append(c)
+    return out
+
+
+class TestProjector:
+    GRIDS = [(32, 33), (128, 65)]
+
+    @pytest.mark.parametrize("shape", GRIDS)
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
+    def test_matches_dense_per_mode_solve(self, shape, eps):
+        g = Grid(*shape)
+        f1, f2 = random_pair(g, seed=3)
+        c1, c2, q = _project_pair(g, eps, f1, f2)
+        D = dy_matrix(g)
+        mask = np.ones(g.Ny)
+        mask[0] = mask[-1] = 0.0
+        K = D @ (mask[:, None] * D)
+        for m in range(1, g.Nx // 2):
+            xi = g.xi[m]
+            A = K / eps**2 - xi**2 * np.diag(mask)
+            qm = np.linalg.solve(A, 1j * xi * f1[m] + D @ f2[m])
+            scale = np.abs(qm).max()
+            assert np.abs(q[m] - qm).max() <= 1e-9 * scale
+            assert np.abs(c1[m] - 1j * xi * mask * qm).max() <= 1e-9 * abs(xi) * scale
+            c2m = mask * (D @ qm) / eps**2
+            assert np.abs(c2[m] - c2m).max() <= 1e-9 * np.abs(c2m).max()
+            for c in (c1, c2, q):
+                assert np.array_equal(c[g.Nx - m], np.conj(c[m]))
+        for c in (c1, c2, q):
+            assert np.all(c[0] == 0.0) and np.all(c[g.nyquist] == 0.0)
+
+    @pytest.mark.parametrize("shape", GRIDS)
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
+    def test_divergence_removed(self, shape, eps):
+        g = Grid(*shape)
+        f1, f2 = random_pair(g, seed=4)
+        c1, c2, _ = _project_pair(g, eps, f1, f2)
+        D = dy_matrix(g)
+        ms = np.arange(1, g.Nx // 2)
+        before = f1[ms] * g._dx_mult[ms, None] + f2[ms] @ D.T
+        after = (f1 - c1)[ms] * g._dx_mult[ms, None] + (f2 - c2)[ms] @ D.T
+        assert np.abs(after).max() <= 1e-10 * np.abs(before).max()
+
+    def test_eigenbasis_shared_across_eps_and_nx(self, monkeypatch):
+        monkeypatch.setattr(hns, "_EIGENBASES", {})
+        monkeypatch.setattr(hns, "_PROJECTORS", {})
+        calls = []
+        eig = np.linalg.eig
+        monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+        for g, eps in ((Grid(32, 33), 0.1), (Grid(32, 33), 0.05), (Grid(16, 33), 0.1)):
+            f1, f2 = random_pair(g, seed=5)
+            _project_pair(g, eps, f1, f2)
+        assert calls == [(31, 31)]
+        assert len(hns._PROJECTORS) == 3
+
+    def test_kernel_pair_is_exactly_zero(self):
+        lam = hns._eigenbasis(Grid(8, 33)).lam
+        assert np.sum(lam == 0.0) == 2
+        assert np.all(lam <= 0.0)
+        assert np.sort(np.abs(lam))[2] > 1.0
+
+    @pytest.mark.parametrize("fault, match", [
+        ("complex", "complex"), ("positive", "positive"), ("no_kernel", "kernel"),
+    ])
+    def test_bad_spectrum_raises(self, monkeypatch, fault, match):
+        eig = np.linalg.eig
+
+        def broken(a):
+            lam, P = eig(a)
+            order = np.argsort(np.abs(lam))
+            if fault == "complex":
+                lam, P = lam.astype(complex), P.astype(complex)
+                lam[order[5]] += 1j
+            elif fault == "positive":
+                lam[order[5]] = 1.0
+            else:
+                lam[order[:2]] = -1.0
+            return lam, P
+
+        monkeypatch.setattr(np.linalg, "eig", broken)
+        with pytest.raises(np.linalg.LinAlgError, match=match):
+            hns._Eigenbasis(Grid(8, 17))
+
+
 class TestRhs:
     def test_zero_state(self):
         g = Grid(16, 17)
@@ -250,6 +346,27 @@ class TestStep:
             hns_step(s, 10.0 * g.dy)
         with pytest.raises(SolverAbort, match="positive"):
             hns_step(s, -1.0)
+
+    def test_stage_abort_carries_step_input(self, monkeypatch):
+        g = Grid(16, 17)
+        s = replace(gevrey_state(g, 0.5, m_max=4), t=0.375)
+        calls = []
+
+        def failing_rhs(state, **kw):
+            calls.append(state)
+            if len(calls) == 3:
+                raise SolverAbort("synthetic failure", state)
+            return hns_rhs(state, **kw)
+
+        monkeypatch.setattr(hns, "hns_rhs", failing_rhs)
+        coeffs = [f.coeff.copy() for f in (s.u, s.v, s.ut, s.vt)]
+        with pytest.raises(SolverAbort, match="stage 3: synthetic failure") as info:
+            hns_step(s, 0.25 * g.dy)
+        got = info.value.state
+        assert got.t == 0.375
+        for f, c in zip((got.u, got.v, got.ut, got.vt), coeffs):
+            assert np.array_equal(f.coeff, c)
+        assert not np.array_equal(calls[2].u.coeff, coeffs[0])  # a real stage
 
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
     def test_full_physics_short_run(self, eps):

@@ -16,7 +16,7 @@ from stripflow.grid import (
     to_spectral,
 )
 from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
-from stripflow import paley
+from stripflow import paley, prandtl
 from stripflow.prandtl import (
     PrandtlState,
     SolverAbort,
@@ -219,6 +219,28 @@ class TestStep:
         s = self.make_eigenmode_state(g)
         with pytest.raises(SolverAbort, match="CFL"):
             prandtl_step(s, 10.0 * g.dy)
+
+    def test_stage_abort_carries_step_input(self, monkeypatch):
+        g = Grid(16, 17)
+        s = self.make_eigenmode_state(g, amp=0.1, x_mode=1)
+        s = PrandtlState(s.u, 0.5 * s.u, t=0.375)
+        calls = []
+
+        def failing_rhs(state, *args):
+            calls.append(state)
+            if len(calls) == 3:
+                raise SolverAbort("synthetic failure", state)
+            return prandtl_rhs(state, *args)
+
+        monkeypatch.setattr(prandtl, "prandtl_rhs", failing_rhs)
+        u, ut = s.u.coeff.copy(), s.ut.coeff.copy()
+        with pytest.raises(SolverAbort, match="stage 3: synthetic failure") as info:
+            prandtl_step(s, 0.25 * g.dy)
+        got = info.value.state
+        assert got.t == 0.375
+        assert np.array_equal(got.u.coeff, u)
+        assert np.array_equal(got.ut.coeff, ut)
+        assert not np.array_equal(calls[2].u.coeff, u)  # a real stage
 
     def test_linear_envelope_never_exceeded(self):
         g = Grid(16, 33)
