@@ -29,6 +29,10 @@ __all__ = [
     "dy",
     "dyy",
     "dy_matrix",
+    "y_diff",
+    "real_view",
+    "stacked",
+    "unstack",
     "cumulative_trapezoid",
     "integrate_y",
     "mean_y",
@@ -75,13 +79,32 @@ class Grid:
         self._dx_mult = mult
         # -xi^2 multiplier for d2/dx2, the square of the one above
         self._dxx_mult = (mult * mult).real
-        # 2/3-rule mask: keep |m| <= Nx/3
+        # 2/3-rule mask: keep |m| <= Nx/3; rows of the modes -m, 0 <= m <= Nx/3
         self.dealias_mask = np.abs(m) <= Nx // 3
+        self.dealias_mirror = (-np.arange(Nx // 3 + 1)) % Nx
         # trapezoid weights in y (fixed summation order via dot products)
         w = np.full(Ny, self.dy)
         w[0] = w[-1] = 0.5 * self.dy
         self.trapz_w = w
         self.key = (self.Lx, self.Nx, self.Ny)
+        self._work = {}
+
+    def work(self, name: str, rows: int | None = None) -> np.ndarray:
+        """Complex scratch array kept per name: (Nx, Ny), or (rows, Nx, Ny).
+
+        A 128x65 field is larger than the allocator's mmap threshold, so a
+        fresh temporary of that size is faulted in on every call; hot loops
+        reuse these instead.  Requests of one name share memory (the
+        largest row count is kept), so a name must not serve two arrays in
+        use at once.  The contents are undefined on entry, and an array from
+        here must never be handed out as a result.
+        """
+        n = 1 if rows is None else rows
+        buf = self._work.get(name)
+        if buf is None or len(buf) < n:
+            buf = np.empty((n, self.Nx, self.Ny), dtype=np.complex128)
+            self._work[name] = buf
+        return buf[0] if rows is None else buf[:n]
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.key == other.key
@@ -135,6 +158,33 @@ class Field:
 
     def __neg__(self) -> "Field":
         return Field(self.grid, -self.coeff)
+
+
+def stacked(fields) -> np.ndarray:
+    """The coefficients of `fields` as one (n, Nx, Ny) array.
+
+    Fields that are consecutive rows of one array, as `unstack` makes them,
+    come back as a view of those rows; any others as a fresh stack.  The
+    solvers keep a state this way, so a step reads it without a copy.
+    """
+    first = fields[0].coeff
+    base = first.base
+    if (isinstance(base, np.ndarray) and base.ndim == 3
+            and base.shape[1:] == first.shape and base.strides[1:] == first.strides):
+        addr = first.__array_interface__["data"][0]
+        row, rem = divmod(addr - base.__array_interface__["data"][0], base.strides[0])
+        if (rem == 0 and 0 <= row and row + len(fields) <= base.shape[0]
+                and all(f.coeff.base is base and f.coeff.strides == first.strides
+                        and f.coeff.__array_interface__["data"][0]
+                        == addr + k * base.strides[0]
+                        for k, f in enumerate(fields))):
+            return base[row:row + len(fields)]
+    return np.stack([f.coeff for f in fields])
+
+
+def unstack(grid: Grid, arr: np.ndarray) -> tuple[Field, ...]:
+    """Fields viewing the rows of a stacked (n, Nx, Ny) array."""
+    return tuple(Field(grid, row) for row in arr)
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> Field:
@@ -192,41 +242,77 @@ def frac_dx(f: Field, s: float) -> Field:
     return Field(g, f.coeff * mult[:, None])
 
 
+#: y-derivative stencils by order: (divisor in units of dy**order, interior
+#: terms, terms at the wall y = 0), each term a (node offset, weight) pair,
+#: summed in the order listed.  Interior terms after the first have weight
+#: +-1.  The wall y = 1 mirrors y = 0: offsets negated, weights times
+#: (-1)**order.  Second order everywhere: centered inside, one-sided at
+#: the walls.
+Y_STENCILS = {
+    1: (2.0, ((1, 1.0), (-1, -1.0)), ((0, -3.0), (1, 4.0), (2, -1.0))),
+    2: (1.0, ((0, -2.0), (1, 1.0), (-1, 1.0)),
+        ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))),
+}
+
+
+def y_diff(c: np.ndarray, h: float, order: int,
+           out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the Y_STENCILS derivative of `order` along the last axis of `c`.
+
+    `c` may carry any leading axes (a stack of fields is differentiated in
+    one pass); `out`, if given, receives the result, must be C-contiguous
+    and must not overlap `c`.
+    """
+    div, inner, wall = Y_STENCILS[order]
+    c = np.ascontiguousarray(c)
+    if out is None:
+        out = np.empty_like(c)
+    elif not out.flags.c_contiguous:
+        raise ValueError("y_diff needs a C-contiguous out array")
+    # The interior stencil runs over the flattened array, in long contiguous
+    # passes; what it leaves on the wall columns, where it straddles two
+    # rows, the wall stencils overwrite.
+    src, n = c.reshape(-1), c.shape[-1]
+    mid = out.reshape(-1)[1:-1]
+    (off, w), rest = inner[0], inner[1:]
+    end = src.size - 1
+    np.multiply(real_view(src[1 + off:end + off]), w, out=real_view(mid))
+    for off, w in rest:
+        (np.add if w > 0 else np.subtract)(mid, src[1 + off:end + off], out=mid)
+    sign = (-1.0) ** order
+    for edge, step, scale in ((0, 1, 1.0), (n - 1, -1, sign)):
+        terms = [scale * w * c[..., edge + step * off] for off, w in wall]
+        total = terms[0]
+        for term in terms[1:]:
+            total = total + term
+        out[..., edge] = total
+    scaled = real_view(out)
+    scaled *= 1.0 / (div * h ** order)  # what complex / real computes
+    return out
+
+
+def real_view(c: np.ndarray) -> np.ndarray:
+    """Float64 view of a complex array (real and imaginary parts interleaved
+    along the last axis), for scaling by real numbers at real-array cost."""
+    return c.view(np.float64) if c.dtype.kind == "c" else c
+
+
 def dy(f: Field) -> Field:
     """d/dy: centered second order inside, one-sided second order at walls."""
-    c = f.coeff
-    h = f.grid.dy
-    out = np.empty_like(c)
-    out[:, 1:-1] = (c[:, 2:] - c[:, :-2]) / (2.0 * h)
-    out[:, 0] = (-3.0 * c[:, 0] + 4.0 * c[:, 1] - c[:, 2]) / (2.0 * h)
-    out[:, -1] = (3.0 * c[:, -1] - 4.0 * c[:, -2] + c[:, -3]) / (2.0 * h)
-    return Field(f.grid, out)
+    return Field(f.grid, y_diff(f.coeff, f.grid.dy, 1))
 
 
 def dyy(f: Field) -> Field:
     """d2/dy2: centered second order inside, one-sided second order at walls."""
-    c = f.coeff
-    h2 = f.grid.dy ** 2
-    out = np.empty_like(c)
-    out[:, 1:-1] = (c[:, 2:] - 2.0 * c[:, 1:-1] + c[:, :-2]) / h2
-    out[:, 0] = (2.0 * c[:, 0] - 5.0 * c[:, 1] + 4.0 * c[:, 2] - c[:, 3]) / h2
-    out[:, -1] = (
-        2.0 * c[:, -1] - 5.0 * c[:, -2] + 4.0 * c[:, -3] - c[:, -4]
-    ) / h2
-    return Field(f.grid, out)
+    return Field(f.grid, y_diff(f.coeff, f.grid.dy, 2))
 
 
 def dy_matrix(grid: Grid) -> np.ndarray:
-    """Dense (Ny, Ny) matrix of the dy() stencils; dy(f) == f.coeff @ D.T."""
-    n = grid.Ny
-    h = grid.dy
-    D = np.zeros((n, n))
-    idx = np.arange(1, n - 1)
-    D[idx, idx - 1] = -1.0 / (2.0 * h)
-    D[idx, idx + 1] = 1.0 / (2.0 * h)
-    D[0, 0:3] = np.array([-3.0, 4.0, -1.0]) / (2.0 * h)
-    D[-1, -3:] = np.array([1.0, -4.0, 3.0]) / (2.0 * h)
-    return D
+    """Dense (Ny, Ny) matrix of the dy() stencils; dy(f) == f.coeff @ D.T.
+
+    Row j of the stencil applied to the unit vectors is column j of D.
+    """
+    return y_diff(np.eye(grid.Ny), grid.dy, 1).T
 
 
 def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
@@ -235,8 +321,13 @@ def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
     Zero in the first column; the arithmetic and its order are those of
     scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0).
     """
-    cum = np.cumsum(h * (c[..., 1:] + c[..., :-1]) / 2.0, axis=-1)
-    return np.concatenate([np.zeros_like(cum[..., :1]), cum], axis=-1)
+    out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
+    out[..., 0] = 0.0
+    cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
+    cum *= h
+    cum /= 2.0
+    np.cumsum(cum, axis=-1, out=cum)
+    return out
 
 
 def integrate_y(f: Field, upper: float | None = None):
@@ -274,7 +365,49 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, out)
 
 
-def multiply(f, g) -> Field:
+def _physical(grid: Grid, name: str, fields) -> list[np.ndarray]:
+    """Real physical values of `fields`, two per inverse transform (a + ib),
+    as views of the grid's `name` work stack."""
+    n = len(fields)
+    buf = grid.work(name, (n + 1) // 2)
+    vals = []
+    for z, k in zip(buf, range(0, n, 2)):
+        if k + 1 < n:
+            _pack(fields[k], fields[k + 1], z)
+            np.fft.ifft(z, axis=0, norm="forward", out=z)
+            vals += [z.real, z.imag]
+        else:
+            np.fft.ifft(fields[k].coeff, axis=0, norm="forward", out=z)
+            vals.append(z.real)
+    return vals
+
+
+def _pack(a: Field, b: Field, out: np.ndarray) -> np.ndarray:
+    """a + ib into `out`, the spectrum of the complex physical field a + ib."""
+    np.multiply(b.coeff, 1j, out=out)
+    out += a.coeff
+    return out
+
+
+def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[Field, Field]:
+    """Dealiased spectra of the real and imaginary parts of a physical field
+    whose spectrum is `spec`.  Conjugate symmetry separates them: with
+    r = conj(spec[-m]), the parts are (spec[m] + r) / 2 and (spec[m] - r) / 2i.
+    Modes -m are the conjugates of modes m, so only 0 <= m <= Nx/3 are formed.
+    """
+    K = grid.Nx // 3
+    s, r = spec[:K + 1], np.conj(spec[grid.dealias_mirror])
+    out = []
+    for part in (0.5 * (s + r), -0.5j * (s - r)):
+        c = np.empty_like(spec)
+        c[:K + 1] = part
+        c[K + 1:grid.Nx - K] = 0.0
+        np.conj(part[:0:-1], out=c[grid.Nx - K:])
+        out.append(Field(grid, c))
+    return out[0], out[1]
+
+
+def multiply(f, g) -> Field | tuple[Field, ...]:
     """Dealiased pointwise product of two real fields.
 
     `f` and `g` may also be equal-length sequences of real fields; the
@@ -286,6 +419,15 @@ def multiply(f, g) -> Field:
     factor by factor, so two single fields take two inverse transforms and
     one forward transform.
 
+    Multi-output form: with `g` a sequence of sequences, each as long as
+    `f`, the result is a tuple holding the dealiased sum f[0] g[j][0] +
+    f[1] g[j][1] + ... for every g[j].  The factors of `f` go to physical x
+    once for all outputs.  Outputs j, j+1 share the inverse transform of
+    their k-th factors (g[j][k] + i g[j+1][k]) and one forward transform of
+    the packed sum, which conjugate symmetry splits in two.  Two outputs of
+    two products each thus cost 4 transforms; an odd last output takes the
+    sequence form's path.
+
     The symmetry check is skipped here: products sit in solver inner loops
     where the inputs are produced by symmetry-preserving operations, and a
     relative check misfires when an oscillating field passes through zero
@@ -293,30 +435,43 @@ def multiply(f, g) -> Field:
     warned about: the solvers' finiteness checks turn it into an abort.
     """
     fs = (f,) if isinstance(f, Field) else tuple(f)
-    gs = (g,) if isinstance(g, Field) else tuple(g)
-    if not fs or len(fs) != len(gs):
+    if isinstance(g, Field):
+        gss, single = ((g,),), True
+    else:
+        g = tuple(g)
+        single = bool(g) and isinstance(g[0], Field)
+        gss = (g,) if single or not g else tuple(tuple(gj) for gj in g)
+    if not fs or any(len(gs) != len(fs) for gs in gss):
         raise ValueError(
-            f"multiply needs two equal-length, non-empty sequences of fields, "
-            f"got lengths {len(fs)} and {len(gs)}"
+            f"multiply needs equal-length, non-empty sequences of fields, "
+            f"got lengths {len(fs)} and {[len(gs) for gs in gss]}"
         )
-    for h in fs[1:] + gs:
+    grid = fs[0].grid
+    for h in fs[1:] + sum(gss, ()):
         fs[0]._check_same_grid(h)
 
-    def physical(a: Field, b: Field | None = None) -> np.ndarray:
-        c = a.coeff if b is None else a.coeff + 1j * b.coeff
-        return np.fft.ifft(c, axis=0, norm="forward")
-
-    n = len(fs)
-    terms = []
+    out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(0, n - 1, 2):
-            zf = physical(fs[k], fs[k + 1])
-            zg = physical(gs[k], gs[k + 1])
-            terms.append(zf.real * zg.real + zf.imag * zg.imag)
-        if n % 2:
-            terms.append(physical(fs[-1]).real * physical(gs[-1]).real)
-        spec = np.fft.fft(sum(terms[1:], terms[0]), axis=0, norm="forward")
-    return dealias(Field(fs[0].grid, spec))
+        fv = _physical(grid, "multiply.f", fs)
+        for j in range(0, len(gss) - 1, 2):
+            total, z = grid.work("multiply.g", 2)
+            for k, (fk, gk, hk) in enumerate(zip(fv, gss[j], gss[j + 1])):
+                dst = total if k == 0 else z
+                np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
+                dst *= fk
+                if k:
+                    total += z
+            np.fft.fft(total, axis=0, norm="forward", out=total)
+            out += _split_pair(grid, total)
+        if len(gss) % 2:
+            gv = _physical(grid, "multiply.g", gss[-1])
+            prod = fv[0] * gv[0]
+            for fk, gk in zip(fv[1:], gv[1:]):
+                prod += fk * gk
+            spec = np.fft.fft(prod, axis=0, norm="forward")
+            spec[~grid.dealias_mask] = 0.0
+            out.append(Field(grid, spec))
+    return out[0] if single else tuple(out)
 
 
 def pin_walls(f: Field) -> Field:

@@ -33,8 +33,9 @@ from .diagnostics import EnergyReport, Sample, energy_E1, energy_E_s
 from .gevrey import (PROFILES, GevreyParams, initial_norm_H0, initial_norm_H1,
                      make_gevrey_data)
 from .grid import Field, Grid, l2_norm
-from .hns import CFL_LIMIT, HnsState, hns_step, make_hns_data
-from .prandtl import PrandtlState, SolverAbort, prandtl_step, recover_v
+from .hns import HnsState, hns_step, make_hns_data
+from .prandtl import PrandtlState, prandtl_step, recover_v
+from .stepper import CFL_FACTOR, CFL_LIMIT, SolverAbort
 from .verify import verify_all
 
 VERSION_STRING = f"stripflow-{__version__}"
@@ -96,7 +97,7 @@ class RunConfig:
     profile: str = "sin2py"
     u1: str = "zero"
     dt: float | None = None
-    cfl_factor: float = 0.25
+    cfl_factor: float = CFL_FACTOR
     T_final: float = 2.0
     n_proj: int = 50
     n_check: int = 100
@@ -439,7 +440,8 @@ class _Timings:
 
 
 def _collect_run(cfg: RunConfig, clock: _Timings):
-    """Execute the configured single run; returns (samples, extras, abort)."""
+    """Execute the configured single run; returns (samples, extras, abort),
+    abort being the SolverAbort that ended the run early, else None."""
     p = cfg.gevrey_params()
     u0, u1 = cfg.make_data()
     dt = cfg.effective_dt()
@@ -471,7 +473,7 @@ def _collect_run(cfg: RunConfig, clock: _Timings):
                 clock.lap("diagnostics")
     except SolverAbort as exc:
         clock.lap("stepping")
-        abort = str(exc)
+        abort = exc
         state = exc.state if exc.state is not None else state
     return samples, state, div_rel, dt, n_steps, done, abort
 
@@ -484,7 +486,8 @@ def cmd_run(cfg: RunConfig) -> Path:
     `data_norm`, the paper's smallness quantity of the initial state
     (initial_norm_H0 at s = 1/2 for prandtl, initial_norm_H1 for hns).
     A solver abort keeps whatever was collected and is flagged in the
-    metadata; final.snap then holds the last accepted step.
+    metadata (`abort`, the reason, and `abort_stage`, the RK stage 1-4 it
+    came from or null); final.snap then holds the last accepted step.
     """
     cfg.validate()
     if cfg.kind not in ("prandtl", "hns"):
@@ -522,7 +525,8 @@ def cmd_run(cfg: RunConfig) -> Path:
         "completed_steps": done,
         "n_samples": len(samples),
         "data_norm": float(data_norm),
-        "abort": abort,
+        "abort": None if abort is None else str(abort),
+        "abort_stage": None if abort is None else abort.stage,
         "timings": clock.to_dict(done),
         "wall_time_s": time.perf_counter() - t_wall,
     }

@@ -36,6 +36,17 @@ up from the wall forces it, and it is the nullspace of the projection
 operator, so it is enforced directly rather than solved for.  The x-mean
 of the second equation then only determines a diagnostic pressure profile
 and never feeds back into u.
+
+Storage and stepping: a state produced here is one stacked complex array
+(u, v, ut, vt) of shape (4, Nx, Ny), and its Fields are views of the rows
+(``grid.unstack``; ``grid.stacked`` gives the array back without a copy).
+``hns_step`` advances the stack with the RK4 step shared with the limit
+system (``stepper.rk4_step``).  The right-hand side applies the y stencils
+to the stacked pair (u, v) in one pass and takes both advection terms,
+N1 = u u_x + v u_y and N2 = u v_x + v v_y, from one multi-output
+``multiply``: u + i v goes to physical x once, u_x + i v_x and
+u_y + i v_y once each, and N1 + i N2 takes one forward transform that
+conjugate symmetry splits, so a right-hand side costs four transforms.
 """
 
 from __future__ import annotations
@@ -47,16 +58,13 @@ import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
 from .grid import (Field, cumulative_trapezoid, dx, dy, dyy, dy_matrix, l2_norm,
-                   mean_y, multiply, pin_walls)
-from .prandtl import SolverAbort, recover_v, stage_abort
+                   mean_y, multiply, pin_walls, real_view, stacked, unstack,
+                   y_diff)
+from .prandtl import recover_v
+from .stepper import SolverAbort, rk4_step
 
 log = logging.getLogger(__name__)
 
-#: hard stability ceiling for the RK4 damped-wave step, as a multiple of dy.
-CFL_LIMIT = 0.70
-#: default time step as a multiple of dy (the projection removes the 1/eps
-#: pressure stiffness; see the stability test for the empirical check).
-CFL_FACTOR = 0.25
 #: divergence cleanup / energy check cadence, in steps.
 N_PROJ = 50
 #: abort when the weighted energy grows by this factor between checks.
@@ -88,6 +96,10 @@ class HnsState:
     @property
     def grid(self):
         return self.u.grid
+
+    @property
+    def fields(self) -> tuple[Field, Field, Field, Field]:
+        return (self.u, self.v, self.ut, self.vt)
 
     def copy(self) -> "HnsState":
         return replace(
@@ -138,12 +150,6 @@ class HnsState:
                 f"divergence {rel:.3e} exceeds tolerance {self.tol_div:.1e}",
                 self,
             )
-
-
-def _pin_mean_row(f: Field) -> Field:
-    out = f.copy()
-    out.coeff[0] = 0.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -379,44 +385,45 @@ def pressure_solve(state: HnsState, N1: Field, N2: Field,
 # ---------------------------------------------------------------------------
 
 def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
-            disable_pressure: bool = False, report: dict | None = None):
+            disable_pressure: bool = False, report: dict | None = None,
+            out: np.ndarray | None = None):
     """Time derivative (du, dv, dut, dvt) of the state.
 
     ``disable_nonlinear`` drops the advection terms; ``disable_pressure``
     skips the projection (for linear single-mode checks where the state is
     deliberately not divergence-free).  Boundary rows of the accelerations
-    are pinned, and the x-mean row of dvt is pinned.
+    are pinned, and the x-mean row of dvt is pinned.  The accelerations
+    (dut, dvt) are written into ``out``, a (2, Nx, Ny) complex array, when
+    one is given.  The linear terms act on the stacked pair (u, v) at once,
+    and both advection terms come from one multi-output ``multiply``.
     """
     g = state.grid
     eps = state.eps
-    u, v, ut, vt = state.u, state.v, state.ut, state.vt
+    y = stacked(state.fields)
+    uv = y[:2]
 
-    exx = (eps**2 * g._dxx_mult)[:, None]
-    Lu = Field(g, u.coeff * exx) + dyy(u)
-    Lv = Field(g, v.coeff * exx) + dyy(v)
-    F1 = Lu - ut
-    F2 = Lv - vt
-    N1 = N2 = None
+    dx_uv, dy_uv = g.work("hns.dx", 2), g.work("hns.dy", 2)
+    acc = y_diff(uv, g.dy, 2, out=out)
+    np.multiply(real_view(uv), (eps**2 * g._dxx_mult)[:, None], out=real_view(dx_uv))
+    acc += dx_uv
+    acc -= y[2:]
+    N2 = None
     if not disable_nonlinear:
-        N1 = multiply((u, v), (dx(u), dy(u)))
-        N2 = multiply((u, v), (dx(v), dy(v)))
-        F1 = F1 - N1
-        F2 = F2 - N2
-    f1 = F1.coeff.copy()
-    f2 = F2.coeff.copy()
-    f1[:, 0] = f1[:, -1] = 0.0
-    f2[:, 0] = f2[:, -1] = 0.0
-    f2[0] = 0.0  # the x-mean of v is pinned, not solved for
+        ux, vx = unstack(g, np.multiply(uv, g._dx_mult[:, None], out=dx_uv))
+        uy, vy = unstack(g, y_diff(uv, g.dy, 1, out=dy_uv))
+        N1, N2 = multiply((state.u, state.v), ((ux, uy), (vx, vy)))
+        acc[0] -= N1.coeff
+        acc[1] -= N2.coeff
+    acc[..., 0] = acc[..., -1] = 0.0
+    acc[1, 0] = 0.0  # the x-mean of v is pinned, not solved for
 
-    if not (np.all(np.isfinite(f1)) and np.all(np.isfinite(f2))):
+    if not np.all(np.isfinite(acc)):
         raise SolverAbort("non-finite acceleration", state)
 
-    if disable_pressure:
-        acc1, acc2 = f1, f2
-    else:
-        c1, c2, q = _project_pair(g, eps, f1, f2)
-        acc1 = f1 - c1
-        acc2 = f2 - c2
+    if not disable_pressure:
+        c1, c2, q = _project_pair(g, eps, acc[0], acc[1])
+        acc[0] -= c1
+        acc[1] -= c2
         if report is not None:
             # mean-mode pressure profile is diagnostic only:
             # d_y p = -eps^2 N2 at the mean mode (v, Lv vanish there)
@@ -425,24 +432,24 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
                 prof -= g.trapz_w @ prof / g.trapz_w.sum()
                 q[0] = prof
             report["pressure"] = Field(g, q)
+        if not np.all(np.isfinite(acc)):
+            raise SolverAbort("non-finite acceleration", state)
 
-    if not (np.all(np.isfinite(acc1)) and np.all(np.isfinite(acc2))):
-        raise SolverAbort("non-finite acceleration", state)
-
-    return ut, vt, Field(g, acc1), Field(g, acc2)
+    return (state.ut, state.vt) + unstack(g, acc)
 
 
-def _combine(g, base, incs, weights, dt):
-    out = base.coeff + (dt / 6.0) * sum(
-        w * k.coeff for w, k in zip(weights, incs))
-    out[:, 0] = out[:, -1] = 0.0
-    return Field(g, out)
+def _pin_pair(y: np.ndarray) -> None:
+    """Pin the walls of (u, v, ut, vt) and the x-mean rows of v and vt."""
+    y[..., 0] = 0.0
+    y[..., -1] = 0.0
+    y[1::2, 0] = 0.0
 
 
 def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
              disable_pressure: bool = False, check: bool = False,
              n_proj: int = N_PROJ) -> HnsState:
-    """One RK4 step of length dt, with periodic cleanup and energy guard.
+    """One RK4 step (`rk4_step`) of length dt on the stack (u, v, ut, vt),
+    with periodic cleanup and energy guard.
 
     The step refuses dt outside (0, CFL_LIMIT * dy].  The default step
     suggested for production runs is CFL_FACTOR * dy: the projection is an
@@ -452,50 +459,24 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     any configuration where that reasoning fails).  Every n_proj steps the
     state is re-projected onto the constraint and the energy guard runs.
     """
-    g = state.grid
-    if dt <= 0.0:
-        raise SolverAbort(f"dt must be positive, got {dt}", state)
-    if dt > CFL_LIMIT * g.dy:
-        raise SolverAbort(
-            f"dt {dt:.3e} violates CFL bound {CFL_LIMIT * g.dy:.3e}", state)
     if n_proj < 1:
         raise SolverAbort(f"n_proj must be >= 1, got {n_proj}", state)
-
+    g = state.grid
     flags = dict(disable_nonlinear=disable_nonlinear,
                  disable_pressure=disable_pressure)
 
-    def stage(index, s):
-        with stage_abort(index, state):
-            return hns_rhs(s, **flags)
+    def rhs(y, k):
+        stage = HnsState(*unstack(g, y), eps=state.eps, t=state.t)
+        return [f.coeff for f in hns_rhs(stage, out=k[2:], **flags)]
 
-    def nudge(h, k):
-        return HnsState(
-            u=Field(g, state.u.coeff + h * k[0].coeff),
-            v=Field(g, state.v.coeff + h * k[1].coeff),
-            ut=Field(g, state.ut.coeff + h * k[2].coeff),
-            vt=Field(g, state.vt.coeff + h * k[3].coeff),
-            eps=state.eps, t=state.t,
-        )
-
-    k1 = stage(1, state)
-    k2 = stage(2, nudge(0.5 * dt, k1))
-    k3 = stage(3, nudge(0.5 * dt, k2))
-    k4 = stage(4, nudge(dt, k3))
-
-    ks = list(zip(k1, k2, k3, k4))
-    w = (1.0, 2.0, 2.0, 1.0)
-    new_u = _combine(g, state.u, ks[0], w, dt)
-    new_v = _pin_mean_row(_combine(g, state.v, ks[1], w, dt))
-    new_ut = _combine(g, state.ut, ks[2], w, dt)
-    new_vt = _pin_mean_row(_combine(g, state.vt, ks[3], w, dt))
-
-    out = HnsState(new_u, new_v, new_ut, new_vt, eps=state.eps,
-                   t=state.t + dt, tol_div=state.tol_div,
-                   steps=state.steps + 1, energy_mark=state.energy_mark)
+    new = rk4_step(state, stacked(state.fields), dt, rhs, _pin_pair)
+    out = HnsState(*unstack(g, new), eps=state.eps, t=state.t + dt,
+                   tol_div=state.tol_div, steps=state.steps + 1,
+                   energy_mark=state.energy_mark)
 
     if out.steps % n_proj == 0:
-        if not disable_pressure:
-            out = divergence_cleanup(out)
+        if not disable_pressure:  # `new` is not shared yet: clean it in place
+            out = divergence_cleanup(out, out=new)
         e = out.energy()
         if out.energy_mark >= 0.0 and e > ENERGY_GROWTH_LIMIT * out.energy_mark:
             raise SolverAbort(
@@ -507,32 +488,34 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     return out
 
 
-def divergence_cleanup(state: HnsState, report: dict | None = None) -> HnsState:
+def divergence_cleanup(state: HnsState, report: dict | None = None,
+                       out: np.ndarray | None = None) -> HnsState:
     """Project (u, v) and (ut, vt) back onto the discrete constraint.
 
     Solves the same per-mode operator as the stepper's projection with the
     current divergence as data and subtracts the masked weighted gradient,
     so the post-cleanup divergence is at solver precision.  The correction
-    magnitude is logged and optionally reported.
+    magnitude is logged and optionally reported.  The result is stacked in
+    ``out``, a (4, Nx, Ny) complex array that may be the state's own stack,
+    or else in a fresh array, leaving the input state as it was.
     """
     g = state.grid
     eps = state.eps
+    y = stacked(state.fields)
+    new = np.empty_like(y) if out is None else out
     mags = {}
-    pairs = {"uv": (state.u, state.v), "ut_vt": (state.ut, state.vt)}
-    fixed = {}
-    for name, (fu, fv) in pairs.items():
-        c1, c2, _ = _project_pair(g, eps, fu.coeff, fv.coeff)
-        fixed[name] = (Field(g, fu.coeff - c1), Field(g, fv.coeff - c2))
+    for name, row in (("uv", 0), ("ut_vt", 2)):
+        c1, c2, _ = _project_pair(g, eps, y[row], y[row + 1])
+        np.subtract(y[row], c1, out=new[row])
+        np.subtract(y[row + 1], c2, out=new[row + 1])
         mags[name] = float(np.sqrt(
             l2_norm(Field(g, c1)) ** 2 + l2_norm(Field(g, c2)) ** 2))
+    new[1::2, 0] = 0.0  # the x-means of v and vt stay pinned
     log.debug("divergence cleanup at t=%.6f: |corr_uv|=%.3e |corr_ut|=%.3e",
               state.t, mags["uv"], mags["ut_vt"])
     if report is not None:
         report.update(mags)
-    new_u, new_v = fixed["uv"]
-    new_ut, new_vt = fixed["ut_vt"]
-    return replace(state, u=new_u, v=_pin_mean_row(new_v),
-                   ut=new_ut, vt=_pin_mean_row(new_vt))
+    return replace(state, **dict(zip(("u", "v", "ut", "vt"), unstack(g, new))))
 
 
 def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,

@@ -27,22 +27,12 @@ driven only by the O(amplitude^2 dy^2) discrete advection defect.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    Field,
-    dealias,
-    dx,
-    dy,
-    dyy,
-    integrate_y,
-    mean_y,
-    multiply,
-    pin_walls,
-)
+from .grid import Field, dx, dy, integrate_y, mean_y, multiply, stacked, unstack, y_diff
+from .stepper import CFL_FACTOR, CFL_LIMIT, SolverAbort, rk4_step, stage_abort
 
 __all__ = [
     "SolverAbort",
@@ -56,36 +46,6 @@ __all__ = [
     "CFL_FACTOR",
     "CFL_LIMIT",
 ]
-
-CFL_FACTOR = 0.25  # default dt = CFL_FACTOR * dy
-CFL_LIMIT = 0.70  # hard abort above this multiple of dy (RK4 wave limit ~1.4)
-
-
-class SolverAbort(RuntimeError):
-    """Raised when a stepper detects an unusable state (NaN, CFL, invariants).
-
-    Carries the offending state (if available) so the harness can dump a
-    diagnostic snapshot before dying.
-    """
-
-    def __init__(self, reason: str, state=None):
-        super().__init__(reason)
-        self.reason = reason
-        self.state = state
-
-
-@contextmanager
-def stage_abort(stage: int, state):
-    """Re-raise a SolverAbort from RK stage `stage` against the step's input.
-
-    A stage state is not a step state (it is stamped with the step's start
-    time but holds a partial update), so the abort carries `state`, the
-    last accepted step, and names the stage in its reason.
-    """
-    try:
-        yield
-    except SolverAbort as exc:
-        raise SolverAbort(f"RK stage {stage}: {exc.reason}", state) from exc
 
 
 @dataclass
@@ -121,7 +81,7 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
     The y = 1 row vanishes only to quadrature accuracy; its residual is
     written into `report` when a dict is supplied.
     """
-    v = -1.0 * integrate_y(dx(u))
+    v = _slaved_v(dx(u))
     if report is not None:
         top = np.abs(v.coeff[:, -1]).max()
         scale = max(np.abs(v.coeff).max(), 1e-300)
@@ -130,20 +90,28 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
     return v
 
 
+def _slaved_v(ux: Field) -> Field:
+    """v = -int_0^y ux dy' from ux = d_x u."""
+    v = integrate_y(ux)
+    v.coeff *= -1.0
+    return v
+
+
 def _advection(u: Field) -> Field:
     """Dealiased u d_x u + v d_y u with the slaved v."""
-    return multiply((u, recover_v(u)), (dx(u), dy(u)))
+    ux = dx(u)
+    return multiply((u, _slaved_v(ux)), (ux, dy(u)))
 
 
-def _pressure_from(visc: Field, N: Field | None, factor: float) -> Field:
-    """Interior-row-mean pressure law from precomputed dyy u and advection."""
-    g = visc.grid
-    inner = visc.coeff[:, 1:-1].sum(axis=1)
+def _pressure_from(visc: np.ndarray, N: Field | None, factor: float) -> np.ndarray:
+    """Interior-row-mean pressure law, one value per x-mode, from the
+    coefficients of dyy u and the advection term."""
+    inner = visc[:, 1:-1].sum(axis=1)
     if N is not None:
         inner = inner - factor * N.coeff[:, 1:-1].sum(axis=1)
-    vals = inner / (g.Ny - 2)
+    vals = inner / (visc.shape[1] - 2)
     vals[0] = 0.0  # a pressure gradient has no x-mean on the torus
-    return Field(g, np.broadcast_to(vals[:, None], (g.Nx, g.Ny)).copy())
+    return vals
 
 
 def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
@@ -152,32 +120,45 @@ def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
     factor = 1 (default) is the conservative choice; 1/2 mirrors the
     continuum identity as printed and is selectable for comparison runs.
     """
-    return _pressure_from(dyy(u), _advection(u), factor)
+    g = u.grid
+    vals = _pressure_from(y_diff(u.coeff, g.dy, 2), _advection(u), factor)
+    return Field(g, np.broadcast_to(vals[:, None], (g.Nx, g.Ny)).copy())
 
 
 def prandtl_rhs(
     state: PrandtlState,
     factor: float = 1.0,
     disable_nonlinear: bool = False,
+    out: np.ndarray | None = None,
 ) -> tuple[Field, Field]:
     """(du, dut) with wall rows of dut pinned; aborts on non-finite values.
 
     disable_nonlinear drops the advection term (verification mode for the
     linear damped-wave envelope); the linear part of the pressure law stays.
+    dut is written into `out`, an (Nx, Ny) complex array, when one is given.
     """
     u, ut = state.u, state.ut
-    visc = dyy(u)
+    g = u.grid
+    acc = y_diff(u.coeff, g.dy, 2, out=out)
     N = None if disable_nonlinear else _advection(u)
-    pg = _pressure_from(visc, N, factor)
-    acc = visc - ut - pg if N is None else visc - ut - N - pg
-    dut = pin_walls(acc)
-    if not np.isfinite(dut.coeff).all():
-        bad = np.argwhere(~np.isfinite(dut.coeff))[0]
+    pg = _pressure_from(acc, N, factor)
+    acc -= ut.coeff
+    if N is not None:
+        acc -= N.coeff
+    acc -= pg[:, None]
+    acc[:, 0] = acc[:, -1] = 0.0
+    if not np.isfinite(acc).all():
+        bad = np.argwhere(~np.isfinite(acc))[0]
         raise SolverAbort(
             f"non-finite acceleration at t={state.t}, mode/node {tuple(bad)}",
             state,
         )
-    return ut, dut
+    return ut, Field(g, acc)
+
+
+def _pin_walls(y: np.ndarray) -> None:
+    y[..., 0] = 0.0
+    y[..., -1] = 0.0
 
 
 def prandtl_step(
@@ -187,35 +168,20 @@ def prandtl_step(
     disable_nonlinear: bool = False,
     check: bool = False,
 ) -> PrandtlState:
-    """Classical RK4 step on (u, ut); wall rows re-pinned afterwards.
+    """Classical RK4 step (`rk4_step`) on the stack (u, ut); wall rows
+    re-pinned afterwards.
 
     `check` additionally re-validates the state invariants (intended to be
     turned on every N_check steps by the driving loop).
     """
     g = state.u.grid
-    if dt <= 0.0:
-        raise SolverAbort(f"nonpositive dt {dt}", state)
-    if dt > CFL_LIMIT * g.dy:
-        raise SolverAbort(
-            f"dt={dt:.3e} exceeds the wave CFL bound {CFL_LIMIT * g.dy:.3e}",
-            state,
-        )
 
-    def rhs(stage, u, ut):
-        with stage_abort(stage, state):
-            return prandtl_rhs(
-                PrandtlState(u, ut, state.t), factor, disable_nonlinear
-            )
+    def rhs(y, k):
+        stage = PrandtlState(*unstack(g, y), state.t)
+        return [f.coeff for f in prandtl_rhs(stage, factor, disable_nonlinear, k[1])]
 
-    u, ut = state.u, state.ut
-    k1u, k1t = rhs(1, u, ut)
-    k2u, k2t = rhs(2, u + (0.5 * dt) * k1u, ut + (0.5 * dt) * k1t)
-    k3u, k3t = rhs(3, u + (0.5 * dt) * k2u, ut + (0.5 * dt) * k2t)
-    k4u, k4t = rhs(4, u + dt * k3u, ut + dt * k3t)
-    sixth = dt / 6.0
-    new_u = pin_walls(u + sixth * (k1u + 2.0 * k2u + 2.0 * k3u + k4u))
-    new_ut = pin_walls(ut + sixth * (k1t + 2.0 * k2t + 2.0 * k3t + k4t))
-    out = PrandtlState(new_u, new_ut, state.t + dt, state.tol_mean)
+    new = rk4_step(state, stacked((state.u, state.ut)), dt, rhs, _pin_walls)
+    out = PrandtlState(*unstack(g, new), state.t + dt, state.tol_mean)
     if check:
         out.check_invariants()
     return out

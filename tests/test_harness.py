@@ -234,6 +234,7 @@ class TestCmdRun:
         out = cmd_run(cfg)
         meta = json.loads((out / "metadata.json").read_text())
         assert meta["abort"] is not None and "CFL" in meta["abort"]
+        assert meta["abort_stage"] is None  # refused before any stage ran
         assert meta["completed_steps"] == 0
         assert (out / "energy.csv").exists()  # partial outputs retained
 
@@ -291,6 +292,7 @@ class TestCmdRun:
         out = cmd_run(cfg)
         meta = json.loads((out / "metadata.json").read_text())
         assert "RK stage" in meta["abort"]
+        assert meta["abort_stage"] in (1, 2, 3, 4)
         final = read_snapshot(out / "snapshots" / "final.snap")
         assert final.t == pytest.approx(meta["completed_steps"] * meta["dt"])
         assert np.all(np.isfinite(final.u.coeff))

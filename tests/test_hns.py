@@ -18,6 +18,7 @@ from stripflow.grid import (
     to_physical,
     to_spectral,
 )
+from stripflow.diagnostics import Sample
 from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.hns import (
     HnsState,
@@ -367,6 +368,21 @@ class TestStep:
         for f, c in zip((got.u, got.v, got.ut, got.vt), coeffs):
             assert np.array_equal(f.coeff, c)
         assert not np.array_equal(calls[2].u.coeff, coeffs[0])  # a real stage
+
+    def test_returned_states_keep_their_bytes(self):
+        # samples keep returned states; stage buffers are reused, so later
+        # steps and a cleanup must write only into fresh arrays
+        g = Grid(16, 17)
+        dt = 0.25 * g.dy
+        s = hns_step(gevrey_state(g, 0.5, m_max=4), dt)
+        smp = Sample.from_state(s)
+        fields = (s.u, s.v, s.ut, s.vt, smp.u, smp.v, smp.ut, smp.vt)
+        held = [f.coeff.tobytes() for f in fields]
+        later = s
+        for _ in range(5):
+            later = hns_step(later, dt, n_proj=3)  # cleanups at steps 3 and 6
+        assert later.steps == 6
+        assert [f.coeff.tobytes() for f in fields] == held
 
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
     def test_full_physics_short_run(self, eps):

@@ -15,6 +15,7 @@ from stripflow.grid import (
     to_physical,
     to_spectral,
 )
+from stripflow.diagnostics import Sample
 from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
 from stripflow import paley, prandtl
 from stripflow.prandtl import (
@@ -241,6 +242,21 @@ class TestStep:
         assert np.array_equal(got.u.coeff, u)
         assert np.array_equal(got.ut.coeff, ut)
         assert not np.array_equal(calls[2].u.coeff, u)  # a real stage
+
+    def test_returned_states_keep_their_bytes(self):
+        # samples keep returned states; stage buffers are reused, so later
+        # steps must write only into fresh arrays
+        g = Grid(16, 17)
+        s = self.make_eigenmode_state(g, amp=0.1, x_mode=1)
+        dt = 0.25 * g.dy
+        s = prandtl_step(PrandtlState(s.u, 0.5 * s.u), dt)
+        smp = Sample.from_state(s)
+        fields = (s.u, s.ut, smp.u, smp.ut)
+        held = [f.coeff.tobytes() for f in fields]
+        later = s
+        for _ in range(5):
+            later = prandtl_step(later, dt)
+        assert [f.coeff.tobytes() for f in fields] == held
 
     def test_linear_envelope_never_exceeded(self):
         g = Grid(16, 33)
