@@ -31,7 +31,6 @@ __all__ = [
     "dy_matrix",
     "y_diff",
     "real_view",
-    "stacked",
     "unstack",
     "cumulative_trapezoid",
     "integrate_y",
@@ -160,30 +159,8 @@ class Field:
         return Field(self.grid, -self.coeff)
 
 
-def stacked(fields) -> np.ndarray:
-    """The coefficients of `fields` as one (n, Nx, Ny) array.
-
-    Fields that are consecutive rows of one array, as `unstack` makes them,
-    come back as a view of those rows; any others as a fresh stack.  The
-    solvers keep a state this way, so a step reads it without a copy.
-    """
-    first = fields[0].coeff
-    base = first.base
-    if (isinstance(base, np.ndarray) and base.ndim == 3
-            and base.shape[1:] == first.shape and base.strides[1:] == first.strides):
-        addr = first.__array_interface__["data"][0]
-        row, rem = divmod(addr - base.__array_interface__["data"][0], base.strides[0])
-        if (rem == 0 and 0 <= row and row + len(fields) <= base.shape[0]
-                and all(f.coeff.base is base and f.coeff.strides == first.strides
-                        and f.coeff.__array_interface__["data"][0]
-                        == addr + k * base.strides[0]
-                        for k, f in enumerate(fields))):
-            return base[row:row + len(fields)]
-    return np.stack([f.coeff for f in fields])
-
-
 def unstack(grid: Grid, arr: np.ndarray) -> tuple[Field, ...]:
-    """Fields viewing the rows of a stacked (n, Nx, Ny) array."""
+    """Fields viewing the rows of a stacked (n, Nx, Ny) array (no copy)."""
     return tuple(Field(grid, row) for row in arr)
 
 
@@ -244,14 +221,20 @@ def frac_dx(f: Field, s: float) -> Field:
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
 #: terms, terms at the wall y = 0), each term a (node offset, weight) pair,
-#: summed in the order listed.  Interior terms after the first have weight
-#: +-1.  The wall y = 1 mirrors y = 0: offsets negated, weights times
-#: (-1)**order.  Second order everywhere: centered inside, one-sided at
-#: the walls.
+#: summed in the order listed.  The wall y = 1 mirrors y = 0: offsets
+#: negated, weights times (-1)**order.  Second order everywhere: centered
+#: inside, one-sided at the walls.
 Y_STENCILS = {
     1: (2.0, ((1, 1.0), (-1, -1.0)), ((0, -3.0), (1, 4.0), (2, -1.0))),
     2: (1.0, ((0, -2.0), (1, 1.0), (-1, 1.0)),
         ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))),
+}
+
+#: the wall terms of Y_STENCILS for both walls at once: (offset, weights at
+#: y = 0 and at y = 1)
+_WALL_TERMS = {
+    order: tuple((off, np.array([w, (-1.0) ** order * w])) for off, w in wall)
+    for order, (_, _, wall) in Y_STENCILS.items()
 }
 
 
@@ -263,7 +246,7 @@ def y_diff(c: np.ndarray, h: float, order: int,
     one pass); `out`, if given, receives the result, must be C-contiguous
     and must not overlap `c`.
     """
-    div, inner, wall = Y_STENCILS[order]
+    div, inner, _ = Y_STENCILS[order]
     c = np.ascontiguousarray(c)
     if out is None:
         out = np.empty_like(c)
@@ -274,18 +257,24 @@ def y_diff(c: np.ndarray, h: float, order: int,
     # rows, the wall stencils overwrite.
     src, n = c.reshape(-1), c.shape[-1]
     mid = out.reshape(-1)[1:-1]
-    (off, w), rest = inner[0], inner[1:]
     end = src.size - 1
-    np.multiply(real_view(src[1 + off:end + off]), w, out=real_view(mid))
-    for off, w in rest:
-        (np.add if w > 0 else np.subtract)(mid, src[1 + off:end + off], out=mid)
-    sign = (-1.0) ** order
-    for edge, step, scale in ((0, 1, 1.0), (n - 1, -1, sign)):
-        terms = [scale * w * c[..., edge + step * off] for off, w in wall]
-        total = terms[0]
-        for term in terms[1:]:
-            total = total + term
-        out[..., edge] = total
+    for k, (off, w) in enumerate(inner):
+        term = src[1 + off:end + off]
+        if k == 0:
+            np.multiply(real_view(term), w, out=real_view(mid))
+            continue
+        if abs(w) != 1.0:
+            term = term * abs(w)
+        (np.add if w > 0 else np.subtract)(mid, term, out=mid)
+    # Columns off and n-1-off, the off-th node in from either wall, are one
+    # strided view, so each wall term serves both walls.
+    walls = out[..., ::n - 1]
+    for k, (off, w) in enumerate(_WALL_TERMS[order]):
+        cols = c[..., off:n - off:n - 1 - 2 * off]
+        if k == 0:
+            np.multiply(cols, w, out=walls)
+        else:
+            walls += cols * w
     scaled = real_view(out)
     scaled *= 1.0 / (div * h ** order)  # what complex / real computes
     return out
@@ -407,7 +396,7 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[Field, Field]:
     return out[0], out[1]
 
 
-def multiply(f, g) -> Field | tuple[Field, ...]:
+def multiply(f, g) -> Field | tuple[Field, Field]:
     """Dealiased pointwise product of two real fields.
 
     `f` and `g` may also be equal-length sequences of real fields; the
@@ -419,14 +408,13 @@ def multiply(f, g) -> Field | tuple[Field, ...]:
     factor by factor, so two single fields take two inverse transforms and
     one forward transform.
 
-    Multi-output form: with `g` a sequence of sequences, each as long as
-    `f`, the result is a tuple holding the dealiased sum f[0] g[j][0] +
-    f[1] g[j][1] + ... for every g[j].  The factors of `f` go to physical x
-    once for all outputs.  Outputs j, j+1 share the inverse transform of
-    their k-th factors (g[j][k] + i g[j+1][k]) and one forward transform of
-    the packed sum, which conjugate symmetry splits in two.  Two outputs of
-    two products each thus cost 4 transforms; an odd last output takes the
-    sequence form's path.
+    Two-output form: with `g` a pair of sequences (g1, g2), each as long as
+    `f`, the result is the pair of dealiased sums f[0] g1[0] + f[1] g1[1] +
+    ... and f[0] g2[0] + f[1] g2[1] + ...  The factors of `f` go to
+    physical x once for both outputs, the k-th factors of g1 and g2 share
+    one inverse transform (g1[k] + i g2[k]), and the packed sum takes one
+    forward transform that conjugate symmetry splits in two.  Two outputs
+    of two products each thus cost 4 transforms.
 
     The symmetry check is skipped here: products sit in solver inner loops
     where the inputs are produced by symmetry-preserving operations, and a
@@ -446,32 +434,32 @@ def multiply(f, g) -> Field | tuple[Field, ...]:
             f"multiply needs equal-length, non-empty sequences of fields, "
             f"got lengths {len(fs)} and {[len(gs) for gs in gss]}"
         )
+    if not single and len(gss) != 2:
+        raise ValueError(
+            f"multiply's multi-output form takes exactly two outputs, got {len(gss)}")
     grid = fs[0].grid
     for h in fs[1:] + sum(gss, ()):
         fs[0]._check_same_grid(h)
 
-    out = []
     with np.errstate(over="ignore", invalid="ignore"):
         fv = _physical(grid, "multiply.f", fs)
-        for j in range(0, len(gss) - 1, 2):
-            total, z = grid.work("multiply.g", 2)
-            for k, (fk, gk, hk) in enumerate(zip(fv, gss[j], gss[j + 1])):
-                dst = total if k == 0 else z
-                np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
-                dst *= fk
-                if k:
-                    total += z
-            np.fft.fft(total, axis=0, norm="forward", out=total)
-            out += _split_pair(grid, total)
-        if len(gss) % 2:
-            gv = _physical(grid, "multiply.g", gss[-1])
+        if single:
+            gv = _physical(grid, "multiply.g", gss[0])
             prod = fv[0] * gv[0]
             for fk, gk in zip(fv[1:], gv[1:]):
                 prod += fk * gk
             spec = np.fft.fft(prod, axis=0, norm="forward")
             spec[~grid.dealias_mask] = 0.0
-            out.append(Field(grid, spec))
-    return out[0] if single else tuple(out)
+            return Field(grid, spec)
+        total, z = grid.work("multiply.g", 2)
+        for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
+            dst = total if k == 0 else z
+            np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
+            dst *= fk
+            if k:
+                total += z
+        np.fft.fft(total, axis=0, norm="forward", out=total)
+        return _split_pair(grid, total)
 
 
 def pin_walls(f: Field) -> Field:

@@ -37,29 +37,28 @@ operator, so it is enforced directly rather than solved for.  The x-mean
 of the second equation then only determines a diagnostic pressure profile
 and never feeds back into u.
 
-Storage and stepping: a state produced here is one stacked complex array
-(u, v, ut, vt) of shape (4, Nx, Ny), and its Fields are views of the rows
-(``grid.unstack``; ``grid.stacked`` gives the array back without a copy).
-``hns_step`` advances the stack with the RK4 step shared with the limit
-system (``stepper.rk4_step``).  The right-hand side applies the y stencils
-to the stacked pair (u, v) in one pass and takes both advection terms,
-N1 = u u_x + v u_y and N2 = u v_x + v v_y, from one multi-output
-``multiply``: u + i v goes to physical x once, u_x + i v_x and
-u_y + i v_y once each, and N1 + i N2 takes one forward transform that
-conjugate symmetry splits, so a right-hand side costs four transforms.
+Storage and stepping: a state owns one stacked complex array
+``HnsState.stack`` of shape (4, Nx, Ny), rows (u, v, ut, vt), and its
+Fields are views of those rows.  ``hns_step`` advances the stack with the
+RK4 step shared with the limit system (``stepper.rk4_step``).  The
+right-hand side applies the y stencils to the stacked pair (u, v) in one
+pass and takes both advection terms, N1 = u u_x + v u_y and
+N2 = u v_x + v v_y, from the two-output form of ``multiply``: u + i v goes
+to physical x once, u_x + i v_x and u_y + i v_y once each, and N1 + i N2
+takes one forward transform that conjugate symmetry splits, so a
+right-hand side costs four transforms.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
 from .grid import (Field, cumulative_trapezoid, dx, dy, dyy, dy_matrix, l2_norm,
-                   mean_y, multiply, pin_walls, real_view, stacked, unstack,
-                   y_diff)
+                   mean_y, multiply, pin_walls, real_view, unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, rk4_step
 
@@ -71,9 +70,16 @@ N_PROJ = 50
 ENERGY_GROWTH_LIMIT = 10.0
 
 
-@dataclass
+@dataclass(frozen=True)
 class HnsState:
-    """Velocity pair, its time derivative, the anisotropy, and the clock."""
+    """Velocity pair, its time derivative, the anisotropy, and the clock.
+
+    The state owns `stack`, one (4, Nx, Ny) complex array whose rows the
+    Fields u, v, ut and vt view.  Made from Fields, a state copies them
+    into a new stack once; `with_stack` puts a state over an existing stack.
+    A state is not changed after it is made (samples keep states), so a
+    changed one comes from `dataclasses.replace`.
+    """
 
     u: Field
     v: Field
@@ -84,14 +90,25 @@ class HnsState:
     tol_div: float = 1e-6
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
+    _rows: InitVar[np.ndarray | None] = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
+    def __post_init__(self, _rows):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
         g = self.u.grid
-        for f in (self.v, self.ut, self.vt):
-            if f.grid != g:
-                raise ValueError("all state fields must share one grid")
+        if _rows is None:
+            for f in (self.v, self.ut, self.vt):
+                if f.grid != g:
+                    raise ValueError("all state fields must share one grid")
+            _rows = np.stack([f.coeff for f in self.fields])
+        for name, value in zip(("stack", "u", "v", "ut", "vt"),
+                               (_rows,) + unstack(g, _rows)):
+            object.__setattr__(self, name, value)  # frozen: set here, once
+
+    def with_stack(self, stack: np.ndarray, **changes) -> "HnsState":
+        """This state, with `changes`, over the rows of `stack` (not copied)."""
+        return replace(self, _rows=stack, **changes)
 
     @property
     def grid(self):
@@ -102,10 +119,7 @@ class HnsState:
         return (self.u, self.v, self.ut, self.vt)
 
     def copy(self) -> "HnsState":
-        return replace(
-            self, u=self.u.copy(), v=self.v.copy(), ut=self.ut.copy(),
-            vt=self.vt.copy(),
-        )
+        return replace(self)  # made from the Fields: a new stack
 
     def divergence(self) -> Field:
         return dx(self.u) + dy(self.v)
@@ -399,7 +413,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     """
     g = state.grid
     eps = state.eps
-    y = stacked(state.fields)
+    y = state.stack
     uv = y[:2]
 
     dx_uv, dy_uv = g.work("hns.dx", 2), g.work("hns.dy", 2)
@@ -461,28 +475,24 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     """
     if n_proj < 1:
         raise SolverAbort(f"n_proj must be >= 1, got {n_proj}", state)
-    g = state.grid
     flags = dict(disable_nonlinear=disable_nonlinear,
                  disable_pressure=disable_pressure)
 
-    def rhs(y, k):
-        stage = HnsState(*unstack(g, y), eps=state.eps, t=state.t)
+    def rhs(stage, k):
         return [f.coeff for f in hns_rhs(stage, out=k[2:], **flags)]
 
-    new = rk4_step(state, stacked(state.fields), dt, rhs, _pin_pair)
-    out = HnsState(*unstack(g, new), eps=state.eps, t=state.t + dt,
-                   tol_div=state.tol_div, steps=state.steps + 1,
-                   energy_mark=state.energy_mark)
+    out = state.with_stack(rk4_step(state, dt, rhs, _pin_pair),
+                           t=state.t + dt, steps=state.steps + 1)
 
     if out.steps % n_proj == 0:
-        if not disable_pressure:  # `new` is not shared yet: clean it in place
-            out = divergence_cleanup(out, out=new)
+        if not disable_pressure:  # the new stack is not shared yet: clean in place
+            out = divergence_cleanup(out, out=out.stack)
         e = out.energy()
         if out.energy_mark >= 0.0 and e > ENERGY_GROWTH_LIMIT * out.energy_mark:
             raise SolverAbort(
                 f"energy grew {e / out.energy_mark:.1f}x since last check "
                 f"(unstable configuration)", out)
-        out = replace(out, energy_mark=e)
+        out = out.with_stack(out.stack, energy_mark=e)
     if check:
         out.check_invariants()
     return out
@@ -501,7 +511,7 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     """
     g = state.grid
     eps = state.eps
-    y = stacked(state.fields)
+    y = state.stack
     new = np.empty_like(y) if out is None else out
     mags = {}
     for name, row in (("uv", 0), ("ut_vt", 2)):
@@ -515,7 +525,7 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
               state.t, mags["uv"], mags["ut_vt"])
     if report is not None:
         report.update(mags)
-    return replace(state, **dict(zip(("u", "v", "ut", "vt"), unstack(g, new))))
+    return state.with_stack(new)
 
 
 def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,

@@ -27,11 +27,11 @@ driven only by the O(amplitude^2 dy^2) discrete advection defect.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field, replace
 
 import numpy as np
 
-from .grid import Field, dx, dy, integrate_y, mean_y, multiply, stacked, unstack, y_diff
+from .grid import Field, dx, dy, integrate_y, mean_y, multiply, unstack, y_diff
 from .stepper import CFL_FACTOR, CFL_LIMIT, SolverAbort, rk4_step, stage_abort
 
 __all__ = [
@@ -48,14 +48,34 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PrandtlState:
-    """Velocity u, its time derivative ut, and the clock."""
+    """Velocity u, its time derivative ut, and the clock.
+
+    The state owns `stack`, one (2, Nx, Ny) complex array whose rows the
+    Fields u and ut view.  Made from Fields, a state copies them into a new
+    stack once; `with_stack` puts a state over an existing stack.  A state
+    is not changed after it is made (samples keep states), so a changed one
+    comes from `dataclasses.replace`.
+    """
 
     u: Field
     ut: Field
     t: float = 0.0
     tol_mean: float = 1e-10
+    _rows: InitVar[np.ndarray | None] = None
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, _rows):
+        if _rows is None:
+            _rows = np.stack([self.u.coeff, self.ut.coeff])
+        for name, value in zip(("stack", "u", "ut"),
+                               (_rows,) + unstack(self.u.grid, _rows)):
+            object.__setattr__(self, name, value)  # frozen: set here, once
+
+    def with_stack(self, stack: np.ndarray, **changes) -> "PrandtlState":
+        """This state, with `changes`, over the rows of `stack` (not copied)."""
+        return replace(self, _rows=stack, **changes)
 
     def check_invariants(self):
         for name, f in (("u", self.u), ("ut", self.ut)):
@@ -72,7 +92,7 @@ class PrandtlState:
             )
 
     def copy(self) -> "PrandtlState":
-        return PrandtlState(self.u.copy(), self.ut.copy(), self.t, self.tol_mean)
+        return PrandtlState(self.u, self.ut, self.t, self.tol_mean)  # a new stack
 
 
 def recover_v(u: Field, report: dict | None = None) -> Field:
@@ -174,14 +194,10 @@ def prandtl_step(
     `check` additionally re-validates the state invariants (intended to be
     turned on every N_check steps by the driving loop).
     """
-    g = state.u.grid
-
-    def rhs(y, k):
-        stage = PrandtlState(*unstack(g, y), state.t)
+    def rhs(stage, k):
         return [f.coeff for f in prandtl_rhs(stage, factor, disable_nonlinear, k[1])]
 
-    new = rk4_step(state, stacked((state.u, state.ut)), dt, rhs, _pin_walls)
-    out = PrandtlState(*unstack(g, new), state.t + dt, state.tol_mean)
+    out = state.with_stack(rk4_step(state, dt, rhs, _pin_walls), t=state.t + dt)
     if check:
         out.check_invariants()
     return out

@@ -1,12 +1,12 @@
 """The classical RK4 step shared by both solvers, and its abort type.
 
-A solver keeps its state as one stacked complex array of shape
+A solver state owns one stacked complex array, `state.stack`, of shape
 (n, Nx, Ny): (u, ut) for the limit system, (u, v, ut, vt) for the scaled
 pair.  `rk4_step` advances such a stack by one step.  Stage states and
 right-hand-side outputs live in the grid's work buffers (`Grid.work`) and
-are reused from step to step; the
-update accumulates in low storage, without keeping k1..k4; the new state
-is written into one fresh array, because samples keep every returned state.
+are reused from step to step; the update accumulates in low storage,
+without keeping k1..k4; the new state is written into one fresh array,
+because samples keep every returned state.
 """
 
 from __future__ import annotations
@@ -61,16 +61,20 @@ def stage_abort(stage: int, state):
         raise SolverAbort(f"RK stage {stage}: {exc.reason}", state, stage) from exc
 
 
-def rk4_step(state, y0: np.ndarray, dt: float, rhs, pin) -> np.ndarray:
-    """One classical RK4 step of length dt from the stacked state y0.
+def rk4_step(state, dt: float, rhs, pin) -> np.ndarray:
+    """One classical RK4 step of length dt from the stacked state y0 =
+    `state.stack`; returns the new stack.
 
-    `rhs(y, k)` returns the n derivative rows at the stage state y; it may
-    write them into k, an array shaped like y, or return rows of y itself
-    at a later index (d/dt u = ut).  `pin(out)` re-imposes the
-    boundary rows on the new state in place.  y0 is only read; the result
-    is a fresh array.  `state` is the step's input, carried by every
-    SolverAbort raised here, including a stage's (see `stage_abort`).
+    `rhs(s, k)` returns the n derivative rows at the stage state s; it may
+    write them into k, an array shaped like y0, or return rows of s's
+    stack at a later index (d/dt u = ut).  Stage 1 is `state` itself;
+    stages 2-4 share one state over the stage buffer, refilled per stage.
+    `pin(out)` re-imposes the boundary rows on the new state in place.  y0
+    is only read; the result is a fresh array.  `state` is the step's
+    input, carried by every SolverAbort raised here, including a stage's
+    (see `stage_abort`).
     """
+    y0 = state.stack
     if dt <= 0.0:
         raise SolverAbort(f"dt must be positive, got {dt}", state)
     grid = state.u.grid
@@ -79,13 +83,14 @@ def rk4_step(state, y0: np.ndarray, dt: float, rhs, pin) -> np.ndarray:
         raise SolverAbort(f"dt={dt:.3e} exceeds the wave CFL bound {limit:.3e}", state)
     n = len(y0)
     y, k = grid.work("rk4.stage", n), grid.work("rk4.rhs", n)
+    staged = state.with_stack(y)
     out = np.empty_like(y0)
     # out gathers k1 + 2 k2 + 2 k3 + k4; stage s + 1 starts from y0 + h_s k_s.
     # Row i of y is free until its own update, so it holds 2 k_s first.
     # Real factors scale the float views: the same numbers as complex * real.
     for stage, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt), (4, None)):
         with stage_abort(stage, state):
-            ks = rhs(y0 if stage == 1 else y, k)
+            ks = rhs(state if stage == 1 else staged, k)
         for i, ki in enumerate(ks):
             if stage == 1:
                 out[i] = ki

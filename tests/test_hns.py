@@ -75,7 +75,7 @@ class TestStateInvariants:
         c = np.zeros((g.Nx, g.Ny), dtype=complex)
         c[0, 0] = 1.0
         s = zero_state(g, 0.5)
-        s.u = Field(g, c)
+        s = replace(s, u=Field(g, c))
         with pytest.raises(SolverAbort, match="wall"):
             s.check_invariants()
 
@@ -86,7 +86,7 @@ class TestStateInvariants:
         c = u.coeff.copy()
         c[:, 0] = c[:, -1] = 0.0
         s = zero_state(g, 0.5)
-        s.u = Field(g, c)  # v = 0: divergence is d_x u, far beyond tol
+        s = replace(s, u=Field(g, c))  # v = 0: divergence is d_x u, far beyond tol
         with pytest.raises(SolverAbort, match="divergence"):
             s.check_invariants()
 
@@ -273,7 +273,7 @@ class TestRhs:
         ct = np.zeros_like(cu)
         ct[0] = B * np.sin(2 * np.pi * g.y)
         s = zero_state(g, 0.5)
-        s.u, s.ut = Field(g, cu), Field(g, ct)
+        s = replace(s, u=Field(g, cu), ut=Field(g, ct))
         du, dv, dut, dvt = hns_rhs(s)
         assert np.abs(dvt.coeff).max() == 0.0
         assert np.abs(dv.coeff).max() == 0.0
@@ -296,7 +296,7 @@ class TestRhs:
         s = zero_state(g, 0.5)
         c = np.zeros((g.Nx, g.Ny), dtype=complex)
         c[1, 5] = np.inf
-        s.ut = Field(g, c)
+        s = replace(s, ut=Field(g, c))
         with pytest.raises(SolverAbort, match="non-finite"):
             hns_rhs(s)
 
@@ -316,7 +316,7 @@ class TestStep:
         prof[0] = prof[-1] = 0.0
         u0 = to_spectral(g, np.sin(x)[:, None] * prof[None, :])
         s = zero_state(g, eps)
-        s.u = u0
+        s = replace(s, u=u0)
         n = int(round(T / dt))
         for _ in range(n):
             s = hns_step(s, dt, disable_nonlinear=True, disable_pressure=True)
