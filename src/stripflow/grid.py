@@ -436,7 +436,7 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
         )
     if not single and len(gss) != 2:
         raise ValueError(
-            f"multiply's multi-output form takes exactly two outputs, got {len(gss)}")
+            f"multiply's two-output form takes exactly two outputs, got {len(gss)}")
     grid = fs[0].grid
     for h in fs[1:] + sum(gss, ()):
         fs[0]._check_same_grid(h)

@@ -409,7 +409,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     are pinned, and the x-mean row of dvt is pinned.  The accelerations
     (dut, dvt) are written into ``out``, a (2, Nx, Ny) complex array, when
     one is given.  The linear terms act on the stacked pair (u, v) at once,
-    and both advection terms come from one multi-output ``multiply``.
+    and both advection terms come from the two-output form of ``multiply``.
     """
     g = state.grid
     eps = state.eps
