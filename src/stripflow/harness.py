@@ -63,7 +63,8 @@ _DOCS = {
     "amplitude": "data amplitude (>= 0)",
     "m_max": "highest excited x-mode (1 <= m_max <= Nx/2 - 1)",
     "profile": "vertical profile id (known ids: " + ", ".join(sorted(PROFILES)) + ")",
-    "u1": "initial time derivative: 'zero' or 'half-decay' (u1 = -u0/2)",
+    "u1": "initial time derivative: 'zero' or 'half-decay' (u1 = -u0/2); "
+    "applies to runs and to every sweep run, reference and members",
     "dt": "time step; null selects cfl_factor * dy",
     "cfl_factor": f"auto time step as a multiple of dy (0 < f <= {CFL_LIMIT})",
     "T_final": "integration horizon (> 0, at least one step long)",
@@ -134,7 +135,7 @@ class RunConfig:
             )
         if self.T_final <= 0.0:
             raise ValueError(f"T_final must be positive, got {self.T_final}")
-        if int(round(self.T_final / self.effective_dt())) < 1:
+        if self.n_steps() < 1:
             raise ValueError("T_final is shorter than one time step")
         for name in ("n_proj", "n_check", "sample_every"):
             if getattr(self, name) < 1:
@@ -167,6 +168,9 @@ class RunConfig:
         if self.dt is not None:
             return float(self.dt)
         return self.cfl_factor * self.make_grid().dy
+
+    def n_steps(self) -> int:
+        return int(round(self.T_final / self.effective_dt()))
 
     def make_data(self) -> tuple[Field, Field]:
         g = self.make_grid()
@@ -425,7 +429,7 @@ class _Timings:
 
     def __init__(self):
         self.seconds = dict.fromkeys(self.PHASES, 0.0)
-        self._mark = time.perf_counter()
+        self.start = self._mark = time.perf_counter()
 
     def lap(self, phase: str) -> None:
         now = time.perf_counter()
@@ -439,43 +443,71 @@ class _Timings:
         return out
 
 
-def _collect_run(cfg: RunConfig, clock: _Timings):
-    """Execute the configured single run; returns (samples, extras, abort),
-    abort being the SolverAbort that ended the run early, else None."""
-    p = cfg.gevrey_params()
-    u0, u1 = cfg.make_data()
-    dt = cfg.effective_dt()
-    n_steps = int(round(cfg.T_final / dt))
-    abort = None
-    if cfg.kind == "prandtl":
-        state = PrandtlState(u=u0, ut=u1)
-        step = lambda s, check: prandtl_step(
-            s, dt, factor=cfg.pressure_factor, check=check
-        )
-        div_rel = None
-    else:
-        state = make_hns_data(u0, p, eps=cfg.eps, u1=(None if cfg.u1 == "zero" else u1))
-        step = lambda s, check: hns_step(s, dt, check=check, n_proj=cfg.n_proj)
-        div_rel = [state.divergence_rel()]
-    clock.lap("setup")
-    samples = [Sample.from_state(state)]
-    clock.lap("diagnostics")
-    done = 0
-    try:
-        for i in range(n_steps):
-            state = step(state, (i + 1) % cfg.n_check == 0)
+class _Run:
+    """One trajectory of the configured solver from the command's data.
+
+    `eps` None runs the limit system, else the scaled system at that eps;
+    the initial state is built from `data` = (u0, u1) on construction.
+    `steps()` yields the initial state and every `sample_every`-th step
+    state, charging `clock` with the setup, stepping and diagnostics laps
+    (the caller's work on a yielded state counts as diagnostics).  When it
+    ends, `done` is the completed step count, `state` the last accepted
+    state and `abort` the SolverAbort that stopped the run early, else None.
+    """
+
+    def __init__(self, cfg: RunConfig, clock: _Timings, data, eps=None):
+        self.cfg, self.clock, self.eps = cfg, clock, eps
+        self.dt = cfg.effective_dt()
+        self.done, self.abort = 0, None
+        u0, u1 = data  # not kept: the initial state holds its own copy
+        if eps is None:
+            self.state = PrandtlState(u=u0, ut=u1)
+        else:
+            self.state = make_hns_data(u0, cfg.gevrey_params(), eps=eps,
+                                       u1=None if cfg.u1 == "zero" else u1)
+
+    def steps(self):
+        cfg, clock, state = self.cfg, self.clock, self.state
+        clock.lap("setup")
+        yield state
+        clock.lap("diagnostics")
+        try:
+            for i in range(cfg.n_steps()):
+                check = (i + 1) % cfg.n_check == 0
+                if self.eps is None:
+                    state = prandtl_step(state, self.dt, factor=cfg.pressure_factor,
+                                         check=check)
+                else:
+                    state = hns_step(state, self.dt, check=check, n_proj=cfg.n_proj)
+                clock.lap("stepping")
+                self.done, self.state = i + 1, state
+                if self.done % cfg.sample_every == 0:
+                    yield state
+                    clock.lap("diagnostics")
+        except SolverAbort as exc:
             clock.lap("stepping")
-            done = i + 1
-            if done % cfg.sample_every == 0:
-                samples.append(Sample.from_state(state))
-                if div_rel is not None:
-                    div_rel.append(state.divergence_rel())
-                clock.lap("diagnostics")
-    except SolverAbort as exc:
-        clock.lap("stepping")
-        abort = exc
-        state = exc.state if exc.state is not None else state
-    return samples, state, div_rel, dt, n_steps, done, abort
+            self.abort = exc
+            if exc.state is not None:
+                self.state = exc.state
+
+
+def _output_dir(cfg: RunConfig, *subdirs: str) -> Path:
+    out = resolve_output_dir(cfg.directory)
+    for sub in ("",) + subdirs:
+        (out / sub).mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _write_metadata(out: Path, cfg: RunConfig, clock: _Timings, steps: int,
+                    **fields) -> None:
+    """metadata.json: version and config echo, `fields`, then the timings
+    block and the wall time since `clock` started."""
+    meta = {"version": VERSION_STRING, "config": cfg.to_dict(), **fields,
+            "timings": clock.to_dict(steps),
+            "wall_time_s": time.perf_counter() - clock.start}
+    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
+        json.dump(meta, fh, indent=2)
+        fh.write("\n")
 
 
 def cmd_run(cfg: RunConfig) -> Path:
@@ -492,137 +524,87 @@ def cmd_run(cfg: RunConfig) -> Path:
     cfg.validate()
     if cfg.kind not in ("prandtl", "hns"):
         raise ValueError(f"cmd_run handles kind prandtl | hns, got {cfg.kind!r}")
-    out = resolve_output_dir(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    (out / "snapshots").mkdir(exist_ok=True)
-
-    t_wall = time.perf_counter()
+    out = _output_dir(cfg, "snapshots")
     clock = _Timings()
     p = cfg.gevrey_params()
-    samples, state, div_rel, dt, n_steps, done, abort = _collect_run(cfg, clock)
-    write_snapshot(out / "snapshots" / "initial.snap", _sample_state(samples[0], cfg))
-    write_snapshot(out / "snapshots" / "final.snap", state)
+    pair = cfg.kind == "hns"
+    run = _Run(cfg, clock, cfg.make_data(), cfg.eps if pair else None)
+    samples, div_rel = [], []
+    for state in run.steps():
+        samples.append(state)
+        if pair:
+            div_rel.append(state.divergence_rel())
+    first = samples[0]
+    write_snapshot(out / "snapshots" / "initial.snap", first)
+    write_snapshot(out / "snapshots" / "final.snap", run.state)
     clock.lap("io")
 
-    first = samples[0]
-    if cfg.kind == "prandtl":
-        report = energy_E_s(samples, 0.5, p)
-        data_norm = initial_norm_H0(first.u, first.ut, 0.5, p)
-    else:
+    if pair:
         report = energy_E1(samples, cfg.eps, p)
         data_norm = initial_norm_H1(first.u, first.v, first.ut, first.vt, cfg.eps, p)
+    else:
+        report = energy_E_s(samples, 0.5, p)
+        data_norm = initial_norm_H0(first.u, first.ut, 0.5, p)
     clock.lap("diagnostics")
-    _energy_csv(out / "energy.csv", samples, report, pair=cfg.kind == "hns",
-                div_rel=div_rel)
+    _energy_csv(out / "energy.csv", samples, report, pair=pair,
+                div_rel=div_rel if pair else None)
     clock.lap("io")
 
-    meta = {
-        "version": VERSION_STRING,
-        "config": cfg.to_dict(),
-        "kind": cfg.kind,
-        "dt": dt,
-        "planned_steps": n_steps,
-        "completed_steps": done,
-        "n_samples": len(samples),
-        "data_norm": float(data_norm),
-        "abort": None if abort is None else str(abort),
-        "abort_stage": None if abort is None else abort.stage,
-        "timings": clock.to_dict(done),
-        "wall_time_s": time.perf_counter() - t_wall,
-    }
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    abort = run.abort
+    _write_metadata(
+        out, cfg, clock, run.done,
+        kind=cfg.kind,
+        dt=run.dt,
+        planned_steps=cfg.n_steps(),
+        completed_steps=run.done,
+        n_samples=len(samples),
+        data_norm=float(data_norm),
+        abort=None if abort is None else str(abort),
+        abort_stage=None if abort is None else abort.stage,
+    )
     return out
-
-
-def _sample_state(smp: Sample, cfg: RunConfig):
-    if cfg.kind == "prandtl":
-        return PrandtlState(u=smp.u, ut=smp.ut, t=smp.t)
-    return HnsState(u=smp.u, v=smp.v, ut=smp.ut, vt=smp.vt, eps=cfg.eps, t=smp.t)
 
 
 def cmd_sweep(cfg: RunConfig) -> SweepResult:
     """Aspect-ratio convergence study against a shared reference run.
 
     One reference run (the limit system) and one scaled run per eps, all
-    from the same data, grid, and time step, sampled at the same times.
-    Per member: sup-in-time and final-time L2 error of the horizontal
-    difference, plus the undamped pair-energy of the difference fields.
-    Writes sweep.csv and metadata.json into the output directory.
+    from the same data (u0, u1), grid, and time step, sampled at the same
+    times.  Per member: sup-in-time and final-time L2 error of the
+    horizontal difference, plus the undamped pair-energy of the difference
+    fields.  Writes sweep.csv and metadata.json into the output directory.
     """
     cfg.validate()
     if cfg.kind != "sweep":
         raise ValueError(f"cmd_sweep needs kind = sweep, got {cfg.kind!r}")
-    out = resolve_output_dir(cfg.directory)
-    out.mkdir(parents=True, exist_ok=True)
-    t_wall = time.perf_counter()
+    out = _output_dir(cfg)
     clock = _Timings()
     p = cfg.gevrey_params()
-    u0, u1 = cfg.make_data()
-    dt = cfg.effective_dt()
-    n_steps = int(round(cfg.T_final / dt))
-    clock.lap("setup")
+    data = cfg.make_data()
 
-    def run_reference():
-        state = PrandtlState(u=u0, ut=u1)
-        samples = [_pair_sample(state)]
-        clock.lap("diagnostics")
-        try:
-            for i in range(n_steps):
-                state = prandtl_step(
-                    state, dt, factor=cfg.pressure_factor,
-                    check=(i + 1) % cfg.n_check == 0,
-                )
-                clock.lap("stepping")
-                if (i + 1) % cfg.sample_every == 0:
-                    samples.append(_pair_sample(state))
-                    clock.lap("diagnostics")
-        except SolverAbort as exc:
-            raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
+    def trajectory(eps):
+        """Samples of one run, the limit system's with its slaved pair."""
+        run = _Run(cfg, clock, data, eps)
+        samples = [_pair_sample(s) if eps is None else s for s in run.steps()]
+        if run.abort is not None:
+            who = "reference (prandtl)" if eps is None else f"member eps={eps}"
+            raise RuntimeError(f"sweep {who} aborted: {run.abort}") from run.abort
         return samples
 
-    def run_member(eps):
-        if cfg.self_test:
-            return run_reference()
-        state = make_hns_data(u0, p, eps=eps)
-        clock.lap("setup")
-        samples = [Sample.from_state(state)]
-        clock.lap("diagnostics")
-        try:
-            for i in range(n_steps):
-                state = hns_step(
-                    state, dt, check=(i + 1) % cfg.n_check == 0, n_proj=cfg.n_proj
-                )
-                clock.lap("stepping")
-                if (i + 1) % cfg.sample_every == 0:
-                    samples.append(Sample.from_state(state))
-                    clock.lap("diagnostics")
-        except SolverAbort as exc:
-            raise RuntimeError(f"sweep member eps={eps} aborted: {exc}") from exc
-        return samples
-
-    reference = run_reference()
+    reference = trajectory(None)
     ref_times = np.array([s.t for s in reference])
+    g = data[0].grid
     sup_errors, final_errors, energy_errors = [], [], []
     for eps in cfg.eps_list:
-        member = run_member(eps)
+        member = trajectory(None if cfg.self_test else eps)
         times = np.array([s.t for s in member])
         if not np.array_equal(times, ref_times):
             raise RuntimeError(
                 f"sweep member eps={eps}: sample times diverged from the reference"
             )
-        g = u0.grid
-        diffs = [
-            Sample(
-                t=m.t,
-                u=Field(g, m.u.coeff - r.u.coeff),
-                ut=Field(g, m.ut.coeff - r.ut.coeff),
-                v=Field(g, m.v.coeff - r.v.coeff),
-                vt=Field(g, m.vt.coeff - r.vt.coeff),
-            )
-            for m, r in zip(member, reference)
-        ]
+        diffs = [Sample(m.t, *(Field(g, getattr(m, k).coeff - getattr(r, k).coeff)
+                               for k in ("u", "ut", "v", "vt")))
+                 for m, r in zip(member, reference)]
         errs = np.array([l2_norm(d.u) for d in diffs])
         sup_errors.append(float(errs.max()))
         final_errors.append(float(errs[-1]))
@@ -652,40 +634,23 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     _write_csv(
         out / "sweep.csv",
         ["eps", "sup_error.l2", "final_error.l2", "error_energy.E1_0"],
-        [
-            np.asarray(cfg.eps_list),
-            np.asarray(sup_errors),
-            np.asarray(final_errors),
-            np.asarray(energy_errors),
-        ],
+        [np.asarray(c) for c in (cfg.eps_list, sup_errors, final_errors, energy_errors)],
     )
     clock.lap("io")
-    meta = {
-        "version": VERSION_STRING,
-        "config": cfg.to_dict(),
-        "slope": slope,
-        "intercept": intercept,
-        "self_test": cfg.self_test,
-        "dt": dt,
-        "planned_steps": n_steps,
-        "timings": clock.to_dict(n_steps * (1 + len(cfg.eps_list))),
-        "wall_time_s": time.perf_counter() - t_wall,
-    }
-    with open(out / "metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_metadata(
+        out, cfg, clock, cfg.n_steps() * (1 + len(cfg.eps_list)),
+        slope=slope,
+        intercept=intercept,
+        self_test=cfg.self_test,
+        dt=cfg.effective_dt(),
+        planned_steps=cfg.n_steps(),
+    )
     return result
 
 
 def _pair_sample(state: PrandtlState) -> Sample:
     """Reference sample carrying the slaved vertical pair."""
-    return Sample(
-        t=state.t,
-        u=state.u,
-        ut=state.ut,
-        v=recover_v(state.u),
-        vt=recover_v(state.ut),
-    )
+    return Sample(state.t, state.u, state.ut, recover_v(state.u), recover_v(state.ut))
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
@@ -698,6 +663,16 @@ def _read_csv(path) -> tuple[list[str], np.ndarray]:
 
 def _safe_name(column: str) -> str:
     return column.replace("/", "_")
+
+
+def _write_report(d: Path, header, data) -> Path:
+    """report.txt: the CSV as a right-aligned plain-text table."""
+    report = d / "report.txt"
+    with open(report, "w", encoding="utf-8") as fh:
+        fh.write("  ".join(f"{h:>22}" for h in header) + "\n")
+        for row in data:
+            fh.write("  ".join(f"{v:>22.9e}" for v in row) + "\n")
+    return report
 
 
 def cmd_report(directory) -> list[Path]:
@@ -721,13 +696,7 @@ def cmd_report(directory) -> list[Path]:
                 hi = np.log10(row[1]) if row[1] > 0 else -np.inf
                 fh.write(f"{lo:.17g} {hi:.17g}\n")
         written.append(loglog)
-        report = d / "report.txt"
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write("  ".join(f"{h:>22}" for h in header) + "\n")
-            for row in data:
-                fh.write("  ".join(f"{v:>22.9e}" for v in row) + "\n")
-        written.append(report)
-        return written
+        return written + [_write_report(d, header, data)]
     if energy_csv.exists():
         header, data = _read_csv(energy_csv)
         for j, name in enumerate(header):
@@ -739,13 +708,7 @@ def cmd_report(directory) -> list[Path]:
                 for row in data:
                     fh.write(f"{row[0]:.17g} {row[j]:.17g}\n")
             written.append(out)
-        report = d / "report.txt"
-        with open(report, "w", encoding="utf-8") as fh:
-            fh.write("  ".join(f"{h:>22}" for h in header) + "\n")
-            for row in data:
-                fh.write("  ".join(f"{v:>22.9e}" for v in row) + "\n")
-        written.append(report)
-        return written
+        return written + [_write_report(d, header, data)]
     raise FileNotFoundError(
         f"{d}: neither energy.csv nor sweep.csv found; nothing to report"
     )

@@ -8,28 +8,20 @@ eps in (0, 1]:
     u_x + v_y = 0,        (u, v) = (0, 0) at y = 0 and y = 1
 
 The pressure is whatever scalar field keeps the velocity divergence-free.
-Two discrete realizations are provided:
+The stepper realizes it as an exact discrete projection: with D the
+discrete d/dy matrix, M the interior-row mask and F the provisional
+(pinned) acceleration, a potential q solves per x-mode
 
-* ``pressure_solve`` -- the classical route: per x-mode, the anisotropic
-  Neumann problem (-xi^2 + eps^-2 d_yy) p = -(d_x N1 + d_y N2) +
-  (d_x Lu + d_y Lv), with wall data d_y p = eps^2 d_yy v read off the
-  second equation at the wall and eliminated through a ghost node.  The
-  zero-frequency mode is singular; its solvability defect is subtracted
-  and the solution gauged to zero vertical mean.  Second-order accurate,
-  used for diagnostics and as an independent cross-check.
+    (-xi^2 M + eps^-2 D M D) q = i xi F1 + D F2,
 
-* an exact discrete projection used by the stepper: with D the discrete
-  d/dy matrix, M the interior-row mask and F the provisional (pinned)
-  acceleration, a potential q solves per x-mode
-
-      (-xi^2 M + eps^-2 D M D) q = i xi F1 + D F2,
-
-  and the masked weighted gradient (i xi M q, eps^-2 M D q) is subtracted.
-  All modes share the pencil (D M D, M), diagonalised once per Ny, so one
-  projection of every mode is two real matrix products.  By construction
-  the discrete divergence d_x(dut) + d_y(dvt) of the resulting
-  acceleration vanishes at *every* row to solver precision, so the state
-  divergence never drifts beyond integrator roundoff.
+and the masked weighted gradient (i xi M q, eps^-2 M D q) is subtracted.
+All modes share the pencil (D M D, M), diagonalised once per Ny, so one
+projection of every mode is two real matrix products.  By construction
+the discrete divergence d_x(dut) + d_y(dvt) of the resulting acceleration
+vanishes at *every* row to solver precision, so the state divergence
+never drifts beyond integrator roundoff.  The tests cross-check this
+pressure against the classical route, a second-order per-mode Neumann
+solve with ghost-node wall data.
 
 The x-mean of v is pinned to zero throughout: integrating the constraint
 up from the wall forces it, and it is the nullspace of the projection
@@ -57,7 +49,7 @@ from dataclasses import InitVar, dataclass, field, replace
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import (Field, cumulative_trapezoid, dx, dy, dyy, dy_matrix, l2_norm,
+from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, l2_norm,
                    mean_y, multiply, pin_walls, real_view, unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, rk4_step
@@ -300,98 +292,6 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
         f.imag[pos] = out[nm:, cols]
         np.conj(f[pos], out=f[neg])
     return q * proj._c1_mult, c2, q
-
-
-# ---------------------------------------------------------------------------
-# Classical per-mode Neumann pressure solve
-# ---------------------------------------------------------------------------
-
-def _pivot(piv, state: HnsState):
-    """Pass Thomas-sweep pivots through, aborting if one vanished (or is NaN)."""
-    if not np.min(np.abs(piv)) > 0.0:
-        raise SolverAbort("tridiagonal pivot vanished", state)
-    return piv
-
-
-def pressure_solve(state: HnsState, N1: Field, N2: Field,
-                   Lu: Field, Lv: Field) -> Field:
-    """Anisotropic Neumann pressure problem, one tridiagonal solve per mode.
-
-    Solves (-xi^2 + eps^-2 d_yy) p = -(d_x N1 + d_y N2) + (d_x Lu + d_y Lv)
-    with wall data d_y p = eps^2 d_yy v (one-sided), eliminated through a
-    ghost node.  Modes with xi = 0 are singular up to constants: their
-    solvability defect is subtracted, one node is pinned, and the result is
-    gauged to zero vertical mean.
-    """
-    g = state.grid
-    eps = state.eps
-    Ny, h = g.Ny, g.dy
-    T = 1.0 / (eps**2 * h**2)
-
-    r = (-dx(N1) - dy(N2) + dx(Lu) + dy(Lv)).coeff.copy()
-    gy = eps**2 * dyy(state.v).coeff
-    r[:, 0] += 2.0 * gy[:, 0] / (eps**2 * h)
-    r[:, -1] -= 2.0 * gy[:, -1] / (eps**2 * h)
-
-    p = np.zeros_like(r)
-    w = g.trapz_w / g.trapz_w.sum()
-
-    zero_xi = np.abs(g._dx_mult) == 0.0
-    run_xi = ~zero_xi
-    if run_xi.any():
-        idx = np.where(run_xi)[0]
-        nm = idx.size
-        a = np.full((nm, Ny), T, dtype=float)       # sub-diagonal
-        b = np.full((nm, Ny), -2.0 * T, dtype=float)
-        c = np.full((nm, Ny), T, dtype=float)       # super-diagonal
-        c[:, 0] = 2.0 * T
-        a[:, -1] = 2.0 * T
-        b -= (g.xi[idx] ** 2)[:, None]
-        d = r[idx].copy()
-        # Thomas sweeps, vectorized across the modes
-        cp = np.empty_like(b)
-        dp = np.empty_like(d)
-        piv = _pivot(b[:, 0], state)
-        cp[:, 0] = c[:, 0] / piv
-        dp[:, 0] = d[:, 0] / piv
-        for j in range(1, Ny):
-            piv = _pivot(b[:, j] - a[:, j] * cp[:, j - 1], state)
-            cp[:, j] = c[:, j] / piv
-            dp[:, j] = (d[:, j] - a[:, j] * dp[:, j - 1]) / piv
-        sol = np.empty_like(d)
-        sol[:, -1] = dp[:, -1]
-        for j in range(Ny - 2, -1, -1):
-            sol[:, j] = dp[:, j] - cp[:, j] * sol[:, j + 1]
-        p[idx] = sol
-
-    for m in np.where(zero_xi)[0]:
-        d = r[m].copy()
-        d -= w @ d  # solvability defect of the pure-Neumann problem
-        # pin p[0] = 0, solve rows 1..Ny-1 (row 0 is implied by the defect
-        # subtraction: the trapezoid weights are the left nullspace)
-        sub = np.full(Ny - 1, T)
-        sup = np.full(Ny - 1, T)
-        dia = np.full(Ny - 1, -2.0 * T)
-        sub[-1] = 2.0 * T
-        rhs_m = d[1:].copy()
-        cp = np.empty(Ny - 1, dtype=complex)
-        dp = np.empty(Ny - 1, dtype=complex)
-        piv = dia[0]
-        cp[0] = sup[0] / piv
-        dp[0] = rhs_m[0] / piv
-        for j in range(1, Ny - 1):
-            piv = _pivot(dia[j] - sub[j] * cp[j - 1], state)
-            cp[j] = sup[j] / piv if j < Ny - 2 else 0.0
-            dp[j] = (rhs_m[j] - sub[j] * dp[j - 1]) / piv
-        sol = np.empty(Ny - 1, dtype=complex)
-        sol[-1] = dp[-1]
-        for j in range(Ny - 3, -1, -1):
-            sol[j] = dp[j] - cp[j] * sol[j + 1]
-        p[m, 0] = 0.0
-        p[m, 1:] = sol
-        p[m] -= w @ p[m]  # zero-mean gauge
-
-    return Field(g, p)
 
 
 # ---------------------------------------------------------------------------

@@ -347,13 +347,18 @@ class TestCmdSweep:
         assert meta["self_test"] is True
         res.validate()
 
-    def test_mini_sweep_converges(self, tmp_path):
+    @pytest.mark.parametrize("u1", ["zero", "half-decay"])
+    def test_mini_sweep_converges(self, tmp_path, u1):
+        # the reference and every member start from the same (u0, u1); a
+        # member started from ut = 0 against a half-decay reference leaves
+        # an eps-independent error and a flat slope
         cfg = small_cfg(
             tmp_path,
             Nx=32,
             kind="sweep",
             amplitude=1e-3,
             eps_list=(0.2, 0.1, 0.05),
+            u1=u1,
         )
         res = cmd_sweep(cfg)
         res.validate()
@@ -368,16 +373,22 @@ class TestCmdSweep:
         with pytest.raises(ValueError, match="cmd_sweep needs"):
             cmd_sweep(small_cfg(tmp_path))
 
-    def test_member_abort_names_member(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("step, match", [
+        pytest.param("hns_step", r"sweep member eps=0\.2 aborted", id="member"),
+        pytest.param("prandtl_step", r"sweep reference \(prandtl\) aborted",
+                     id="reference"),
+    ])
+    def test_member_abort_names_member(self, tmp_path, monkeypatch, step, match):
         def exploding_step(state, dt, **kw):
             raise SolverAbort("synthetic failure", state)
 
-        monkeypatch.setattr(harness, "hns_step", exploding_step)
+        monkeypatch.setattr(harness, step, exploding_step)
         cfg = small_cfg(
             tmp_path, kind="sweep", T_final=0.25, eps_list=(0.2, 0.1, 0.05)
         )
-        with pytest.raises(RuntimeError, match="sweep member eps=0.2 aborted"):
+        with pytest.raises(RuntimeError, match=match) as info:
             cmd_sweep(cfg)
+        assert isinstance(info.value.__cause__, SolverAbort)
 
 
 class TestCmdReport:
