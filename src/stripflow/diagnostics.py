@@ -21,6 +21,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -55,6 +57,82 @@ class Sample:
         )
 
 
+class Term(NamedTuple):
+    """One row of a term table: prefactor times the readout ("sup" or "l2"
+    in time) of e^{rate K t} ||parts||_{B^{s+ds}}, the L^2-in-time integrand
+    weighted by theta_dot^wpow; components combine in L^2 inside each block.
+    """
+
+    name: str  # key in EnergyReport.terms
+    label: str  # CSV label: time norm and Besov space
+    ds: float  # regularity offset from s
+    rate: float  # exponential rate, in units of K
+    wpow: int  # power of theta_dot weighting the time integral
+    prefactor: str  # "1", "(aK)^1/2", "aK", "lam^1/2", "lam" or "lam^3/2"
+    readout: str  # "sup" or "l2"
+    parts: tuple[str, ...]  # names of the weighted component fields
+    composite: bool  # enters the printed composite
+
+
+class EnergyTable(NamedTuple):
+    """The terms of one energy and the names of its CSV columns."""
+
+    name: str  # column prefix
+    space: str  # Besov space of the point norms, as labelled in columns
+    terms: tuple[Term, ...]
+
+
+# Horizontal-velocity energy of index s; K is the decay rate, a the
+# initial radius and lam the loss multiplier:
+#
+#   term1  sup-in-time of e^{K t}(u_Phi, dy u_Phi, (dt u)_Phi) in B^s
+#   term2  (a K)^{1/2} sup-in-time of e^{3K t/4} u_Phi in B^{s+1/4}
+#   term3  a K sup-in-time of e^{K t/2} u_Phi in B^{s+1/2}
+#   term4  lam^{1/2} L^2-in-time, weight theta_dot, of
+#          e^{K t}(u_Phi, dt(u_Phi), dy u_Phi) in B^{s+1/4}
+#   term5  lam L^2-in-time, weight theta_dot^2, of e^{K t} u_Phi in B^{s+1/2}
+#   term6  lam^{3/2} L^2-in-time, weight theta_dot^3, of e^{K t} u_Phi
+#          in B^{s+3/4}
+#   term7  L^2-in-time of e^{K t}((dt u)_Phi, dy u_Phi) in B^s
+#
+# (dt u)_Phi ("ut") weights the stored time derivative; dt(u_Phi)
+# ("dt_of_u") is the derivative of the weighted field, which picks up the
+# extra -lam theta_dot |D_x|^{1/2} u_Phi from the moving radius.
+# composite = term1 + term2 + term3 + term7 (the printed energy);
+# composite_full adds term4 + term5 + term6.
+E_S_TABLE = EnergyTable("E_s", "B_s", (
+    Term("term1", "Linf.B_s", 0.0, 1.0, 0, "1", "sup", ("u", "dy_u", "ut"), True),
+    Term("term2", "Linf.B_s+1/4", 0.25, 0.75, 0, "(aK)^1/2", "sup", ("u",), True),
+    Term("term3", "Linf.B_s+1/2", 0.5, 0.5, 0, "aK", "sup", ("u",), True),
+    Term("term4", "L2w.B_s+1/4", 0.25, 1.0, 1, "lam^1/2", "l2",
+         ("u", "dt_of_u", "dy_u"), False),
+    Term("term5", "L2w.B_s+1/2", 0.5, 1.0, 2, "lam", "l2", ("u",), False),
+    Term("term6", "L2w.B_s+3/4", 0.75, 1.0, 3, "lam^3/2", "l2", ("u",), False),
+    Term("term7", "L2.B_s", 0.0, 1.0, 0, "1", "l2", ("ut", "dy_u"), True),
+))
+
+# Scaled-pair energy at regularity 1/2, on the weighted pair (u, eps v)_Phi
+# and its derivatives:
+#
+#   term1  sup-in-time of e^{K t}((u, eps v)_Phi, eps dx (u, eps v)_Phi,
+#          dy (u, eps v)_Phi, (dt u, eps dt v)_Phi) in B^{1/2}
+#   term2  (a K)^{1/2} sup-in-time of e^{3K t/4}(u, eps v)_Phi in B^{3/4}
+#   term3  a K sup-in-time of e^{K t/2}(u, eps v)_Phi in B^1
+#   term4  L^2-in-time of e^{K t}(eps dx (u, eps v)_Phi,
+#          dy (u, eps v)_Phi, (dt u, eps dt v)_Phi) in B^{1/2}
+#
+# composite = term1 + term2 + term3 + term4; every term enters it, so
+# there is no composite_full.
+_PAIR = ("u", "ev")
+_PAIR_GRADIENTS = ("eps_dx_u", "eps_dx_ev", "dy_u", "dy_ev", "ut", "evt")
+E1_TABLE = EnergyTable("E_1", "B_1/2", (
+    Term("term1", "Linf.B_1/2", 0.0, 1.0, 0, "1", "sup", _PAIR + _PAIR_GRADIENTS, True),
+    Term("term2", "Linf.B_3/4", 0.25, 0.75, 0, "(aK)^1/2", "sup", _PAIR, True),
+    Term("term3", "Linf.B_1", 0.5, 0.5, 0, "aK", "sup", _PAIR, True),
+    Term("term4", "L2.B_1/2", 0.0, 1.0, 0, "1", "l2", _PAIR_GRADIENTS, True),
+))
+
+
 @dataclass
 class EnergyReport:
     """Diagnostic series for one run, all arrays indexed by sample.
@@ -62,9 +140,9 @@ class EnergyReport:
     point_norms holds the instantaneous weighted Besov values
     e^{K t} ||u_Phi||_{B^s} (keys "u", "dy_u", "ut"); terms holds the
     running accumulated norms ("term1", "term2", ...); composite is the
-    printed energy (the sup-in-time terms plus the unweighted
-    L^2-in-time term); composite_full additionally includes the
-    loss-multiplier terms and is None for the scaled-pair report.
+    sum of the terms marked composite in the table (the printed energy);
+    composite_full adds the remaining terms and is None when there are
+    none.
     """
 
     times: np.ndarray
@@ -76,6 +154,19 @@ class EnergyReport:
     composite_full: np.ndarray | None
     radius: np.ndarray
     trust_horizon: np.ndarray
+    table: EnergyTable
+
+    def columns(self) -> list[tuple[str, np.ndarray]]:
+        """(full CSV column name, series) for every series, in CSV order."""
+        name = self.table.name
+        cols = [(f"{name}.{row.name}.{row.label}", self.terms[row.name])
+                for row in self.table.terms]
+        cols.append((f"{name}.composite", self.composite))
+        if self.composite_full is not None:
+            cols.append((f"{name}.composite_full", self.composite_full))
+        cols += [(f"point.{key}.{self.table.space}", arr)
+                 for key, arr in self.point_norms.items()]
+        return cols + [("radius", self.radius), ("trust_horizon", self.trust_horizon)]
 
     def validate(self) -> None:
         """Check the structural invariants of the report.
@@ -95,128 +186,51 @@ class EnergyReport:
             raise AssertionError("analyticity radius exceeded its initial value")
 
 
-def _check_params(p: GevreyParams) -> None:
-    """Assert the loss/rate identity lam * delta^{1/2} = a K / 4.
+def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
+              parts) -> EnergyReport:
+    """Run the samples through the terms of `table`.
 
-    GevreyParams derives delta from (a, lam, K), so this can only fire
-    if that coupling is broken; it is the configuration-time guard for
-    every energy assembly.
+    `parts(smp, theta_dot, report)` returns the named weighted fields of
+    one sample and stores the trust horizon of the weighted velocity in
+    `report`; `K` is the unit of the table's rates.
     """
+    # GevreyParams derives delta from (a, lam, K): this fires only if that
+    # coupling breaks
     if abs(p.lam * p.sqrt_delta - p.a * p.K / 4.0) > 1e-14 * p.a:
         raise AssertionError(
-            "Gevrey weight identity lam * delta^{1/2} = a K / 4 is violated"
-        )
-
-
-def _scaled(f: Field, c: float) -> Field:
-    return Field(f.grid, c * f.coeff)
-
-
-def _advance(acc: NormSeries, fields, t: float, dt: float, w: float = 1.0) -> None:
-    norm_series_update(acc, fields, t, dt, weight_value=w)
-
-
-def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
-    """Assemble the horizontal-velocity energy of index s from samples.
-
-    The seven accumulated terms, with K the decay rate, a the initial
-    radius and lam the loss multiplier:
-
-    ====== ============================================================
-    term1  sup-in-time of e^{K t}(u_Phi, dy u_Phi, (dt u)_Phi) in B^s
-    term2  (a K)^{1/2} sup-in-time of e^{3K t/4} u_Phi in B^{s+1/4}
-    term3  a K sup-in-time of e^{K t/2} u_Phi in B^{s+1/2}
-    term4  lam^{1/2} L^2-in-time, weight theta_dot, of
-           e^{K t}(u_Phi, dt(u_Phi), dy u_Phi) in B^{s+1/4}
-    term5  lam L^2-in-time, weight theta_dot^2, of e^{K t} u_Phi
-           in B^{s+1/2}
-    term6  lam^{3/2} L^2-in-time, weight theta_dot^3, of e^{K t} u_Phi
-           in B^{s+3/4}
-    term7  L^2-in-time of e^{K t}((dt u)_Phi, dy u_Phi) in B^s
-    ====== ============================================================
-
-    (dt u)_Phi weights the stored time derivative; dt(u_Phi) is the
-    derivative of the weighted field, which picks up the extra
-    -lam theta_dot |D_x|^{1/2} u_Phi from the moving radius.
-
-    composite = term1 + term2 + term3 + term7 (the printed energy);
-    composite_full adds term4 + term5 + term6.
-    """
-    _check_params(p)
-    samples = list(samples)
+            "Gevrey weight identity lam * delta^{1/2} = a K / 4 is violated")
     if not samples:
-        raise ValueError("energy_E_s needs at least one sample")
-    K, a, lam = p.K, p.a, p.lam
-
-    acc = {
-        "term1": NormSeries(s=s, rate=K),
-        "term2": NormSeries(s=s + 0.25, rate=0.75 * K),
-        "term3": NormSeries(s=s + 0.5, rate=0.5 * K),
-        "term4": NormSeries(s=s + 0.25, rate=K, weight_name="theta_dot"),
-        "term5": NormSeries(s=s + 0.5, rate=K, weight_name="theta_dot^2"),
-        "term6": NormSeries(s=s + 0.75, rate=K, weight_name="theta_dot^3"),
-        "term7": NormSeries(s=s, rate=K),
-    }
-    prefac = {
-        "term1": 1.0,
-        "term2": np.sqrt(a * K),
-        "term3": a * K,
-        "term4": np.sqrt(lam),
-        "term5": lam,
-        "term6": lam**1.5,
-        "term7": 1.0,
-    }
-    readout = {
-        "term1": "sup",
-        "term2": "sup",
-        "term3": "sup",
-        "term4": "l2",
-        "term5": "l2",
-        "term6": "l2",
-        "term7": "l2",
-    }
+        raise ValueError(f"{table.name} needs at least one sample")
+    aK, lam = p.a * p.K, p.lam
+    prefactor = {"1": 1.0, "(aK)^1/2": np.sqrt(aK), "aK": aK,
+                 "lam^1/2": np.sqrt(lam), "lam": lam, "lam^3/2": lam**1.5}
+    acc = [(row, NormSeries(s=s + row.ds, rate=row.rate * K), itemgetter(*row.parts))
+           for row in table.terms]
 
     n = len(samples)
     times = np.array([smp.t for smp in samples], dtype=float)
-    terms = {name: np.zeros(n) for name in acc}
+    terms = {row.name: np.zeros(n) for row in table.terms}
     point = {key: np.zeros(n) for key in ("u", "dy_u", "ut")}
-    rad = np.zeros(n)
     horizon = np.zeros(n)
 
-    last_t = None
     for i, smp in enumerate(samples):
         t = smp.t
-        step = 0.0 if last_t is None else t - last_t
-        last_t = t
+        step = t - samples[i - 1].t if i else 0.0
         rep: dict = {}
-        u_phi = apply_gevrey(smp.u, t, p, +1, report=rep)
-        dyu_phi = apply_gevrey(dy(smp.u), t, p, +1)
-        ut_phi = apply_gevrey(smp.ut, t, p, +1)
         td = theta_dot(t, p)
-        dt_of_u_phi = Field(
-            smp.u.grid, ut_phi.coeff - lam * td * frac_dx(u_phi, 0.5).coeff
-        )
-
-        _advance(acc["term1"], (u_phi, dyu_phi, ut_phi), t, step)
-        _advance(acc["term2"], u_phi, t, step)
-        _advance(acc["term3"], u_phi, t, step)
-        _advance(acc["term4"], (u_phi, dt_of_u_phi, dyu_phi), t, step, w=td)
-        _advance(acc["term5"], u_phi, t, step, w=td**2)
-        _advance(acc["term6"], u_phi, t, step, w=td**3)
-        _advance(acc["term7"], (ut_phi, dyu_phi), t, step)
-
-        for name, series in acc.items():
-            val = series.sup_in_time() if readout[name] == "sup" else series.l2_in_time()
-            terms[name][i] = prefac[name] * val
+        fields = parts(smp, td, rep)
+        for row, series, pick in acc:
+            norm_series_update(series, pick(fields), t, step, weight_value=td**row.wpow)
+            val = series.sup_in_time() if row.readout == "sup" else series.l2_in_time()
+            terms[row.name][i] = prefactor[row.prefactor] * val
         w = np.exp(K * t)
-        point["u"][i] = w * besov_norm(u_phi, s)
-        point["dy_u"][i] = w * besov_norm(dyu_phi, s)
-        point["ut"][i] = w * besov_norm(ut_phi, s)
-        rad[i] = radius(t, p)
+        for key, arr in point.items():
+            arr[i] = w * besov_norm(fields[key], s)
         horizon[i] = rep.get("trust_horizon", 0.0)
+        del fields  # free this sample's parts before the next are built
 
-    composite = terms["term1"] + terms["term2"] + terms["term3"] + terms["term7"]
-    full = composite + terms["term4"] + terms["term5"] + terms["term6"]
+    composite = sum(terms[row.name] for row in table.terms if row.composite)
+    rest = [terms[row.name] for row in table.terms if not row.composite]
     report = EnergyReport(
         times=times,
         s=s,
@@ -224,111 +238,58 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
         point_norms=point,
         terms=terms,
         composite=composite,
-        composite_full=full,
-        radius=rad,
+        composite_full=sum(rest, composite) if rest else None,
+        radius=radius(times, p),
         trust_horizon=horizon,
+        table=table,
     )
     report.validate()
     return report
+
+
+def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
+    """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
+
+    def parts(smp, td, rep):
+        t = smp.t
+        u_phi = apply_gevrey(smp.u, t, p, +1, report=rep)
+        dyu_phi = apply_gevrey(dy(smp.u), t, p, +1)
+        ut_phi = apply_gevrey(smp.ut, t, p, +1)
+        dt_of_u_phi = ut_phi - p.lam * td * frac_dx(u_phi, 0.5)
+        return {"u": u_phi, "dy_u": dyu_phi, "ut": ut_phi, "dt_of_u": dt_of_u_phi}
+
+    return _assemble(list(samples), s, p, p.K, E_S_TABLE, parts)
 
 
 def energy_E1(
     samples, eps: float, p: GevreyParams, decay_rates: bool = True
 ) -> EnergyReport:
-    """Assemble the scaled-pair energy at regularity 1/2 from samples.
+    """Assemble the scaled-pair energy at regularity 1/2 (E1_TABLE).
 
-    Works on the weighted pair (u, eps v)_Phi and its derivatives; all
-    samples must carry v and vt.  The four accumulated terms:
-
-    ====== ============================================================
-    term1  sup-in-time of e^{K t}((u, eps v)_Phi, eps dx (u, eps v)_Phi,
-           dy (u, eps v)_Phi, (dt u, eps dt v)_Phi) in B^{1/2}
-    term2  (a K)^{1/2} sup-in-time of e^{3K t/4}(u, eps v)_Phi in B^{3/4}
-    term3  a K sup-in-time of e^{K t/2}(u, eps v)_Phi in B^1
-    term4  L^2-in-time of e^{K t}(eps dx (u, eps v)_Phi,
-           dy (u, eps v)_Phi, (dt u, eps dt v)_Phi) in B^{1/2}
-    ====== ============================================================
-
-    composite = term1 + term2 + term3 + term4; composite_full is None.
-    With decay_rates=False every exponential rate is zero while the
-    (a K)^{1/2} and a K prefactors are kept: the undamped variant used
-    for smallness bookkeeping.
+    All samples must carry v and vt.  With decay_rates=False every
+    exponential rate is zero while the (a K)^{1/2} and a K prefactors
+    are kept: the undamped variant used for smallness bookkeeping.
     """
-    _check_params(p)
     samples = list(samples)
-    if not samples:
-        raise ValueError("energy_E1 needs at least one sample")
     if any(smp.v is None or smp.vt is None for smp in samples):
         raise ValueError("energy_E1 needs v and vt on every sample")
-    K, a = p.K, p.a
-    rK = K if decay_rates else 0.0
-    s = 0.5
 
-    acc = {
-        "term1": NormSeries(s=s, rate=rK),
-        "term2": NormSeries(s=0.75, rate=0.75 * K if decay_rates else 0.0),
-        "term3": NormSeries(s=1.0, rate=0.5 * K if decay_rates else 0.0),
-        "term4": NormSeries(s=s, rate=rK),
-    }
-    prefac = {
-        "term1": 1.0,
-        "term2": np.sqrt(a * K),
-        "term3": a * K,
-        "term4": 1.0,
-    }
-
-    n = len(samples)
-    times = np.array([smp.t for smp in samples], dtype=float)
-    terms = {name: np.zeros(n) for name in acc}
-    point = {key: np.zeros(n) for key in ("u", "dy_u", "ut")}
-    rad = np.zeros(n)
-    horizon = np.zeros(n)
-
-    last_t = None
-    for i, smp in enumerate(samples):
+    def parts(smp, td, rep):
         t = smp.t
-        step = 0.0 if last_t is None else t - last_t
-        last_t = t
-        rep: dict = {}
         u_phi = apply_gevrey(smp.u, t, p, +1, report=rep)
-        ev_phi = _scaled(apply_gevrey(smp.v, t, p, +1), eps)
-        pair = (u_phi, ev_phi)
-        dx_pair = (_scaled(dx(u_phi), eps), _scaled(dx(ev_phi), eps))
-        dy_pair = (dy(u_phi), dy(ev_phi))
-        ut_phi = apply_gevrey(smp.ut, t, p, +1)
-        evt_phi = _scaled(apply_gevrey(smp.vt, t, p, +1), eps)
-        gradients = (*dx_pair, *dy_pair, ut_phi, evt_phi)
+        ev_phi = eps * apply_gevrey(smp.v, t, p, +1)
+        return {
+            "u": u_phi,
+            "ev": ev_phi,
+            "eps_dx_u": eps * dx(u_phi),
+            "eps_dx_ev": eps * dx(ev_phi),
+            "dy_u": dy(u_phi),
+            "dy_ev": dy(ev_phi),
+            "ut": apply_gevrey(smp.ut, t, p, +1),
+            "evt": eps * apply_gevrey(smp.vt, t, p, +1),
+        }
 
-        _advance(acc["term1"], (*pair, *gradients), t, step)
-        _advance(acc["term2"], pair, t, step)
-        _advance(acc["term3"], pair, t, step)
-        _advance(acc["term4"], gradients, t, step)
-
-        terms["term1"][i] = acc["term1"].sup_in_time()
-        terms["term2"][i] = prefac["term2"] * acc["term2"].sup_in_time()
-        terms["term3"][i] = prefac["term3"] * acc["term3"].sup_in_time()
-        terms["term4"][i] = acc["term4"].l2_in_time()
-        w = np.exp(rK * t)
-        point["u"][i] = w * besov_norm(u_phi, s)
-        point["dy_u"][i] = w * besov_norm(dy(u_phi), s)
-        point["ut"][i] = w * besov_norm(ut_phi, s)
-        rad[i] = radius(t, p)
-        horizon[i] = rep.get("trust_horizon", 0.0)
-
-    composite = sum(terms.values())
-    report = EnergyReport(
-        times=times,
-        s=s,
-        params=p,
-        point_norms=point,
-        terms=terms,
-        composite=composite,
-        composite_full=None,
-        radius=rad,
-        trust_horizon=horizon,
-    )
-    report.validate()
-    return report
+    return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE, parts)
 
 
 def decay_fit(series, window=None) -> tuple[float, float]:

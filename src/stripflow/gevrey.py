@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import paley
-from .grid import Field, Grid, dy, mean_y
+from .grid import Field, Grid, dx, dy, mean_y
 
 __all__ = [
     "GevreyParams",
@@ -35,7 +35,6 @@ __all__ = [
     "make_gevrey_data",
     "initial_norm_H0",
     "initial_norm_H1",
-    "besov_multi",
     "PROFILES",
 ]
 
@@ -203,15 +202,6 @@ def make_gevrey_data(
     return u0, u1
 
 
-def besov_multi(fields, s: float) -> float:
-    """Besov norm of a component tuple: per-block root-sum-square, then l1."""
-    first = fields if isinstance(fields, Field) else fields[0]
-    bank = paley.get_bank(first.grid)
-    return float(
-        np.sum(2.0 ** (bank.ks * s) * paley.block_norms(fields, bank))
-    )
-
-
 def initial_norm_H0(u0: Field, u1: Field, s: float, p: GevreyParams) -> float:
     """Weighted data norm: ||W(u0,u1,dy u0)||_{B^s} + sqrt(aK)||W u0||_{B^{s+1/4}}
     + aK ||W u0||_{B^{s+1/2}}, with W = e^{a|D_x|^{1/2}}."""
@@ -220,9 +210,9 @@ def initial_norm_H0(u0: Field, u1: Field, s: float, p: GevreyParams) -> float:
     w_dyu0 = apply_gevrey(dy(u0), 0.0, p, +1)
     aK = p.a * p.K
     return (
-        besov_multi((w_u0, w_u1, w_dyu0), s)
-        + np.sqrt(aK) * besov_multi(w_u0, s + 0.25)
-        + aK * besov_multi(w_u0, s + 0.5)
+        paley.besov_norm((w_u0, w_u1, w_dyu0), s)
+        + np.sqrt(aK) * paley.besov_norm(w_u0, s + 0.25)
+        + aK * paley.besov_norm(w_u0, s + 0.5)
     )
 
 
@@ -239,17 +229,14 @@ def initial_norm_H1(
     ||W(u0, e v0, e dx(u0, e v0), dy(u0, e v0), u1, e v1)||_{B^{1/2}}
     + sqrt(aK) ||W(u0, e v0)||_{B^{3/4}} + aK ||W(u0, e v0)||_{B^1}.
     """
-    from .grid import dx as dx_op
-
     def W(f):
         return apply_gevrey(f, 0.0, p, +1)
 
     pair = (W(u0), eps * W(v0))
     big = (
-        W(u0),
-        eps * W(v0),
-        eps * W(dx_op(u0)),
-        eps * eps * W(dx_op(v0)),
+        *pair,
+        eps * W(dx(u0)),
+        eps * eps * W(dx(v0)),
         W(dy(u0)),
         eps * W(dy(v0)),
         W(u1),
@@ -257,7 +244,7 @@ def initial_norm_H1(
     )
     aK = p.a * p.K
     return (
-        besov_multi(big, 0.5)
-        + np.sqrt(aK) * besov_multi(pair, 0.75)
-        + aK * besov_multi(pair, 1.0)
+        paley.besov_norm(big, 0.5)
+        + np.sqrt(aK) * paley.besov_norm(pair, 0.75)
+        + aK * paley.besov_norm(pair, 1.0)
     )

@@ -339,62 +339,25 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-def _write_csv(path, header, columns) -> Path:
-    """columns is a list of arrays aligned with header."""
-    n = len(columns[0])
+def _write_csv(path, columns) -> Path:
+    """columns is a list of (header, array) pairs."""
+    header, arrays = zip(*columns)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for i in range(n):
-            w.writerow([_fmt(col[i]) for col in columns])
+        for i in range(len(arrays[0])):
+            w.writerow([_fmt(col[i]) for col in arrays])
     return Path(path)
 
 
-_ES_HEADERS = [
-    ("term1", "E_s.term1.Linf.B_s"),
-    ("term2", "E_s.term2.Linf.B_s+1/4"),
-    ("term3", "E_s.term3.Linf.B_s+1/2"),
-    ("term4", "E_s.term4.L2w.B_s+1/4"),
-    ("term5", "E_s.term5.L2w.B_s+1/2"),
-    ("term6", "E_s.term6.L2w.B_s+3/4"),
-    ("term7", "E_s.term7.L2.B_s"),
-]
-
-_E1_HEADERS = [
-    ("term1", "E_1.term1.Linf.B_1/2"),
-    ("term2", "E_1.term2.Linf.B_3/4"),
-    ("term3", "E_1.term3.Linf.B_1"),
-    ("term4", "E_1.term4.L2.B_1/2"),
-]
-
-
-def _energy_csv(path, samples, report: EnergyReport, pair: bool, div_rel=None):
-    header = ["time", "l2.u", "l2.ut"]
-    cols = [
-        report.times,
-        np.array([l2_norm(s.u) for s in samples]),
-        np.array([l2_norm(s.ut) for s in samples]),
-    ]
+def _energy_csv(path, samples, report: EnergyReport, div_rel=None):
+    """time, l2.u, l2.ut[, div.rel], then the report's columns."""
+    cols = [("time", report.times),
+            ("l2.u", np.array([l2_norm(s.u) for s in samples])),
+            ("l2.ut", np.array([l2_norm(s.ut) for s in samples]))]
     if div_rel is not None:
-        header.append("div.rel")
-        cols.append(np.asarray(div_rel))
-    names = _E1_HEADERS if pair else _ES_HEADERS
-    for key, col_name in names:
-        header.append(col_name)
-        cols.append(report.terms[key])
-    prefix = "E_1" if pair else "E_s"
-    header.append(f"{prefix}.composite")
-    cols.append(report.composite)
-    if report.composite_full is not None:
-        header.append(f"{prefix}.composite_full")
-        cols.append(report.composite_full)
-    s_name = "B_1/2" if pair else "B_s"
-    for key in ("u", "dy_u", "ut"):
-        header.append(f"point.{key}.{s_name}")
-        cols.append(report.point_norms[key])
-    header += ["radius", "trust_horizon"]
-    cols += [report.radius, report.trust_horizon]
-    return _write_csv(path, header, cols)
+        cols.append(("div.rel", np.asarray(div_rel)))
+    return _write_csv(path, cols + report.columns())
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +509,7 @@ def cmd_run(cfg: RunConfig) -> Path:
         report = energy_E_s(samples, 0.5, p)
         data_norm = initial_norm_H0(first.u, first.ut, 0.5, p)
     clock.lap("diagnostics")
-    _energy_csv(out / "energy.csv", samples, report, pair=pair,
-                div_rel=div_rel if pair else None)
+    _energy_csv(out / "energy.csv", samples, report, div_rel if pair else None)
     clock.lap("io")
 
     abort = run.abort
@@ -631,11 +593,9 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     result.validate()
     clock.lap("diagnostics")
 
-    _write_csv(
-        out / "sweep.csv",
-        ["eps", "sup_error.l2", "final_error.l2", "error_energy.E1_0"],
-        [np.asarray(c) for c in (cfg.eps_list, sup_errors, final_errors, energy_errors)],
-    )
+    _write_csv(out / "sweep.csv", [
+        ("eps", cfg.eps_list), ("sup_error.l2", sup_errors),
+        ("final_error.l2", final_errors), ("error_energy.E1_0", energy_errors)])
     clock.lap("io")
     _write_metadata(
         out, cfg, clock, cfg.n_steps() * (1 + len(cfg.eps_list)),

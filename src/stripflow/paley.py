@@ -172,10 +172,12 @@ def block_norms(fields, bank: DyadicBank | None = None) -> np.ndarray:
     return np.sqrt(first.grid.Lx * sq)
 
 
-def besov_norm(f: Field, s: float, bank: DyadicBank | None = None) -> float:
-    """l1-over-blocks Besov norm: sum_k 2^{ks} ||delta_k f||_{L2}."""
-    bank = bank or get_bank(f.grid)
-    return float(np.sum(2.0 ** (bank.ks * s) * block_norms(f, bank)))
+def besov_norm(fields, s: float, bank: DyadicBank | None = None) -> float:
+    """l1-over-blocks Besov norm sum_k 2^{ks} ||delta_k f||_{L2} of a Field
+    or of a component tuple (combined as in block_norms)."""
+    first = fields if isinstance(fields, Field) else fields[0]
+    bank = bank or get_bank(first.grid)
+    return float(np.sum(2.0 ** (bank.ks * s) * block_norms(fields, bank)))
 
 
 def bony(f: Field, g: Field):
@@ -250,7 +252,6 @@ class NormSeries:
 
     s: float
     rate: float = 0.0
-    weight_name: str = "one"
     bank: DyadicBank | None = None
     integrals: np.ndarray | None = None
     maxima: np.ndarray | None = None

@@ -8,7 +8,6 @@ from stripflow import paley
 from stripflow.gevrey import (
     GevreyParams,
     apply_gevrey,
-    besov_multi,
     initial_norm_H0,
     initial_norm_H1,
     make_gevrey_data,
@@ -282,11 +281,11 @@ class TestInitialNorms:
         W = lambda f: apply_gevrey(f, 0.0, p, +1)
         aK = p.a * p.K
         expect = (
-            besov_multi(
+            paley.besov_norm(
                 (W(u0), z, eps * W(dx_op(u0)), z, W(dy(u0)), z, W(u1), z), 0.5
             )
-            + np.sqrt(aK) * besov_multi((W(u0), z), 0.75)
-            + aK * besov_multi((W(u0), z), 1.0)
+            + np.sqrt(aK) * paley.besov_norm((W(u0), z), 0.75)
+            + aK * paley.besov_norm((W(u0), z), 1.0)
         )
         got = initial_norm_H1(u0, z, u1, z, eps, p)
         assert got == pytest.approx(expect, rel=1e-12)

@@ -253,6 +253,20 @@ class TestCmdRun:
         assert np.all(div <= 1e-6)
         assert any(h.startswith("E_1.term1") for h in header)
 
+    @pytest.mark.parametrize("kind, header", [
+        ("prandtl", "time,l2.u,l2.ut,E_s.term1.Linf.B_s,E_s.term2.Linf.B_s+1/4,"
+         "E_s.term3.Linf.B_s+1/2,E_s.term4.L2w.B_s+1/4,E_s.term5.L2w.B_s+1/2,"
+         "E_s.term6.L2w.B_s+3/4,E_s.term7.L2.B_s,E_s.composite,E_s.composite_full,"
+         "point.u.B_s,point.dy_u.B_s,point.ut.B_s,radius,trust_horizon"),
+        ("hns", "time,l2.u,l2.ut,div.rel,E_1.term1.Linf.B_1/2,E_1.term2.Linf.B_3/4,"
+         "E_1.term3.Linf.B_1,E_1.term4.L2.B_1/2,E_1.composite,point.u.B_1/2,"
+         "point.dy_u.B_1/2,point.ut.B_1/2,radius,trust_horizon"),
+    ])
+    def test_energy_csv_header(self, tmp_path, kind, header):
+        out = cmd_run(small_cfg(tmp_path, kind=kind, eps=0.3))
+        with open(out / "energy.csv", encoding="utf-8") as fh:
+            assert fh.readline().rstrip("\r\n") == header
+
     def test_sweep_kind_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cmd_run handles"):
             cmd_run(small_cfg(tmp_path, kind="sweep"))

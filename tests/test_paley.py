@@ -173,6 +173,10 @@ class TestBesovNorm:
         assert besov_norm(-2.5 * f, 0.5) == pytest.approx(
             2.5 * besov_norm(f, 0.5), rel=1e-13
         )
+        h = random_field(g, seed=7)
+        assert besov_norm((-2.5 * f, 2.5 * h), 0.5) == pytest.approx(
+            2.5 * besov_norm((f, h), 0.5), rel=1e-13
+        )
 
     def test_single_mode_against_direct_sum(self):
         g = Grid(64, 17, Lx=0.125)  # xi_1 = 16 pi, so m = 1 has |xi| = 2 pi * 8
@@ -193,6 +197,8 @@ class TestBesovNorm:
         g = make_grid()
         f = random_field(g, seed=6, zero_mean=False)
         assert besov_norm(f, s) == pytest.approx(oracle_besov(f, s), rel=1e-12)
+        # a component tuple with a zero second component is the same norm
+        assert besov_norm((f, Field.zeros(g)), s) == besov_norm(f, s)
 
     def test_frame_sandwich_constants_computed(self):
         # field supported where phi_k >= 0.1; constants from sampled overlaps
