@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from operator import itemgetter
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey, radius, theta_dot
 from .grid import Field, dx, dy, frac_dx
-from .paley import NormSeries, besov_norm, norm_series_update
+from .paley import NormSeries, besov_norm, get_bank, mode_density, norm_series_update
 
 
 @dataclass(frozen=True)
@@ -190,9 +190,10 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
               parts) -> EnergyReport:
     """Run the samples through the terms of `table`.
 
-    `parts(smp, theta_dot, report)` returns the named weighted fields of
-    one sample and stores the trust horizon of the weighted velocity in
-    `report`; `K` is the unit of the table's rates.
+    `parts(smp, theta_dot, report)` returns the mode densities of the named
+    weighted components of one sample and stores the trust horizon of the
+    weighted velocity in `report`; `K` is the unit of the table's rates.
+    One NormSeries row per term takes its components' densities, summed in order.
     """
     # GevreyParams derives delta from (a, lam, K): this fires only if that
     # coupling breaks
@@ -204,33 +205,36 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     aK, lam = p.a * p.K, p.lam
     prefactor = {"1": 1.0, "(aK)^1/2": np.sqrt(aK), "aK": aK,
                  "lam^1/2": np.sqrt(lam), "lam": lam, "lam^3/2": lam**1.5}
-    acc = [(row, NormSeries(s=s + row.ds, rate=row.rate * K), itemgetter(*row.parts))
-           for row in table.terms]
+    rows = table.terms
+    scale = np.array([prefactor[row.prefactor] for row in rows])
+    is_sup = np.array([row.readout == "sup" for row in rows])
+    series = NormSeries(s=np.array([s + row.ds for row in rows]),
+                        rate=np.array([row.rate * K for row in rows]),
+                        bank=get_bank(samples[0].u.grid))
 
     n = len(samples)
     times = np.array([smp.t for smp in samples], dtype=float)
-    terms = {row.name: np.zeros(n) for row in table.terms}
+    readouts = np.zeros((len(rows), n))
     point = {key: np.zeros(n) for key in ("u", "dy_u", "ut")}
     horizon = np.zeros(n)
 
     for i, smp in enumerate(samples):
         t = smp.t
-        step = t - samples[i - 1].t if i else 0.0
         rep: dict = {}
         td = theta_dot(t, p)
-        fields = parts(smp, td, rep)
-        for row, series, pick in acc:
-            norm_series_update(series, pick(fields), t, step, weight_value=td**row.wpow)
-            val = series.sup_in_time() if row.readout == "sup" else series.l2_in_time()
-            terms[row.name][i] = prefactor[row.prefactor] * val
-        w = np.exp(K * t)
-        for key, arr in point.items():
-            arr[i] = w * besov_norm(fields[key], s)
+        dens = parts(smp, td, rep)
+        term_dens = np.array([reduce(np.add, map(dens.get, row.parts)) for row in rows])
+        norm_series_update(series, term_dens, t, [td**row.wpow for row in rows])
+        sup, l2 = series.sup_in_time(), series.l2_in_time()
+        readouts[:, i] = scale * np.where(is_sup, sup, l2)
+        norms = besov_norm(np.array([dens[key] for key in point]), s, series.bank)
+        for arr, norm in zip(point.values(), np.exp(K * t) * norms):
+            arr[i] = norm
         horizon[i] = rep.get("trust_horizon", 0.0)
-        del fields  # free this sample's parts before the next are built
 
-    composite = sum(terms[row.name] for row in table.terms if row.composite)
-    rest = [terms[row.name] for row in table.terms if not row.composite]
+    terms = dict(zip((row.name for row in rows), readouts))
+    composite = sum(terms[row.name] for row in rows if row.composite)
+    rest = [terms[row.name] for row in rows if not row.composite]
     report = EnergyReport(
         times=times,
         s=s,
@@ -251,12 +255,11 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
     """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
 
     def parts(smp, td, rep):
-        t = smp.t
-        u_phi = apply_gevrey(smp.u, t, p, +1, report=rep)
-        dyu_phi = apply_gevrey(dy(smp.u), t, p, +1)
-        ut_phi = apply_gevrey(smp.ut, t, p, +1)
-        dt_of_u_phi = ut_phi - p.lam * td * frac_dx(u_phi, 0.5)
-        return {"u": u_phi, "dy_u": dyu_phi, "ut": ut_phi, "dt_of_u": dt_of_u_phi}
+        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep)
+        ut_phi = apply_gevrey(smp.ut, smp.t, p, +1)
+        return {"u": mode_density(u_phi), "ut": mode_density(ut_phi),
+                "dy_u": mode_density(apply_gevrey(dy(smp.u), smp.t, p, +1)),
+                "dt_of_u": mode_density(ut_phi - p.lam * td * frac_dx(u_phi, 0.5))}
 
     return _assemble(list(samples), s, p, p.K, E_S_TABLE, parts)
 
@@ -275,18 +278,17 @@ def energy_E1(
         raise ValueError("energy_E1 needs v and vt on every sample")
 
     def parts(smp, td, rep):
-        t = smp.t
-        u_phi = apply_gevrey(smp.u, t, p, +1, report=rep)
-        ev_phi = eps * apply_gevrey(smp.v, t, p, +1)
+        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep)
+        ev_phi = eps * apply_gevrey(smp.v, smp.t, p, +1)
         return {
-            "u": u_phi,
-            "ev": ev_phi,
-            "eps_dx_u": eps * dx(u_phi),
-            "eps_dx_ev": eps * dx(ev_phi),
-            "dy_u": dy(u_phi),
-            "dy_ev": dy(ev_phi),
-            "ut": apply_gevrey(smp.ut, t, p, +1),
-            "evt": eps * apply_gevrey(smp.vt, t, p, +1),
+            "u": mode_density(u_phi),
+            "ev": mode_density(ev_phi),
+            "eps_dx_u": mode_density(eps * dx(u_phi)),
+            "eps_dx_ev": mode_density(eps * dx(ev_phi)),
+            "dy_u": mode_density(dy(u_phi)),
+            "dy_ev": mode_density(dy(ev_phi)),
+            "ut": mode_density(apply_gevrey(smp.ut, smp.t, p, +1)),
+            "evt": mode_density(eps * apply_gevrey(smp.vt, smp.t, p, +1)),
         }
 
     return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE, parts)

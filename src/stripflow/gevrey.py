@@ -77,6 +77,8 @@ class GevreyParams:
 
 
 def _check_t(t):
+    if isinstance(t, float) and t >= 0.0:  # per-sample calls skip numpy
+        return t
     t = np.asarray(t, dtype=float)
     if np.any(t < 0.0):
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -99,9 +101,7 @@ def theta_dot(t, p: GevreyParams):
 
 def radius(t, p: GevreyParams):
     """Surviving Gevrey radius a - lam theta(t) = (a/2)(1 + e^{-K t/2})."""
-    t = _check_t(t)
-    out = p.a - p.lam * theta(t, p)
-    return float(out) if np.ndim(out) == 0 else out
+    return p.a - p.lam * theta(t, p)
 
 
 def phi(t, xi, p: GevreyParams):
@@ -132,20 +132,19 @@ def apply_gevrey(
                 f"Gevrey weight e^{{{ph.max():.1f}}} at |xi|={g.abs_xi.max():.1f} "
                 "overflows float64; shrink the radius or the grid"
             )
-        c = f.coeff.copy()
-        scale = np.abs(c).max()
-        if scale > 0.0:
-            c[np.abs(c) < SPECTRAL_FLOOR * scale] = 0.0
+        mag = np.abs(f.coeff)
+        scale = mag.max()
+        c = f.coeff * np.exp(ph)[:, None]
+        floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
+        c[floored] = 0.0
         if report is not None:
-            mode_mag = np.abs(c).max(axis=1)
+            mode_mag = np.where(floored, 0.0, mag).max(axis=1)
             with np.errstate(divide="ignore"):
-                level = ph + np.log(
-                    np.where(mode_mag > 0, mode_mag, np.nan) / max(scale, 1e-300)
-                )
-            trusted = g.abs_xi[np.nan_to_num(level, nan=-np.inf) > TRUST_LOG_LEVEL]
+                level = ph + np.log(mode_mag / max(scale, 1e-300))
+            trusted = g.abs_xi[level > TRUST_LOG_LEVEL]
             report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
-            report["floored_modes"] = int(np.sum((mode_mag == 0) & (g.abs_xi > 0)))
-        return Field(g, c * np.exp(ph)[:, None])
+            report["floored_modes"] = np.count_nonzero(mode_mag[g.abs_xi > 0] == 0)
+        return Field(g, c)
     return Field(g, f.coeff * np.exp(-ph)[:, None])
 
 

@@ -212,10 +212,8 @@ def frac_dx(f: Field, s: float) -> Field:
     g = f.grid
     if s == 0.0:
         return f.copy()
-    mult = np.empty(g.Nx)
     nonzero = g.abs_xi > 0.0
-    mult[nonzero] = g.abs_xi[nonzero] ** s
-    mult[~nonzero] = 0.0 if s < 0 else (1.0 if s == 0 else 0.0)
+    mult = np.where(nonzero, g.abs_xi, 1.0) ** s * nonzero
     return Field(g, f.coeff * mult[:, None])
 
 

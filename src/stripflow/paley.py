@@ -26,6 +26,7 @@ Conventions on the periodic strip:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import reduce
 
 import numpy as np
 
@@ -39,6 +40,7 @@ __all__ = [
     "get_bank",
     "delta_k",
     "S_k",
+    "mode_density",
     "block_norms",
     "besov_norm",
     "bony",
@@ -90,6 +92,15 @@ class DyadicBank:
     @property
     def ks(self) -> np.ndarray:
         return np.arange(self.k_min, self.k_max + 1)
+
+    def weights(self, s) -> np.ndarray:
+        """2^{ks} per block, a row per value if s is an array."""
+        return 2.0 ** (self.ks * np.asarray(s)[..., None])
+
+    def besov_sum(self, per_block: np.ndarray, weights: np.ndarray):
+        """sum_k weights[..., k] per_block[..., k]: a float, or one per row."""
+        out = (weights * per_block).sum(axis=-1)
+        return float(out) if out.ndim == 0 else out
 
     def row(self, k: int) -> np.ndarray:
         """phi(2^{-k} |xi|) samples for any integer k (zeros outside range)."""
@@ -146,15 +157,22 @@ def S_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
     return Field(f.grid, f.coeff * bank.chi_row(k)[:, None])
 
 
-def _mode_density(fields) -> np.ndarray:
+def mode_density(fields) -> np.ndarray:
     """Per-mode squared-L2 density: trapz_y sum_components |c_m(y)|^2."""
     if isinstance(fields, Field):
         fields = (fields,)
-    dens = None
-    for f in fields:
-        d = (f.coeff.real**2 + f.coeff.imag**2) @ f.grid.trapz_w
-        dens = d if dens is None else dens + d
-    return dens
+    return reduce(np.add, [(f.coeff.real**2 + f.coeff.imag**2) @ f.grid.trapz_w
+                           for f in fields])
+
+
+def _density(fields, bank: DyadicBank | None):
+    """(density, bank) of a Field, a component tuple or a density (with `bank`)."""
+    if not isinstance(fields, np.ndarray):
+        first = fields if isinstance(fields, Field) else fields[0]
+        return mode_density(fields), bank or get_bank(first.grid)
+    if bank is None:
+        raise ValueError("a density array needs the bank of its grid")
+    return fields, bank
 
 
 def block_norms(fields, bank: DyadicBank | None = None) -> np.ndarray:
@@ -162,22 +180,21 @@ def block_norms(fields, bank: DyadicBank | None = None) -> np.ndarray:
 
     `fields` may be a single Field or a sequence of Fields: components of a
     vector field are combined in L2 inside each block (root-sum-square)
-    before any summation over blocks.
+    before any summation over blocks.  A `mode_density` with its `bank`
+    works too; a 2-D (rows, Nx) density gives a row of blocks per row.
     """
-    first = fields if isinstance(fields, Field) else fields[0]
-    bank = bank or get_bank(first.grid)
-    dens = _mode_density(fields)
-    sq = bank.phi_sq @ dens
-    sq[0] += dens[0]  # fold the x-mean mode into block k_min
-    return np.sqrt(first.grid.Lx * sq)
+    dens, bank = _density(fields, bank)
+    # a gemv per row keeps each row bit-identical to its 1-D form (a GEMM would not)
+    sq = np.matmul(bank.phi_sq, dens[..., None])[..., 0]
+    sq[..., 0] += dens[..., 0]  # fold the x-mean mode into block k_min
+    return np.sqrt(bank.grid.Lx * sq)
 
 
-def besov_norm(fields, s: float, bank: DyadicBank | None = None) -> float:
-    """l1-over-blocks Besov norm sum_k 2^{ks} ||delta_k f||_{L2} of a Field
-    or of a component tuple (combined as in block_norms)."""
-    first = fields if isinstance(fields, Field) else fields[0]
-    bank = bank or get_bank(first.grid)
-    return float(np.sum(2.0 ** (bank.ks * s) * block_norms(fields, bank)))
+def besov_norm(fields, s, bank: DyadicBank | None = None):
+    """l1-over-blocks Besov norm sum_k 2^{ks} ||delta_k f||_{L2} of what
+    block_norms takes (one value per row of a 2-D density)."""
+    dens, bank = _density(fields, bank)
+    return bank.besov_sum(block_norms(dens, bank), bank.weights(s))
 
 
 def bony(f: Field, g: Field):
@@ -239,7 +256,7 @@ def bernstein_check(f: Field, k: int, bank: DyadicBank | None = None) -> Bernste
 
 @dataclass
 class NormSeries:
-    """Running dyadic-block accumulators for one time-weighted norm.
+    """Running dyadic-block accumulators for time-weighted norms.
 
     Tracks, per block k, the trapezoid-in-time integral of
 
@@ -247,63 +264,47 @@ class NormSeries:
 
     and the running max of e^{rate t} ||delta_k a(t)||, from which the
     time-integrated (l2-in-time) and sup-in-time block norms are read off
-    as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k.
+    as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k.  Array `s`,
+    `rate` and weight hold one series per row; density samples need `bank`.
     """
 
-    s: float
-    rate: float = 0.0
+    s: float | np.ndarray
+    rate: float | np.ndarray = 0.0
     bank: DyadicBank | None = None
     integrals: np.ndarray | None = None
     maxima: np.ndarray | None = None
     last_t: float | None = None
     _last_weighted_sq: np.ndarray | None = None
+    _weights: np.ndarray | None = None  # 2^{ks} per row, set with `integrals`
 
-    def _ensure(self, bank: DyadicBank):
-        if self.bank is None:
-            self.bank = bank
-            n = bank.k_max - bank.k_min + 1
-            self.integrals = np.zeros(n)
-            self.maxima = np.zeros(n)
-
-    def l2_in_time(self) -> float:
+    def l2_in_time(self):
         """sum_k 2^{ks} (integral_k)^{1/2}."""
-        if self.bank is None:
+        if self.integrals is None:
             return 0.0
-        return float(np.sum(2.0 ** (self.bank.ks * self.s) * np.sqrt(self.integrals)))
+        return self.bank.besov_sum(np.sqrt(self.integrals), self._weights)
 
-    def sup_in_time(self) -> float:
+    def sup_in_time(self):
         """sum_k 2^{ks} max_t e^{rate t} ||delta_k a||."""
-        if self.bank is None:
+        if self.integrals is None:
             return 0.0
-        return float(np.sum(2.0 ** (self.bank.ks * self.s) * self.maxima))
+        return self.bank.besov_sum(self.maxima, self._weights)
 
 
-def norm_series_update(
-    acc: NormSeries, fields, t: float, dt: float, weight_value: float = 1.0
-) -> NormSeries:
-    """Feed one time sample into a NormSeries (trapezoid in t).
-
-    `fields` is a Field or a sequence of component Fields.  The first call
-    records the initial sample; later calls must advance t by dt.
-    """
-    first = fields if isinstance(fields, Field) else fields[0]
-    bank = get_bank(first.grid)
-    acc._ensure(bank)
-    norms = block_norms(fields, bank)
-    weighted = np.exp(acc.rate * t) * norms
-    integrand = weight_value * weighted**2
-    if acc.last_t is None:
-        acc.last_t = t
-        acc._last_weighted_sq = integrand
-        acc.maxima = np.maximum(acc.maxima, weighted)
-        return acc
-    if t <= acc.last_t:
-        raise ValueError(
-            f"non-monotone time sample: t={t} after t={acc.last_t}"
-        )
-    if dt <= 0.0 or abs((acc.last_t + dt) - t) > 1e-9 * max(1.0, abs(t)):
-        raise ValueError(f"inconsistent step: last_t={acc.last_t}, dt={dt}, t={t}")
-    acc.integrals += 0.5 * dt * (acc._last_weighted_sq + integrand)
+def norm_series_update(acc: NormSeries, fields, t, weight_value=1.0) -> NormSeries:
+    """Feed one time sample, anything block_norms takes, into a NormSeries
+    (trapezoid in t over the step from acc.last_t)."""
+    dens, acc.bank = _density(fields, acc.bank)
+    norms = block_norms(dens, acc.bank)
+    if acc.integrals is None:
+        acc._weights = acc.bank.weights(acc.s)
+        acc.integrals = np.zeros(norms.shape)
+        acc.maxima = np.zeros(norms.shape)
+    weighted = np.exp(np.asarray(acc.rate)[..., None] * t) * norms
+    integrand = np.asarray(weight_value)[..., None] * weighted**2
+    if acc.last_t is not None:
+        if t <= acc.last_t:
+            raise ValueError(f"non-monotone time sample: t={t} after t={acc.last_t}")
+        acc.integrals += 0.5 * (t - acc.last_t) * (acc._last_weighted_sq + integrand)
     acc.maxima = np.maximum(acc.maxima, weighted)
     acc.last_t = t
     acc._last_weighted_sq = integrand

@@ -102,6 +102,21 @@ class TestTheta:
         t = np.linspace(0.0, 50.0, 100)
         assert np.all(theta_dot(t, DEFAULT) > 0.0)
 
+    def test_scalar_time_matches_array_path(self):
+        ts = np.concatenate([[0.0], np.geomspace(1e-6, 60.0, 40)])
+        for p in (DEFAULT, GevreyParams(a=0.7, lam=3.0)):
+            for fn in (theta, theta_dot, radius):
+                by_array = fn(ts, p)
+                for t, expect in zip(ts, by_array):
+                    got = fn(float(t), p)
+                    assert type(got) is float and got == expect
+                    assert fn(np.asarray(t), p) == expect
+        for fn in (theta, theta_dot, radius):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(-1e-9, DEFAULT)
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(np.array([0.0, -1e-9]), DEFAULT)
+
 
 class TestPhi:
     def test_zero_frequency(self):
@@ -166,6 +181,44 @@ class TestApplyGevrey:
         out = apply_gevrey(f, 0.0, DEFAULT, +1, report=rep)
         assert np.abs(out.coeff[9]).max() == 0.0
         assert rep["floored_modes"] >= 2
+
+    @staticmethod
+    def floor_then_weight(f, t, p, report):
+        """The amplifying branch as first written: floor a copy, then weight."""
+        g = f.grid
+        ph = phi(t, g.abs_xi, p)
+        c = f.coeff.copy()
+        scale = np.abs(c).max()
+        if scale > 0.0:
+            c[np.abs(c) < 1e-13 * scale] = 0.0
+        mode_mag = np.abs(c).max(axis=1)
+        with np.errstate(divide="ignore"):
+            level = ph + np.log(
+                np.where(mode_mag > 0, mode_mag, np.nan) / max(scale, 1e-300))
+        trusted = g.abs_xi[np.nan_to_num(level, nan=-np.inf) > -3.0]
+        report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
+        report["floored_modes"] = int(np.sum((mode_mag == 0) & (g.abs_xi > 0)))
+        return c * np.exp(ph)[:, None]
+
+    def test_matches_floor_then_weight(self):
+        g = self.grid()
+        u0, _ = make_gevrey_data(g, DEFAULT, amplitude=1e-3, m_max=12)
+        f = self.band_field(g, m_max=6, seed=2)
+        scale = np.abs(f.coeff).max()
+        f.coeff[7:10] = 3e-14 * scale  # whole modes under the floor
+        f.coeff[3, ::2] = 1e-15 * scale  # single entries under the floor
+        cases = [u0, f, Field.zeros(g), -f]
+        for field in cases:
+            for t in (0.0, 0.9, 6.0):
+                rep, expect_rep = {}, {}
+                out = apply_gevrey(field, t, DEFAULT, +1, report=rep)
+                expect = self.floor_then_weight(field, t, DEFAULT, expect_rep)
+                assert np.array_equal(out.coeff, expect)
+                assert np.array_equal(apply_gevrey(field, t, DEFAULT, +1).coeff, expect)
+                assert rep == expect_rep
+        rep = {}
+        apply_gevrey(f, 0.0, DEFAULT, +1, report=rep)
+        assert rep["floored_modes"] >= 3
 
     def test_trust_horizon_on_gevrey_data(self):
         g = self.grid()

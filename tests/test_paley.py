@@ -18,6 +18,7 @@ from stripflow.paley import (
     chi,
     delta_k,
     get_bank,
+    mode_density,
     norm_series_update,
     phi,
 )
@@ -287,9 +288,8 @@ class TestNormSeries:
         acc = NormSeries(s=0.5)
         T, n = 2.0, 40
         ts = np.linspace(0.0, T, n + 1)
-        for i, t in enumerate(ts):
-            dt = 0.0 if i == 0 else ts[i] - ts[i - 1]
-            norm_series_update(acc, f, t, dt, weight_value=1.0)
+        for t in ts:
+            norm_series_update(acc, f, t, weight_value=1.0)
         blocks = block_norms(f)
         expect = np.sum(2.0 ** (acc.bank.ks * 0.5) * np.sqrt(T) * blocks)
         assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-12)
@@ -305,9 +305,8 @@ class TestNormSeries:
         acc = NormSeries(s=0.0)
         T, n = 3.0, 3000
         ts = np.linspace(0.0, T, n + 1)
-        for i, t in enumerate(ts):
-            dt = 0.0 if i == 0 else ts[i] - ts[i - 1]
-            norm_series_update(acc, f, t, dt, weight_value=theta_dot(t))
+        for t in ts:
+            norm_series_update(acc, f, t, weight_value=theta_dot(t))
         blocks = block_norms(f)
         expect = np.sum(np.sqrt(theta(T)) * blocks)
         assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-8)
@@ -315,8 +314,8 @@ class TestNormSeries:
     def test_zero_field(self):
         g = make_grid()
         acc = NormSeries(s=0.5)
-        for i, t in enumerate([0.0, 0.1, 0.2]):
-            norm_series_update(acc, Field.zeros(g), t, 0.1 if i else 0.0)
+        for t in [0.0, 0.1, 0.2]:
+            norm_series_update(acc, Field.zeros(g), t)
         assert acc.l2_in_time() == 0.0
         assert acc.sup_in_time() == 0.0
 
@@ -324,10 +323,10 @@ class TestNormSeries:
         g = make_grid()
         f = random_field(g, seed=16)
         acc = NormSeries(s=0.5)
-        norm_series_update(acc, f, 0.0, 0.0)
-        norm_series_update(acc, f, 0.1, 0.1)
+        norm_series_update(acc, f, 0.0)
+        norm_series_update(acc, f, 0.1)
         with pytest.raises(ValueError, match="non-monotone"):
-            norm_series_update(acc, f, 0.05, 0.1)
+            norm_series_update(acc, f, 0.05)
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
@@ -337,7 +336,7 @@ class TestNormSeries:
         acc = NormSeries(s=0.25, rate=1.0 / 6.0)
         prev = 0.0
         for i, w in enumerate(weights):
-            norm_series_update(acc, f, 0.1 * i, 0.0 if i == 0 else 0.1, w)
+            norm_series_update(acc, f, 0.1 * i, w)
             cur = acc.l2_in_time()
             assert cur >= prev - 1e-15
             prev = cur
@@ -350,3 +349,65 @@ class TestNormSeries:
         b2 = block_norms(f2)
         both = block_norms((f1, f2))
         assert np.allclose(both, np.sqrt(b1**2 + b2**2), rtol=1e-12)
+
+    def test_multi_row_series_matches_single_rows(self):
+        # rows with their own s, rate and weight equal separate series
+        g = make_grid()
+        bank = get_bank(g)
+        fields = [random_field(g, seed=s) for s in (20, 21, 22)]
+        s, rate, wpow = [0.5, 0.75, 1.0], [1.0 / 6.0, 0.125, 0.0], [0, 1, 3]
+        multi = NormSeries(s=np.array(s), rate=np.array(rate), bank=bank)
+        singles = [NormSeries(s=si, rate=ri, bank=bank) for si, ri in zip(s, rate)]
+        for i, t in enumerate(np.linspace(0.0, 1.0, 6)):
+            dens = [mode_density(2.0**-i * f) for f in fields]
+            weights = [(0.3 + t) ** w for w in wpow]
+            norm_series_update(multi, np.array(dens), t, weights)
+            for acc, d, w in zip(singles, dens, weights):
+                norm_series_update(acc, d, t, w)
+        assert multi.integrals.shape == multi.maxima.shape == (3, len(bank.ks))
+        for row, acc in enumerate(singles):
+            assert np.array_equal(multi.integrals[row], acc.integrals)
+            assert np.array_equal(multi.maxima[row], acc.maxima)
+            assert multi.l2_in_time()[row] == acc.l2_in_time()
+            assert multi.sup_in_time()[row] == acc.sup_in_time()
+
+
+class TestDensityInput:
+    """A mode density with its bank stands in for the Field it came from."""
+
+    def test_matches_field_form_bit_for_bit(self):
+        g = make_grid()
+        bank = get_bank(g)
+        f1 = random_field(g, seed=23, zero_mean=False)
+        f2 = random_field(g, seed=24)
+        for fields in (f1, (f1, f2)):
+            dens = mode_density(fields)
+            assert np.array_equal(block_norms(dens, bank), block_norms(fields))
+            assert besov_norm(dens, 0.75, bank) == besov_norm(fields, 0.75)
+            by_field = NormSeries(s=0.5, rate=0.2)
+            by_dens = NormSeries(s=0.5, rate=0.2, bank=bank)
+            for t in (0.0, 0.1, 0.3):
+                norm_series_update(by_field, fields, t, weight_value=1.0 + t)
+                norm_series_update(by_dens, dens, t, 1.0 + t)
+            assert np.array_equal(by_dens.integrals, by_field.integrals)
+            assert np.array_equal(by_dens.maxima, by_field.maxima)
+            assert by_dens.l2_in_time() == by_field.l2_in_time()
+            assert by_dens.sup_in_time() == by_field.sup_in_time()
+
+    def test_rows_match_one_dimensional_form(self):
+        g = make_grid()
+        bank = get_bank(g)
+        dens = np.array([mode_density(random_field(g, seed=s)) for s in (25, 26, 27)])
+        blocks = block_norms(dens, bank)
+        values = besov_norm(dens, 0.5, bank)
+        assert blocks.shape == (3, len(bank.ks)) and values.shape == (3,)
+        for row, d in enumerate(dens):
+            assert np.array_equal(blocks[row], block_norms(d, bank))
+            assert values[row] == besov_norm(d, 0.5, bank)
+
+    def test_density_needs_its_bank(self):
+        dens = mode_density(random_field(make_grid(), seed=28))
+        with pytest.raises(ValueError, match="bank"):
+            block_norms(dens)
+        with pytest.raises(ValueError, match="bank"):
+            norm_series_update(NormSeries(s=0.5), dens, 0.0)
