@@ -1,6 +1,5 @@
 """Gevrey-2 phase machinery: radius loss theta(t), phase Phi(t, xi),
-exponentially weighted fields, band-limited Gevrey initial data, and the
-weighted initial-data norms.
+exponentially weighted fields and band-limited Gevrey initial data.
 
 The radius evolves as
 
@@ -22,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import paley
-from .grid import Field, Grid, dx, dy, mean_y
+from .grid import Field, Grid, mean_y
 
 __all__ = [
     "GevreyParams",
@@ -33,8 +31,6 @@ __all__ = [
     "phi",
     "apply_gevrey",
     "make_gevrey_data",
-    "initial_norm_H0",
-    "initial_norm_H1",
     "PROFILES",
 ]
 
@@ -200,50 +196,3 @@ def make_gevrey_data(
         raise AssertionError(f"compatibility integral {compat:.3e} too large")
     return u0, u1
 
-
-def initial_norm_H0(u0: Field, u1: Field, s: float, p: GevreyParams) -> float:
-    """Weighted data norm: ||W(u0,u1,dy u0)||_{B^s} + sqrt(aK)||W u0||_{B^{s+1/4}}
-    + aK ||W u0||_{B^{s+1/2}}, with W = e^{a|D_x|^{1/2}}."""
-    w_u0 = apply_gevrey(u0, 0.0, p, +1)
-    w_u1 = apply_gevrey(u1, 0.0, p, +1)
-    w_dyu0 = apply_gevrey(dy(u0), 0.0, p, +1)
-    aK = p.a * p.K
-    return (
-        paley.besov_norm((w_u0, w_u1, w_dyu0), s)
-        + np.sqrt(aK) * paley.besov_norm(w_u0, s + 0.25)
-        + aK * paley.besov_norm(w_u0, s + 0.5)
-    )
-
-
-def initial_norm_H1(
-    u0: Field,
-    v0: Field,
-    u1: Field,
-    v1: Field,
-    eps: float,
-    p: GevreyParams,
-) -> float:
-    """Weighted data norm for the anisotropic system at aspect ratio eps.
-
-    ||W(u0, e v0, e dx(u0, e v0), dy(u0, e v0), u1, e v1)||_{B^{1/2}}
-    + sqrt(aK) ||W(u0, e v0)||_{B^{3/4}} + aK ||W(u0, e v0)||_{B^1}.
-    """
-    def W(f):
-        return apply_gevrey(f, 0.0, p, +1)
-
-    pair = (W(u0), eps * W(v0))
-    big = (
-        *pair,
-        eps * W(dx(u0)),
-        eps * eps * W(dx(v0)),
-        W(dy(u0)),
-        eps * W(dy(v0)),
-        W(u1),
-        eps * W(v1),
-    )
-    aK = p.a * p.K
-    return (
-        paley.besov_norm(big, 0.5)
-        + np.sqrt(aK) * paley.besov_norm(pair, 0.75)
-        + aK * paley.besov_norm(pair, 1.0)
-    )

@@ -96,7 +96,10 @@ class Grid:
         reuse these instead.  Requests of one name share memory (the
         largest row count is kept), so a name must not serve two arrays in
         use at once.  The contents are undefined on entry, and an array from
-        here must never be handed out as a result.
+        here must never be handed out as a result.  The buffers belong to
+        this Grid object, so two states on one Grid must never step at the
+        same time (two threads that did corrupted each other's RK stages);
+        concurrent runs each need their own Grid.
         """
         n = 1 if rows is None else rows
         buf = self._work.get(name)

@@ -184,42 +184,41 @@ def _oscillator(mu: float, t: float) -> float:
     return float(np.exp(-0.5 * t) * (np.cos(w * t) + np.sin(w * t) / (2.0 * w)))
 
 
-def _linear_mode_error(stepper, make_state, mu: float, dt: float, T: float) -> float:
-    st = make_state()
-    u0 = st.u.coeff.copy()
-    n = int(round(T / dt))
-    for _ in range(n):
-        st = stepper(st, dt)
-    a = _oscillator(mu, st.t)
-    ref = a * u0
-    return float(np.abs(st.u.coeff - ref).max() / np.abs(ref).max())
-
-
-def check_linear_mode_prandtl(Ny: int = 65, dt: float = 1e-3) -> CheckResult:
-    """Single linear mode against the damped-oscillator closed form.
-
-    Also verifies fourth-order convergence: halving dt must shrink the
-    error by a factor in [10, 22].
+def _linear_mode_check(name: str, Ny: int, dt: float, mu: float, make_state,
+                       stepper) -> CheckResult:
+    """The mode sin x sin 2 pi y on an 8 x Ny grid, stepped to t = 1 from
+    `make_state(u0)` with `stepper(state, h)`, against the damped oscillator
+    of rate mu.  Halving dt must shrink the error by a factor in [10, 22]
+    (fourth order).
     """
     g = Grid(8, Ny)
     x = np.arange(g.Nx) * g.Lx / g.Nx
-    vals = 1e-3 * np.sin(x)[:, None] * np.sin(2.0 * np.pi * g.y)[None, :]
+    u0 = to_spectral(g, 1e-3 * np.sin(x)[:, None] * np.sin(2.0 * np.pi * g.y)[None, :])
 
-    def make_state():
-        return PrandtlState(u=to_spectral(g, vals), ut=Field.zeros(g))
+    def error(h: float) -> float:
+        st = make_state(u0)
+        for _ in range(int(round(1.0 / h))):
+            st = stepper(st, h)
+        ref = _oscillator(mu, st.t) * u0.coeff
+        return float(np.abs(st.u.coeff - ref).max() / np.abs(ref).max())
 
-    def stepper(s, h):
-        return prandtl_step(s, h, disable_nonlinear=True)
-
-    mu = _mu_discrete(Ny)
-    err = _linear_mode_error(stepper, make_state, mu, dt, 1.0)
-    err_half = _linear_mode_error(stepper, make_state, mu, 0.5 * dt, 1.0)
-    ratio = err / max(err_half, 1e-300)
+    err = error(dt)
+    ratio = err / max(error(0.5 * dt), 1e-300)
     ok = err <= 1e-6 and 10.0 <= ratio <= 22.0
     return CheckResult(
-        "linear-mode-prandtl",
+        name,
         ok,
         f"relative error {err:.3e} at t=1 (tolerance 1e-06), halving ratio {ratio:.1f}",
+    )
+
+
+def check_linear_mode_prandtl(Ny: int = 65, dt: float = 1e-3) -> CheckResult:
+    """Single linear mode against the damped-oscillator closed form,
+    converging at fourth order in dt."""
+    return _linear_mode_check(
+        "linear-mode-prandtl", Ny, dt, _mu_discrete(Ny),
+        lambda u0: PrandtlState(u=u0, ut=Field.zeros(u0.grid)),
+        lambda s, h: prandtl_step(s, h, disable_nonlinear=True),
     )
 
 
@@ -231,31 +230,13 @@ def check_linear_mode_hns(
     Runs with the nonlinearity and the pressure disabled, so the single
     u-mode obeys the wave equation with mu = mu_discrete + eps^2 xi^2.
     """
-    g = Grid(8, Ny)
-    x = np.arange(g.Nx) * g.Lx / g.Nx
-    vals = 1e-3 * np.sin(x)[:, None] * np.sin(2.0 * np.pi * g.y)[None, :]
+    def make_state(u0):
+        z = Field.zeros(u0.grid)
+        return HnsState(u=u0, v=z, ut=z, vt=z, eps=eps)
 
-    def make_state():
-        return HnsState(
-            u=to_spectral(g, vals),
-            v=Field.zeros(g),
-            ut=Field.zeros(g),
-            vt=Field.zeros(g),
-            eps=eps,
-        )
-
-    def stepper(s, h):
-        return hns_step(s, h, disable_nonlinear=True, disable_pressure=True)
-
-    mu = _mu_discrete(Ny) + eps**2
-    err = _linear_mode_error(stepper, make_state, mu, dt, 1.0)
-    err_half = _linear_mode_error(stepper, make_state, mu, 0.5 * dt, 1.0)
-    ratio = err / max(err_half, 1e-300)
-    ok = err <= 1e-6 and 10.0 <= ratio <= 22.0
-    return CheckResult(
-        "linear-mode-hns",
-        ok,
-        f"relative error {err:.3e} at t=1 (tolerance 1e-06), halving ratio {ratio:.1f}",
+    return _linear_mode_check(
+        "linear-mode-hns", Ny, dt, _mu_discrete(Ny) + eps**2, make_state,
+        lambda s, h: hns_step(s, h, disable_nonlinear=True, disable_pressure=True),
     )
 
 

@@ -246,21 +246,27 @@ class TestEnergyEs:
         with pytest.raises(ValueError, match="at least one sample"):
             energy_E_s([], 0.5, P)
 
+    # nonuniform times exercise the trapezoid; the lone t = 0 sample pins
+    # the first row, which cmd_run reports as data_norm
+    ORACLE_TIMES = ([0.0, 0.05, 0.1, 0.2], [0.0])
+
     def test_matches_blockwise_oracle(self):
         g = Grid(32, 17)
-        rng = np.random.default_rng(7)
-        times = [0.0, 0.05, 0.1, 0.2]  # nonuniform to exercise the trapezoid
-        samples = random_samples(g, rng, times, modes=(1, 2, 3, 5))
-        rep = energy_E_s(samples, 0.5, P)
-        expect = oracle_E_s(samples, 0.5, P)
-        for name, val in expect.items():
-            got = rep.terms[name][-1]
-            assert got == pytest.approx(val, rel=1e-12), name
-        assert rep.composite[-1] == pytest.approx(
-            expect["term1"] + expect["term2"] + expect["term3"] + expect["term7"],
-            rel=1e-12,
-        )
-        assert rep.composite_full[-1] == pytest.approx(sum(expect.values()), rel=1e-12)
+        for times in self.ORACLE_TIMES:
+            rng = np.random.default_rng(7)
+            samples = random_samples(g, rng, times, modes=(1, 2, 3, 5))
+            rep = energy_E_s(samples, 0.5, P)
+            expect = oracle_E_s(samples, 0.5, P)
+            for name, val in expect.items():
+                got = rep.terms[name][-1]
+                assert got == pytest.approx(val, rel=1e-12), (times, name)
+            assert rep.composite[-1] == pytest.approx(
+                expect["term1"] + expect["term2"] + expect["term3"] + expect["term7"],
+                rel=1e-12,
+            ), times
+            assert rep.composite_full[-1] == pytest.approx(
+                sum(expect.values()), rel=1e-12), times
+            assert rep.terms["term7"][0] == 0.0  # no time elapsed: no L2 mass
 
     def test_homogeneity(self):
         g = Grid(16, 9)
@@ -362,17 +368,24 @@ class TestEnergyE1:
         with pytest.raises(ValueError, match="needs v and vt"):
             energy_E1(zero_samples(g, [0.0, 0.5]), 0.5, P)
 
+    # the lone t = 0 sample pins the first row, which cmd_run reports as
+    # data_norm
+    ORACLE_TIMES = ([0.0, 0.08, 0.16], [0.0])
+
     def test_matches_blockwise_oracle(self):
         g = Grid(32, 17)
-        rng = np.random.default_rng(17)
-        times = [0.0, 0.08, 0.16]
-        samples = random_samples(g, rng, times, modes=(1, 2, 4), with_pair=True)
         eps = 0.3
-        rep = energy_E1(samples, eps, P)
-        expect = oracle_E1(samples, eps, P)
-        for name, val in expect.items():
-            assert rep.terms[name][-1] == pytest.approx(val, rel=1e-12), name
-        assert rep.composite[-1] == pytest.approx(sum(expect.values()), rel=1e-12)
+        for times in self.ORACLE_TIMES:
+            rng = np.random.default_rng(17)
+            samples = random_samples(g, rng, times, modes=(1, 2, 4), with_pair=True)
+            rep = energy_E1(samples, eps, P)
+            expect = oracle_E1(samples, eps, P)
+            for name, val in expect.items():
+                got = rep.terms[name][-1]
+                assert got == pytest.approx(val, rel=1e-12), (times, name)
+            assert rep.composite[-1] == pytest.approx(
+                sum(expect.values()), rel=1e-12), times
+            assert rep.terms["term4"][0] == 0.0  # no time elapsed: no L2 mass
 
     def test_pair_terms_scale_linearly_in_eps(self):
         # with u = ut = 0 the (u, eps v) terms reduce to eps v, so term2

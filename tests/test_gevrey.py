@@ -3,13 +3,11 @@
 import numpy as np
 import pytest
 
-from stripflow.grid import Field, Grid, dy, l2_norm, mean_y, to_physical
+from stripflow.grid import Field, Grid, l2_norm, mean_y, to_physical
 from stripflow import paley
 from stripflow.gevrey import (
     GevreyParams,
     apply_gevrey,
-    initial_norm_H0,
-    initial_norm_H1,
     make_gevrey_data,
     phi,
     radius,
@@ -277,68 +275,3 @@ class TestMakeGevreyData:
             make_gevrey_data(g, DEFAULT, profile="nope")
         with pytest.raises(ValueError, match="m_max"):
             make_gevrey_data(g, DEFAULT, m_max=32)
-
-
-class TestInitialNorms:
-    def test_zero_data(self):
-        g = Grid(64, 17)
-        z = Field.zeros(g)
-        assert initial_norm_H0(z, z, 0.5, DEFAULT) == 0.0
-        assert initial_norm_H1(z, z, z, z, 0.1, DEFAULT) == 0.0
-
-    def test_homogeneity(self):
-        g = Grid(64, 33)
-        u0, u1 = make_gevrey_data(g, DEFAULT, amplitude=1e-3, m_max=6)
-        a1 = initial_norm_H0(u0, u1, 0.5, DEFAULT)
-        a2 = initial_norm_H0(3.0 * u0, 3.0 * u1, 0.5, DEFAULT)
-        assert a2 == pytest.approx(3.0 * a1, rel=1e-12)
-
-    def test_single_band_term_by_term_oracle(self):
-        g = Grid(64, 33)
-        p = DEFAULT
-        u0, u1 = make_gevrey_data(g, p, amplitude=1e-3, m_max=1)
-        W = lambda f: apply_gevrey(f, 0.0, p, +1)
-        comps = (W(u0), W(u1), W(dy(u0)))
-
-        # independent route: per-block L2 via explicit projectors
-        bank = paley.get_bank(g)
-
-        def oracle_multi(fields, s):
-            total = 0.0
-            for k in bank.ks:
-                sq = sum(l2_norm(paley.delta_k(f, k, bank)) ** 2 for f in fields)
-                if k == bank.k_min:
-                    sq += sum(
-                        g.Lx * float(np.abs(f.coeff[0]) ** 2 @ g.trapz_w)
-                        for f in fields
-                    )
-                total += 2.0 ** (k * s) * np.sqrt(sq)
-            return total
-
-        aK = p.a * p.K
-        expect = (
-            oracle_multi(comps, 0.5)
-            + np.sqrt(aK) * oracle_multi((W(u0),), 0.75)
-            + aK * oracle_multi((W(u0),), 1.0)
-        )
-        assert initial_norm_H0(u0, u1, 0.5, p) == pytest.approx(expect, rel=1e-12)
-
-    def test_H1_reduces_when_v_zero(self):
-        from stripflow.grid import dx as dx_op
-
-        g = Grid(64, 33)
-        p = DEFAULT
-        u0, u1 = make_gevrey_data(g, p, amplitude=1e-3, m_max=4)
-        z = Field.zeros(g)
-        eps = 0.25
-        W = lambda f: apply_gevrey(f, 0.0, p, +1)
-        aK = p.a * p.K
-        expect = (
-            paley.besov_norm(
-                (W(u0), z, eps * W(dx_op(u0)), z, W(dy(u0)), z, W(u1), z), 0.5
-            )
-            + np.sqrt(aK) * paley.besov_norm((W(u0), z), 0.75)
-            + aK * paley.besov_norm((W(u0), z), 1.0)
-        )
-        got = initial_norm_H1(u0, z, u1, z, eps, p)
-        assert got == pytest.approx(expect, rel=1e-12)

@@ -22,8 +22,9 @@ from stripflow.harness import (
     resolve_output_dir,
     write_snapshot,
 )
+from stripflow.diagnostics import energy_E1, energy_E_s
 from stripflow.hns import make_hns_data
-from stripflow.gevrey import GevreyParams, initial_norm_H0, initial_norm_H1
+from stripflow.gevrey import GevreyParams
 from stripflow.prandtl import PrandtlState, SolverAbort
 
 
@@ -141,6 +142,7 @@ class TestSnapshots:
         assert back.u.grid == g
         assert np.array_equal(back.u.coeff, st.u.coeff)
         assert np.array_equal(back.ut.coeff, st.ut.coeff)
+        assert np.shares_memory(back.u.coeff, back.stack)
 
     def test_hns_round_trip(self, tmp_path):
         g = Grid(16, 17)
@@ -172,6 +174,31 @@ class TestSnapshots:
         raw[4] = 99
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="version"):
+            read_snapshot(path)
+
+    def test_unknown_kind_rejected(self, tmp_path):
+        # the kind is checked before the payload size it determines
+        g = Grid(8, 9)
+        path = write_snapshot(tmp_path / "k.snap", self.rand_state(g))
+        raw = bytearray(path.read_bytes())
+        raw[5] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="unknown snapshot kind"):
+            read_snapshot(path)
+
+    def test_corrupt_size_rejected_before_grid(self, tmp_path, monkeypatch):
+        # a Grid of the header's Nx = 2^31 would allocate tens of GB
+        g = Grid(8, 9)
+        path = write_snapshot(tmp_path / "n.snap", self.rand_state(g))
+        raw = bytearray(path.read_bytes())
+        raw[6:10] = (2**31).to_bytes(4, "little")
+        path.write_bytes(bytes(raw))
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("Grid built before the payload size was checked")
+
+        monkeypatch.setattr(harness, "Grid", no_grid)
+        with pytest.raises(ValueError, match="expected"):
             read_snapshot(path)
 
 
@@ -294,10 +321,10 @@ class TestCmdRun:
         p = cfg.gevrey_params()
         u0, u1 = cfg.make_data()
         if kind == "prandtl":
-            expect = initial_norm_H0(u0, u1, 0.5, p)
+            expect = energy_E_s([PrandtlState(u0, u1)], 0.5, p).composite[0]
         else:
             s = make_hns_data(u0, p, eps=cfg.eps, u1=u1)
-            expect = initial_norm_H1(s.u, s.v, s.ut, s.vt, cfg.eps, p)
+            expect = energy_E1([s], cfg.eps, p).composite[0]
         assert np.isfinite(meta["data_norm"]) and meta["data_norm"] > 0.0
         assert meta["data_norm"] == expect
 

@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -19,3 +20,12 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name}: assert statements on lines {lines}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_all_names_exist(path):
+    # a stale __all__ entry breaks `from stripflow.<module> import *`
+    module = importlib.import_module(f"stripflow.{path.stem}")
+    names = getattr(module, "__all__", ())
+    missing = [name for name in names if not hasattr(module, name)]
+    assert missing == [], f"{path.name}: __all__ names {missing} are not defined"
