@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gevrey import GevreyParams, apply_gevrey, radius, theta_dot
+from .gevrey import GevreyParams, apply_gevrey, gevrey_weight, radius, theta_dot
 from .grid import Field, dx, dy, frac_dx
 from .paley import NormSeries, besov_norm, get_bank, mode_density, norm_series_update
 
@@ -255,10 +255,11 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
     """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
 
     def parts(smp, td, rep):
-        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep)
-        ut_phi = apply_gevrey(smp.ut, smp.t, p, +1)
+        w = gevrey_weight(smp.u.grid, smp.t, p)
+        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
+        ut_phi = apply_gevrey(smp.ut, smp.t, p, +1, weight=w)
         return {"u": mode_density(u_phi), "ut": mode_density(ut_phi),
-                "dy_u": mode_density(apply_gevrey(dy(smp.u), smp.t, p, +1)),
+                "dy_u": mode_density(apply_gevrey(dy(smp.u), smp.t, p, +1, weight=w)),
                 "dt_of_u": mode_density(ut_phi - p.lam * td * frac_dx(u_phi, 0.5))}
 
     return _assemble(list(samples), s, p, p.K, E_S_TABLE, parts)
@@ -278,8 +279,9 @@ def energy_E1(
         raise ValueError("energy_E1 needs v and vt on every sample")
 
     def parts(smp, td, rep):
-        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep)
-        ev_phi = eps * apply_gevrey(smp.v, smp.t, p, +1)
+        w = gevrey_weight(smp.u.grid, smp.t, p)
+        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
+        ev_phi = eps * apply_gevrey(smp.v, smp.t, p, +1, weight=w)
         return {
             "u": mode_density(u_phi),
             "ev": mode_density(ev_phi),
@@ -287,8 +289,8 @@ def energy_E1(
             "eps_dx_ev": mode_density(eps * dx(ev_phi)),
             "dy_u": mode_density(dy(u_phi)),
             "dy_ev": mode_density(dy(ev_phi)),
-            "ut": mode_density(apply_gevrey(smp.ut, smp.t, p, +1)),
-            "evt": mode_density(eps * apply_gevrey(smp.vt, smp.t, p, +1)),
+            "ut": mode_density(apply_gevrey(smp.ut, smp.t, p, +1, weight=w)),
+            "evt": mode_density(eps * apply_gevrey(smp.vt, smp.t, p, +1, weight=w)),
         }
 
     return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE, parts)

@@ -29,6 +29,7 @@ __all__ = [
     "theta_dot",
     "radius",
     "phi",
+    "gevrey_weight",
     "apply_gevrey",
     "make_gevrey_data",
     "PROFILES",
@@ -105,32 +106,45 @@ def phi(t, xi, p: GevreyParams):
     return radius(t, p) * np.sqrt(np.abs(xi))
 
 
+def gevrey_weight(grid: Grid, t: float, p: GevreyParams):
+    """(Phi(t, xi_m) per x-mode, the column of factors e^{Phi}).
+
+    Computed once, it serves every `apply_gevrey(..., sign=+1)` of one
+    sample time.  The factor at the largest grid frequency must not
+    overflow float64 for O(1) coefficients.
+    """
+    ph = phi(t, grid.abs_xi, p)
+    if ph.max() > _EXP_OVERFLOW:
+        raise OverflowError(
+            f"Gevrey weight e^{{{ph.max():.1f}}} at |xi|={grid.abs_xi.max():.1f} "
+            "overflows float64; shrink the radius or the grid"
+        )
+    return ph, np.exp(ph)[:, None]
+
+
 def apply_gevrey(
-    f: Field, t: float, p: GevreyParams, sign: int, report: dict | None = None
+    f: Field, t: float, p: GevreyParams, sign: int, report: dict | None = None,
+    weight=None,
 ) -> Field:
     """Multiply mode m by e^{sign Phi(t, xi_m)}.
 
     For sign = +1 (amplification) two guards apply: coefficients below
     SPECTRAL_FLOOR relative to the field's max modulus are zeroed before
-    weighting, and the weight at the largest grid frequency must not
-    overflow float64 for O(1) coefficients.  If `report` is a dict it
-    receives the trust horizon: the largest |xi| at which
+    weighting, and the weight must not overflow (see `gevrey_weight`).
+    `weight`, if given, is `gevrey_weight(f.grid, t, p)`, computed once for
+    the fields of one sample; it serves sign = +1 only.  If `report` is a
+    dict it receives the trust horizon: the largest |xi| at which
     Phi + log(relative coefficient) still exceeds -3, i.e. where the
     weighted output stands above amplified roundoff.
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     g = f.grid
-    ph = phi(t, g.abs_xi, p)
     if sign > 0:
-        if ph.max() > _EXP_OVERFLOW:
-            raise OverflowError(
-                f"Gevrey weight e^{{{ph.max():.1f}}} at |xi|={g.abs_xi.max():.1f} "
-                "overflows float64; shrink the radius or the grid"
-            )
+        ph, factor = gevrey_weight(g, t, p) if weight is None else weight
         mag = np.abs(f.coeff)
         scale = mag.max()
-        c = f.coeff * np.exp(ph)[:, None]
+        c = f.coeff * factor
         floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
         c[floored] = 0.0
         if report is not None:
@@ -141,7 +155,7 @@ def apply_gevrey(
             report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
             report["floored_modes"] = np.count_nonzero(mode_mag[g.abs_xi > 0] == 0)
         return Field(g, c)
-    return Field(g, f.coeff * np.exp(-ph)[:, None])
+    return Field(g, f.coeff * np.exp(-phi(t, g.abs_xi, p))[:, None])
 
 
 def _sin2py(y: np.ndarray) -> np.ndarray:

@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from .blas import one_blas_thread
 from .diagnostics import EnergyReport, Sample, energy_E1, energy_E_s
 from .gevrey import PROFILES, GevreyParams, make_gevrey_data
 from .grid import Field, Grid, l2_norm, unstack
@@ -48,7 +49,7 @@ _GROUPS = {
     "gevrey": ("a", "lam", "poincare"),
     "data": ("amplitude", "m_max", "profile", "u1"),
     "solver": ("dt", "cfl_factor", "T_final", "n_proj", "n_check", "pressure_factor"),
-    "experiment": ("kind", "eps", "eps_list", "self_test"),
+    "experiment": ("kind", "eps", "eps_list", "self_test", "workers"),
     "output": ("directory", "sample_every"),
 }
 
@@ -76,6 +77,8 @@ _DOCS = {
     "eps_list": "sweep members; positive, strictly decreasing, >= 3 entries",
     "self_test": "sweep self-comparison: members rerun the reference solver, "
     "errors must sit at zero and the slope fit is skipped",
+    "workers": "sweep processes, the parent included (>= 1); null selects the "
+    "usable cores, capped at the member count",
     "directory": "output directory; relative paths live under "
     f"${OUTPUT_ROOT_ENV} when that is set",
     "sample_every": "diagnostic sampling cadence in steps (>= 1)",
@@ -106,6 +109,7 @@ class RunConfig:
     eps: float = 0.5
     eps_list: tuple = (0.1, 0.05, 0.025, 0.0125)
     self_test: bool = False
+    workers: int | None = None
     directory: str = "stripflow-out"
     sample_every: int = 10
 
@@ -154,6 +158,10 @@ class RunConfig:
             raise ValueError(f"eps_list must be strictly decreasing, got {eps_list}")
         if self.kind == "sweep" and len(eps_list) < 3:
             raise ValueError(f"a sweep needs >= 3 eps values, got {len(eps_list)}")
+        if self.workers is not None and (type(self.workers) is not int
+                                         or self.workers < 1):
+            raise ValueError(
+                f"workers must be an integer >= 1 or null, got {self.workers!r}")
         if not self.directory:
             raise ValueError("output directory must be a nonempty path")
 
@@ -179,6 +187,13 @@ class RunConfig:
         if self.u1 == "half-decay":
             u1 = u0 * (-0.5)
         return u0, u1
+
+    def sweep_workers(self) -> int:
+        """Processes a sweep asks for: `workers`, else the usable cores
+        capped at the member count."""
+        if self.workers is not None:
+            return self.workers
+        return min(len(os.sched_getaffinity(0)), len(self.eps_list))
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -517,6 +532,16 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     times.  Per member: sup-in-time and final-time L2 error of the
     horizontal difference, plus the undamped pair-energy of the difference
     fields.  Writes sweep.csv and metadata.json into the output directory.
+
+    The whole sweep runs with BLAS on one thread, so sweep.csv does not
+    depend on the thread count or on the number of workers.  The
+    reference runs first; then `cfg.sweep_workers() - 1` forked processes
+    inherit its samples, and member i runs in worker i % workers, the
+    parent being worker 0 (see `_in_workers`).  Without BLAS thread
+    control the sweep stays in one process.  metadata.json records the
+    worker count used.  The parent's wait for its children counts as
+    stepping, so `steps_per_s` (the reference's and every member's steps
+    over the parent's stepping time) is a throughput.
     """
     cfg.validate()
     if cfg.kind != "sweep":
@@ -525,21 +550,20 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     clock = _Timings()
     p = cfg.gevrey_params()
     data = cfg.make_data()
+    g = data[0].grid
 
     def trajectory(eps):
-        """Samples of one run, the limit system's with its slaved pair."""
+        """Samples of one run, the limit system's with its slaved pair;
+        raises the SolverAbort that stopped the run."""
         run = _Run(cfg, clock, data, eps)
         samples = [_pair_sample(s) if eps is None else s for s in run.steps()]
         if run.abort is not None:
-            who = "reference (prandtl)" if eps is None else f"member eps={eps}"
-            raise RuntimeError(f"sweep {who} aborted: {run.abort}") from run.abort
+            raise run.abort
         return samples
 
-    reference = trajectory(None)
-    ref_times = np.array([s.t for s in reference])
-    g = data[0].grid
-    sup_errors, final_errors, energy_errors = [], [], []
-    for eps in cfg.eps_list:
+    def member_errors(i):
+        """(sup, final, energy) errors of member i against the reference."""
+        eps = cfg.eps_list[i]
         member = trajectory(None if cfg.self_test else eps)
         times = np.array([s.t for s in member])
         if not np.array_equal(times, ref_times):
@@ -550,12 +574,35 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
                                for k in ("u", "ut", "v", "vt")))
                  for m, r in zip(member, reference)]
         errs = np.array([l2_norm(d.u) for d in diffs])
-        sup_errors.append(float(errs.max()))
-        final_errors.append(float(errs[-1]))
-        energy_errors.append(
-            float(energy_E1(diffs, eps, p, decay_rates=False).composite[-1])
-        )
+        energy = energy_E1(diffs, eps, p, decay_rates=False).composite[-1]
         clock.lap("diagnostics")
+        return float(errs.max()), float(errs[-1]), float(energy)
+
+    def share(worker, workers):
+        """{index: errors} of one worker's members, in order; the first
+        abort takes its member's place and ends the share."""
+        done = {}
+        for i in range(worker, len(cfg.eps_list), workers):
+            try:
+                done[i] = member_errors(i)
+            except SolverAbort as exc:
+                done[i] = exc
+                break
+        return done
+
+    with one_blas_thread() as pinned:
+        workers = cfg.sweep_workers() if pinned else 1
+        try:
+            reference = trajectory(None)
+        except SolverAbort as exc:
+            raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
+        ref_times = np.array([s.t for s in reference])
+        done = _in_workers(share, workers, clock)
+    for i, eps in enumerate(cfg.eps_list):
+        if isinstance(done[i], SolverAbort):
+            raise RuntimeError(f"sweep member eps={eps} aborted: {done[i]}") from done[i]
+    sup_errors, final_errors, energy_errors = zip(
+        *(done[i] for i in range(len(cfg.eps_list))))
 
     if cfg.self_test or min(sup_errors) <= 0.0:
         slope = intercept = None
@@ -565,9 +612,9 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
 
     result = SweepResult(
         eps=tuple(cfg.eps_list),
-        sup_errors=tuple(sup_errors),
-        final_errors=tuple(final_errors),
-        energy_errors=tuple(energy_errors),
+        sup_errors=sup_errors,
+        final_errors=final_errors,
+        energy_errors=energy_errors,
         slope=slope,
         intercept=intercept,
         directory=str(out),
@@ -584,10 +631,63 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         slope=slope,
         intercept=intercept,
         self_test=cfg.self_test,
+        workers=workers,
         dt=cfg.effective_dt(),
         planned_steps=cfg.n_steps(),
     )
     return result
+
+
+def _in_workers(share, workers: int, clock: _Timings) -> dict:
+    """Merged `share(w, workers)` dicts over the workers w < `workers`.
+
+    Worker 0 is this process; the others are children forked through an
+    explicit "fork" context (they inherit every object, the caller's
+    samples and caches included) that send their dict back through a
+    pipe.  The wait for them is charged to `clock` as stepping.  A child
+    that exits without sending, or with a nonzero code, raises
+    RuntimeError; any exit from here ends every child first.
+    """
+    import multiprocessing  # on first use: ~10 ms that a plain run never needs
+
+    ctx = multiprocessing.get_context("fork")
+    children = []
+    try:
+        for w in range(1, workers):
+            recv, send = ctx.Pipe(duplex=False)
+            proc = ctx.Process(target=_send_share, args=(share, w, workers, send),
+                               daemon=True)
+            proc.start()
+            send.close()  # EOF on recv once the child's end is gone
+            children.append((w, proc, recv))
+        done = share(0, workers)
+        for w, proc, recv in children:
+            try:
+                done.update(recv.recv())
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"sweep worker {w} exited with code "
+                                   f"{proc.exitcode} without sending results") from None
+            proc.join()
+            if proc.exitcode != 0:
+                raise RuntimeError(f"sweep worker {w} exited with code {proc.exitcode}")
+        clock.lap("stepping")
+        return done
+    finally:
+        for _, proc, recv in children:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
+
+
+def _send_share(share, worker: int, workers: int, conn) -> None:
+    """Child side of `_in_workers`: send this worker's share.  An abort
+    goes without its state, which stays in the process that made it."""
+    done = share(worker, workers)
+    conn.send({i: SolverAbort(r.reason, None, r.stage) if isinstance(r, SolverAbort)
+               else r for i, r in done.items()})
+    conn.close()
 
 
 def _pair_sample(state: PrandtlState) -> Sample:

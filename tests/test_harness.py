@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stripflow import cli, harness
+from stripflow import blas, cli, harness
 from stripflow.grid import Field, Grid, to_spectral
 from stripflow.harness import (
     RunConfig,
@@ -26,6 +26,11 @@ from stripflow.diagnostics import energy_E1, energy_E_s
 from stripflow.hns import make_hns_data
 from stripflow.gevrey import GevreyParams
 from stripflow.prandtl import PrandtlState, SolverAbort
+
+
+# without BLAS thread control a sweep stays in one process
+forks = pytest.mark.skipif(blas._openblas() is None,
+                           reason="no BLAS thread control found: sweeps do not fork")
 
 
 def small_cfg(tmp_path, **overrides):
@@ -98,6 +103,19 @@ class TestConfig:
         cfg = RunConfig(**overrides)
         with pytest.raises(ValueError, match=match):
             cfg.validate()
+
+    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
+    def test_bad_workers_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            RunConfig(workers=workers).validate()
+
+    def test_workers_default_caps_cores_at_members(self):
+        cfg = RunConfig.from_dict({"experiment": {"kind": "sweep"}})
+        cores = len(os.sched_getaffinity(0))
+        assert cfg.workers is None
+        assert cfg.sweep_workers() == min(cores, len(cfg.eps_list))
+        cfg = RunConfig.from_dict({"experiment": {"kind": "sweep", "workers": 3}})
+        assert cfg.sweep_workers() == 3
 
     def test_schema_covers_every_key(self):
         schema = RunConfig.schema()
@@ -288,7 +306,7 @@ class TestCmdRun:
         ("hns", "time,l2.u,l2.ut,div.rel,E_1.term1.Linf.B_1/2,E_1.term2.Linf.B_3/4,"
          "E_1.term3.Linf.B_1,E_1.term4.L2.B_1/2,E_1.composite,point.u.B_1/2,"
          "point.dy_u.B_1/2,point.ut.B_1/2,radius,trust_horizon"),
-    ])
+    ], ids=["prandtl", "hns"])
     def test_energy_csv_header(self, tmp_path, kind, header):
         out = cmd_run(small_cfg(tmp_path, kind=kind, eps=0.3))
         with open(out / "energy.csv", encoding="utf-8") as fh:
@@ -414,22 +432,87 @@ class TestCmdSweep:
         with pytest.raises(ValueError, match="cmd_sweep needs"):
             cmd_sweep(small_cfg(tmp_path))
 
-    @pytest.mark.parametrize("step, match", [
-        pytest.param("hns_step", r"sweep member eps=0\.2 aborted", id="member"),
-        pytest.param("prandtl_step", r"sweep reference \(prandtl\) aborted",
+    @pytest.mark.parametrize("step, workers, fails, match", [
+        pytest.param("hns_step", 1, None, r"sweep member eps=0\.2 aborted",
+                     id="member"),
+        pytest.param("prandtl_step", 1, None, r"sweep reference \(prandtl\) aborted",
                      id="reference"),
+        # member 1 runs in the forked worker 1; the patched step goes with it
+        pytest.param("hns_step", 2, 0.1, r"sweep member eps=0\.1 aborted",
+                     id="member-in-child", marks=forks),
     ])
-    def test_member_abort_names_member(self, tmp_path, monkeypatch, step, match):
+    def test_member_abort_names_member(self, tmp_path, monkeypatch, step, workers,
+                                       fails, match):
+        real_step = getattr(harness, step)
+
         def exploding_step(state, dt, **kw):
-            raise SolverAbort("synthetic failure", state)
+            if fails is None or state.eps == fails:
+                raise SolverAbort("synthetic failure", state, stage=3)
+            return real_step(state, dt, **kw)
 
         monkeypatch.setattr(harness, step, exploding_step)
-        cfg = small_cfg(
-            tmp_path, kind="sweep", T_final=0.25, eps_list=(0.2, 0.1, 0.05)
-        )
+        cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25,
+                        eps_list=(0.2, 0.1, 0.05), workers=workers)
         with pytest.raises(RuntimeError, match=match) as info:
             cmd_sweep(cfg)
-        assert isinstance(info.value.__cause__, SolverAbort)
+        cause = info.value.__cause__
+        assert isinstance(cause, SolverAbort)
+        assert (cause.reason, cause.stage) == ("synthetic failure", 3)
+        assert (cause.state is None) == (workers > 1)  # a state never crosses the pipe
+
+    @forks
+    @pytest.mark.parametrize("when", ["before-sending", "after-sending"])
+    def test_dead_worker_raises(self, tmp_path, monkeypatch, when):
+        parent = os.getpid()
+        if when == "before-sending":
+            real_step = harness.hns_step
+
+            def dying_step(state, dt, **kw):
+                if os.getpid() != parent:
+                    os._exit(3)
+                return real_step(state, dt, **kw)
+
+            monkeypatch.setattr(harness, "hns_step", dying_step)
+        else:
+            real_send = harness._send_share
+
+            def send_then_die(*args):
+                real_send(*args)
+                os._exit(3)
+
+            monkeypatch.setattr(harness, "_send_share", send_then_die)
+        cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25,
+                        eps_list=(0.2, 0.1, 0.05), workers=2)
+        with pytest.raises(RuntimeError, match="sweep worker 1 exited with code 3"):
+            cmd_sweep(cfg)
+
+    @forks
+    def test_sweep_csv_independent_of_workers(self, tmp_path):
+        csv_bytes = {}
+        for workers in (1, 2):
+            res = cmd_sweep(small_cfg(tmp_path / f"w{workers}", kind="sweep",
+                                      T_final=0.25, eps_list=(0.2, 0.1, 0.05),
+                                      workers=workers))
+            out = Path(res.directory)
+            csv_bytes[workers] = (out / "sweep.csv").read_bytes()
+            assert json.loads((out / "metadata.json").read_text())["workers"] == workers
+        assert csv_bytes[1] == csv_bytes[2]
+
+    @forks
+    def test_blas_on_one_thread_during_sweep_only(self, tmp_path, monkeypatch):
+        get_threads = blas._openblas()[0]
+        before, seen = get_threads(), set()
+        real_step = harness.hns_step
+
+        def recording_step(state, dt, **kw):
+            seen.add(get_threads())
+            return real_step(state, dt, **kw)
+
+        monkeypatch.setattr(harness, "hns_step", recording_step)
+        cmd_sweep(small_cfg(tmp_path, kind="sweep", T_final=0.25,
+                            eps_list=(0.2, 0.1, 0.05), workers=1))
+        assert seen == {1}
+        assert get_threads() == before
 
 
 class TestCmdReport:
