@@ -21,8 +21,10 @@ import csv
 import dataclasses
 import json
 import os
+import pickle
 import struct
 import time
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,7 +51,7 @@ _GROUPS = {
     "gevrey": ("a", "lam", "poincare"),
     "data": ("amplitude", "m_max", "profile", "u1"),
     "solver": ("dt", "cfl_factor", "T_final", "n_proj", "n_check", "pressure_factor"),
-    "experiment": ("kind", "eps", "eps_list", "self_test", "workers"),
+    "experiment": ("kind", "eps", "eps_list", "self_test"),
     "output": ("directory", "sample_every"),
 }
 
@@ -77,8 +79,6 @@ _DOCS = {
     "eps_list": "sweep members; positive, strictly decreasing, >= 3 entries",
     "self_test": "sweep self-comparison: members rerun the reference solver, "
     "errors must sit at zero and the slope fit is skipped",
-    "workers": "sweep processes, the parent included (>= 1); null selects the "
-    "usable cores, capped at the member count",
     "directory": "output directory; relative paths live under "
     f"${OUTPUT_ROOT_ENV} when that is set",
     "sample_every": "diagnostic sampling cadence in steps (>= 1)",
@@ -109,7 +109,6 @@ class RunConfig:
     eps: float = 0.5
     eps_list: tuple = (0.1, 0.05, 0.025, 0.0125)
     self_test: bool = False
-    workers: int | None = None
     directory: str = "stripflow-out"
     sample_every: int = 10
 
@@ -158,10 +157,6 @@ class RunConfig:
             raise ValueError(f"eps_list must be strictly decreasing, got {eps_list}")
         if self.kind == "sweep" and len(eps_list) < 3:
             raise ValueError(f"a sweep needs >= 3 eps values, got {len(eps_list)}")
-        if self.workers is not None and (type(self.workers) is not int
-                                         or self.workers < 1):
-            raise ValueError(
-                f"workers must be an integer >= 1 or null, got {self.workers!r}")
         if not self.directory:
             raise ValueError("output directory must be a nonempty path")
 
@@ -187,13 +182,6 @@ class RunConfig:
         if self.u1 == "half-decay":
             u1 = u0 * (-0.5)
         return u0, u1
-
-    def sweep_workers(self) -> int:
-        """Processes a sweep asks for: `workers`, else the usable cores
-        capped at the member count."""
-        if self.workers is not None:
-            return self.workers
-        return min(len(os.sched_getaffinity(0)), len(self.eps_list))
 
     def to_dict(self) -> dict:
         out: dict = {}
@@ -535,11 +523,12 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
 
     The whole sweep runs with BLAS on one thread, so sweep.csv does not
     depend on the thread count or on the number of workers.  The
-    reference runs first; then `cfg.sweep_workers() - 1` forked processes
-    inherit its samples, and member i runs in worker i % workers, the
-    parent being worker 0 (see `_in_workers`).  Without BLAS thread
-    control the sweep stays in one process.  metadata.json records the
-    worker count used.  The parent's wait for its children counts as
+    reference runs first; then `workers - 1` forked processes inherit its
+    samples, and member i runs in worker i % workers, the parent being
+    worker 0 (see `_in_workers`).  `workers` is the usable cores capped at
+    the member count, or 1 without BLAS thread control; metadata.json
+    records it.  A member's error is raised the same way whichever
+    worker ran it.  The parent's wait for its children counts as
     stepping, so `steps_per_s` (the reference's and every member's steps
     over the parent's stepping time) is a throughput.
     """
@@ -567,9 +556,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         member = trajectory(None if cfg.self_test else eps)
         times = np.array([s.t for s in member])
         if not np.array_equal(times, ref_times):
-            raise RuntimeError(
-                f"sweep member eps={eps}: sample times diverged from the reference"
-            )
+            raise RuntimeError("sample times diverged from the reference")
         diffs = [Sample(m.t, *(Field(g, getattr(m, k).coeff - getattr(r, k).coeff)
                                for k in ("u", "ut", "v", "vt")))
                  for m, r in zip(member, reference)]
@@ -580,27 +567,30 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
 
     def share(worker, workers):
         """{index: errors} of one worker's members, in order; the first
-        abort takes its member's place and ends the share."""
+        error (an abort or any other) takes its member's place and ends
+        the share."""
         done = {}
         for i in range(worker, len(cfg.eps_list), workers):
             try:
                 done[i] = member_errors(i)
-            except SolverAbort as exc:
+            except Exception as exc:
                 done[i] = exc
                 break
         return done
 
     with one_blas_thread() as pinned:
-        workers = cfg.sweep_workers() if pinned else 1
+        cores = len(os.sched_getaffinity(0))
+        workers = min(cores, len(cfg.eps_list)) if pinned else 1
         try:
             reference = trajectory(None)
         except SolverAbort as exc:
             raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
         ref_times = np.array([s.t for s in reference])
         done = _in_workers(share, workers, clock)
-    for i, eps in enumerate(cfg.eps_list):
-        if isinstance(done[i], SolverAbort):
-            raise RuntimeError(f"sweep member eps={eps} aborted: {done[i]}") from done[i]
+    for i, eps in enumerate(cfg.eps_list):  # the first failed member is raised
+        if isinstance(done[i], Exception):
+            what = "aborted" if isinstance(done[i], SolverAbort) else "failed"
+            raise RuntimeError(f"sweep member eps={eps} {what}: {done[i]}") from done[i]
     sup_errors, final_errors, energy_errors = zip(
         *(done[i] for i in range(len(cfg.eps_list))))
 
@@ -657,7 +647,15 @@ def _in_workers(share, workers: int, clock: _Timings) -> dict:
             recv, send = ctx.Pipe(duplex=False)
             proc = ctx.Process(target=_send_share, args=(share, w, workers, send),
                                daemon=True)
-            proc.start()
+            with warnings.catch_warnings():
+                # Python >= 3.12 warns on forking a process with several
+                # threads.  The only others here are OpenBLAS's pool, which
+                # its own fork handler shuts down before the fork, and the
+                # children run BLAS on one thread.
+                warnings.filterwarnings(
+                    "ignore", r"This process .*is multi-threaded, use of fork\(\)",
+                    DeprecationWarning)
+                proc.start()
             send.close()  # EOF on recv once the child's end is gone
             children.append((w, proc, recv))
         done = share(0, workers)
@@ -682,12 +680,27 @@ def _in_workers(share, workers: int, clock: _Timings) -> dict:
 
 
 def _send_share(share, worker: int, workers: int, conn) -> None:
-    """Child side of `_in_workers`: send this worker's share.  An abort
-    goes without its state, which stays in the process that made it."""
+    """Child side of `_in_workers`: send this worker's share, its error
+    in the form `_portable` gives it."""
     done = share(worker, workers)
-    conn.send({i: SolverAbort(r.reason, None, r.stage) if isinstance(r, SolverAbort)
-               else r for i, r in done.items()})
+    conn.send({i: _portable(r) if isinstance(r, Exception) else r
+               for i, r in done.items()})
     conn.close()
+
+
+def _portable(exc: Exception) -> Exception:
+    """`exc` as it crosses a pipe: a SolverAbort keeps `reason` and `stage`
+    but not its state, which stays in the process that made it; another
+    error keeps its type and message when the type rebuilds from the
+    message alone, and becomes a RuntimeError naming the type otherwise."""
+    if isinstance(exc, SolverAbort):
+        return SolverAbort(exc.reason, None, exc.stage)
+    try:
+        copy = type(exc)(str(exc))
+        pickle.dumps(copy)
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return copy
 
 
 def _pair_sample(state: PrandtlState) -> Sample:

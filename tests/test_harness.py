@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,11 @@ from stripflow.prandtl import PrandtlState, SolverAbort
 # without BLAS thread control a sweep stays in one process
 forks = pytest.mark.skipif(blas._openblas() is None,
                            reason="no BLAS thread control found: sweeps do not fork")
+
+
+def use_cores(monkeypatch, n):
+    """Make a sweep see `n` usable cores, so it asks for min(n, members) workers."""
+    monkeypatch.setattr(harness.os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
 def small_cfg(tmp_path, **overrides):
@@ -103,19 +109,6 @@ class TestConfig:
         cfg = RunConfig(**overrides)
         with pytest.raises(ValueError, match=match):
             cfg.validate()
-
-    @pytest.mark.parametrize("workers", [0, -1, 1.5, True, "2"])
-    def test_bad_workers_rejected(self, workers):
-        with pytest.raises(ValueError, match="workers"):
-            RunConfig(workers=workers).validate()
-
-    def test_workers_default_caps_cores_at_members(self):
-        cfg = RunConfig.from_dict({"experiment": {"kind": "sweep"}})
-        cores = len(os.sched_getaffinity(0))
-        assert cfg.workers is None
-        assert cfg.sweep_workers() == min(cores, len(cfg.eps_list))
-        cfg = RunConfig.from_dict({"experiment": {"kind": "sweep", "workers": 3}})
-        assert cfg.sweep_workers() == 3
 
     def test_schema_covers_every_key(self):
         schema = RunConfig.schema()
@@ -432,33 +425,58 @@ class TestCmdSweep:
         with pytest.raises(ValueError, match="cmd_sweep needs"):
             cmd_sweep(small_cfg(tmp_path))
 
-    @pytest.mark.parametrize("step, workers, fails, match", [
-        pytest.param("hns_step", 1, None, r"sweep member eps=0\.2 aborted",
+    @pytest.mark.parametrize("step, cores, fails, error, match", [
+        pytest.param("hns_step", 1, None, "abort", r"sweep member eps=0\.2 aborted",
                      id="member"),
-        pytest.param("prandtl_step", 1, None, r"sweep reference \(prandtl\) aborted",
-                     id="reference"),
+        pytest.param("prandtl_step", 1, None, "abort",
+                     r"sweep reference \(prandtl\) aborted", id="reference"),
         # member 1 runs in the forked worker 1; the patched step goes with it
-        pytest.param("hns_step", 2, 0.1, r"sweep member eps=0\.1 aborted",
+        pytest.param("hns_step", 2, 0.1, "abort", r"sweep member eps=0\.1 aborted",
                      id="member-in-child", marks=forks),
+        # any other error reads the same whichever worker raised it
+        pytest.param("hns_step", 1, 0.1, "overflow",
+                     r"^sweep member eps=0\.1 failed: synthetic overflow$",
+                     id="error"),
+        pytest.param("hns_step", 2, 0.1, "overflow",
+                     r"^sweep member eps=0\.1 failed: synthetic overflow$",
+                     id="error-in-child", marks=forks),
     ])
-    def test_member_abort_names_member(self, tmp_path, monkeypatch, step, workers,
-                                       fails, match):
+    def test_member_abort_names_member(self, tmp_path, monkeypatch, step, cores,
+                                       fails, error, match):
         real_step = getattr(harness, step)
 
         def exploding_step(state, dt, **kw):
             if fails is None or state.eps == fails:
-                raise SolverAbort("synthetic failure", state, stage=3)
+                if error == "abort":
+                    raise SolverAbort("synthetic failure", state, stage=3)
+                raise OverflowError("synthetic overflow")
             return real_step(state, dt, **kw)
 
         monkeypatch.setattr(harness, step, exploding_step)
+        use_cores(monkeypatch, cores)
         cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25,
-                        eps_list=(0.2, 0.1, 0.05), workers=workers)
+                        eps_list=(0.2, 0.1, 0.05))
         with pytest.raises(RuntimeError, match=match) as info:
             cmd_sweep(cfg)
         cause = info.value.__cause__
+        if error == "overflow":
+            assert type(cause) is OverflowError
+            assert str(cause) == "synthetic overflow"
+            return
         assert isinstance(cause, SolverAbort)
         assert (cause.reason, cause.stage) == ("synthetic failure", 3)
-        assert (cause.state is None) == (workers > 1)  # a state never crosses the pipe
+        assert (cause.state is None) == (cores > 1)  # a state never crosses the pipe
+
+    def test_portable_errors(self):
+        class Custom(Exception):
+            def __init__(self, code, text):
+                super().__init__(f"{code}: {text}")
+
+        assert type(harness._portable(ValueError("bad"))) is ValueError
+        odd = harness._portable(Custom(7, "odd"))
+        assert type(odd) is RuntimeError and str(odd) == "Custom: 7: odd"
+        abort = harness._portable(SolverAbort("nan", object(), stage=2))
+        assert (abort.reason, abort.state, abort.stage) == ("nan", None, 2)
 
     @forks
     @pytest.mark.parametrize("when", ["before-sending", "after-sending"])
@@ -481,22 +499,44 @@ class TestCmdSweep:
                 os._exit(3)
 
             monkeypatch.setattr(harness, "_send_share", send_then_die)
+        use_cores(monkeypatch, 2)
         cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25,
-                        eps_list=(0.2, 0.1, 0.05), workers=2)
+                        eps_list=(0.2, 0.1, 0.05))
         with pytest.raises(RuntimeError, match="sweep worker 1 exited with code 3"):
             cmd_sweep(cfg)
 
     @forks
-    def test_sweep_csv_independent_of_workers(self, tmp_path):
+    def test_fork_warning_of_threaded_parent_is_not_an_error(self, tmp_path,
+                                                             monkeypatch):
+        # Python >= 3.12 emits this from os.fork when the process has threads
+        real_fork = os.fork
+
+        def warning_fork():
+            warnings.warn(f"This process (pid={os.getpid()}) is multi-threaded, use "
+                          "of fork() may lead to deadlocks in the child.",
+                          DeprecationWarning, stacklevel=2)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", warning_fork)
+        use_cores(monkeypatch, 2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = cmd_sweep(small_cfg(tmp_path, kind="sweep", T_final=0.25,
+                                      eps_list=(0.2, 0.1, 0.05)))
+        meta = json.loads((Path(res.directory) / "metadata.json").read_text())
+        assert meta["workers"] == 2
+
+    @forks
+    def test_sweep_csv_independent_of_workers(self, tmp_path, monkeypatch):
         csv_bytes = {}
-        for workers in (1, 2):
-            res = cmd_sweep(small_cfg(tmp_path / f"w{workers}", kind="sweep",
-                                      T_final=0.25, eps_list=(0.2, 0.1, 0.05),
-                                      workers=workers))
+        for cores, workers in ((1, 1), (2, 2), (8, 3)):  # capped at the members
+            use_cores(monkeypatch, cores)
+            res = cmd_sweep(small_cfg(tmp_path / f"c{cores}", kind="sweep",
+                                      T_final=0.25, eps_list=(0.2, 0.1, 0.05)))
             out = Path(res.directory)
             csv_bytes[workers] = (out / "sweep.csv").read_bytes()
             assert json.loads((out / "metadata.json").read_text())["workers"] == workers
-        assert csv_bytes[1] == csv_bytes[2]
+        assert csv_bytes[1] == csv_bytes[2] == csv_bytes[3]
 
     @forks
     def test_blas_on_one_thread_during_sweep_only(self, tmp_path, monkeypatch):
@@ -509,8 +549,9 @@ class TestCmdSweep:
             return real_step(state, dt, **kw)
 
         monkeypatch.setattr(harness, "hns_step", recording_step)
+        use_cores(monkeypatch, 1)
         cmd_sweep(small_cfg(tmp_path, kind="sweep", T_final=0.25,
-                            eps_list=(0.2, 0.1, 0.05), workers=1))
+                            eps_list=(0.2, 0.1, 0.05)))
         assert seen == {1}
         assert get_threads() == before
 
