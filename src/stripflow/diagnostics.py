@@ -1,7 +1,9 @@
 """Weighted energy functionals and decay-rate fits for sampled runs.
 
-Consumes a time-sampled trajectory (velocity and its time derivative,
-optionally the vertical pair) and assembles the tracked quantities:
+Consumes a time-sampled trajectory, a sequence of samples with the time
+`t`, the velocity `u` and its time derivative `ut` (and the vertical pair
+`v`, `vt` for the scaled energy), such as the solver states themselves,
+and assembles the tracked quantities:
 
 * per-sample Gevrey-weighted Besov norms,
 * accumulated Chemin-Lerner norms, both sup-in-time and
@@ -27,34 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey, gevrey_weight, radius, theta_dot
-from .grid import Field, dx, dy, frac_dx
+from .grid import dx, dy, frac_dx
 from .paley import NormSeries, besov_norm, get_bank, mode_density, norm_series_update
-
-
-@dataclass(frozen=True)
-class Sample:
-    """One time sample of a run: fields at time t.
-
-    `v` and `vt` are only consumed by `energy_E1`; horizontal-only
-    diagnostics ignore them.
-    """
-
-    t: float
-    u: Field
-    ut: Field
-    v: Field | None = None
-    vt: Field | None = None
-
-    @classmethod
-    def from_state(cls, state) -> "Sample":
-        """Build a sample from a solver state (either system)."""
-        return cls(
-            t=state.t,
-            u=state.u,
-            ut=state.ut,
-            v=getattr(state, "v", None),
-            vt=getattr(state, "vt", None),
-        )
 
 
 class Term(NamedTuple):
@@ -270,12 +246,13 @@ def energy_E1(
 ) -> EnergyReport:
     """Assemble the scaled-pair energy at regularity 1/2 (E1_TABLE).
 
-    All samples must carry v and vt.  With decay_rates=False every
+    Every sample must carry v and vt.  With decay_rates=False every
     exponential rate is zero while the (a K)^{1/2} and a K prefactors
     are kept: the undamped variant used for smallness bookkeeping.
     """
     samples = list(samples)
-    if any(smp.v is None or smp.vt is None for smp in samples):
+    if any(getattr(smp, "v", None) is None or getattr(smp, "vt", None) is None
+           for smp in samples):
         raise ValueError("energy_E1 needs v and vt on every sample")
 
     def parts(smp, td, rep):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import os
 import pickle
@@ -32,7 +33,7 @@ import numpy as np
 
 from . import __version__
 from .blas import one_blas_thread
-from .diagnostics import EnergyReport, Sample, energy_E1, energy_E_s
+from .diagnostics import EnergyReport, energy_E1, energy_E_s
 from .gevrey import PROFILES, GevreyParams, make_gevrey_data
 from .grid import Field, Grid, l2_norm, unstack
 from .hns import HnsState, hns_step, make_hns_data
@@ -45,75 +46,65 @@ SNAPSHOT_MAGIC = b"STRF"
 SNAPSHOT_VERSION = 1
 OUTPUT_ROOT_ENV = "STRIPFLOW_OUTPUT_ROOT"
 
-# config keys by JSON section; field defaults live on the dataclass
-_GROUPS = {
-    "grid": ("Lx", "Nx", "Ny"),
-    "gevrey": ("a", "lam", "poincare"),
-    "data": ("amplitude", "m_max", "profile", "u1"),
-    "solver": ("dt", "cfl_factor", "T_final", "n_proj", "n_check", "pressure_factor"),
-    "experiment": ("kind", "eps", "eps_list", "self_test"),
-    "output": ("directory", "sample_every"),
-}
 
-_DOCS = {
-    "Lx": "domain period in x (> 0)",
-    "Nx": "number of x collocation points (even, >= 4)",
-    "Ny": "number of y nodes including both walls (>= 9)",
-    "a": "initial Gevrey radius (> 0)",
-    "lam": "radius loss multiplier (>= 1)",
-    "poincare": "Poincare constant; decay rate K = min(1/6, 1/(4(1+poincare)))",
-    "amplitude": "data amplitude (>= 0)",
-    "m_max": "highest excited x-mode (1 <= m_max <= Nx/2 - 1)",
-    "profile": "vertical profile id (known ids: " + ", ".join(sorted(PROFILES)) + ")",
-    "u1": "initial time derivative: 'zero' or 'half-decay' (u1 = -u0/2); "
-    "applies to runs and to every sweep run, reference and members",
-    "dt": "time step; null selects cfl_factor * dy",
-    "cfl_factor": f"auto time step as a multiple of dy (0 < f <= {CFL_LIMIT})",
-    "T_final": "integration horizon (> 0, at least one step long)",
-    "n_proj": "constraint re-projection cadence in steps, scaled system (>= 1)",
-    "n_check": "invariant check cadence in steps (>= 1)",
-    "pressure_factor": "prefactor of the nonlinear term in the mean pressure law "
-    "(1 conserves the vertical mean exactly)",
-    "kind": "experiment kind: prandtl | hns | sweep",
-    "eps": "aspect ratio for kind = hns (0 < eps <= 1)",
-    "eps_list": "sweep members; positive, strictly decreasing, >= 3 entries",
-    "self_test": "sweep self-comparison: members rerun the reference solver, "
-    "errors must sit at zero and the slope fit is skipped",
-    "directory": "output directory; relative paths live under "
-    f"${OUTPUT_ROOT_ENV} when that is set",
-    "sample_every": "diagnostic sampling cadence in steps (>= 1)",
-}
+def _key(section: str, default, doc: str):
+    """A config key: its JSON section, its default and its documentation."""
+    return dataclasses.field(default=default, metadata={"section": section, "doc": doc})
+
+
+# accepted value types by field annotation; bool is rejected separately
+_TYPES = {"int": int, "float": (int, float), "float | None": (int, float, type(None)),
+          "str": str, "tuple": (tuple, list)}
 
 
 @dataclass
 class RunConfig:
-    """Validated settings for one run or sweep; see `schema()` for docs."""
+    """Validated settings for one run or sweep; see `schema()` for docs.
 
-    Lx: float = 2.0 * np.pi
-    Nx: int = 64
-    Ny: int = 65
-    a: float = 0.5
-    lam: float = 1.0
-    poincare: float = 1.0 / np.pi**2
-    amplitude: float = 1e-4
-    m_max: int = 4
-    profile: str = "sin2py"
-    u1: str = "zero"
-    dt: float | None = None
-    cfl_factor: float = CFL_FACTOR
-    T_final: float = 2.0
-    n_proj: int = 50
-    n_check: int = 100
-    pressure_factor: float = 1.0
-    kind: str = "prandtl"
-    eps: float = 0.5
-    eps_list: tuple = (0.1, 0.05, 0.025, 0.0125)
-    self_test: bool = False
-    directory: str = "stripflow-out"
-    sample_every: int = 10
+    Each key is declared once, as a field with its JSON section and doc.
+    """
+
+    Lx: float = _key("grid", 2.0 * np.pi, "domain period in x (> 0)")
+    Nx: int = _key("grid", 64, "number of x collocation points (even, >= 4)")
+    Ny: int = _key("grid", 65, "number of y nodes including both walls (>= 9)")
+    a: float = _key("gevrey", 0.5, "initial Gevrey radius (> 0)")
+    lam: float = _key("gevrey", 1.0, "radius loss multiplier (>= 1)")
+    poincare: float = _key(
+        "gevrey", 1.0 / np.pi**2,
+        "Poincare constant; decay rate K = min(1/6, 1/(4(1+poincare)))")
+    amplitude: float = _key("data", 1e-4, "data amplitude (>= 0)")
+    m_max: int = _key("data", 4, "highest excited x-mode (1 <= m_max <= Nx/2 - 1)")
+    profile: str = _key("data", "sin2py", "vertical profile id (known ids: "
+                        + ", ".join(sorted(PROFILES)) + ")")
+    u1: str = _key("data", "zero",
+                   "initial time derivative: 'zero' or 'half-decay' (u1 = -u0/2); "
+                   "applies to runs and to every sweep run, reference and members")
+    dt: float | None = _key("solver", None, "time step; null selects cfl_factor * dy")
+    cfl_factor: float = _key(
+        "solver", CFL_FACTOR,
+        f"auto time step as a multiple of dy (0 < f <= {CFL_LIMIT})")
+    T_final: float = _key("solver", 2.0,
+                          "integration horizon (> 0, at least one step long)")
+    n_proj: int = _key("solver", 50,
+                       "constraint re-projection cadence in steps, scaled system (>= 1)")
+    n_check: int = _key("solver", 100, "invariant check cadence in steps (>= 1)")
+    pressure_factor: float = _key(
+        "solver", 1.0, "prefactor of the nonlinear term in the mean pressure law "
+        "(1 conserves the vertical mean exactly)")
+    kind: str = _key("experiment", "prandtl", "experiment kind: prandtl | hns | sweep")
+    eps: float = _key("experiment", 0.5, "aspect ratio for kind = hns (0 < eps <= 1)")
+    eps_list: tuple = _key("experiment", (0.1, 0.05, 0.025, 0.0125),
+                           "sweep members; positive, strictly decreasing, >= 3 entries")
+    directory: str = _key("output", "stripflow-out", "output directory; relative "
+                          f"paths live under ${OUTPUT_ROOT_ENV} when that is set")
+    sample_every: int = _key("output", 10, "diagnostic sampling cadence in steps (>= 1)")
 
     def validate(self) -> None:
-        """Check every numeric range before any work happens."""
+        """Check every type and numeric range before any work happens."""
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            if isinstance(val, bool) or not isinstance(val, _TYPES[f.type]):
+                raise ValueError(f"{f.name} must be of type {f.type}, got {val!r}")
         self.make_grid()  # Lx / Nx / Ny range errors come from the grid
         self.gevrey_params()  # a / lam / poincare likewise
         if self.amplitude < 0.0:
@@ -150,6 +141,9 @@ class RunConfig:
             raise ValueError(f"kind must be prandtl | hns | sweep, got {self.kind!r}")
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        if any(isinstance(e, bool) or not isinstance(e, (int, float))
+               for e in self.eps_list):
+            raise ValueError(f"eps_list entries must be numbers, got {self.eps_list!r}")
         eps_list = tuple(float(e) for e in self.eps_list)
         if any(e <= 0.0 for e in eps_list) or any(e > 1.0 for e in eps_list):
             raise ValueError(f"eps_list entries must lie in (0, 1], got {eps_list}")
@@ -185,32 +179,24 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         out: dict = {}
-        for group, keys in _GROUPS.items():
-            out[group] = {}
-            for key in keys:
-                val = getattr(self, key)
-                if isinstance(val, tuple):
-                    val = list(val)
-                out[group][key] = val
+        for f in dataclasses.fields(self):
+            val = getattr(self, f.name)
+            out.setdefault(f.metadata["section"], {})[f.name] = (
+                list(val) if isinstance(val, tuple) else val)
         return out
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
-        for group in data:
-            if group not in _GROUPS:
+        sections, kwargs = cls().to_dict(), {}
+        for group, sub in data.items():
+            if group not in sections:
                 raise ValueError(f"unknown config section {group!r}")
-        kwargs = {}
-        for group, keys in _GROUPS.items():
-            sub = data.get(group, {})
-            for key in sub:
-                if key not in keys:
+            if not isinstance(sub, dict):
+                raise ValueError(f"config section {group!r} is not an object: {sub!r}")
+            for key, val in sub.items():
+                if key not in sections[group]:
                     raise ValueError(f"unknown config key {group}.{key}")
-            for key in keys:
-                if key in sub:
-                    val = sub[key]
-                    if key == "eps_list":
-                        val = tuple(float(e) for e in val)
-                    kwargs[key] = val
+                kwargs[key] = tuple(val) if isinstance(val, list) else val
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -223,7 +209,8 @@ class RunConfig:
     @classmethod
     def schema(cls) -> dict:
         """Every key with its default and its documentation, by section."""
-        return {group: {key: {"default": val, "doc": _DOCS[key]}
+        docs = {f.name: f.metadata["doc"] for f in dataclasses.fields(cls)}
+        return {group: {key: {"default": val, "doc": docs[key]}
                         for key, val in keys.items()}
                 for group, keys in cls().to_dict().items()}
 
@@ -233,8 +220,8 @@ class SweepResult:
     """Per-member errors of an aspect-ratio sweep plus the fitted slope.
 
     slope/intercept come from least squares on log(sup error) vs
-    log(eps); they are None when the fit is skipped (self-test mode or
-    an exactly-zero error).
+    log(eps); they are None when the fit is skipped (an exactly-zero
+    error).
     """
 
     eps: tuple
@@ -307,16 +294,14 @@ def read_snapshot(path):
         raise ValueError(f"{path}: unsupported snapshot version {version}")
     if kind not in (_KIND_PRANDTL, _KIND_HNS):
         raise ValueError(f"{path}: unknown snapshot kind {kind}")
-    n_fields = 2 if kind == _KIND_PRANDTL else 4
-    need = _HEADER.size + n_fields * Nx * Ny * 16
+    cls, extra = (PrandtlState, {}) if kind == _KIND_PRANDTL else (HnsState, {"eps": eps})
+    need = _HEADER.size + len(cls.ROWS) * Nx * Ny * 16
     if len(raw) != need:  # before a Grid of a corrupt header's size is built
         raise ValueError(f"{path}: expected {need} bytes, found {len(raw)}")
     g = Grid(Nx, Ny, Lx=Lx)
     stack = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    stack = stack.reshape(n_fields, Nx, Ny).copy()
-    if kind == _KIND_PRANDTL:
-        return PrandtlState(*unstack(g, stack), t=t, _rows=stack)
-    return HnsState(*unstack(g, stack), eps=eps, t=t, _rows=stack)
+    stack = stack.reshape(len(cls.ROWS), Nx, Ny).copy()
+    return cls(**dict(zip(cls.ROWS, unstack(g, stack))), t=t, _rows=stack, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -462,7 +447,23 @@ def _write_metadata(out: Path, cfg: RunConfig, clock: _Timings, steps: int,
         fh.write("\n")
 
 
-def cmd_run(cfg: RunConfig) -> Path:
+def _one_blas_thread(command):
+    """`command(cfg, blas_threads)` as a command of `cfg` alone, run with
+    BLAS on one thread (`stripflow.blas.one_blas_thread`), so that its
+    output bytes do not depend on OPENBLAS_NUM_THREADS.  `blas_threads`,
+    which the command writes into metadata.json, is 1, or None when no
+    thread control was found."""
+
+    @functools.wraps(command)
+    def pinned(cfg: RunConfig):
+        with one_blas_thread() as found:
+            return command(cfg, 1 if found else None)
+
+    return pinned
+
+
+@_one_blas_thread
+def cmd_run(cfg: RunConfig, blas_threads) -> Path:
     """Run one configured solver; returns the populated run directory.
 
     Writes energy.csv (per-sample diagnostics), snapshots/initial.snap
@@ -472,6 +473,7 @@ def cmd_run(cfg: RunConfig) -> Path:
     A solver abort keeps whatever was collected and is flagged in the
     metadata (`abort`, the reason, and `abort_stage`, the RK stage 1-4 it
     came from or null); final.snap then holds the last accepted step.
+    The run has BLAS on one thread (see `_one_blas_thread`).
     """
     cfg.validate()
     if cfg.kind not in ("prandtl", "hns"):
@@ -508,29 +510,33 @@ def cmd_run(cfg: RunConfig) -> Path:
         data_norm=float(report.composite[0]),
         abort=None if abort is None else str(abort),
         abort_stage=None if abort is None else abort.stage,
+        blas_threads=blas_threads,
     )
     return out
 
 
-def cmd_sweep(cfg: RunConfig) -> SweepResult:
+@_one_blas_thread
+def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
     """Aspect-ratio convergence study against a shared reference run.
 
     One reference run (the limit system) and one scaled run per eps, all
     from the same data (u0, u1), grid, and time step, sampled at the same
     times.  Per member: sup-in-time and final-time L2 error of the
     horizontal difference, plus the undamped pair-energy of the difference
-    fields.  Writes sweep.csv and metadata.json into the output directory.
+    (u, v, ut, vt) of the member's states and the reference samples, whose
+    v and vt are slaved to u and ut.  Writes sweep.csv and metadata.json
+    into the output directory.
 
-    The whole sweep runs with BLAS on one thread, so sweep.csv does not
-    depend on the thread count or on the number of workers.  The
-    reference runs first; then `workers - 1` forked processes inherit its
-    samples, and member i runs in worker i % workers, the parent being
-    worker 0 (see `_in_workers`).  `workers` is the usable cores capped at
-    the member count, or 1 without BLAS thread control; metadata.json
-    records it.  A member's error is raised the same way whichever
-    worker ran it.  The parent's wait for its children counts as
-    stepping, so `steps_per_s` (the reference's and every member's steps
-    over the parent's stepping time) is a throughput.
+    The whole sweep runs with BLAS on one thread (see `_one_blas_thread`),
+    so sweep.csv does not depend on the thread count or on the number of
+    workers.  The reference runs first; then `workers - 1` forked processes
+    inherit its samples, and member i runs in worker i % workers, the
+    parent being worker 0 (see `_in_workers`).  `workers` is the usable
+    cores capped at the member count, or 1 without BLAS thread control;
+    metadata.json records it.  A member's error is raised the same way
+    whichever worker ran it.  The parent's wait for its children counts
+    as stepping, so `steps_per_s` (the reference's and every member's
+    steps over the parent's stepping time) is a throughput.
     """
     cfg.validate()
     if cfg.kind != "sweep":
@@ -539,27 +545,21 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     clock = _Timings()
     p = cfg.gevrey_params()
     data = cfg.make_data()
-    g = data[0].grid
 
     def trajectory(eps):
-        """Samples of one run, the limit system's with its slaved pair;
-        raises the SolverAbort that stopped the run."""
+        """The states of one run; raises the SolverAbort that stopped it."""
         run = _Run(cfg, clock, data, eps)
-        samples = [_pair_sample(s) if eps is None else s for s in run.steps()]
+        yield from run.steps()
         if run.abort is not None:
             raise run.abort
-        return samples
 
     def member_errors(i):
         """(sup, final, energy) errors of member i against the reference."""
         eps = cfg.eps_list[i]
-        member = trajectory(None if cfg.self_test else eps)
-        times = np.array([s.t for s in member])
-        if not np.array_equal(times, ref_times):
+        member = list(trajectory(eps))
+        if tuple(m.t for m in member) != ref_times:
             raise RuntimeError("sample times diverged from the reference")
-        diffs = [Sample(m.t, *(Field(g, getattr(m, k).coeff - getattr(r, k).coeff)
-                               for k in ("u", "ut", "v", "vt")))
-                 for m, r in zip(member, reference)]
+        diffs = [m.with_stack(m.stack - r) for m, r in zip(member, reference)]
         errs = np.array([l2_norm(d.u) for d in diffs])
         energy = energy_E1(diffs, eps, p, decay_rates=False).composite[-1]
         clock.lap("diagnostics")
@@ -578,15 +578,16 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
                 break
         return done
 
-    with one_blas_thread() as pinned:
-        cores = len(os.sched_getaffinity(0))
-        workers = min(cores, len(cfg.eps_list)) if pinned else 1
-        try:
-            reference = trajectory(None)
-        except SolverAbort as exc:
-            raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
-        ref_times = np.array([s.t for s in reference])
-        done = _in_workers(share, workers, clock)
+    cores = len(os.sched_getaffinity(0))
+    workers = min(cores, len(cfg.eps_list)) if blas_threads else 1
+    try:  # each reference sample is one (u, v, ut, vt) stack, v and vt slaved
+        ref_times, reference = zip(*(
+            (s.t, np.stack([s.u.coeff, recover_v(s.u).coeff,
+                            s.ut.coeff, recover_v(s.ut).coeff]))
+            for s in trajectory(None)))
+    except SolverAbort as exc:
+        raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
+    done = _in_workers(share, workers, clock)
     for i, eps in enumerate(cfg.eps_list):  # the first failed member is raised
         if isinstance(done[i], Exception):
             what = "aborted" if isinstance(done[i], SolverAbort) else "failed"
@@ -594,7 +595,7 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
     sup_errors, final_errors, energy_errors = zip(
         *(done[i] for i in range(len(cfg.eps_list))))
 
-    if cfg.self_test or min(sup_errors) <= 0.0:
+    if min(sup_errors) <= 0.0:
         slope = intercept = None
     else:
         slope_arr = np.polyfit(np.log(cfg.eps_list), np.log(sup_errors), 1)
@@ -620,8 +621,8 @@ def cmd_sweep(cfg: RunConfig) -> SweepResult:
         out, cfg, clock, cfg.n_steps() * (1 + len(cfg.eps_list)),
         slope=slope,
         intercept=intercept,
-        self_test=cfg.self_test,
         workers=workers,
+        blas_threads=blas_threads,
         dt=cfg.effective_dt(),
         planned_steps=cfg.n_steps(),
     )
@@ -701,11 +702,6 @@ def _portable(exc: Exception) -> Exception:
     except Exception:
         return RuntimeError(f"{type(exc).__name__}: {exc}")
     return copy
-
-
-def _pair_sample(state: PrandtlState) -> Sample:
-    """Reference sample carrying the slaved vertical pair."""
-    return Sample(state.t, state.u, state.ut, recover_v(state.u), recover_v(state.ut))
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:

@@ -44,7 +44,7 @@ right-hand side costs four transforms.
 from __future__ import annotations
 
 import logging
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,7 +52,7 @@ from .gevrey import GevreyParams, apply_gevrey
 from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, l2_norm,
                    mean_y, multiply, pin_walls, real_view, unstack, y_diff)
 from .prandtl import recover_v
-from .stepper import SolverAbort, rk4_step
+from .stepper import SolverAbort, StackedState, rk4_step
 
 log = logging.getLogger(__name__)
 
@@ -63,16 +63,11 @@ ENERGY_GROWTH_LIMIT = 10.0
 
 
 @dataclass(frozen=True)
-class HnsState:
-    """Velocity pair, its time derivative, the anisotropy, and the clock.
+class HnsState(StackedState):
+    """Velocity pair, its time derivative, the anisotropy, and the clock,
+    over a (4, Nx, Ny) stack (see `StackedState`)."""
 
-    The state owns `stack`, one (4, Nx, Ny) complex array whose rows the
-    Fields u, v, ut and vt view.  Made from Fields, a state copies them
-    into a new stack once; `with_stack` puts a state over an existing stack.
-    A state is not changed after it is made (samples keep states), so a
-    changed one comes from `dataclasses.replace`.
-    """
-
+    ROWS = ("u", "v", "ut", "vt")
     u: Field
     v: Field
     ut: Field
@@ -82,36 +77,11 @@ class HnsState:
     tol_div: float = 1e-6
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
-    _rows: InitVar[np.ndarray | None] = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _rows):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        g = self.u.grid
-        if _rows is None:
-            for f in (self.v, self.ut, self.vt):
-                if f.grid != g:
-                    raise ValueError("all state fields must share one grid")
-            _rows = np.stack([f.coeff for f in self.fields])
-        for name, value in zip(("stack", "u", "v", "ut", "vt"),
-                               (_rows,) + unstack(g, _rows)):
-            object.__setattr__(self, name, value)  # frozen: set here, once
-
-    def with_stack(self, stack: np.ndarray, **changes) -> "HnsState":
-        """This state, with `changes`, over the rows of `stack` (not copied)."""
-        return replace(self, _rows=stack, **changes)
-
-    @property
-    def grid(self):
-        return self.u.grid
-
-    @property
-    def fields(self) -> tuple[Field, Field, Field, Field]:
-        return (self.u, self.v, self.ut, self.vt)
-
-    def copy(self) -> "HnsState":
-        return replace(self)  # made from the Fields: a new stack
+        super().__post_init__(_rows)
 
     def divergence(self) -> Field:
         return dx(self.u) + dy(self.v)
@@ -140,13 +110,7 @@ class HnsState:
         return graph(self.u, self.ut) + e2 * graph(self.v, self.vt)
 
     def check_invariants(self):
-        for name, f in (("u", self.u), ("v", self.v),
-                        ("ut", self.ut), ("vt", self.vt)):
-            c = f.coeff
-            if np.any(c[:, 0] != 0.0) or np.any(c[:, -1] != 0.0):
-                raise SolverAbort(f"wall rows of {name} not pinned", self)
-            if not np.all(np.isfinite(c)):
-                raise SolverAbort(f"non-finite values in {name}", self)
+        super().check_invariants()
         for name, f in (("v", self.v), ("vt", self.vt)):
             if np.any(f.coeff[0] != 0.0):
                 raise SolverAbort(f"x-mean of {name} not pinned", self)

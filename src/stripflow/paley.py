@@ -73,7 +73,7 @@ def phi(tau):
 
 @dataclass
 class DyadicBank:
-    """Sampled cutoffs for one grid: phi/chi at every grid frequency.
+    """Cutoffs for one grid: phi/chi evaluated at every grid frequency.
 
     k runs over the contiguous range [k_min, k_max] of blocks that see any
     nonzero grid frequency; row i of the sample arrays is block k_min + i.
@@ -115,7 +115,7 @@ class DyadicBank:
 
 
 def build_bank(grid: Grid) -> DyadicBank:
-    """Sample the dyadic cutoffs on a grid's frequency set."""
+    """Evaluate the dyadic cutoffs on a grid's frequency set."""
     nonzero = grid.abs_xi[grid.abs_xi > 0.0]
     lo, hi = nonzero.min(), nonzero.max()
     # phi(2^{-k} tau) != 0 requires 2^k in [3 tau / 8, 4 tau / 3]

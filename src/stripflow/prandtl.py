@@ -27,12 +27,13 @@ driven only by the O(amplitude^2 dy^2) discrete advection defect.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dx, dy, integrate_y, mean_y, multiply, unstack, y_diff
-from .stepper import CFL_FACTOR, CFL_LIMIT, SolverAbort, rk4_step, stage_abort
+from .grid import Field, dx, dy, integrate_y, mean_y, multiply, y_diff
+from .stepper import (CFL_FACTOR, CFL_LIMIT, SolverAbort, StackedState, rk4_step,
+                      stage_abort)
 
 __all__ = [
     "SolverAbort",
@@ -49,40 +50,18 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class PrandtlState:
-    """Velocity u, its time derivative ut, and the clock.
+class PrandtlState(StackedState):
+    """Velocity u, its time derivative ut, and the clock, over a (2, Nx, Ny)
+    stack (see `StackedState`)."""
 
-    The state owns `stack`, one (2, Nx, Ny) complex array whose rows the
-    Fields u and ut view.  Made from Fields, a state copies them into a new
-    stack once; `with_stack` puts a state over an existing stack.  A state
-    is not changed after it is made (samples keep states), so a changed one
-    comes from `dataclasses.replace`.
-    """
-
+    ROWS = ("u", "ut")
     u: Field
     ut: Field
     t: float = 0.0
     tol_mean: float = 1e-10
-    _rows: InitVar[np.ndarray | None] = None
-    stack: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self, _rows):
-        if _rows is None:
-            _rows = np.stack([self.u.coeff, self.ut.coeff])
-        for name, value in zip(("stack", "u", "ut"),
-                               (_rows,) + unstack(self.u.grid, _rows)):
-            object.__setattr__(self, name, value)  # frozen: set here, once
-
-    def with_stack(self, stack: np.ndarray, **changes) -> "PrandtlState":
-        """This state, with `changes`, over the rows of `stack` (not copied)."""
-        return replace(self, _rows=stack, **changes)
 
     def check_invariants(self):
-        for name, f in (("u", self.u), ("ut", self.ut)):
-            if np.abs(f.coeff[:, 0]).max() != 0.0 or np.abs(f.coeff[:, -1]).max() != 0.0:
-                raise SolverAbort(f"{name} wall rows not pinned at t={self.t}", self)
-            if not np.isfinite(f.coeff).all():
-                raise SolverAbort(f"non-finite {name} at t={self.t}", self)
+        super().check_invariants()
         drift = np.abs(mean_y(self.u)).max()
         if drift > self.tol_mean:
             raise SolverAbort(
@@ -90,9 +69,6 @@ class PrandtlState:
                 f"at t={self.t}",
                 self,
             )
-
-    def copy(self) -> "PrandtlState":
-        return PrandtlState(self.u, self.ut, self.t, self.tol_mean)  # a new stack
 
 
 def recover_v(u: Field, report: dict | None = None) -> Field:

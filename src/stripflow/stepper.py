@@ -1,24 +1,28 @@
-"""The classical RK4 step shared by both solvers, and its abort type.
+"""The state layout and the classical RK4 step shared by both solvers, and
+their abort type.
 
-A solver state owns one stacked complex array, `state.stack`, of shape
-(n, Nx, Ny): (u, ut) for the limit system, (u, v, ut, vt) for the scaled
-pair.  `rk4_step` advances such a stack by one step.  Stage states and
-right-hand-side outputs live in the grid's work buffers (`Grid.work`) and
-are reused from step to step; the update accumulates in low storage,
-without keeping k1..k4; the new state is written into one fresh array,
-because samples keep every returned state.
+A solver state (`StackedState`) owns one stacked complex array,
+`state.stack`, of shape (n, Nx, Ny): (u, ut) for the limit system,
+(u, v, ut, vt) for the scaled pair.  `rk4_step` advances such a stack by
+one step.  Stage states and right-hand-side outputs live in the grid's
+work buffers (`Grid.work`) and are reused from step to step; the update
+accumulates in low storage, without keeping k1..k4; the new state is
+written into one fresh array, because samples keep every returned state.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import InitVar, dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
-from .grid import real_view
+from .grid import real_view, unstack
 
 __all__ = [
     "SolverAbort",
+    "StackedState",
     "stage_abort",
     "rk4_step",
     "CFL_FACTOR",
@@ -44,6 +48,56 @@ class SolverAbort(RuntimeError):
         self.reason = reason
         self.state = state
         self.stage = stage
+
+
+@dataclass(frozen=True)
+class StackedState:
+    """Base of the solver states, which declare the `ROWS` Fields and a clock `t`.
+
+    The state owns `stack`, one (len(ROWS), Nx, Ny) complex array whose
+    rows the Fields view.  Made from Fields, a state checks that they share
+    one grid and copies them into a new stack once; `with_stack` puts a
+    state over an existing stack.  A state is not changed after it is made
+    (samples keep states), so a changed one comes from `with_stack` or
+    `dataclasses.replace`.
+    """
+
+    ROWS: ClassVar[tuple[str, ...]] = ()
+    _rows: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
+    stack: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self, _rows):
+        g = self.grid
+        if _rows is None:
+            if any(f.grid != g for f in self.fields):
+                raise ValueError("all state fields must share one grid")
+            _rows = np.stack([f.coeff for f in self.fields])
+        for name, value in zip(("stack",) + self.ROWS, (_rows,) + unstack(g, _rows)):
+            object.__setattr__(self, name, value)  # frozen: set here, once
+
+    @property
+    def grid(self):
+        return getattr(self, self.ROWS[0]).grid
+
+    @property
+    def fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.ROWS)
+
+    def with_stack(self, stack: np.ndarray, **changes):
+        """This state, with `changes`, over the rows of `stack` (not copied)."""
+        return replace(self, _rows=stack, **changes)
+
+    def copy(self):
+        return replace(self)  # made from the Fields: a new stack
+
+    def check_invariants(self):
+        """Wall rows pinned and values finite in every row; a state type
+        extends this with its own invariants."""
+        for name, f in zip(self.ROWS, self.fields):
+            if np.any(f.coeff[:, 0] != 0.0) or np.any(f.coeff[:, -1] != 0.0):
+                raise SolverAbort(f"{name} wall rows not pinned at t={self.t}", self)
+            if not np.isfinite(f.coeff).all():
+                raise SolverAbort(f"non-finite {name} at t={self.t}", self)
 
 
 @contextmanager
@@ -77,7 +131,7 @@ def rk4_step(state, dt: float, rhs, pin) -> np.ndarray:
     y0 = state.stack
     if dt <= 0.0:
         raise SolverAbort(f"dt must be positive, got {dt}", state)
-    grid = state.u.grid
+    grid = state.grid
     limit = CFL_LIMIT * grid.dy
     if dt > limit:
         raise SolverAbort(f"dt={dt:.3e} exceeds the wave CFL bound {limit:.3e}", state)

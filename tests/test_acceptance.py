@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from stripflow import hns as hns_module
-from stripflow.diagnostics import Sample, decay_fit, energy_E1, energy_E_s
+from stripflow.diagnostics import decay_fit, energy_E1, energy_E_s
 from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
 from stripflow.gevrey import phi as gevrey_phi
 from stripflow.gevrey import radius, theta
@@ -263,12 +263,12 @@ def test_exponential_decay():
 
     state = PrandtlState(u=u0, ut=u1)
     series = [(state.t, l2_norm(state.u))]
-    samples = [Sample.from_state(state)]
+    samples = [state]
     for i in range(n_steps):
         state = prandtl_step(state, dt, check=(i + 1) % 200 == 0)
         if (i + 1) % 16 == 0:
             series.append((state.t, l2_norm(state.u)))
-            samples.append(Sample.from_state(state))
+            samples.append(state)
     rate, _ = decay_fit(series)
     assert rate <= -0.4
     envelope = energy_E_s(samples, 0.5, P).point_norms["u"]
@@ -276,12 +276,12 @@ def test_exponential_decay():
 
     state = make_hns_data(u0, P, eps=0.5)
     series = [(state.t, l2_norm(state.u))]
-    samples = [Sample.from_state(state)]
+    samples = [state]
     for i in range(n_steps):
         state = hns_step(state, dt, check=(i + 1) % 200 == 0)
         if (i + 1) % 16 == 0:
             series.append((state.t, l2_norm(state.u)))
-            samples.append(Sample.from_state(state))
+            samples.append(state)
     rate, _ = decay_fit(series)
     assert rate <= -0.4
     envelope = energy_E1(samples, 0.5, P).point_norms["u"]

@@ -1,17 +1,29 @@
 """Tests for the energy-report assembly and the decay-rate fitter."""
 
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
 from stripflow import gevrey as gv
 from stripflow import paley
-from stripflow.diagnostics import Sample, decay_fit, energy_E1, energy_E_s
+from stripflow.diagnostics import decay_fit, energy_E1, energy_E_s
 from stripflow.grid import Field, Grid, dy, frac_dx, l2_norm, to_spectral
 from stripflow.hns import hns_step, make_hns_data
 from stripflow.prandtl import PrandtlState, prandtl_step
 
 P = gv.GevreyParams(a=0.5)
+
+
+class Record(NamedTuple):
+    """A synthetic sample, read by the energies like a solver state."""
+
+    t: float
+    u: Field
+    ut: Field
+    v: Field | None = None
+    vt: Field | None = None
 
 
 def xnodes(g):
@@ -32,7 +44,7 @@ def random_samples(g, rng, times, modes=(1, 2, 3), with_pair=False):
     out = []
     for t in times:
         out.append(
-            Sample(
+            Record(
                 t=float(t),
                 u=band_field(g, rng, modes),
                 ut=band_field(g, rng, modes, amp=0.3),
@@ -46,14 +58,14 @@ def random_samples(g, rng, times, modes=(1, 2, 3), with_pair=False):
 def zero_samples(g, times, with_pair=False):
     z = Field(g, np.zeros((g.Nx, g.Ny), dtype=complex))
     return [
-        Sample(t=float(t), u=z, ut=z, v=z if with_pair else None,
+        Record(t=float(t), u=z, ut=z, v=z if with_pair else None,
                vt=z if with_pair else None)
         for t in times
     ]
 
 
 def scaled_sample(smp, c):
-    return Sample(
+    return Record(
         t=smp.t,
         u=smp.u * c,
         ut=smp.ut * c,
@@ -208,25 +220,6 @@ class TestDecayFit:
             decay_fit(np.arange(5.0))
 
 
-class TestSample:
-    def test_from_prandtl_state(self):
-        g = Grid(8, 9)
-        z = Field(g, np.zeros((g.Nx, g.Ny), dtype=complex))
-        st = PrandtlState(u=z, ut=z, t=1.25)
-        smp = Sample.from_state(st)
-        assert smp.t == 1.25
-        assert smp.v is None and smp.vt is None
-
-    def test_from_hns_state(self):
-        g = Grid(8, 17)
-        x, y = xnodes(g), g.y
-        vals = 1e-3 * np.sin(x)[:, None] * np.sin(2.0 * np.pi * y)[None, :]
-        st = make_hns_data(to_spectral(g, vals), P, eps=0.5)
-        smp = Sample.from_state(st)
-        assert smp.v is not None and smp.vt is not None
-        assert smp.t == 0.0
-
-
 class TestEnergyEs:
     def test_zero_run(self):
         g = Grid(16, 9)
@@ -292,7 +285,7 @@ class TestEnergyEs:
         u = band_field(g, rng, (6, 7, 8))
         zero = Field(g, np.zeros_like(u.coeff))
         times = np.linspace(0.0, 0.3, 4)
-        samples = [Sample(t=float(t), u=u, ut=zero) for t in times]
+        samples = [Record(t=float(t), u=u, ut=zero) for t in times]
         rep = energy_E_s(samples, 0.5, p2)
 
         bank = paley.get_bank(g)
@@ -395,7 +388,7 @@ class TestEnergyE1:
         z = Field(g, np.zeros((g.Nx, g.Ny), dtype=complex))
         v = band_field(g, rng, (1, 3))
         vt = band_field(g, rng, (1, 3), amp=0.4)
-        samples = [Sample(t=0.1 * i, u=z, ut=z, v=v, vt=vt) for i in range(3)]
+        samples = [Record(t=0.1 * i, u=z, ut=z, v=v, vt=vt) for i in range(3)]
         r1 = energy_E1(samples, 0.2, P)
         r2 = energy_E1(samples, 0.4, P)
         for name in ("term2", "term3"):
@@ -426,11 +419,11 @@ class TestRunDiagnostics:
             ut=Field(g, np.zeros((g.Nx, g.Ny), dtype=complex)),
         )
         dt = 0.25 * g.dy
-        samples = [Sample.from_state(st)]
+        samples = [st]
         for i in range(40):
             st = prandtl_step(st, dt)
             if (i + 1) % 4 == 0:
-                samples.append(Sample.from_state(st))
+                samples.append(st)
         rep = energy_E_s(samples, 0.5, P)
         rep.validate()
         assert np.all(np.isfinite(rep.composite))
@@ -443,11 +436,11 @@ class TestRunDiagnostics:
         vals = 1e-4 * np.sin(x)[:, None] * np.sin(2.0 * np.pi * y)[None, :]
         st = make_hns_data(to_spectral(g, vals), P, eps=0.5)
         dt = 0.25 * g.dy
-        samples = [Sample.from_state(st)]
+        samples = [st]
         for i in range(40):
             st = hns_step(st, dt)
             if (i + 1) % 4 == 0:
-                samples.append(Sample.from_state(st))
+                samples.append(st)
         rep = energy_E1(samples, 0.5, P)
         rep.validate()
         assert np.all(np.isfinite(rep.composite))

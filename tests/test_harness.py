@@ -24,13 +24,15 @@ from stripflow.harness import (
     write_snapshot,
 )
 from stripflow.diagnostics import energy_E1, energy_E_s
-from stripflow.hns import make_hns_data
+from stripflow.hns import HnsState, make_hns_data
 from stripflow.gevrey import GevreyParams
-from stripflow.prandtl import PrandtlState, SolverAbort
+from stripflow.prandtl import PrandtlState, SolverAbort, prandtl_step, recover_v
 
 
+BLAS_THREADS = None if blas._openblas() is None else 1  # as metadata.json records it
+pinned = pytest.mark.skipif(BLAS_THREADS is None, reason="no BLAS thread control found")
 # without BLAS thread control a sweep stays in one process
-forks = pytest.mark.skipif(blas._openblas() is None,
+forks = pytest.mark.skipif(BLAS_THREADS is None,
                            reason="no BLAS thread control found: sweeps do not fork")
 
 
@@ -103,12 +105,35 @@ class TestConfig:
             (dict(eps_list=(0.1, -0.2, -0.3)), r"\(0, 1\]"),
             (dict(kind="sweep", eps_list=(0.1, 0.05)), ">= 3"),
             (dict(directory=""), "directory"),
+            # wrong types: a float or a bool is not an int, a string no float
+            (dict(sample_every=2.5), "sample_every must be of type int"),
+            (dict(n_check=2.5), "n_check must be of type int"),
+            (dict(m_max=2.5), "m_max must be of type int"),
+            (dict(n_proj=2.0), "n_proj must be of type int"),
+            (dict(Nx=64.0), "Nx must be of type int"),
+            (dict(Ny=True), "Ny must be of type int"),
+            (dict(amplitude="1e-4"), "amplitude must be of type float"),
+            (dict(dt=False), "dt must be of type float"),
+            (dict(kind=None), "kind must be of type str"),
+            (dict(eps_list=(True, 0.5, 0.25)), "eps_list entries must be numbers"),
         ],
     )
     def test_bad_values_rejected(self, overrides, match):
         cfg = RunConfig(**overrides)
         with pytest.raises(ValueError, match=match):
             cfg.validate()
+
+    @pytest.mark.parametrize("data, match", [
+        ({"output": {"sample_every": 2.5}}, "sample_every must be of type int"),
+        ({"grid": 5}, "section 'grid' is not an object"),
+        ({"experiment": {"eps_list": "0.1"}}, "eps_list must be of type tuple"),
+        ({"experiment": {"eps_list": [0.1, "0.05", 0.025]}}, "eps_list entries"),
+    ], ids=["float-int", "section", "eps_list-string", "eps_list-entry"])
+    def test_bad_type_rejected_at_load(self, tmp_path, data, match):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match=match):
+            RunConfig.from_json(path)
 
     def test_schema_covers_every_key(self):
         schema = RunConfig.schema()
@@ -321,6 +346,7 @@ class TestCmdRun:
         timings = meta["timings"]
         phases = ("setup_s", "stepping_s", "diagnostics_s", "io_s")
         assert set(timings) == set(phases) | {"steps_per_s"}
+        assert meta["blas_threads"] == BLAS_THREADS
         assert all(v >= 0.0 for v in timings.values())
         assert sum(timings[k] for k in phases) <= meta["wall_time_s"]
         assert timings["steps_per_s"] > 0.0
@@ -338,6 +364,45 @@ class TestCmdRun:
             expect = energy_E1([s], cfg.eps, p).composite[0]
         assert np.isfinite(meta["data_norm"]) and meta["data_norm"] > 0.0
         assert meta["data_norm"] == expect
+
+    @pinned
+    def test_blas_on_one_thread_during_run_only(self, tmp_path, monkeypatch):
+        get_threads = blas._openblas()[0]
+        before, seen = get_threads(), set()
+        real_step = harness.hns_step
+
+        def recording_step(state, dt, **kw):
+            seen.add(get_threads())
+            return real_step(state, dt, **kw)
+
+        monkeypatch.setattr(harness, "hns_step", recording_step)
+        cmd_run(small_cfg(tmp_path, kind="hns", eps=0.3))
+        assert seen == {1}
+        assert get_threads() == before
+
+    @pinned
+    def test_energy_csv_independent_of_blas_threads(self, tmp_path):
+        # at 128x65 the projection's GEMMs are large enough for OpenBLAS to
+        # split them over threads, which changed the last bits when unpinned
+        src = Path(__file__).resolve().parent.parent / "src"
+        cfg = small_cfg(tmp_path, Nx=128, Ny=65, m_max=4, T_final=0.05, n_proj=5,
+                        kind="hns", eps=0.1)
+        csv_bytes = {}
+        for threads in (None, "1", "2"):
+            env = dict(os.environ, PYTHONPATH=str(src))
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            cfg.directory = str(tmp_path / f"threads-{threads}")
+            path = tmp_path / f"threads-{threads}.json"
+            path.write_text(json.dumps(cfg.to_dict()))
+            proc = subprocess.run(
+                [sys.executable, "-m", "stripflow.cli", "run", "--config", str(path)],
+                capture_output=True, text=True, env=env, timeout=120,
+            )
+            assert proc.returncode == 0, proc.stderr
+            csv_bytes[threads] = (Path(cfg.directory) / "energy.csv").read_bytes()
+        assert csv_bytes[None] == csv_bytes["1"] == csv_bytes["2"]
 
     def test_stage_abort_snapshot_is_a_step_state(self, tmp_path):
         cfg = small_cfg(tmp_path, amplitude=1e8, T_final=2.0)
@@ -381,23 +446,35 @@ print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "scipy")))
 
 
 class TestCmdSweep:
-    def test_self_test_mode(self, tmp_path):
-        cfg = small_cfg(
-            tmp_path,
-            kind="sweep",
-            amplitude=1e-3,
-            T_final=0.25,
-            eps_list=(0.2, 0.1, 0.05),
-            self_test=True,
-        )
+    def test_member_equal_to_reference_gives_zero_errors(self, tmp_path, monkeypatch,
+                                                         capsys):
+        # members that step the limit system and carry its slaved pair are
+        # the reference itself: every error is exactly 0.0, no slope is fit
+        def slaved(state, eps):
+            return HnsState(state.u, recover_v(state.u), state.ut, recover_v(state.ut),
+                            eps=eps, t=state.t)
+
+        def limit_data(u0, p, eps, u1):
+            return slaved(PrandtlState(u0, u1), eps)
+
+        def limit_step(state, dt, **kw):
+            return slaved(prandtl_step(PrandtlState(state.u, state.ut, state.t), dt),
+                          state.eps)
+
+        monkeypatch.setattr(harness, "make_hns_data", limit_data)
+        monkeypatch.setattr(harness, "hns_step", limit_step)
+        cfg = small_cfg(tmp_path, kind="sweep", amplitude=1e-3, T_final=0.25,
+                        eps_list=(0.2, 0.1, 0.05), u1="half-decay")
         res = cmd_sweep(cfg)
-        assert res.sup_errors == (0.0, 0.0, 0.0)
-        assert res.slope is None
-        out = resolve_output_dir(cfg.directory)
-        assert (out / "sweep.csv").exists()
-        meta = json.loads((out / "metadata.json").read_text())
-        assert meta["self_test"] is True
         res.validate()
+        assert res.sup_errors == res.final_errors == res.energy_errors == (0.0,) * 3
+        assert res.slope is None and res.intercept is None
+        cfg_path = tmp_path / "sweep.json"
+        cfg_path.write_text(json.dumps(cfg.to_dict()))
+        assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
+        assert "slope fit skipped" in capsys.readouterr().out
+        meta = json.loads((Path(res.directory) / "metadata.json").read_text())
+        assert meta["slope"] is None
 
     @pytest.mark.parametrize("u1", ["zero", "half-decay"])
     def test_mini_sweep_converges(self, tmp_path, u1):
@@ -644,9 +721,9 @@ class TestCli:
             kind="sweep",
             T_final=0.25,
             eps_list=(0.2, 0.1, 0.05),
-            self_test=True,
         )
         cfg_path = tmp_path / "sweep.json"
         cfg_path.write_text(json.dumps(cfg.to_dict()))
         assert cli.main(["sweep", "--config", str(cfg_path)]) == 0
-        assert "slope fit skipped" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "slope=" in out and "slope fit skipped" not in out

@@ -18,7 +18,6 @@ from stripflow.grid import (
     to_physical,
     to_spectral,
 )
-from stripflow.diagnostics import Sample
 from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.hns import (
     HnsState,
@@ -465,14 +464,13 @@ class TestStep:
         g = Grid(16, 17)
         dt = 0.25 * g.dy
         s = hns_step(gevrey_state(g, 0.5, m_max=4), dt)
-        smp = Sample.from_state(s)
-        fields = (s.u, s.v, s.ut, s.vt, smp.u, smp.v, smp.ut, smp.vt)
-        held = [f.coeff.tobytes() for f in fields]
+        arrays = (s.stack,) + tuple(f.coeff for f in s.fields)
+        held = [a.tobytes() for a in arrays]
         later = s
         for _ in range(5):
             later = hns_step(later, dt, n_proj=3)  # cleanups at steps 3 and 6
         assert later.steps == 6
-        assert [f.coeff.tobytes() for f in fields] == held
+        assert [a.tobytes() for a in arrays] == held
 
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
     def test_full_physics_short_run(self, eps):
