@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import ctypes
 from contextlib import contextmanager
+from functools import cache
 
 import numpy  # noqa: F401  (loads the BLAS this module looks for)
 
@@ -24,8 +25,12 @@ _SYMBOLS = tuple(
 )
 
 
+@cache
 def _openblas():
-    """(get, set) thread-count functions of the loaded OpenBLAS, or None."""
+    """(get, set) thread-count functions of the loaded OpenBLAS, or None.
+
+    Looked up once per process: the loaded library does not change.
+    """
     try:
         with open("/proc/self/maps", encoding="utf-8") as fh:
             paths = sorted({line.split(maxsplit=5)[5].strip()

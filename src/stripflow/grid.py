@@ -36,7 +36,6 @@ __all__ = [
     "integrate_y",
     "mean_y",
     "l2_norm",
-    "dealias",
     "multiply",
     "pin_walls",
     "real_symmetry_defect",
@@ -190,15 +189,14 @@ def real_symmetry_defect(f: Field) -> float:
     return float(np.abs(flipped - c).max() / scale)
 
 
-def to_physical(f: Field, check: bool = True) -> np.ndarray:
+def to_physical(f: Field) -> np.ndarray:
     """Transform back to physical values; verifies conjugate symmetry."""
-    if check:
-        defect = real_symmetry_defect(f)
-        if defect > 1e-12:
-            raise ValueError(
-                f"field is not conjugate-symmetric (defect {defect:.3e}); "
-                "refusing to drop imaginary parts"
-            )
+    defect = real_symmetry_defect(f)
+    if defect > 1e-12:
+        raise ValueError(
+            f"field is not conjugate-symmetric (defect {defect:.3e}); "
+            "refusing to drop imaginary parts"
+        )
     return np.fft.ifft(f.coeff, axis=0, norm="forward").real
 
 
@@ -320,21 +318,9 @@ def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def integrate_y(f: Field, upper: float | None = None):
-    """Trapezoidal integral from y = 0.
-
-    With upper=None returns the cumulative integral as a Field (zero at
-    y = 0).  With a node value `upper` returns the per-mode integrals
-    over [0, upper] as a complex array of length Nx.
-    """
-    g = f.grid
-    cum = cumulative_trapezoid(f.coeff, g.dy)
-    if upper is None:
-        return Field(g, cum)
-    j = int(round(upper / g.dy))
-    if not (0 <= j < g.Ny) or abs(upper - g.y[j]) > 1e-12:
-        raise ValueError(f"upper={upper} does not lie on a grid node")
-    return cum[:, j]
+def integrate_y(f: Field) -> Field:
+    """Cumulative trapezoidal integral from y = 0 (zero at y = 0)."""
+    return Field(f.grid, cumulative_trapezoid(f.coeff, f.grid.dy))
 
 
 def mean_y(f: Field) -> np.ndarray:
@@ -346,13 +332,6 @@ def l2_norm(f: Field) -> float:
     """L2 norm on the strip: Parseval in x (weight Lx), trapezoid in y."""
     density = (f.coeff.real ** 2 + f.coeff.imag ** 2) @ f.grid.trapz_w
     return float(np.sqrt(f.grid.Lx * density.sum()))
-
-
-def dealias(f: Field) -> Field:
-    """Zero the top third of x-modes (2/3 rule)."""
-    out = f.coeff.copy()
-    out[~f.grid.dealias_mask, :] = 0.0
-    return Field(f.grid, out)
 
 
 def _physical(grid: Grid, name: str, fields) -> list[np.ndarray]:

@@ -36,7 +36,7 @@ from .blas import one_blas_thread
 from .diagnostics import EnergyReport, energy_E1, energy_E_s
 from .gevrey import PROFILES, GevreyParams, make_gevrey_data
 from .grid import Field, Grid, l2_norm, unstack
-from .hns import HnsState, hns_step, make_hns_data
+from .hns import N_PROJ, HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, prandtl_step, recover_v
 from .stepper import CFL_FACTOR, CFL_LIMIT, SolverAbort
 from .verify import verify_all
@@ -85,7 +85,7 @@ class RunConfig:
         f"auto time step as a multiple of dy (0 < f <= {CFL_LIMIT})")
     T_final: float = _key("solver", 2.0,
                           "integration horizon (> 0, at least one step long)")
-    n_proj: int = _key("solver", 50,
+    n_proj: int = _key("solver", N_PROJ,
                        "constraint re-projection cadence in steps, scaled system (>= 1)")
     n_check: int = _key("solver", 100, "invariant check cadence in steps (>= 1)")
     pressure_factor: float = _key(

@@ -45,12 +45,13 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, l2_norm,
-                   mean_y, multiply, pin_walls, real_view, unstack, y_diff)
+from .grid import (Field, cumulative_trapezoid, dx, dy, l2_norm, mean_y, multiply,
+                   pin_walls, real_view, unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -142,9 +143,8 @@ class _Eigenbasis:
     kernel of K (the constant and (-1)^j) and are set to exactly 0.0.
     """
 
-    def __init__(self, grid):
-        Ny = grid.Ny
-        D = dy_matrix(grid)
+    def __init__(self, Ny: int):
+        D = y_diff(np.eye(Ny), 1.0 / (Ny - 1), 1).T  # dy_matrix of any grid with Ny
         mask = np.ones(Ny)
         mask[0] = mask[-1] = 0.0
         K = D @ (mask[:, None] * D)
@@ -183,14 +183,10 @@ class _Eigenbasis:
         self.spread = np.hstack([V.T, (mask[:, None] * (D @ V)).T])
 
 
-_EIGENBASES: dict = {}
-
-
-def _eigenbasis(grid) -> _Eigenbasis:
-    """Pencil eigenbasis for grid.Ny, shared by every Nx, Lx and eps."""
-    if grid.Ny not in _EIGENBASES:
-        _EIGENBASES[grid.Ny] = _Eigenbasis(grid)
-    return _EIGENBASES[grid.Ny]
+@cache
+def _eigenbasis(Ny: int) -> _Eigenbasis:
+    """Pencil eigenbasis for Ny, shared by every Nx, Lx and eps."""
+    return _Eigenbasis(Ny)
 
 
 class _Projector:
@@ -206,7 +202,7 @@ class _Projector:
     def __init__(self, grid, eps: float):
         self.grid = grid
         self.eps = eps
-        basis = _eigenbasis(grid)
+        basis = _eigenbasis(grid.Ny)
         self.modes = np.arange(1, grid.Nx // 2)  # xi != 0, one per pair
         e2 = eps**2
         scale = np.full((self.modes.size, grid.Ny), e2)
@@ -219,14 +215,10 @@ class _Projector:
         self._c1_mult = grid._dx_mult[:, None] * basis.mask[None, :]
 
 
-_PROJECTORS: dict = {}
-
-
+@cache
 def _get_projector(grid, eps: float) -> _Projector:
-    key = (grid.key, float(eps))
-    if key not in _PROJECTORS:
-        _PROJECTORS[key] = _Projector(grid, eps)
-    return _PROJECTORS[key]
+    """The projector of (grid, eps), built once; equal Grids share it."""
+    return _Projector(grid, eps)
 
 
 def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):

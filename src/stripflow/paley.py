@@ -26,7 +26,7 @@ Conventions on the periodic strip:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import reduce
+from functools import cache, reduce
 
 import numpy as np
 
@@ -134,15 +134,11 @@ def build_bank(grid: Grid) -> DyadicBank:
     return DyadicBank(grid, k_min, k_max, phi_samples, chi_samples)
 
 
-_BANKS: dict[tuple, DyadicBank] = {}
-
-
+@cache
 def get_bank(grid: Grid) -> DyadicBank:
-    """Per-grid cached bank (construction is one-shot and read-only after)."""
-    bank = _BANKS.get(grid.key)
-    if bank is None:
-        bank = _BANKS[grid.key] = build_bank(grid)
-    return bank
+    """Per-grid cached bank (construction is one-shot and read-only after);
+    equal Grids share it."""
+    return build_bank(grid)
 
 
 def delta_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:

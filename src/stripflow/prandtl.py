@@ -32,20 +32,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Field, dx, dy, integrate_y, mean_y, multiply, y_diff
-from .stepper import (CFL_FACTOR, CFL_LIMIT, SolverAbort, StackedState, rk4_step,
-                      stage_abort)
+from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
-    "SolverAbort",
-    "stage_abort",
     "PrandtlState",
     "recover_v",
     "pressure_gradient",
     "prandtl_rhs",
     "prandtl_step",
-    "enforce_compatibility",
-    "CFL_FACTOR",
-    "CFL_LIMIT",
 ]
 
 
@@ -178,22 +172,3 @@ def prandtl_step(
         out.check_invariants()
     return out
 
-
-def enforce_compatibility(u0: Field, u1: Field) -> tuple[Field, Field]:
-    """Project out the per-mode vertical mean with a fixed wall-safe profile.
-
-    The correction profile is sin(pi y) scaled by its own discrete
-    trapezoid integral, so the corrected mean vanishes identically.  (A
-    zero-mean profile like sin(2 pi y) cannot carry mean and would leave
-    the defect untouched.)  Compatible data passes through unchanged.
-    """
-    g = u0.grid
-    prof = np.sin(np.pi * g.y)
-    prof[0] = prof[-1] = 0.0
-    prof = prof / float(prof @ g.trapz_w)
-
-    def fix(f: Field) -> Field:
-        means = mean_y(f)
-        return Field(g, f.coeff - means[:, None] * prof[None, :])
-
-    return fix(u0), fix(u1)

@@ -87,9 +87,6 @@ class StackedState:
         """This state, with `changes`, over the rows of `stack` (not copied)."""
         return replace(self, _rows=stack, **changes)
 
-    def copy(self):
-        return replace(self)  # made from the Fields: a new stack
-
     def check_invariants(self):
         """Wall rows pinned and values finite in every row; a state type
         extends this with its own invariants."""

@@ -8,7 +8,6 @@ from stripflow.grid import (
     Field,
     Grid,
     cumulative_trapezoid,
-    dealias,
     dx,
     dy,
     dy_matrix,
@@ -270,14 +269,6 @@ class TestIntegration:
             assert got.dtype == expect.dtype
             assert np.array_equal(got, expect)
 
-    def test_upper_bound_on_node(self):
-        g = make_grid(8, 33)
-        f = Field(g, np.ones((g.Nx, g.Ny), dtype=complex))
-        vals = integrate_y(f, upper=0.5)
-        assert vals[0] == pytest.approx(0.5)
-        with pytest.raises(ValueError, match="node"):
-            integrate_y(f, upper=0.5 + 0.3 * g.dy)
-
 
 class TestL2Norm:
     def test_zero_field(self):
@@ -307,13 +298,6 @@ class TestL2Norm:
 
 
 class TestDealiasAndProducts:
-    def test_dealias_zeroes_top_third(self):
-        g = make_grid(12, 9)
-        f = Field(g, np.ones((g.Nx, g.Ny), dtype=complex))
-        out = dealias(f)
-        assert np.abs(out.coeff[np.abs(g.m) > 4]).max() == 0.0
-        assert np.abs(out.coeff[np.abs(g.m) <= 4] - 1.0).max() == 0.0
-
     def test_product_convolution_identity(self):
         # cos(x) * cos(2x) = (cos(3x) + cos(x)) / 2, all inside the kept band
         g = make_grid(32, 9)

@@ -1,6 +1,7 @@
 """Tests for configuration, persistence, commands, and the property suite."""
 
 import csv
+import ctypes
 import json
 import os
 import subprocess
@@ -26,7 +27,8 @@ from stripflow.harness import (
 from stripflow.diagnostics import energy_E1, energy_E_s
 from stripflow.hns import HnsState, make_hns_data
 from stripflow.gevrey import GevreyParams
-from stripflow.prandtl import PrandtlState, SolverAbort, prandtl_step, recover_v
+from stripflow.prandtl import PrandtlState, prandtl_step, recover_v
+from stripflow.stepper import SolverAbort
 
 
 BLAS_THREADS = None if blas._openblas() is None else 1  # as metadata.json records it
@@ -364,6 +366,17 @@ class TestCmdRun:
             expect = energy_E1([s], cfg.eps, p).composite[0]
         assert np.isfinite(meta["data_norm"]) and meta["data_norm"] > 0.0
         assert meta["data_norm"] == expect
+
+    @pinned
+    def test_blas_library_looked_up_once(self, monkeypatch):
+        # every cmd_run enters one_blas_thread; only the first lookup may load
+        loads, real_cdll = [], ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda path: loads.append(path) or real_cdll(path))
+        for _ in range(2):
+            before = len(loads)
+            with blas.one_blas_thread() as pinned_here:
+                assert pinned_here
+        assert loads[before:] == []
 
     @pinned
     def test_blas_on_one_thread_during_run_only(self, tmp_path, monkeypatch):

@@ -27,7 +27,8 @@ from stripflow.hns import (
     hns_step,
     make_hns_data,
 )
-from stripflow.prandtl import SolverAbort
+from stripflow.paley import get_bank
+from stripflow.stepper import SolverAbort
 
 P = GevreyParams(a=0.5)
 
@@ -306,8 +307,8 @@ class TestProjector:
         assert np.abs(after).max() <= 1e-10 * np.abs(before).max()
 
     def test_eigenbasis_shared_across_eps_and_nx(self, monkeypatch):
-        monkeypatch.setattr(hns, "_EIGENBASES", {})
-        monkeypatch.setattr(hns, "_PROJECTORS", {})
+        hns._eigenbasis.cache_clear()
+        hns._get_projector.cache_clear()
         calls = []
         eig = np.linalg.eig
         monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
@@ -315,10 +316,19 @@ class TestProjector:
             f1, f2 = random_pair(g, seed=5)
             _project_pair(g, eps, f1, f2)
         assert calls == [(31, 31)]
-        assert len(hns._PROJECTORS) == 3
+        assert hns._get_projector.cache_info().currsize == 3
+
+    @pytest.mark.parametrize("cached, args", [(get_bank, ()), (hns._get_projector, (0.1,))],
+                             ids=["get_bank", "_get_projector"])
+    def test_cache_serves_an_equal_grid(self, cached, args):
+        # set-up may warm these caches with Grid objects of its own
+        cached.cache_clear()
+        first = cached(Grid(32, 33), *args)
+        assert cached(Grid(32, 33), *args) is first
+        assert cached.cache_info().misses == 1
 
     def test_kernel_pair_is_exactly_zero(self):
-        lam = hns._eigenbasis(Grid(8, 33)).lam
+        lam = hns._eigenbasis(33).lam
         assert np.sum(lam == 0.0) == 2
         assert np.all(lam <= 0.0)
         assert np.sort(np.abs(lam))[2] > 1.0
@@ -343,7 +353,7 @@ class TestProjector:
 
         monkeypatch.setattr(np.linalg, "eig", broken)
         with pytest.raises(np.linalg.LinAlgError, match=match):
-            hns._Eigenbasis(Grid(8, 17))
+            hns._Eigenbasis(17)
 
 
 class TestRhs:

@@ -6,7 +6,6 @@ import pytest
 from stripflow.grid import (
     Field,
     Grid,
-    dealias,
     dx,
     dy,
     dyy,
@@ -19,13 +18,12 @@ from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
 from stripflow import paley, prandtl
 from stripflow.prandtl import (
     PrandtlState,
-    SolverAbort,
-    enforce_compatibility,
     prandtl_rhs,
     prandtl_step,
     pressure_gradient,
     recover_v,
 )
+from stripflow.stepper import SolverAbort
 
 
 def mu_discrete(Ny: int) -> float:
@@ -108,7 +106,8 @@ class TestPressureGradient:
         rng = np.random.default_rng(0)
         vals = rng.standard_normal((g.Nx, g.Ny)) * 1e-2
         vals[:, 0] = vals[:, -1] = 0.0
-        u = dealias(to_spectral(g, vals))
+        u = to_spectral(g, vals)
+        u.coeff[~g.dealias_mask] = 0.0
         pg = pressure_gradient(u)
         spread = np.abs(pg.coeff - pg.coeff[:, :1]).max()
         assert spread == 0.0
@@ -308,32 +307,6 @@ class TestConservation:
             s = prandtl_step(s, dt, factor=0.5)
         drift = np.abs(mean_y(s.u))[1:].max()
         assert drift > 1e-12
-
-
-class TestEnforceCompatibility:
-    def test_compatible_data_unchanged(self):
-        g = Grid(32, 33)
-        u0, u1 = make_gevrey_data(g, GevreyParams(), amplitude=1e-3, m_max=4)
-        f0, f1 = enforce_compatibility(u0, u1)
-        assert np.abs(f0.coeff - u0.coeff).max() <= 1e-14 * np.abs(u0.coeff).max()
-        assert np.abs(f1.coeff - u1.coeff).max() == 0.0
-
-    def test_sin_py_gets_projected(self):
-        g = Grid(32, 33)
-        x = xnodes(g)
-        vals = (1.0 + 0.3 * np.cos(x))[:, None] * np.sin(np.pi * g.y)[None, :]
-        vals[:, 0] = vals[:, -1] = 0.0  # sin(pi * 1.0) is ~1e-16, not 0
-        u0 = to_spectral(g, vals)
-        f0, _ = enforce_compatibility(u0, Field.zeros(g))
-        assert np.abs(mean_y(f0)).max() <= 1e-14
-        assert np.abs(f0.coeff[:, 0]).max() == 0.0
-        assert np.abs(f0.coeff[:, -1]).max() == 0.0
-
-    def test_zero_passthrough(self):
-        g = Grid(16, 17)
-        f0, f1 = enforce_compatibility(Field.zeros(g), Field.zeros(g))
-        assert np.abs(f0.coeff).max() == 0.0
-        assert np.abs(f1.coeff).max() == 0.0
 
 
 class TestSmallDataDecay:

@@ -29,3 +29,19 @@ def test_all_names_exist(path):
     names = getattr(module, "__all__", ())
     missing = [name for name in names if not hasattr(module, name)]
     assert missing == [], f"{path.name}: __all__ names {missing} are not defined"
+
+
+def _is_empty_dict(node) -> bool:
+    return (isinstance(node, ast.Dict) and not node.keys) or (
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id == "dict" and not node.args and not node.keywords)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_level_empty_dicts(path):
+    # a module-level dict filled at run time is a hand-rolled per-process
+    # cache; functools.cache does that job
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in tree.body
+             if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_dict(node.value)]
+    assert lines == [], f"{path.name}: module-level empty dicts on lines {lines}"
