@@ -142,20 +142,22 @@ def apply_gevrey(
     g = f.grid
     if sign > 0:
         ph, factor = gevrey_weight(g, t, p) if weight is None else weight
-        mag = np.abs(f.coeff)
+        mag = np.abs(f.rows)
         scale = mag.max()
-        c = f.coeff * factor
+        c = f.rows * factor[:len(mag)]
         floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
         c[floored] = 0.0
         if report is not None:
             mode_mag = np.where(floored, 0.0, mag).max(axis=1)
+            if f.is_band:
+                mode_mag = g.unfold(mode_mag)
             with np.errstate(divide="ignore"):
                 level = ph + np.log(mode_mag / max(scale, 1e-300))
             trusted = g.abs_xi[level > TRUST_LOG_LEVEL]
             report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
             report["floored_modes"] = np.count_nonzero(mode_mag[g.abs_xi > 0] == 0)
         return Field(g, c)
-    return Field(g, f.coeff * np.exp(-phi(t, g.abs_xi, p))[:, None])
+    return Field(g, f.rows * np.exp(-phi(t, g.abs_xi[:len(f.rows)], p))[:, None])
 
 
 def _sin2py(y: np.ndarray) -> np.ndarray:

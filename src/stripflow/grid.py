@@ -9,6 +9,13 @@ with m running over the FFT ordering {0, 1, ..., Nx/2, -Nx/2+1, ..., -1},
 i.e. c = fft(values, axis=0, norm="forward").  Real fields satisfy the
 conjugate symmetry c[-m, j] = conj(c[m, j]).
 
+A dealiased real field (2/3 rule: c[m] = 0 for |m| > Nx/3) is fixed by its
+band, the rows m = 0..Nx/3.  `Grid.fold` takes a full spectrum to its band
+and checks that nothing is dropped; `Grid.unfold` rebuilds the full
+spectrum.  A Field stores either layout, and the operators here keep it,
+so the solvers step band rows only.  Every conjugate mirror is written in
+this module.
+
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
 The y direction is a uniform node set with second-order centered
@@ -16,6 +23,8 @@ differences inside and second-order one-sided stencils on the walls.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -36,6 +45,7 @@ __all__ = [
     "integrate_y",
     "mean_y",
     "l2_norm",
+    "y_density",
     "multiply",
     "pin_walls",
     "real_symmetry_defect",
@@ -77,9 +87,12 @@ class Grid:
         self._dx_mult = mult
         # -xi^2 multiplier for d2/dx2, the square of the one above
         self._dxx_mult = (mult * mult).real
-        # 2/3-rule mask: keep |m| <= Nx/3; rows of the modes -m, 0 <= m <= Nx/3
+        # 2/3-rule mask: keep |m| <= Nx/3; the band is the rows m = 0..Nx/3
+        # (never the Nyquist row), its mirror the rows of the modes -m
         self.dealias_mask = np.abs(m) <= Nx // 3
-        self.dealias_mirror = (-np.arange(Nx // 3 + 1)) % Nx
+        self.band = Nx // 3 + 1
+        self.dealias_mirror = (-np.arange(self.band)) % Nx
+        self._band_row = np.minimum(np.abs(m), Nx // 3)  # of each mode in the band
         # trapezoid weights in y (fixed summation order via dot products)
         w = np.full(Ny, self.dy)
         w[0] = w[-1] = 0.5 * self.dy
@@ -87,25 +100,68 @@ class Grid:
         self.key = (self.Lx, self.Nx, self.Ny)
         self._work = {}
 
-    def work(self, name: str, rows: int | None = None) -> np.ndarray:
-        """Complex scratch array kept per name: (Nx, Ny), or (rows, Nx, Ny).
+    def work(self, name: str, shape: tuple) -> np.ndarray:
+        """Complex scratch array of `shape`, kept per name.
 
         A 128x65 field is larger than the allocator's mmap threshold, so a
         fresh temporary of that size is faulted in on every call; hot loops
         reuse these instead.  Requests of one name share memory (the
-        largest row count is kept), so a name must not serve two arrays in
-        use at once.  The contents are undefined on entry, and an array from
+        largest size is kept), so a name must not serve two arrays in use
+        at once.  The contents are undefined on entry, and an array from
         here must never be handed out as a result.  The buffers belong to
         this Grid object, so two states on one Grid must never step at the
         same time (two threads that did corrupted each other's RK stages);
-        concurrent runs each need their own Grid.
+        concurrent runs each need their own Grid.  The solvers ask for band
+        stacks, (n, band, Ny), and the products for full spectra, (Nx, Ny).
         """
-        n = 1 if rows is None else rows
+        size = math.prod(shape)
         buf = self._work.get(name)
-        if buf is None or len(buf) < n:
-            buf = np.empty((n, self.Nx, self.Ny), dtype=np.complex128)
+        if buf is None or buf.size < size:
+            buf = np.empty(size, dtype=np.complex128)
             self._work[name] = buf
-        return buf[0] if rows is None else buf[:n]
+        return buf[:size].reshape(shape)
+
+    def fold(self, full: np.ndarray) -> np.ndarray:
+        """The band rows m = 0..Nx/3 of full spectra (..., Nx, Ny), copied.
+
+        Raises ValueError if a field has content outside the band, or a row
+        m <= 0 that is not the conjugate of row -m, beyond 1e-12 of that
+        field's max |coeff| (the tolerance of `to_physical`): either would
+        be lost.
+        """
+        full = np.asarray(full, dtype=np.complex128)
+        K = self.band - 1
+
+        def worst(c):  # per field, relative to its own max |coeff|
+            return np.abs(c).max(axis=(-2, -1), initial=0.0)
+
+        scale = 1e-12 * worst(full)
+        if np.any(worst(full[..., K + 1:self.Nx - K, :]) > scale):
+            raise ValueError(f"content outside the band |m| <= Nx/3 = {K}")
+        mirror = full[..., self.dealias_mirror, :] - np.conj(full[..., :K + 1, :])
+        if np.any(worst(mirror) > scale):
+            raise ValueError("rows m <= 0 are not the conjugates of rows -m")
+        return full[..., :K + 1, :].copy()
+
+    def unfold(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Full spectra (..., Nx, Ny) of the real fields whose band rows
+        m = 0..Nx/3 are `band` (..., band, Ny): rows -m are their
+        conjugates, the rest 0.  A 1-D `band` holds real per-mode values,
+        such as densities, and its rows -m repeat rows m.
+
+        A mirrored zero is written as +0.0, not -0.0, as the arithmetic on
+        a full spectrum leaves it."""
+        if band.ndim == 1:
+            return np.where(self.dealias_mask, band[self._band_row], 0.0)
+        K = self.band - 1
+        if out is None:
+            out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
+        out[..., :K + 1, :] = band
+        out[..., K + 1:self.Nx - K, :] = 0.0
+        src, hi = band[..., K:0:-1, :], out[..., self.Nx - K:, :]
+        np.add(src.real, 0.0, out=hi.real)
+        np.subtract(0.0, src.imag, out=hi.imag)
+        return out
 
     def __eq__(self, other):
         return isinstance(other, Grid) and self.key == other.key
@@ -118,25 +174,45 @@ class Grid:
 
 
 class Field:
-    """Complex coefficient array c[m, j] on a grid, with light arithmetic."""
+    """Coefficients c[m, j] of a real field on a grid, with light arithmetic.
 
-    __slots__ = ("grid", "coeff")
+    `rows` holds either the full spectrum, shape (Nx, Ny), or the band,
+    shape (band, Ny), rows m = 0..Nx/3 (see `Grid.fold`).  `coeff` is the
+    full spectrum in both layouts: a band Field unfolds it on every read,
+    into a read-only array, so a write through it raises instead of being
+    lost.  Operators on one layout return that layout.
+    """
+
+    __slots__ = ("grid", "rows")
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
-        if coeff.shape != (grid.Nx, grid.Ny):
+        coeff = np.asarray(coeff, dtype=np.complex128)
+        if coeff.shape not in ((grid.Nx, grid.Ny), (grid.band, grid.Ny)):
             raise ValueError(
                 f"coefficient shape {coeff.shape} does not match grid "
-                f"(Nx, Ny) = {(grid.Nx, grid.Ny)}"
+                f"(Nx, Ny) = {(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)}"
             )
         self.grid = grid
-        self.coeff = np.asarray(coeff, dtype=np.complex128)
+        self.rows = coeff
+
+    @property
+    def is_band(self) -> bool:
+        return len(self.rows) != self.grid.Nx
+
+    @property
+    def coeff(self) -> np.ndarray:
+        if not self.is_band:
+            return self.rows
+        full = self.grid.unfold(self.rows)
+        full.flags.writeable = False
+        return full
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
         return cls(grid, np.zeros((grid.Nx, grid.Ny), dtype=np.complex128))
 
     def copy(self) -> "Field":
-        return Field(self.grid, self.coeff.copy())
+        return Field(self.grid, self.rows.copy())
 
     def _check_same_grid(self, other: "Field"):
         if self.grid is not other.grid and self.grid.key != other.grid.key:
@@ -144,25 +220,33 @@ class Field:
                 f"grid mismatch: {self.grid!r} vs {other.grid!r}"
             )
 
-    def __add__(self, other: "Field") -> "Field":
+    def _pair(self, other: "Field"):
+        """Both operands in one layout: their rows, or else full spectra."""
         self._check_same_grid(other)
-        return Field(self.grid, self.coeff + other.coeff)
+        if self.is_band == other.is_band:
+            return self.rows, other.rows
+        return self.coeff, other.coeff
+
+    def __add__(self, other: "Field") -> "Field":
+        a, b = self._pair(other)
+        return Field(self.grid, a + b)
 
     def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.coeff - other.coeff)
+        a, b = self._pair(other)
+        return Field(self.grid, a - b)
 
     def __mul__(self, c) -> "Field":
-        return Field(self.grid, self.coeff * c)
+        return Field(self.grid, self.rows * c)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field(self.grid, -self.coeff)
+        return Field(self.grid, -self.rows)
 
 
 def unstack(grid: Grid, arr: np.ndarray) -> tuple[Field, ...]:
-    """Fields viewing the rows of a stacked (n, Nx, Ny) array (no copy)."""
+    """Fields viewing the rows of a stacked (n, Nx, Ny) or (n, band, Ny)
+    array (no copy)."""
     return tuple(Field(grid, row) for row in arr)
 
 
@@ -202,7 +286,7 @@ def to_physical(f: Field) -> np.ndarray:
 
 def dx(f: Field) -> Field:
     """Horizontal derivative: multiply by i*xi (Nyquist bin zeroed)."""
-    return Field(f.grid, f.coeff * f.grid._dx_mult[:, None])
+    return Field(f.grid, f.rows * f.grid._dx_mult[:len(f.rows), None])
 
 
 def frac_dx(f: Field, s: float) -> Field:
@@ -215,7 +299,7 @@ def frac_dx(f: Field, s: float) -> Field:
         return f.copy()
     nonzero = g.abs_xi > 0.0
     mult = np.where(nonzero, g.abs_xi, 1.0) ** s * nonzero
-    return Field(g, f.coeff * mult[:, None])
+    return Field(g, f.rows * mult[:len(f.rows), None])
 
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
@@ -287,12 +371,12 @@ def real_view(c: np.ndarray) -> np.ndarray:
 
 def dy(f: Field) -> Field:
     """d/dy: centered second order inside, one-sided second order at walls."""
-    return Field(f.grid, y_diff(f.coeff, f.grid.dy, 1))
+    return Field(f.grid, y_diff(f.rows, f.grid.dy, 1))
 
 
 def dyy(f: Field) -> Field:
     """d2/dy2: centered second order inside, one-sided second order at walls."""
-    return Field(f.grid, y_diff(f.coeff, f.grid.dy, 2))
+    return Field(f.grid, y_diff(f.rows, f.grid.dy, 2))
 
 
 def dy_matrix(grid: Grid) -> np.ndarray:
@@ -312,15 +396,16 @@ def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     out[..., 0] = 0.0
     cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
-    cum *= h
-    cum /= 2.0
+    scaled = real_view(cum)  # real factors: the same numbers as complex * real
+    scaled *= h
+    scaled /= 2.0
     np.cumsum(cum, axis=-1, out=cum)
     return out
 
 
 def integrate_y(f: Field) -> Field:
     """Cumulative trapezoidal integral from y = 0 (zero at y = 0)."""
-    return Field(f.grid, cumulative_trapezoid(f.coeff, f.grid.dy))
+    return Field(f.grid, cumulative_trapezoid(f.rows, f.grid.dy))
 
 
 def mean_y(f: Field) -> np.ndarray:
@@ -328,52 +413,62 @@ def mean_y(f: Field) -> np.ndarray:
     return f.coeff @ f.grid.trapz_w
 
 
+def y_density(f: Field) -> np.ndarray:
+    """Trapezoid-in-y integral of |c[m, y]|^2 for each of the Nx modes m, in
+    FFT order (from a band Field's rows, their mirrors and zeros)."""
+    c = f.rows
+    density = (c.real ** 2 + c.imag ** 2) @ f.grid.trapz_w
+    return f.grid.unfold(density) if f.is_band else density
+
+
 def l2_norm(f: Field) -> float:
     """L2 norm on the strip: Parseval in x (weight Lx), trapezoid in y."""
-    density = (f.coeff.real ** 2 + f.coeff.imag ** 2) @ f.grid.trapz_w
-    return float(np.sqrt(f.grid.Lx * density.sum()))
+    return float(np.sqrt(f.grid.Lx * y_density(f).sum()))
 
 
 def _physical(grid: Grid, name: str, fields) -> list[np.ndarray]:
     """Real physical values of `fields`, two per inverse transform (a + ib),
     as views of the grid's `name` work stack."""
     n = len(fields)
-    buf = grid.work(name, (n + 1) // 2)
+    buf = grid.work(name, ((n + 1) // 2, grid.Nx, grid.Ny))
     vals = []
     for z, k in zip(buf, range(0, n, 2)):
-        if k + 1 < n:
-            _pack(fields[k], fields[k + 1], z)
-            np.fft.ifft(z, axis=0, norm="forward", out=z)
-            vals += [z.real, z.imag]
-        else:
-            np.fft.ifft(fields[k].coeff, axis=0, norm="forward", out=z)
-            vals.append(z.real)
+        pair = k + 1 < n
+        _pack(fields[k], fields[k + 1] if pair else None, z)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
+        vals += [z.real, z.imag] if pair else [z.real]
     return vals
 
 
-def _pack(a: Field, b: Field, out: np.ndarray) -> np.ndarray:
-    """a + ib into `out`, the spectrum of the complex physical field a + ib."""
-    np.multiply(b.coeff, 1j, out=out)
-    out += a.coeff
+def _pack(a: Field, b: Field | None, out: np.ndarray) -> np.ndarray:
+    """a + ib into `out`, the full spectrum of the complex physical field
+    a + ib (of a alone when b is None).  From band Fields, rows m = 0..Nx/3
+    are A + iB and rows -m are conj(A) + i conj(B) (two real fields in one
+    complex transform: Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
+    if b is None:
+        out[...] = a.coeff
+    elif not (a.is_band and b.is_band):
+        np.multiply(b.coeff, 1j, out=out)
+        out += a.coeff
+    else:
+        K, Nx = a.grid.band - 1, a.grid.Nx
+        lo, hi = out[:K + 1], out[Nx - K:]
+        np.multiply(b.rows, 1j, out=lo)
+        np.subtract(a.rows[K:0:-1], lo[K:0:-1], out=hi)  # conj(A - iB), rows -1..-K
+        np.conj(hi, out=hi)
+        lo += a.rows
+        out[K + 1:Nx - K] = 0.0
     return out
 
 
-def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[Field, Field]:
-    """Dealiased spectra of the real and imaginary parts of a physical field
-    whose spectrum is `spec`.  Conjugate symmetry separates them: with
-    r = conj(spec[-m]), the parts are (spec[m] + r) / 2 and (spec[m] - r) / 2i.
-    Modes -m are the conjugates of modes m, so only 0 <= m <= Nx/3 are formed.
+def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Band rows of the real and imaginary parts of a physical field whose
+    spectrum is `spec`.  Conjugate symmetry separates them: with
+    r = conj(spec[-m]), the parts are (spec[m] + r) / 2 and (spec[m] - r) / 2i
+    for 0 <= m <= Nx/3.
     """
-    K = grid.Nx // 3
-    s, r = spec[:K + 1], np.conj(spec[grid.dealias_mirror])
-    out = []
-    for part in (0.5 * (s + r), -0.5j * (s - r)):
-        c = np.empty_like(spec)
-        c[:K + 1] = part
-        c[K + 1:grid.Nx - K] = 0.0
-        np.conj(part[:0:-1], out=c[grid.Nx - K:])
-        out.append(Field(grid, c))
-    return out[0], out[1]
+    s, r = spec[:grid.band], np.conj(spec[grid.dealias_mirror])
+    return 0.5 * (s + r), -0.5j * (s - r)
 
 
 def multiply(f, g) -> Field | tuple[Field, Field]:
@@ -396,6 +491,10 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     forward transform that conjugate symmetry splits in two.  Two outputs
     of two products each thus cost 4 transforms.
 
+    If every factor is a band Field, so is the result: it holds only the
+    rows m = 0..Nx/3 of the product, with no mirror written.  Otherwise it
+    is a full Field, dealiased.
+
     The symmetry check is skipped here: products sit in solver inner loops
     where the inputs are produced by symmetry-preserving operations, and a
     relative check misfires when an oscillating field passes through zero
@@ -417,9 +516,10 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     if not single and len(gss) != 2:
         raise ValueError(
             f"multiply's two-output form takes exactly two outputs, got {len(gss)}")
-    grid = fs[0].grid
-    for h in fs[1:] + sum(gss, ()):
+    grid, factors = fs[0].grid, fs + sum(gss, ())
+    for h in factors[1:]:
         fs[0]._check_same_grid(h)
+    band = all(h.is_band for h in factors)
 
     with np.errstate(over="ignore", invalid="ignore"):
         fv = _physical(grid, "multiply.f", fs)
@@ -429,9 +529,11 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
             for fk, gk in zip(fv[1:], gv[1:]):
                 prod += fk * gk
             spec = np.fft.fft(prod, axis=0, norm="forward")
+            if band:
+                return Field(grid, spec[:grid.band])
             spec[~grid.dealias_mask] = 0.0
             return Field(grid, spec)
-        total, z = grid.work("multiply.g", 2)
+        total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
         for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
             dst = total if k == 0 else z
             np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
@@ -439,12 +541,13 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
             if k:
                 total += z
         np.fft.fft(total, axis=0, norm="forward", out=total)
-        return _split_pair(grid, total)
+        return tuple(Field(grid, part if band else grid.unfold(part))
+                     for part in _split_pair(grid, total))
 
 
 def pin_walls(f: Field) -> Field:
     """Zero the wall rows j = 0 and j = Ny-1 (homogeneous Dirichlet)."""
-    out = f.coeff.copy()
+    out = f.rows.copy()
     out[:, 0] = 0.0
     out[:, -1] = 0.0
     return Field(f.grid, out)

@@ -73,7 +73,8 @@ class RunConfig:
         "gevrey", 1.0 / np.pi**2,
         "Poincare constant; decay rate K = min(1/6, 1/(4(1+poincare)))")
     amplitude: float = _key("data", 1e-4, "data amplitude (>= 0)")
-    m_max: int = _key("data", 4, "highest excited x-mode (1 <= m_max <= Nx/2 - 1)")
+    m_max: int = _key("data", 4, "highest excited x-mode (1 <= m_max <= Nx/3, the "
+                      "dealiased band that solver states hold)")
     profile: str = _key("data", "sin2py", "vertical profile id (known ids: "
                         + ", ".join(sorted(PROFILES)) + ")")
     u1: str = _key("data", "zero",
@@ -109,10 +110,9 @@ class RunConfig:
         self.gevrey_params()  # a / lam / poincare likewise
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
-        if not (1 <= self.m_max <= self.Nx // 2 - 1):
+        if not (1 <= self.m_max <= self.Nx // 3):
             raise ValueError(
-                f"m_max must lie in [1, Nx/2 - 1] = [1, {self.Nx // 2 - 1}], "
-                f"got {self.m_max}"
+                f"m_max must lie in [1, Nx/3] = [1, {self.Nx // 3}], got {self.m_max}"
             )
         if self.profile not in PROFILES:
             raise ValueError(
@@ -264,7 +264,8 @@ def write_snapshot(path, state) -> Path:
     """Serialize a solver state; layout (little-endian):
 
     magic "STRF" | version u8 | kind u8 (0 horizontal-only, 1 scaled pair)
-    | Nx u32 | Ny u32 | Lx f64 | t f64 | eps f64, then the state's stack of
+    | Nx u32 | Ny u32 | Lx f64 | t f64 | eps f64, then the full spectra
+    (Nx, Ny) of the state's fields, unfolded from its band stack, as
     complex128 coefficients in C order: rows u, ut (u, v, ut, vt for the pair).
     """
     g = state.u.grid
@@ -278,12 +279,14 @@ def write_snapshot(path, state) -> Path:
                 SNAPSHOT_MAGIC, SNAPSHOT_VERSION, kind, g.Nx, g.Ny, g.Lx, state.t, eps
             )
         )
-        fh.write(np.ascontiguousarray(state.stack, dtype="<c16").tobytes())
+        fh.write(g.unfold(state.stack).astype("<c16", copy=False).tobytes())
     return path
 
 
 def read_snapshot(path):
-    """Inverse of write_snapshot; returns the reconstructed state."""
+    """Inverse of write_snapshot; returns the reconstructed state.  The
+    spectra are folded to their bands (`Grid.fold`), which raises
+    ValueError on a file whose fields are not real and dealiased."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise ValueError(f"{path}: truncated snapshot header")
@@ -300,7 +303,7 @@ def read_snapshot(path):
         raise ValueError(f"{path}: expected {need} bytes, found {len(raw)}")
     g = Grid(Nx, Ny, Lx=Lx)
     stack = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    stack = stack.reshape(len(cls.ROWS), Nx, Ny).copy()
+    stack = g.fold(stack.reshape(len(cls.ROWS), Nx, Ny))
     return cls(**dict(zip(cls.ROWS, unstack(g, stack))), t=t, _rows=stack, **extra)
 
 
@@ -580,10 +583,10 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
 
     cores = len(os.sched_getaffinity(0))
     workers = min(cores, len(cfg.eps_list)) if blas_threads else 1
-    try:  # each reference sample is one (u, v, ut, vt) stack, v and vt slaved
+    try:  # each reference sample is one (u, v, ut, vt) band stack, v and vt slaved
         ref_times, reference = zip(*(
-            (s.t, np.stack([s.u.coeff, recover_v(s.u).coeff,
-                            s.ut.coeff, recover_v(s.ut).coeff]))
+            (s.t, np.stack([s.stack[0], recover_v(s.u).rows,
+                            s.stack[1], recover_v(s.ut).rows]))
             for s in trajectory(None)))
     except SolverAbort as exc:
         raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc

@@ -30,15 +30,19 @@ of the second equation then only determines a diagnostic pressure profile
 and never feeds back into u.
 
 Storage and stepping: a state owns one stacked complex array
-``HnsState.stack`` of shape (4, Nx, Ny), rows (u, v, ut, vt), and its
-Fields are views of those rows.  ``hns_step`` advances the stack with the
-RK4 step shared with the limit system (``stepper.rk4_step``).  The
-right-hand side applies the y stencils to the stacked pair (u, v) in one
-pass and takes both advection terms, N1 = u u_x + v u_y and
+``HnsState.stack`` of shape (4, Nx//3 + 1, Ny), rows (u, v, ut, vt), each
+the band m = 0..Nx/3 of its field (the 2/3 rule keeps every other row at
+zero or a conjugate mirror; see ``Grid.fold``), and its Fields are band
+Fields over those rows.  ``hns_step`` advances the stack with the RK4
+step shared with the limit system (``stepper.rk4_step``), so the RK
+arithmetic, the stencils and the projection run on the band rows only.
+The right-hand side applies the y stencils to the stacked pair (u, v) in
+one pass and takes both advection terms, N1 = u u_x + v u_y and
 N2 = u v_x + v v_y, from the two-output form of ``multiply``: u + i v goes
 to physical x once, u_x + i v_x and u_y + i v_y once each, and N1 + i N2
 takes one forward transform that conjugate symmetry splits, so a
-right-hand side costs four transforms.
+right-hand side costs four transforms.  Only there, inside the products,
+is a full spectrum built; the products return band rows.
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ ENERGY_GROWTH_LIMIT = 10.0
 @dataclass(frozen=True)
 class HnsState(StackedState):
     """Velocity pair, its time derivative, the anisotropy, and the clock,
-    over a (4, Nx, Ny) stack (see `StackedState`)."""
+    over a (4, Nx//3 + 1, Ny) stack of band rows (see `StackedState`)."""
 
     ROWS = ("u", "v", "ut", "vt")
     u: Field
@@ -113,7 +117,7 @@ class HnsState(StackedState):
     def check_invariants(self):
         super().check_invariants()
         for name, f in (("v", self.v), ("vt", self.vt)):
-            if np.any(f.coeff[0] != 0.0):
+            if np.any(f.rows[0] != 0.0):
                 raise SolverAbort(f"x-mean of {name} not pinned", self)
         rel = self.divergence_rel()
         if rel > self.tol_div:
@@ -194,16 +198,14 @@ class _Projector:
     (grid, eps), applied through the Ny-shared pencil eigenbasis.
 
     Per mode, A_m^-1 = V diag(eps^2 / (lam - eps^2 xi_m^2), eps^2, eps^2)
-    W^-1, so a projection is two real matrix products over every
-    strictly-positive frequency (the zero and Nyquist frequencies carry no
-    x-derivative and are excluded; v is pinned at the mean mode instead).
+    W^-1, so a projection is two real matrix products over the modes
+    1..Nx/3 of the band (the zero frequency carries no x-derivative and is
+    excluded; v is pinned at the mean mode instead).
     """
 
     def __init__(self, grid, eps: float):
-        self.grid = grid
-        self.eps = eps
         basis = _eigenbasis(grid.Ny)
-        self.modes = np.arange(1, grid.Nx // 2)  # xi != 0, one per pair
+        self.modes = np.arange(1, grid.band)  # xi != 0 in the band
         e2 = eps**2
         scale = np.full((self.modes.size, grid.Ny), e2)
         scale[:, :-2] = e2 / (basis.lam[None, :] - e2 * grid.xi[self.modes, None] ** 2)
@@ -211,8 +213,8 @@ class _Projector:
         self._gather = basis.gather
         self._spread = np.hstack([basis.spread[:, :grid.Ny],
                                   basis.spread[:, grid.Ny:] / e2])
-        #: c1 = i xi M q, over every row (q is zero off the modes)
-        self._c1_mult = grid._dx_mult[:, None] * basis.mask[None, :]
+        #: c1 = i xi M q, over every band row (q is zero at the mean mode)
+        self._c1_mult = grid._dx_mult[:grid.band, None] * basis.mask[None, :]
 
 
 @cache
@@ -222,13 +224,12 @@ def _get_projector(grid, eps: float) -> _Projector:
 
 
 def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
-    """Return coefficient corrections (c1, c2) and the potential q such that
-    the divergence of (f1 - c1, f2 - c2) vanishes at every positive
-    frequency; the mean and Nyquist columns are untouched."""
+    """Return band corrections (c1, c2) and the potential q such that the
+    divergence of (f1 - c1, f2 - c2) vanishes at every mode 1..Nx/3; f1 and
+    f2 are band rows (band, Ny), and their mean rows are untouched."""
     proj = _get_projector(grid, eps)
     nm, Ny = proj.modes.size, grid.Ny
-    pos = slice(1, nm + 1)  # modes 1 .. Nx/2-1
-    neg = slice(grid.Nx - 1, grid.Nx - nm - 1, -1)  # their partners -m
+    pos = slice(1, nm + 1)  # modes 1 .. Nx/3
     xi = grid.xi[pos, None]
     # rows: real parts, then imaginary parts; columns: i xi f1, then f2.
     # Filled and reused in place: fresh temporaries of this size cost
@@ -246,7 +247,6 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
     for f, cols in ((q, slice(0, Ny)), (c2, slice(Ny, 2 * Ny))):
         f.real[pos] = out[:nm, cols]
         f.imag[pos] = out[nm:, cols]
-        np.conj(f[pos], out=f[neg])
     return q * proj._c1_mult, c2, q
 
 
@@ -262,28 +262,30 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     ``disable_nonlinear`` drops the advection terms; ``disable_pressure``
     skips the projection (for linear single-mode checks where the state is
     deliberately not divergence-free).  Boundary rows of the accelerations
-    are pinned, and the x-mean row of dvt is pinned.  The accelerations
-    (dut, dvt) are written into ``out``, a (2, Nx, Ny) complex array, when
-    one is given.  The linear terms act on the stacked pair (u, v) at once,
-    and both advection terms come from the two-output form of ``multiply``.
+    are pinned, and the x-mean row of dvt is pinned.  All four are band
+    Fields; the accelerations (dut, dvt) are written into ``out``, a
+    (2, Nx//3 + 1, Ny) complex array, when one is given.  The linear
+    terms act on the stacked pair (u, v) at once, and both advection terms
+    come from the two-output form of ``multiply``.
     """
     g = state.grid
     eps = state.eps
     y = state.stack
     uv = y[:2]
 
-    dx_uv, dy_uv = g.work("hns.dx", 2), g.work("hns.dy", 2)
+    dx_uv, dy_uv = g.work("hns.dx", uv.shape), g.work("hns.dy", uv.shape)
     acc = y_diff(uv, g.dy, 2, out=out)
-    np.multiply(real_view(uv), (eps**2 * g._dxx_mult)[:, None], out=real_view(dx_uv))
+    np.multiply(real_view(uv), (eps**2 * g._dxx_mult[:g.band])[:, None],
+                out=real_view(dx_uv))
     acc += dx_uv
     acc -= y[2:]
     N2 = None
     if not disable_nonlinear:
-        ux, vx = unstack(g, np.multiply(uv, g._dx_mult[:, None], out=dx_uv))
+        ux, vx = unstack(g, np.multiply(uv, g._dx_mult[:g.band, None], out=dx_uv))
         uy, vy = unstack(g, y_diff(uv, g.dy, 1, out=dy_uv))
         N1, N2 = multiply((state.u, state.v), ((ux, uy), (vx, vy)))
-        acc[0] -= N1.coeff
-        acc[1] -= N2.coeff
+        acc[0] -= N1.rows
+        acc[1] -= N2.rows
     acc[..., 0] = acc[..., -1] = 0.0
     acc[1, 0] = 0.0  # the x-mean of v is pinned, not solved for
 
@@ -298,7 +300,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
             # mean-mode pressure profile is diagnostic only:
             # d_y p = -eps^2 N2 at the mean mode (v, Lv vanish there)
             if N2 is not None:
-                prof = -eps**2 * cumulative_trapezoid(N2.coeff[0], g.dy)
+                prof = -eps**2 * cumulative_trapezoid(N2.rows[0], g.dy)
                 prof -= g.trapz_w @ prof / g.trapz_w.sum()
                 q[0] = prof
             report["pressure"] = Field(g, q)
@@ -334,10 +336,10 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     flags = dict(disable_nonlinear=disable_nonlinear,
                  disable_pressure=disable_pressure)
 
-    def rhs(stage, k):
-        return [f.coeff for f in hns_rhs(stage, out=k[2:], **flags)]
+    def accel(stage, out):
+        hns_rhs(stage, out=out, **flags)
 
-    out = state.with_stack(rk4_step(state, dt, rhs, _pin_pair),
+    out = state.with_stack(rk4_step(state, dt, accel, _pin_pair),
                            t=state.t + dt, steps=state.steps + 1)
 
     if out.steps % n_proj == 0:
@@ -362,7 +364,7 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     current divergence as data and subtracts the masked weighted gradient,
     so the post-cleanup divergence is at solver precision.  The correction
     magnitude is logged and optionally reported.  The result is stacked in
-    ``out``, a (4, Nx, Ny) complex array that may be the state's own stack,
+    ``out``, a band stack shaped like the state's that may be its own,
     or else in a fresh array, leaving the input state as it was.
     """
     g = state.grid

@@ -30,7 +30,7 @@ from functools import cache, reduce
 
 import numpy as np
 
-from .grid import Field, Grid, dx, l2_norm, multiply, to_physical
+from .grid import Field, Grid, dx, l2_norm, multiply, to_physical, y_density
 
 __all__ = [
     "chi",
@@ -157,8 +157,7 @@ def mode_density(fields) -> np.ndarray:
     """Per-mode squared-L2 density: trapz_y sum_components |c_m(y)|^2."""
     if isinstance(fields, Field):
         fields = (fields,)
-    return reduce(np.add, [(f.coeff.real**2 + f.coeff.imag**2) @ f.grid.trapz_w
-                           for f in fields])
+    return reduce(np.add, [y_density(f) for f in fields])
 
 
 def _density(fields, bank: DyadicBank | None):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dx, dy, integrate_y, mean_y, multiply, y_diff
+from .grid import Field, cumulative_trapezoid, dx, dy, mean_y, multiply, y_diff
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -45,8 +45,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PrandtlState(StackedState):
-    """Velocity u, its time derivative ut, and the clock, over a (2, Nx, Ny)
-    stack (see `StackedState`)."""
+    """Velocity u, its time derivative ut, and the clock, over a
+    (2, Nx//3 + 1, Ny) stack of band rows (see `StackedState`)."""
 
     ROWS = ("u", "ut")
     u: Field
@@ -73,18 +73,16 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
     """
     v = _slaved_v(dx(u))
     if report is not None:
-        top = np.abs(v.coeff[:, -1]).max()
-        scale = max(np.abs(v.coeff).max(), 1e-300)
+        top = np.abs(v.rows[:, -1]).max()
+        scale = max(np.abs(v.rows).max(), 1e-300)
         report["wall_residual"] = float(top)
         report["wall_residual_rel"] = float(top / scale)
     return v
 
 
 def _slaved_v(ux: Field) -> Field:
-    """v = -int_0^y ux dy' from ux = d_x u."""
-    v = integrate_y(ux)
-    v.coeff *= -1.0
-    return v
+    """v = -int_0^y ux dy' from ux = d_x u (a step of -dy negates exactly)."""
+    return Field(ux.grid, cumulative_trapezoid(ux.rows, -ux.grid.dy))
 
 
 def _advection(u: Field) -> Field:
@@ -98,7 +96,7 @@ def _pressure_from(visc: np.ndarray, N: Field | None, factor: float) -> np.ndarr
     coefficients of dyy u and the advection term."""
     inner = visc[:, 1:-1].sum(axis=1)
     if N is not None:
-        inner = inner - factor * N.coeff[:, 1:-1].sum(axis=1)
+        inner = inner - factor * N.rows[:, 1:-1].sum(axis=1)
     vals = inner / (visc.shape[1] - 2)
     vals[0] = 0.0  # a pressure gradient has no x-mean on the torus
     return vals
@@ -111,8 +109,8 @@ def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
     continuum identity as printed and is selectable for comparison runs.
     """
     g = u.grid
-    vals = _pressure_from(y_diff(u.coeff, g.dy, 2), _advection(u), factor)
-    return Field(g, np.broadcast_to(vals[:, None], (g.Nx, g.Ny)).copy())
+    vals = _pressure_from(y_diff(u.rows, g.dy, 2), _advection(u), factor)
+    return Field(g, np.broadcast_to(vals[:, None], u.rows.shape).copy())
 
 
 def prandtl_rhs(
@@ -125,16 +123,17 @@ def prandtl_rhs(
 
     disable_nonlinear drops the advection term (verification mode for the
     linear damped-wave envelope); the linear part of the pressure law stays.
-    dut is written into `out`, an (Nx, Ny) complex array, when one is given.
+    Both are band Fields; dut is written into `out`, a (Nx//3 + 1, Ny)
+    complex array, when one is given.
     """
     u, ut = state.u, state.ut
     g = u.grid
-    acc = y_diff(u.coeff, g.dy, 2, out=out)
+    acc = y_diff(u.rows, g.dy, 2, out=out)
     N = None if disable_nonlinear else _advection(u)
     pg = _pressure_from(acc, N, factor)
-    acc -= ut.coeff
+    acc -= ut.rows
     if N is not None:
-        acc -= N.coeff
+        acc -= N.rows
     acc -= pg[:, None]
     acc[:, 0] = acc[:, -1] = 0.0
     if not np.isfinite(acc).all():
@@ -164,10 +163,10 @@ def prandtl_step(
     `check` additionally re-validates the state invariants (intended to be
     turned on every N_check steps by the driving loop).
     """
-    def rhs(stage, k):
-        return [f.coeff for f in prandtl_rhs(stage, factor, disable_nonlinear, k[1])]
+    def accel(stage, out):
+        prandtl_rhs(stage, factor, disable_nonlinear, out[0])
 
-    out = state.with_stack(rk4_step(state, dt, rhs, _pin_walls), t=state.t + dt)
+    out = state.with_stack(rk4_step(state, dt, accel, _pin_walls), t=state.t + dt)
     if check:
         out.check_invariants()
     return out

@@ -2,12 +2,15 @@
 their abort type.
 
 A solver state (`StackedState`) owns one stacked complex array,
-`state.stack`, of shape (n, Nx, Ny): (u, ut) for the limit system,
-(u, v, ut, vt) for the scaled pair.  `rk4_step` advances such a stack by
-one step.  Stage states and right-hand-side outputs live in the grid's
-work buffers (`Grid.work`) and are reused from step to step; the update
-accumulates in low storage, without keeping k1..k4; the new state is
-written into one fresh array, because samples keep every returned state.
+`state.stack`, of shape (n, Nx//3 + 1, Ny): (u, ut) for the limit system,
+(u, v, ut, vt) for the scaled pair.  Each row is the band m = 0..Nx/3 of
+a dealiased real field (see `Grid.fold`); its rows |m| > Nx/3 are zero and
+its rows m < 0 conjugate mirrors, so neither is stored nor stepped.
+`rk4_step` advances such a stack by one step.  Stage states and
+accelerations live in the grid's work buffers (`Grid.work`) and are
+reused from step to step; the update accumulates in low storage, without
+keeping k1..k4; the new state is written into one fresh array, because
+samples keep every returned state.
 """
 
 from __future__ import annotations
@@ -54,9 +57,12 @@ class SolverAbort(RuntimeError):
 class StackedState:
     """Base of the solver states, which declare the `ROWS` Fields and a clock `t`.
 
-    The state owns `stack`, one (len(ROWS), Nx, Ny) complex array whose
-    rows the Fields view.  Made from Fields, a state checks that they share
-    one grid and copies them into a new stack once; `with_stack` puts a
+    The state owns `stack`, one (len(ROWS), Nx//3 + 1, Ny) complex array of
+    band rows, which the Fields view as band Fields: `state.u.coeff` is the
+    full spectrum, unfolded on each read and never stored, and read-only.
+    Made from Fields, a state checks that they share one grid and copies
+    their bands into a new stack once, folding full Fields (`Grid.fold`,
+    which raises ValueError on content it would drop); `with_stack` puts a
     state over an existing stack.  A state is not changed after it is made
     (samples keep states), so a changed one comes from `with_stack` or
     `dataclasses.replace`.
@@ -71,7 +77,8 @@ class StackedState:
         if _rows is None:
             if any(f.grid != g for f in self.fields):
                 raise ValueError("all state fields must share one grid")
-            _rows = np.stack([f.coeff for f in self.fields])
+            _rows = np.stack([f.rows if f.is_band else g.fold(f.rows)
+                              for f in self.fields])
         for name, value in zip(("stack",) + self.ROWS, (_rows,) + unstack(g, _rows)):
             object.__setattr__(self, name, value)  # frozen: set here, once
 
@@ -90,10 +97,10 @@ class StackedState:
     def check_invariants(self):
         """Wall rows pinned and values finite in every row; a state type
         extends this with its own invariants."""
-        for name, f in zip(self.ROWS, self.fields):
-            if np.any(f.coeff[:, 0] != 0.0) or np.any(f.coeff[:, -1] != 0.0):
+        for name, rows in zip(self.ROWS, self.stack):
+            if np.any(rows[:, 0] != 0.0) or np.any(rows[:, -1] != 0.0):
                 raise SolverAbort(f"{name} wall rows not pinned at t={self.t}", self)
-            if not np.isfinite(f.coeff).all():
+            if not np.isfinite(rows).all():
                 raise SolverAbort(f"non-finite {name} at t={self.t}", self)
 
 
@@ -112,18 +119,18 @@ def stage_abort(stage: int, state):
         raise SolverAbort(f"RK stage {stage}: {exc.reason}", state, stage) from exc
 
 
-def rk4_step(state, dt: float, rhs, pin) -> np.ndarray:
-    """One classical RK4 step of length dt from the stacked state y0 =
-    `state.stack`; returns the new stack.
+def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
+    """One classical RK4 step of length dt of a system second order in
+    time, q_tt = accel(q, q_t), from the stacked state y0 = `state.stack`,
+    whose first and second halves are q and q_t; returns the new stack.
 
-    `rhs(s, k)` returns the n derivative rows at the stage state s; it may
-    write them into k, an array shaped like y0, or return rows of s's
-    stack at a later index (d/dt u = ut).  Stage 1 is `state` itself;
-    stages 2-4 share one state over the stage buffer, refilled per stage.
-    `pin(out)` re-imposes the boundary rows on the new state in place.  y0
-    is only read; the result is a fresh array.  `state` is the step's
-    input, carried by every SolverAbort raised here, including a stage's
-    (see `stage_abort`).
+    `accel(s, out)` writes q_tt at the stage state s into `out`, an array
+    shaped like the q_t half.  Stage 1 is `state` itself; stages 2-4 share
+    one state over the stage buffer, refilled per stage.  `pin(out)`
+    re-imposes the boundary rows on the new state in place.  y0 is only
+    read; the result is a fresh array.  `state` is the step's input,
+    carried by every SolverAbort raised here, including a stage's (see
+    `stage_abort`).
     """
     y0 = state.stack
     if dt <= 0.0:
@@ -132,27 +139,29 @@ def rk4_step(state, dt: float, rhs, pin) -> np.ndarray:
     limit = CFL_LIMIT * grid.dy
     if dt > limit:
         raise SolverAbort(f"dt={dt:.3e} exceeds the wave CFL bound {limit:.3e}", state)
-    n = len(y0)
-    y, k = grid.work("rk4.stage", n), grid.work("rk4.rhs", n)
+    n = len(y0) // 2
+    y, acc = grid.work("rk4.stage", y0.shape), grid.work("rk4.rhs", y0[n:].shape)
     staged = state.with_stack(y)
     out = np.empty_like(y0)
-    # out gathers k1 + 2 k2 + 2 k3 + k4; stage s + 1 starts from y0 + h_s k_s.
-    # Row i of y is free until its own update, so it holds 2 k_s first.
+    # out gathers k1 + 2 k2 + 2 k3 + k4; stage s + 1 starts from y0 + h_s k_s,
+    # with k_s = (q_t, q_tt) at stage s.  The q half of y is free once read,
+    # so it holds 2 k_s first; its q_t half is read before it is rewritten.
     # Real factors scale the float views: the same numbers as complex * real.
     for stage, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt), (4, None)):
+        s = state if stage == 1 else staged
         with stage_abort(stage, state):
-            ks = rhs(state if stage == 1 else staged, k)
-        for i, ki in enumerate(ks):
+            accel(s, acc)
+        for rows, ks in ((slice(0, n), s.stack[n:]), (slice(n, None), acc)):
             if stage == 1:
-                out[i] = ki
+                out[rows] = ks
             elif stage == 4:
-                out[i] += ki
+                out[rows] += ks
             else:
-                np.multiply(real_view(ki), 2.0, out=real_view(y[i]))
-                out[i] += y[i]
+                np.multiply(real_view(ks), 2.0, out=real_view(y[rows]))
+                out[rows] += y[rows]
             if h is not None:
-                np.multiply(real_view(ki), h, out=real_view(y[i]))
-                y[i] += y0[i]
+                np.multiply(real_view(ks), h, out=real_view(y[rows]))
+                y[rows] += y0[rows]
     scaled = real_view(out)
     scaled *= dt / 6.0
     out += y0

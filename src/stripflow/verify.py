@@ -159,11 +159,10 @@ def check_phase_subadditivity(p: GevreyParams) -> CheckResult:
 def check_inverse_pair(grid: Grid, p: GevreyParams) -> CheckResult:
     """Weighting by e^{+Phi} then e^{-Phi} returns the field."""
     rng = np.random.default_rng(11)
-    c = np.zeros((grid.Nx, grid.Ny), dtype=complex)
-    for m in range(1, min(6, grid.Nx // 2)):
-        prof = rng.standard_normal(grid.Ny) + 1j * rng.standard_normal(grid.Ny)
-        c[m] = prof
-        c[grid.Nx - m] = np.conj(prof)
+    band = np.zeros((grid.band, grid.Ny), dtype=complex)
+    for m in range(1, min(6, grid.band)):
+        band[m] = rng.standard_normal(grid.Ny) + 1j * rng.standard_normal(grid.Ny)
+    c = grid.unfold(band)
     f = Field(grid, c)
     worst = 0.0
     for t in (0.0, 1.0, 7.5):

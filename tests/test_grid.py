@@ -433,3 +433,90 @@ class TestParsevalProperty:
             f = to_spectral(g, vals)
             phys = np.sqrt((g.Lx / g.Nx) * np.sum(vals**2 @ g.trapz_w))
             assert l2_norm(f) == pytest.approx(phys, rel=1e-12)
+
+
+def random_band(g: Grid, seed: int = 0) -> np.ndarray:
+    """Band rows m = 0..Nx/3 of a random real field with pinned walls."""
+    rng = np.random.default_rng(seed)
+    shape = (g.band, g.Ny)
+    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    band[0] = band[0].real
+    band[:, [0, -1]] = 0.0
+    return band
+
+
+class TestBand:
+    """Solver states hold the band m = 0..Nx/3; fold and unfold change layout."""
+
+    def test_round_trip_exact(self):
+        from stripflow.gevrey import GevreyParams, make_gevrey_data
+
+        g = make_grid(32, 33)
+        full = g.unfold(random_band(g))
+        assert full.shape == (32, 33)
+        assert real_symmetry_defect(Field(g, full)) == 0.0
+        assert np.array_equal(g.unfold(g.fold(full)), full)
+        u0, _ = make_gevrey_data(g, GevreyParams(), amplitude=1e-3, m_max=g.Nx // 3)
+        assert np.array_equal(g.unfold(g.fold(u0.coeff)), u0.coeff)
+
+    def test_band_field_reads_full_spectrum(self):
+        g = make_grid(32, 33)
+        band = random_band(g)
+        f, full = Field(g, band), Field(g, g.unfold(band))
+        assert f.is_band and not full.is_band
+        for op in (dx, dy, dyy, integrate_y, lambda h: frac_dx(h, 0.5), pin_walls,
+                   lambda h: h + h, lambda h: -h):
+            assert np.array_equal(op(f).coeff, op(full).coeff)
+        assert l2_norm(f) == l2_norm(full)
+        with pytest.raises(ValueError, match="read-only"):
+            f.coeff[1, 1] = 0.0
+
+    @pytest.mark.parametrize("fault, match", [
+        ("outside", "outside the band"), ("mirror", "conjugates"), ("mean", "conjugates")])
+    def test_fold_refuses_what_it_would_drop(self, fault, match):
+        from stripflow.hns import HnsState
+        from stripflow.prandtl import PrandtlState
+
+        g = make_grid(32, 33)
+        full = g.unfold(random_band(g))
+        row = {"outside": g.band, "mirror": g.Nx - 2, "mean": 0}[fault]
+        c = full.copy()
+        c[row, 5] += 1e-9j * np.abs(c).max()  # above the 1e-12 tolerance
+        with pytest.raises(ValueError, match=match):
+            g.fold(c)
+        f, z = Field(g, c), Field.zeros(g)
+        with pytest.raises(ValueError, match=match):
+            PrandtlState(f, z)
+        with pytest.raises(ValueError, match=match):
+            HnsState(z, z, z, f, eps=0.5)
+        c = full.copy()
+        c[row, 5] += 1e-14j * np.abs(c).max()  # roundoff folds
+        assert g.fold(c).shape == (g.band, g.Ny)
+
+    def test_state_rows_are_read_only(self):
+        from stripflow.prandtl import PrandtlState
+
+        g = make_grid(32, 33)
+        s = PrandtlState(Field(g, random_band(g)), Field.zeros(g))
+        with pytest.raises(ValueError, match="read-only"):
+            s.u.coeff[1, 1] = 1.0
+        assert np.all(s.stack[1] == 0.0)
+
+    def test_stepping_stays_on_the_band(self, monkeypatch):
+        from stripflow.gevrey import GevreyParams, make_gevrey_data
+        from stripflow.hns import hns_step, make_hns_data
+        from stripflow.prandtl import PrandtlState, prandtl_step
+
+        g = make_grid(32, 33)
+        u0, u1 = make_gevrey_data(g, GevreyParams(), amplitude=1e-3, m_max=4)
+        states = (PrandtlState(u0, u1), make_hns_data(u0, GevreyParams(), eps=0.5))
+        calls = []
+        unfold = Grid.unfold
+        monkeypatch.setattr(Grid, "unfold", lambda *a, **kw: calls.append(a) or unfold(*a, **kw))
+        dt = 0.25 * g.dy
+        for _ in range(3):
+            states = (prandtl_step(states[0], dt),
+                      hns_step(states[1], dt, n_proj=10**6))  # no cleanup, no energy
+        assert calls == []
+        for s in states:
+            assert s.stack.shape == (len(s.ROWS), g.Nx // 3 + 1, g.Ny)

@@ -125,6 +125,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=match):
             cfg.validate()
 
+    def test_m_max_bound_is_the_band(self):
+        # solver states hold the band m = 0..Nx/3: data beyond it is refused
+        RunConfig(Nx=64, m_max=64 // 3).validate()
+        with pytest.raises(ValueError, match=r"m_max must lie in \[1, Nx/3\] = \[1, 21\]"):
+            RunConfig(Nx=64, m_max=64 // 3 + 1).validate()
+
     @pytest.mark.parametrize("data, match", [
         ({"output": {"sample_every": 2.5}}, "sample_every must be of type int"),
         ({"grid": 5}, "section 'grid' is not an object"),
@@ -166,8 +172,11 @@ class TestConfig:
 
 class TestSnapshots:
     def rand_state(self, g, seed=0):
+        # random band rows m = 0..Nx/3: a real, dealiased field
         rng = np.random.default_rng(seed)
-        c = rng.standard_normal((g.Nx, g.Ny)) + 1j * rng.standard_normal((g.Nx, g.Ny))
+        shape = (g.band, g.Ny)
+        c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        c[0] = c[0].real
         return PrandtlState(u=Field(g, c), ut=Field(g, 0.5 * c), t=1.75)
 
     def test_prandtl_round_trip(self, tmp_path):
@@ -180,7 +189,7 @@ class TestSnapshots:
         assert back.u.grid == g
         assert np.array_equal(back.u.coeff, st.u.coeff)
         assert np.array_equal(back.ut.coeff, st.ut.coeff)
-        assert np.shares_memory(back.u.coeff, back.stack)
+        assert np.shares_memory(back.u.rows, back.stack)
 
     def test_hns_round_trip(self, tmp_path):
         g = Grid(16, 17)
@@ -191,6 +200,29 @@ class TestSnapshots:
         assert back.eps == 0.25
         for name in ("u", "v", "ut", "vt"):
             assert np.array_equal(getattr(back, name).coeff, getattr(st, name).coeff)
+
+    def test_states_hold_the_band(self, tmp_path):
+        g = Grid(32, 33)
+        for st in (self.rand_state(g), make_hns_data(
+                to_spectral(g, 1e-3 * np.sin(np.arange(32) * g.Lx / 32)[:, None]
+                            * np.sin(2 * np.pi * g.y)[None, :]), GevreyParams(), eps=0.5)):
+            back = read_snapshot(write_snapshot(tmp_path / "b.snap", st))
+            assert back.stack.shape == (len(st.ROWS), 32 // 3 + 1, 33)
+            assert np.array_equal(back.stack, st.stack)
+
+    @pytest.mark.parametrize("fault, match", [
+        ("outside", "outside the band"), ("mirror", "conjugates")])
+    def test_snapshot_off_the_band_rejected(self, tmp_path, fault, match):
+        # a crafted file whose spectrum a band state cannot hold
+        g = Grid(16, 17)
+        path = write_snapshot(tmp_path / "c.snap", self.rand_state(g))
+        raw = bytearray(path.read_bytes())
+        row = g.band if fault == "outside" else g.Nx - 1  # a dropped row
+        at = harness._HEADER.size + 16 * (row * g.Ny + 3)
+        raw[at:at + 8] = np.float64(0.5).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=match):
+            read_snapshot(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"

@@ -257,11 +257,12 @@ class TestPressureSolve:
 
 
 def random_pair(g: Grid, seed: int):
-    """Spectra of two real random fields with pinned wall rows."""
+    """Band rows (m = 0..Nx/3) of two real random fields with pinned wall rows."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(2):
         c = np.fft.fft(rng.standard_normal((g.Nx, g.Ny)), axis=0, norm="forward")
+        c = c[:g.band].copy()
         c[:, 0] = c[:, -1] = 0.0
         out.append(c)
     return out
@@ -280,7 +281,7 @@ class TestProjector:
         mask = np.ones(g.Ny)
         mask[0] = mask[-1] = 0.0
         K = D @ (mask[:, None] * D)
-        for m in range(1, g.Nx // 2):
+        for m in range(1, g.band):
             xi = g.xi[m]
             A = K / eps**2 - xi**2 * np.diag(mask)
             qm = np.linalg.solve(A, 1j * xi * f1[m] + D @ f2[m])
@@ -289,10 +290,8 @@ class TestProjector:
             assert np.abs(c1[m] - 1j * xi * mask * qm).max() <= 1e-9 * abs(xi) * scale
             c2m = mask * (D @ qm) / eps**2
             assert np.abs(c2[m] - c2m).max() <= 1e-9 * np.abs(c2m).max()
-            for c in (c1, c2, q):
-                assert np.array_equal(c[g.Nx - m], np.conj(c[m]))
         for c in (c1, c2, q):
-            assert np.all(c[0] == 0.0) and np.all(c[g.nyquist] == 0.0)
+            assert c.shape == (g.band, g.Ny) and np.all(c[0] == 0.0)
 
     @pytest.mark.parametrize("shape", GRIDS)
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
@@ -301,7 +300,7 @@ class TestProjector:
         f1, f2 = random_pair(g, seed=4)
         c1, c2, _ = _project_pair(g, eps, f1, f2)
         D = dy_matrix(g)
-        ms = np.arange(1, g.Nx // 2)
+        ms = np.arange(1, g.band)
         before = f1[ms] * g._dx_mult[ms, None] + f2[ms] @ D.T
         after = (f1 - c1)[ms] * g._dx_mult[ms, None] + (f2 - c2)[ms] @ D.T
         assert np.abs(after).max() <= 1e-10 * np.abs(before).max()

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -45,3 +46,13 @@ def test_no_module_level_empty_dicts(path):
     lines = [node.lineno for node in tree.body
              if isinstance(node, (ast.Assign, ast.AnnAssign)) and _is_empty_dict(node.value)]
     assert lines == [], f"{path.name}: module-level empty dicts on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_conjugate_mirrors_only_in_grid(path):
+    # solver states hold the band m = 0..Nx/3; rows m < 0 are built by
+    # Grid.unfold and the products in grid.py, never by hand elsewhere
+    lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if re.search(r"\bnp\.conj(ugate)?\(", line)]
+    assert lines == [], f"{path.name}: np.conj on lines {lines}"
