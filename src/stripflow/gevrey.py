@@ -179,6 +179,9 @@ def make_gevrey_data(
     Modes 1 <= |m| <= m_max carry the profile P (default sin(2 pi y));
     u1 = 0.  P must vanish at both walls and have zero y-mean (discrete
     trapezoid), which makes the compatibility integral vanish identically.
+    m_max may reach Nx/2 - 1 for Field-level use, but a solver state holds
+    only the band |m| <= Nx/3 and refuses more (see `Grid.fold`), so the
+    default m_max = 8 starts a solver only on Nx >= 24.
     """
     if isinstance(profile, str):
         try:

@@ -143,7 +143,7 @@ class Grid:
             raise ValueError("rows m <= 0 are not the conjugates of rows -m")
         return full[..., :K + 1, :].copy()
 
-    def unfold(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def unfold(self, band: np.ndarray) -> np.ndarray:
         """Full spectra (..., Nx, Ny) of the real fields whose band rows
         m = 0..Nx/3 are `band` (..., band, Ny): rows -m are their
         conjugates, the rest 0.  A 1-D `band` holds real per-mode values,
@@ -154,8 +154,7 @@ class Grid:
         if band.ndim == 1:
             return np.where(self.dealias_mask, band[self._band_row], 0.0)
         K = self.band - 1
-        if out is None:
-            out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
+        out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
         out[..., :K + 1, :] = band
         out[..., K + 1:self.Nx - K, :] = 0.0
         src, hi = band[..., K:0:-1, :], out[..., self.Nx - K:, :]
@@ -396,9 +395,8 @@ def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
     out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     out[..., 0] = 0.0
     cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
-    scaled = real_view(cum)  # real factors: the same numbers as complex * real
-    scaled *= h
-    scaled /= 2.0
+    cum *= h
+    cum /= 2.0
     np.cumsum(cum, axis=-1, out=cum)
     return out
 

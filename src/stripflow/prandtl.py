@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, cumulative_trapezoid, dx, dy, mean_y, multiply, y_diff
+from .grid import Field, dx, dy, integrate_y, mean_y, multiply, y_diff
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -81,8 +81,10 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
 
 
 def _slaved_v(ux: Field) -> Field:
-    """v = -int_0^y ux dy' from ux = d_x u (a step of -dy negates exactly)."""
-    return Field(ux.grid, cumulative_trapezoid(ux.rows, -ux.grid.dy))
+    """v = -int_0^y ux dy' from ux = d_x u."""
+    v = integrate_y(ux)
+    v.rows *= -1.0
+    return v
 
 
 def _advection(u: Field) -> Field:

@@ -473,7 +473,7 @@ class TestStep:
         g = Grid(16, 17)
         dt = 0.25 * g.dy
         s = hns_step(gevrey_state(g, 0.5, m_max=4), dt)
-        arrays = (s.stack,) + tuple(f.coeff for f in s.fields)
+        arrays = (s.stack,) + tuple(f.rows for f in s.fields)
         held = [a.tobytes() for a in arrays]
         later = s
         for _ in range(5):

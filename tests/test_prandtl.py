@@ -248,7 +248,7 @@ class TestStep:
         s = self.make_eigenmode_state(g, amp=0.1, x_mode=1)
         dt = 0.25 * g.dy
         s = prandtl_step(PrandtlState(s.u, 0.5 * s.u), dt)
-        arrays = (s.stack,) + tuple(f.coeff for f in s.fields)
+        arrays = (s.stack,) + tuple(f.rows for f in s.fields)
         held = [a.tobytes() for a in arrays]
         later = s
         for _ in range(5):
