@@ -1,5 +1,5 @@
 """Gevrey-2 phase machinery: radius loss theta(t), phase Phi(t, xi),
-exponentially weighted fields and band-limited Gevrey initial data.
+exponentially weighted fields and the Gevrey initial data of every run.
 
 The radius evolves as
 
@@ -32,7 +32,6 @@ __all__ = [
     "gevrey_weight",
     "apply_gevrey",
     "make_gevrey_data",
-    "PROFILES",
 ]
 
 SPECTRAL_FLOOR = 1e-13
@@ -53,12 +52,14 @@ class GevreyParams:
     poincare: float = 1.0 / np.pi**2
 
     def __post_init__(self):
-        if self.a <= 0.0:
-            raise ValueError(f"radius a must be positive, got {self.a}")
-        if self.lam < 1.0:
-            raise ValueError(f"lam must be >= 1, got {self.lam}")
-        if self.poincare <= 0.0:
-            raise ValueError(f"poincare constant must be positive, got {self.poincare}")
+        # written so that NaN fails too
+        if not 0.0 < self.a < np.inf:
+            raise ValueError(f"radius a must be positive and finite, got {self.a}")
+        if not 1.0 <= self.lam < np.inf:
+            raise ValueError(f"lam must be >= 1 and finite, got {self.lam}")
+        if not 0.0 < self.poincare < np.inf:
+            raise ValueError(
+                f"poincare constant must be positive and finite, got {self.poincare}")
 
     @property
     def K(self) -> float:
@@ -160,58 +161,27 @@ def apply_gevrey(
     return Field(g, f.rows * np.exp(-phi(t, g.abs_xi[:len(f.rows)], p))[:, None])
 
 
-def _sin2py(y: np.ndarray) -> np.ndarray:
-    return np.sin(2.0 * np.pi * y)
+def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,
+                     m_max: int = 8) -> tuple[Field, Field]:
+    """Band Gevrey data: u0_hat(m, y) = c e^{-a sqrt(|xi_m|)} sin(2 pi y).
 
-
-PROFILES = {"sin2py": _sin2py}
-
-
-def make_gevrey_data(
-    grid: Grid,
-    p: GevreyParams,
-    amplitude: float = 1e-3,
-    m_max: int = 8,
-    profile="sin2py",
-) -> tuple[Field, Field]:
-    """Band-limited Gevrey data: u0_hat(m, y) = c e^{-a sqrt(|xi_m|)} P(y).
-
-    Modes 1 <= |m| <= m_max carry the profile P (default sin(2 pi y));
-    u1 = 0.  P must vanish at both walls and have zero y-mean (discrete
-    trapezoid), which makes the compatibility integral vanish identically.
-    m_max may reach Nx/2 - 1 for Field-level use, but a solver state holds
-    only the band |m| <= Nx/3 and refuses more (see `Grid.fold`), so the
-    default m_max = 8 starts a solver only on Nx >= 24.
+    Modes 1 <= |m| <= m_max carry the profile sin(2 pi y), whose walls are
+    pinned to exactly 0 and whose discrete y-mean vanishes, so the
+    compatibility integral vanishes identically; u1 = 0.  Both are band
+    Fields (rows m = 0..Nx/3, see `Grid.fold`), the layout of a solver
+    state, so m_max must lie in [1, Nx/3].
     """
-    if isinstance(profile, str):
-        try:
-            prof = PROFILES[profile](grid.y)
-        except KeyError:
-            raise ValueError(f"unknown profile id {profile!r}") from None
-    elif callable(profile):
-        prof = np.asarray(profile(grid.y), dtype=float)
-    else:
-        prof = np.asarray(profile, dtype=float)
-    if prof.shape != (grid.Ny,):
-        raise ValueError(f"profile has shape {prof.shape}, expected {(grid.Ny,)}")
-    if abs(prof[0]) > 1e-12 or abs(prof[-1]) > 1e-12:
-        raise ValueError("vertical profile must vanish at y = 0 and y = 1")
-    prof = prof.copy()
+    K = grid.band - 1
+    if not (1 <= m_max <= K):
+        raise ValueError(f"m_max must lie in [1, Nx/3] = [1, {K}], got {m_max}")
+    prof = np.sin(2.0 * np.pi * grid.y)
     prof[0] = prof[-1] = 0.0  # pin the walls exactly (sin(2 pi) is ~1e-16)
-    pmean = float(prof @ grid.trapz_w)
-    if abs(pmean) > 1e-12:
-        raise ValueError(f"vertical profile must have zero y-mean, got {pmean:.3e}")
-    if not (1 <= m_max <= grid.Nx // 2 - 1):
-        raise ValueError(f"m_max must lie in [1, Nx/2 - 1], got {m_max}")
-    c = np.zeros((grid.Nx, grid.Ny), dtype=np.complex128)
+    c = np.zeros((grid.band, grid.Ny), dtype=np.complex128)
     for m in range(1, m_max + 1):
-        w = amplitude * np.exp(-p.a * np.sqrt(grid.xi[m]))
-        c[m, :] = w * prof
-        c[-m, :] = w * prof
+        c[m, :] = amplitude * np.exp(-p.a * np.sqrt(grid.xi[m])) * prof
     u0 = Field(grid, c)
-    u1 = Field.zeros(grid)
+    u1 = Field(grid, np.zeros_like(c))
     compat = np.abs(mean_y(u0)).max()
     if compat > 1e-12 * max(amplitude, 1e-300):
         raise AssertionError(f"compatibility integral {compat:.3e} too large")
     return u0, u1
-

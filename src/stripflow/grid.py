@@ -58,12 +58,12 @@ class Grid:
     Args:
         Nx: number of x collocation points (even, >= 4).
         Ny: number of y nodes including both walls (>= 9).
-        Lx: horizontal period (> 0), default 2*pi.
+        Lx: horizontal period (> 0, finite), default 2*pi.
     """
 
     def __init__(self, Nx: int, Ny: int, Lx: float = 2.0 * np.pi):
-        if Lx <= 0.0:
-            raise ValueError(f"Lx must be positive, got {Lx}")
+        if not 0.0 < Lx < np.inf:  # NaN fails too
+            raise ValueError(f"Lx must be positive and finite, got {Lx}")
         if Nx < 4 or Nx % 2 != 0:
             raise ValueError(f"Nx must be even and >= 4, got {Nx}")
         if Ny < 9:

@@ -396,7 +396,7 @@ def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,
     the derivative pair is divergence-free too.
     """
     g = u0.grid
-    scale = np.abs(u0.coeff).max()
+    scale = np.abs(u0.rows).max()
     if scale > 0.0 and np.abs(mean_y(u0)).max() > 1e-8 * scale:
         raise ValueError(
             "u0 is not compatible: vertical mean must vanish per x-mode")
@@ -405,7 +405,7 @@ def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,
 
     def pair(fu):
         fv = recover_v(fu)
-        cv = fv.coeff.copy()
+        cv = fv.rows.copy()
         cv[:, -1] = 0.0  # wall residual is quadrature roundoff; pin exactly
         cv[0] = 0.0
         return fu, Field(g, cv)

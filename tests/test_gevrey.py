@@ -46,6 +46,12 @@ class TestParams:
         with pytest.raises(ValueError, match="poincare"):
             GevreyParams(poincare=0.0)
 
+    @pytest.mark.parametrize("name", ["a", "lam", "poincare"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            GevreyParams(**{name: value})
+
     def test_small_poincare_branch(self):
         p = GevreyParams(poincare=10.0)
         assert p.K == pytest.approx(1.0 / 44.0, rel=1e-15)
@@ -265,13 +271,29 @@ class TestMakeGevreyData:
             n.append(paley.besov_norm(w, 0.5))
         assert n[1] == pytest.approx(2.0 * n[0], rel=1e-12)
 
-    def test_rejects_bad_profiles(self):
+    @pytest.mark.parametrize("Nx", [32, 64])
+    @pytest.mark.parametrize("top", ["one", "band"])
+    def test_band_equals_full_spectrum(self, Nx, top):
+        # the full spectrum as it was built by hand: rows m and -m alike
+        g = Grid(Nx, 33)
+        m_max = 1 if top == "one" else Nx // 3
+        u0, u1 = make_gevrey_data(g, DEFAULT, amplitude=3e-3, m_max=m_max)
+        assert u0.rows.shape == u1.rows.shape == (Nx // 3 + 1, 33)
+        prof = np.sin(2.0 * np.pi * g.y)
+        prof[0] = prof[-1] = 0.0
+        full = np.zeros((Nx, 33), dtype=complex)
+        for m in range(1, m_max + 1):
+            w = 3e-3 * np.exp(-DEFAULT.a * np.sqrt(g.xi[m]))
+            full[m], full[-m] = w * prof, w * prof
+        assert np.array_equal(u0.coeff, full)
+        assert np.array_equal(u1.coeff, np.zeros_like(full))
+
+    def test_rejects_m_max_off_the_band(self):
         g = Grid(64, 33)
-        with pytest.raises(ValueError, match="vanish"):
-            make_gevrey_data(g, DEFAULT, profile=lambda y: np.cos(2 * np.pi * y))
-        with pytest.raises(ValueError, match="mean"):
-            make_gevrey_data(g, DEFAULT, profile=lambda y: np.sin(np.pi * y))
-        with pytest.raises(ValueError, match="unknown profile"):
-            make_gevrey_data(g, DEFAULT, profile="nope")
+        message = r"m_max must lie in \[1, Nx/3\] = \[1, 21\], got 22"
+        with pytest.raises(ValueError, match=message):
+            make_gevrey_data(g, DEFAULT, m_max=22)
         with pytest.raises(ValueError, match="m_max"):
             make_gevrey_data(g, DEFAULT, m_max=32)
+        with pytest.raises(ValueError, match="m_max"):
+            make_gevrey_data(g, DEFAULT, m_max=0)

@@ -59,6 +59,11 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="Ny"):
             Grid(16, 7)
 
+    @pytest.mark.parametrize("Lx", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_rejects_non_finite_period(self, Lx):
+        with pytest.raises(ValueError, match="Lx must be positive and finite"):
+            Grid(8, 9, Lx=Lx)
+
 
 class TestTransforms:
     def test_constant_field_single_coefficient(self):

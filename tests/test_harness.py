@@ -26,9 +26,9 @@ from stripflow.harness import (
 )
 from stripflow.diagnostics import energy_E1, energy_E_s
 from stripflow.hns import HnsState, make_hns_data
-from stripflow.gevrey import GevreyParams
+from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.prandtl import PrandtlState, prandtl_step, recover_v
-from stripflow.stepper import SolverAbort
+from stripflow.stepper import CFL_FACTOR, SolverAbort
 
 
 BLAS_THREADS = None if blas._openblas() is None else 1  # as metadata.json records it
@@ -90,10 +90,10 @@ class TestConfig:
             (dict(amplitude=-1.0), "amplitude"),
             (dict(m_max=0), "m_max"),
             (dict(m_max=200), "m_max"),
-            (dict(profile="nope"), "profile"),
+            (dict(amplitude=float("nan")), "amplitude must be finite"),
             (dict(u1="bogus"), "u1"),
             (dict(dt=-0.1), "dt"),
-            (dict(cfl_factor=0.9), "cfl_factor"),
+            (dict(dt=float("nan")), "dt must be finite"),
             (dict(T_final=-1.0), "T_final"),
             (dict(T_final=1e-9), "shorter than one"),
             (dict(n_proj=0), "n_proj"),
@@ -118,6 +118,15 @@ class TestConfig:
             (dict(dt=False), "dt must be of type float"),
             (dict(kind=None), "kind must be of type str"),
             (dict(eps_list=(True, 0.5, 0.25)), "eps_list entries must be numbers"),
+            # json reads NaN and Infinity: every float key refuses them
+            (dict(a=float("nan")), "a must be finite"),
+            (dict(lam=float("nan")), "lam must be finite"),
+            (dict(poincare=float("nan")), "poincare must be finite"),
+            (dict(pressure_factor=float("nan")), "pressure_factor must be finite"),
+            (dict(Lx=float("inf")), "Lx must be finite"),
+            (dict(amplitude=float("inf")), "amplitude must be finite"),
+            (dict(T_final=float("inf")), "T_final must be finite"),
+            (dict(eps_list=(0.1, float("nan"), 0.025)), "eps_list must be finite"),
         ],
     )
     def test_bad_values_rejected(self, overrides, match):
@@ -131,15 +140,26 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"m_max must lie in \[1, Nx/3\] = \[1, 21\]"):
             RunConfig(Nx=64, m_max=64 // 3 + 1).validate()
 
+    @pytest.mark.parametrize("data", [
+        {"data": {"profile": "sin2py"}},
+        {"solver": {"cfl_factor": 0.25}},
+    ], ids=["profile", "cfl_factor"])
+    def test_removed_keys_rejected(self, data):
+        # sin(2 pi y) is the only profile, and dt sets any multiple of dy
+        with pytest.raises(ValueError, match="unknown config key"):
+            RunConfig.from_dict(data)
+
     @pytest.mark.parametrize("data, match", [
         ({"output": {"sample_every": 2.5}}, "sample_every must be of type int"),
         ({"grid": 5}, "section 'grid' is not an object"),
         ({"experiment": {"eps_list": "0.1"}}, "eps_list must be of type tuple"),
         ({"experiment": {"eps_list": [0.1, "0.05", 0.025]}}, "eps_list entries"),
-    ], ids=["float-int", "section", "eps_list-string", "eps_list-entry"])
+        ({"data": {"amplitude": float("nan")}}, "amplitude must be finite"),
+        ({"grid": {"Lx": float("inf")}}, "Lx must be finite"),
+    ], ids=["float-int", "section", "eps_list-string", "eps_list-entry", "nan", "inf"])
     def test_bad_type_rejected_at_load(self, tmp_path, data, match):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps(data))
+        path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
         with pytest.raises(ValueError, match=match):
             RunConfig.from_json(path)
 
@@ -150,6 +170,7 @@ class TestConfig:
         import dataclasses
 
         assert flat == {f.name for f in dataclasses.fields(RunConfig)}
+        assert len(flat) == 19
         for group in schema.values():
             for entry in group.values():
                 assert set(entry) == {"default", "doc"}
@@ -163,7 +184,7 @@ class TestConfig:
 
     def test_effective_dt(self):
         cfg = RunConfig(Nx=16, Ny=17)
-        assert cfg.effective_dt() == pytest.approx(0.25 / 16)
+        assert cfg.effective_dt() == CFL_FACTOR * (1 / 16)
         assert RunConfig(Nx=16, Ny=17, dt=0.003).effective_dt() == 0.003
 
     def test_metadata_config_echo_is_json(self):
@@ -220,6 +241,20 @@ class TestSnapshots:
         row = g.band if fault == "outside" else g.Nx - 1  # a dropped row
         at = harness._HEADER.size + 16 * (row * g.Ny + 3)
         raw[at:at + 8] = np.float64(0.5).tobytes()
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match=match):
+            read_snapshot(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("at, match", [
+        (22, "non-finite time"), (14, "Lx must be positive and finite"),
+        (30, r"eps must lie in \(0, 1\]")], ids=["t", "Lx", "eps"])
+    def test_non_finite_header_rejected(self, tmp_path, at, match, value):
+        # a header "<4sBBIIddd" holds Lx at byte 14, t at 22 and eps at 30
+        u0, _ = make_gevrey_data(Grid(16, 17), GevreyParams(), amplitude=1e-3, m_max=4)
+        path = write_snapshot(tmp_path / "f.snap", make_hns_data(u0, GevreyParams(), eps=0.5))
+        raw = bytearray(path.read_bytes())
+        raw[at:at + 8] = np.float64(value).tobytes()
         path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match=match):
             read_snapshot(path)

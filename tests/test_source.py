@@ -52,7 +52,8 @@ def test_no_module_level_empty_dicts(path):
                          ids=lambda p: p.name)
 def test_conjugate_mirrors_only_in_grid(path):
     # solver states hold the band m = 0..Nx/3; rows m < 0 are built by
-    # Grid.unfold and the products in grid.py, never by hand elsewhere
+    # Grid.unfold and the products in grid.py, never by hand elsewhere:
+    # neither by conjugation nor by indexing a row -m
     lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if re.search(r"\bnp\.conj(ugate)?\(", line)]
-    assert lines == [], f"{path.name}: np.conj on lines {lines}"
+             if re.search(r"\bnp\.conj(ugate)?\(|\[\s*-\s*m\b", line)]
+    assert lines == [], f"{path.name}: conjugate mirror on lines {lines}"
