@@ -145,20 +145,18 @@ def apply_gevrey(
         ph, factor = gevrey_weight(g, t, p) if weight is None else weight
         mag = np.abs(f.rows)
         scale = mag.max()
-        c = f.rows * factor[:len(mag)]
+        c = f.rows * factor[:g.band]
         floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
         c[floored] = 0.0
         if report is not None:
-            mode_mag = np.where(floored, 0.0, mag).max(axis=1)
-            if f.is_band:
-                mode_mag = g.unfold(mode_mag)
+            mode_mag = g.unfold(np.where(floored, 0.0, mag).max(axis=1))
             with np.errstate(divide="ignore"):
                 level = ph + np.log(mode_mag / max(scale, 1e-300))
             trusted = g.abs_xi[level > TRUST_LOG_LEVEL]
             report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
             report["floored_modes"] = np.count_nonzero(mode_mag[g.abs_xi > 0] == 0)
         return Field(g, c)
-    return Field(g, f.rows * np.exp(-phi(t, g.abs_xi[:len(f.rows)], p))[:, None])
+    return Field(g, f.rows * np.exp(-phi(t, g.abs_xi[:g.band], p))[:, None])
 
 
 def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,

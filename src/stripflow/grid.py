@@ -12,9 +12,8 @@ conjugate symmetry c[-m, j] = conj(c[m, j]).
 A dealiased real field (2/3 rule: c[m] = 0 for |m| > Nx/3) is fixed by its
 band, the rows m = 0..Nx/3.  `Grid.fold` takes a full spectrum to its band
 and checks that nothing is dropped; `Grid.unfold` rebuilds the full
-spectrum.  A Field stores either layout, and the operators here keep it,
-so the solvers step band rows only.  Every conjugate mirror is written in
-this module.
+spectrum.  A Field is its band: it stores only those rows, so the solvers
+step band rows only.  Every conjugate mirror is written in this module.
 
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
@@ -48,7 +47,6 @@ __all__ = [
     "y_density",
     "multiply",
     "pin_walls",
-    "real_symmetry_defect",
 ]
 
 
@@ -79,14 +77,9 @@ class Grid:
         self.m = m
         self.xi = 2.0 * np.pi * m / Lx
         self.abs_xi = np.abs(self.xi)
-        self.nyquist = Nx // 2
-        # i*xi multiplier for d/dx; the unpaired Nyquist bin is zeroed so the
-        # derivative of a real field stays real
-        mult = 1j * self.xi
-        mult[self.nyquist] = 0.0
-        self._dx_mult = mult
-        # -xi^2 multiplier for d2/dx2, the square of the one above
-        self._dxx_mult = (mult * mult).real
+        # i*xi multiplier for d/dx, and -xi^2 for d2/dx2, its square
+        self._dx_mult = 1j * self.xi
+        self._dxx_mult = (self._dx_mult * self._dx_mult).real
         # 2/3-rule mask: keep |m| <= Nx/3; the band is the rows m = 0..Nx/3
         # (never the Nyquist row), its mirror the rows of the modes -m
         self.dealias_mask = np.abs(m) <= Nx // 3
@@ -173,20 +166,23 @@ class Grid:
 
 
 class Field:
-    """Coefficients c[m, j] of a real field on a grid, with light arithmetic.
+    """Coefficients of a real dealiased field on a grid, with light arithmetic.
 
-    `rows` holds either the full spectrum, shape (Nx, Ny), or the band,
-    shape (band, Ny), rows m = 0..Nx/3 (see `Grid.fold`).  `coeff` is the
-    full spectrum in both layouts: a band Field unfolds it on every read,
-    into a read-only array, so a write through it raises instead of being
-    lost.  Operators on one layout return that layout.
+    A Field is its band: `rows` has shape (band, Ny), the rows m = 0..Nx/3
+    (see `Grid.fold`), viewed, not copied; every operator returns a band
+    Field.  A full spectrum (Nx, Ny) is accepted as input only and folded,
+    which raises ValueError on content the band would drop.  `coeff` is the
+    full spectrum, unfolded on every read into a read-only array, so a
+    write through it raises instead of being lost.
     """
 
     __slots__ = ("grid", "rows")
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
         coeff = np.asarray(coeff, dtype=np.complex128)
-        if coeff.shape not in ((grid.Nx, grid.Ny), (grid.band, grid.Ny)):
+        if coeff.shape == (grid.Nx, grid.Ny):
+            coeff = grid.fold(coeff)
+        elif coeff.shape != (grid.band, grid.Ny):
             raise ValueError(
                 f"coefficient shape {coeff.shape} does not match grid "
                 f"(Nx, Ny) = {(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)}"
@@ -195,44 +191,29 @@ class Field:
         self.rows = coeff
 
     @property
-    def is_band(self) -> bool:
-        return len(self.rows) != self.grid.Nx
-
-    @property
     def coeff(self) -> np.ndarray:
-        if not self.is_band:
-            return self.rows
         full = self.grid.unfold(self.rows)
         full.flags.writeable = False
         return full
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
-        return cls(grid, np.zeros((grid.Nx, grid.Ny), dtype=np.complex128))
+        return cls(grid, np.zeros((grid.band, grid.Ny), dtype=np.complex128))
 
     def copy(self) -> "Field":
         return Field(self.grid, self.rows.copy())
 
     def _check_same_grid(self, other: "Field"):
         if self.grid is not other.grid and self.grid.key != other.grid.key:
-            raise ValueError(
-                f"grid mismatch: {self.grid!r} vs {other.grid!r}"
-            )
-
-    def _pair(self, other: "Field"):
-        """Both operands in one layout: their rows, or else full spectra."""
-        self._check_same_grid(other)
-        if self.is_band == other.is_band:
-            return self.rows, other.rows
-        return self.coeff, other.coeff
+            raise ValueError(f"grid mismatch: {self.grid!r} vs {other.grid!r}")
 
     def __add__(self, other: "Field") -> "Field":
-        a, b = self._pair(other)
-        return Field(self.grid, a + b)
+        self._check_same_grid(other)
+        return Field(self.grid, self.rows + other.rows)
 
     def __sub__(self, other: "Field") -> "Field":
-        a, b = self._pair(other)
-        return Field(self.grid, a - b)
+        self._check_same_grid(other)
+        return Field(self.grid, self.rows - other.rows)
 
     def __mul__(self, c) -> "Field":
         return Field(self.grid, self.rows * c)
@@ -244,13 +225,15 @@ class Field:
 
 
 def unstack(grid: Grid, arr: np.ndarray) -> tuple[Field, ...]:
-    """Fields viewing the rows of a stacked (n, Nx, Ny) or (n, band, Ny)
-    array (no copy)."""
+    """Fields viewing the rows of a stacked (n, band, Ny) array (no copy);
+    a Field is its band."""
     return tuple(Field(grid, row) for row in arr)
 
 
 def to_spectral(grid: Grid, values: np.ndarray) -> Field:
-    """Transform physical values (real, Nx x Ny) to a spectral Field."""
+    """Transform physical values (real, Nx x Ny) to a spectral Field.  A
+    Field is its band, so values that are not dealiased raise ValueError
+    (from `Grid.fold`) instead of being truncated."""
     values = np.asarray(values)
     if values.shape != (grid.Nx, grid.Ny):
         raise ValueError(
@@ -262,30 +245,24 @@ def to_spectral(grid: Grid, values: np.ndarray) -> Field:
     return Field(grid, np.fft.fft(values.astype(np.float64), axis=0, norm="forward"))
 
 
-def real_symmetry_defect(f: Field) -> float:
-    """Max deviation of coeff(-m) from conj(coeff(m)), relative to max |coeff|."""
-    c = f.coeff
-    scale = np.abs(c).max()
-    if scale == 0.0:
-        return 0.0
-    flipped = np.conj(c[(-np.arange(f.grid.Nx)) % f.grid.Nx, :])
-    return float(np.abs(flipped - c).max() / scale)
-
-
 def to_physical(f: Field) -> np.ndarray:
-    """Transform back to physical values; verifies conjugate symmetry."""
-    defect = real_symmetry_defect(f)
-    if defect > 1e-12:
+    """Transform back to physical values.
+
+    A band Field is conjugate-symmetric by construction except for its mean
+    row m = 0, which must be real: an imaginary part beyond 1e-12 of
+    max |rows| raises ValueError rather than being dropped."""
+    defect = np.abs(f.rows[0].imag).max()
+    if defect > 1e-12 * np.abs(f.rows).max():
         raise ValueError(
-            f"field is not conjugate-symmetric (defect {defect:.3e}); "
-            "refusing to drop imaginary parts"
+            f"field is not conjugate-symmetric (mean row m = 0 has imaginary "
+            f"part {defect:.3e}); refusing to drop imaginary parts"
         )
     return np.fft.ifft(f.coeff, axis=0, norm="forward").real
 
 
 def dx(f: Field) -> Field:
-    """Horizontal derivative: multiply by i*xi (Nyquist bin zeroed)."""
-    return Field(f.grid, f.rows * f.grid._dx_mult[:len(f.rows), None])
+    """Horizontal derivative: multiply by i*xi."""
+    return Field(f.grid, f.rows * f.grid._dx_mult[:f.grid.band, None])
 
 
 def frac_dx(f: Field, s: float) -> Field:
@@ -298,7 +275,7 @@ def frac_dx(f: Field, s: float) -> Field:
         return f.copy()
     nonzero = g.abs_xi > 0.0
     mult = np.where(nonzero, g.abs_xi, 1.0) ** s * nonzero
-    return Field(g, f.rows * mult[:len(f.rows), None])
+    return Field(g, f.rows * mult[:g.band, None])
 
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
@@ -413,10 +390,9 @@ def mean_y(f: Field) -> np.ndarray:
 
 def y_density(f: Field) -> np.ndarray:
     """Trapezoid-in-y integral of |c[m, y]|^2 for each of the Nx modes m, in
-    FFT order (from a band Field's rows, their mirrors and zeros)."""
+    FFT order (from the band rows, their mirrors and zeros)."""
     c = f.rows
-    density = (c.real ** 2 + c.imag ** 2) @ f.grid.trapz_w
-    return f.grid.unfold(density) if f.is_band else density
+    return f.grid.unfold((c.real ** 2 + c.imag ** 2) @ f.grid.trapz_w)
 
 
 def l2_norm(f: Field) -> float:
@@ -440,22 +416,19 @@ def _physical(grid: Grid, name: str, fields) -> list[np.ndarray]:
 
 def _pack(a: Field, b: Field | None, out: np.ndarray) -> np.ndarray:
     """a + ib into `out`, the full spectrum of the complex physical field
-    a + ib (of a alone when b is None).  From band Fields, rows m = 0..Nx/3
-    are A + iB and rows -m are conj(A) + i conj(B) (two real fields in one
-    complex transform: Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
+    a + ib (of a alone when b is None).  Rows m = 0..Nx/3 are A + iB and
+    rows -m are conj(A) + i conj(B) (two real fields in one complex
+    transform: Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
     if b is None:
         out[...] = a.coeff
-    elif not (a.is_band and b.is_band):
-        np.multiply(b.coeff, 1j, out=out)
-        out += a.coeff
-    else:
-        K, Nx = a.grid.band - 1, a.grid.Nx
-        lo, hi = out[:K + 1], out[Nx - K:]
-        np.multiply(b.rows, 1j, out=lo)
-        np.subtract(a.rows[K:0:-1], lo[K:0:-1], out=hi)  # conj(A - iB), rows -1..-K
-        np.conj(hi, out=hi)
-        lo += a.rows
-        out[K + 1:Nx - K] = 0.0
+        return out
+    K, Nx = a.grid.band - 1, a.grid.Nx
+    lo, hi = out[:K + 1], out[Nx - K:]
+    np.multiply(b.rows, 1j, out=lo)
+    np.subtract(a.rows[K:0:-1], lo[K:0:-1], out=hi)  # conj(A - iB), rows -1..-K
+    np.conj(hi, out=hi)
+    lo += a.rows
+    out[K + 1:Nx - K] = 0.0
     return out
 
 
@@ -489,15 +462,9 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     forward transform that conjugate symmetry splits in two.  Two outputs
     of two products each thus cost 4 transforms.
 
-    If every factor is a band Field, so is the result: it holds only the
-    rows m = 0..Nx/3 of the product, with no mirror written.  Otherwise it
-    is a full Field, dealiased.
-
-    The symmetry check is skipped here: products sit in solver inner loops
-    where the inputs are produced by symmetry-preserving operations, and a
-    relative check misfires when an oscillating field passes through zero
-    while carrying absolute-roundoff-sized imaginary parts.  Overflow is not
-    warned about: the solvers' finiteness checks turn it into an abort.
+    The result holds only the rows m = 0..Nx/3 of the product, with no
+    mirror written.  Overflow is not warned about: the solvers' finiteness
+    checks turn it into an abort.
     """
     fs = (f,) if isinstance(f, Field) else tuple(f)
     if isinstance(g, Field):
@@ -517,7 +484,6 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     grid, factors = fs[0].grid, fs + sum(gss, ())
     for h in factors[1:]:
         fs[0]._check_same_grid(h)
-    band = all(h.is_band for h in factors)
 
     with np.errstate(over="ignore", invalid="ignore"):
         fv = _physical(grid, "multiply.f", fs)
@@ -527,10 +493,7 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
             for fk, gk in zip(fv[1:], gv[1:]):
                 prod += fk * gk
             spec = np.fft.fft(prod, axis=0, norm="forward")
-            if band:
-                return Field(grid, spec[:grid.band])
-            spec[~grid.dealias_mask] = 0.0
-            return Field(grid, spec)
+            return Field(grid, spec[:grid.band])
         total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
         for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
             dst = total if k == 0 else z
@@ -539,8 +502,7 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
             if k:
                 total += z
         np.fft.fft(total, axis=0, norm="forward", out=total)
-        return tuple(Field(grid, part if band else grid.unfold(part))
-                     for part in _split_pair(grid, total))
+        return tuple(Field(grid, part) for part in _split_pair(grid, total))
 
 
 def pin_walls(f: Field) -> Field:

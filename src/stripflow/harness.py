@@ -115,6 +115,12 @@ class RunConfig:
             raise ValueError(f"dt must be positive or null, got {self.dt}")
         if self.T_final <= 0.0:
             raise ValueError(f"T_final must be positive, got {self.T_final}")
+        # an infinite step count makes n_steps() raise OverflowError
+        if not np.isfinite(self.T_final / self.effective_dt()):
+            small_dt = self.dt is not None and self.dt * self.T_final < 1.0
+            key = "dt" if small_dt else "T_final"
+            raise ValueError(f"{key} makes the step count T_final / dt overflow "
+                             f"(T_final={self.T_final!r}, dt={self.effective_dt()!r})")
         if self.n_steps() < 1:
             raise ValueError("T_final is shorter than one time step")
         for name in ("n_proj", "n_check", "sample_every"):

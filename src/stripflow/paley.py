@@ -144,13 +144,13 @@ def get_bank(grid: Grid) -> DyadicBank:
 def delta_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
     """Dyadic block projector: multiply coefficients by phi(2^{-k}|xi|)."""
     bank = bank or get_bank(f.grid)
-    return Field(f.grid, f.coeff * bank.row(k)[:, None])
+    return Field(f.grid, f.rows * bank.row(k)[:f.grid.band, None])
 
 
 def S_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
     """Low-pass up to block k: multiply by chi(2^{-k}|xi|) (keeps the mean)."""
     bank = bank or get_bank(f.grid)
-    return Field(f.grid, f.coeff * bank.chi_row(k)[:, None])
+    return Field(f.grid, f.rows * bank.chi_row(k)[:f.grid.band, None])
 
 
 def mode_density(fields) -> np.ndarray:
@@ -228,9 +228,8 @@ def bernstein_check(f: Field, k: int, bank: DyadicBank | None = None) -> Bernste
     """Empirical Bernstein ratios for the block-k piece of f.
 
     The first ratio is the mean horizontal frequency of the block in units
-    of 2^k; the cutoff support pins it inside [3/4, 8/3].  (The Nyquist
-    bin does not contribute to the numerator because dx zeroes it, so feed
-    dealiased fields.)  A spectrally empty block is reported as skipped.
+    of 2^k; the cutoff support pins it inside [3/4, 8/3].  A spectrally
+    empty block is reported as skipped.
     """
     bank = bank or get_bank(f.grid)
     blk = delta_k(f, k, bank)

@@ -58,14 +58,13 @@ class StackedState:
     """Base of the solver states, which declare the `ROWS` Fields and a clock `t`.
 
     The state owns `stack`, one (len(ROWS), Nx//3 + 1, Ny) complex array of
-    band rows, which the Fields view as band Fields: `state.u.coeff` is the
-    full spectrum, unfolded on each read and never stored, and read-only.
-    Made from Fields, a state checks that they share one grid and copies
-    their bands into a new stack once, folding full Fields (`Grid.fold`,
-    which raises ValueError on content it would drop); `with_stack` puts a
-    state over an existing stack.  A state is not changed after it is made
-    (samples keep states), so a changed one comes from `with_stack` or
-    `dataclasses.replace`.
+    band rows, which the Fields view: a Field is its band, and
+    `state.u.coeff` is the full spectrum, unfolded on each read and never
+    stored, and read-only.  Made from Fields, a state checks that they share
+    one grid and copies their bands into a new stack once; `with_stack`
+    puts a state over an existing stack.  A state is not changed after it
+    is made (samples keep states), so a changed one comes from `with_stack`
+    or `dataclasses.replace`.
     """
 
     ROWS: ClassVar[tuple[str, ...]] = ()
@@ -77,8 +76,7 @@ class StackedState:
         if _rows is None:
             if any(f.grid != g for f in self.fields):
                 raise ValueError("all state fields must share one grid")
-            _rows = np.stack([f.rows if f.is_band else g.fold(f.rows)
-                              for f in self.fields])
+            _rows = np.stack([f.rows for f in self.fields])
         for name, value in zip(("stack",) + self.ROWS, (_rows,) + unstack(g, _rows)):
             object.__setattr__(self, name, value)  # frozen: set here, once
 

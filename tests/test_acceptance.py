@@ -39,12 +39,11 @@ FOUR_PI_SQ = 4.0 * np.pi**2
 
 
 def random_field(g, seed):
-    """Random real field, x-mean removed, truncated to the dealiased band."""
+    """Random real field on the dealiased band, x-mean removed."""
     rng = np.random.default_rng(seed)
-    f = to_spectral(g, rng.standard_normal((g.Nx, g.Ny)))
-    c = f.coeff.copy()
+    shape = (g.band, g.Ny)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
     c[0, :] = 0.0
-    c[~g.dealias_mask, :] = 0.0
     return Field(g, c)
 
 
@@ -151,8 +150,7 @@ def test_weight_machinery():
     f = Field.zeros(g)
     for m in range(1, 6):
         col = rng.standard_normal(g.Ny) + 1j * rng.standard_normal(g.Ny)
-        f.coeff[m] = col
-        f.coeff[-m] = np.conj(col)
+        f.rows[m] = col
     for t in (0.0, 1.0, 7.5):
         back = apply_gevrey(apply_gevrey(f, t, P, +1), t, P, -1)
         assert l2_norm(back - f) <= 1e-10 * l2_norm(f), f"t={t}"

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from stripflow import grid as sg
+from stripflow.gevrey import GevreyParams, apply_gevrey
 from stripflow.grid import (
     Field,
     Grid,
@@ -18,14 +19,27 @@ from stripflow.grid import (
     mean_y,
     multiply,
     pin_walls,
-    real_symmetry_defect,
     to_physical,
     to_spectral,
 )
+from stripflow.paley import S_k, bony, delta_k
 
 
 def make_grid(Nx=64, Ny=33, Lx=2 * np.pi):
     return Grid(Nx, Ny, Lx)
+
+
+def random_rows(g: Grid, rng) -> np.ndarray:
+    """Band rows m = 0..Nx/3 of a random real field (real mean row)."""
+    shape = (g.band, g.Ny)
+    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    band[0] = band[0].real
+    return band
+
+
+def random_dealiased(g: Grid, rng) -> np.ndarray:
+    """Physical values of a random real field on the band |m| <= Nx/3."""
+    return to_physical(Field(g, random_rows(g, rng)))
 
 
 def band_limited_field(g: Grid, mmax: int, seed: int = 0) -> Field:
@@ -87,7 +101,7 @@ class TestTransforms:
     def test_round_trip_random(self):
         g = make_grid(128, 17)
         rng = np.random.default_rng(7)
-        vals = rng.standard_normal((g.Nx, g.Ny))
+        vals = random_dealiased(g, rng)
         back = to_physical(to_spectral(g, vals))
         assert np.abs(back - vals).max() <= 1e-13 * np.abs(vals).max()
 
@@ -98,13 +112,23 @@ class TestTransforms:
         with pytest.raises(ValueError, match="shape"):
             Field(g, np.zeros((17, 9), dtype=complex))
 
-    def test_to_physical_rejects_broken_symmetry(self):
+    def test_to_spectral_refuses_non_dealiased_values(self):
         g = make_grid(16, 9)
-        f = to_spectral(g, np.random.default_rng(1).standard_normal((16, 9)))
-        f.coeff[3, 4] += 1.0j * np.abs(f.coeff).max()
+        vals = np.random.default_rng(1).standard_normal((16, 9))
+        with pytest.raises(ValueError, match="outside the band"):
+            to_spectral(g, vals)
+
+    def test_to_physical_rejects_broken_symmetry(self):
+        # a band Field is conjugate-symmetric by construction except for its
+        # mean row m = 0, which must be real
+        g = make_grid(16, 9)
+        rows = random_rows(g, np.random.default_rng(1))
+        scale = np.abs(rows).max()
+        rows[0, 4] += 1e-14j * scale  # roundoff passes
+        to_physical(Field(g, rows))
+        rows[0, 4] += 1.0j * scale
         with pytest.raises(ValueError, match="conjugate-symmetric"):
-            to_physical(f)
-        assert real_symmetry_defect(f) > 1e-3
+            to_physical(Field(g, rows))
 
 
 class TestDx:
@@ -141,12 +165,6 @@ class TestDx:
         ratio = errs[0] / errs[1]
         assert 12.0 < ratio < 20.0  # O(dx^4)
 
-    def test_nyquist_bin_zeroed(self):
-        g = make_grid(16, 9)
-        f = Field.zeros(g)
-        f.coeff[g.nyquist, :] = 1.0
-        assert np.abs(dx(f).coeff).max() == 0.0
-
 
 class TestFracDx:
     def test_identity_at_zero(self):
@@ -165,16 +183,14 @@ class TestFracDx:
     def test_single_mode_half_power(self):
         g = make_grid(Lx=2 * np.pi)  # xi_1 = 1 -> pick mode m = 2 so xi = 2
         f = Field.zeros(g)
-        f.coeff[2, :] = 1.0
-        f.coeff[-2, :] = 1.0
+        f.rows[2, :] = 1.0
         out = frac_dx(f, 0.5)
         assert out.coeff[2, 3] == pytest.approx(np.sqrt(2.0))
 
     def test_single_mode_xi_2pi(self):
         g = make_grid(Lx=1.0)  # xi_1 = 2*pi
         f = Field.zeros(g)
-        f.coeff[1, :] = 1.0
-        f.coeff[-1, :] = 1.0
+        f.rows[1, :] = 1.0
         out = frac_dx(f, 0.5)
         assert out.coeff[1, 0] == pytest.approx((2 * np.pi) ** 0.5)
 
@@ -196,19 +212,19 @@ class TestFracDx:
 class TestDyOperators:
     def test_dyy_exact_on_quadratic(self):
         g = make_grid(16, 21)
-        f = Field(g, np.tile(g.y**2, (g.Nx, 1)).astype(complex))
+        f = Field(g, np.tile(g.y**2, (g.band, 1)).astype(complex))
         out = dyy(f)
-        assert np.abs(out.coeff - 2.0).max() < 1e-10
+        assert np.abs(out.rows - 2.0).max() < 1e-10
 
     def test_dy_exact_on_quadratic(self):
         g = make_grid(16, 21)
-        f = Field(g, np.tile(g.y**2, (g.Nx, 1)).astype(complex))
+        f = Field(g, np.tile(g.y**2, (g.band, 1)).astype(complex))
         out = dy(f)
-        assert np.abs(out.coeff - 2.0 * g.y[None, :]).max() < 1e-10
+        assert np.abs(out.rows - 2.0 * g.y[None, :]).max() < 1e-10
 
     def test_constant_in_y(self):
         g = make_grid(16, 21)
-        f = Field(g, np.ones((g.Nx, g.Ny), dtype=complex))
+        f = Field(g, np.ones((g.band, g.Ny), dtype=complex))
         assert np.abs(dy(f).coeff).max() < 1e-12
         assert np.abs(dyy(f).coeff).max() < 1e-12
 
@@ -222,7 +238,7 @@ class TestDyOperators:
         errs = []
         for Ny in (33, 65):
             g = make_grid(8, Ny)
-            f = Field(g, np.tile(prof(2 * np.pi * g.y), (g.Nx, 1)).astype(complex))
+            f = Field(g, np.tile(prof(2 * np.pi * g.y), (g.band, 1)).astype(complex))
             err = np.abs(op(f).coeff[0].real - deriv(g.y)).max()
             errs.append(err)
         ratio = errs[0] / errs[1]
@@ -239,20 +255,20 @@ class TestDyOperators:
 class TestIntegration:
     def test_cumulative_of_one_is_y(self):
         g = make_grid(8, 33)
-        f = Field(g, np.ones((g.Nx, g.Ny), dtype=complex))
+        f = Field(g, np.ones((g.band, g.Ny), dtype=complex))
         out = integrate_y(f)
         assert np.abs(out.coeff[0].real - g.y).max() < 1e-13
 
     def test_full_integral_of_sin2py_vanishes(self):
         g = make_grid(8, 33)
-        f = Field(g, np.tile(np.sin(2 * np.pi * g.y), (g.Nx, 1)).astype(complex))
+        f = Field(g, np.tile(np.sin(2 * np.pi * g.y), (g.band, 1)).astype(complex))
         assert abs(mean_y(f)[0]) < g.dy**2
 
     def test_cumulative_matches_antiderivative(self):
         errs = []
         for Ny in (33, 65):
             g = make_grid(8, Ny)
-            f = Field(g, np.tile(np.cos(np.pi * g.y), (g.Nx, 1)).astype(complex))
+            f = Field(g, np.tile(np.cos(np.pi * g.y), (g.band, 1)).astype(complex))
             out = integrate_y(f)
             errs.append(np.abs(out.coeff[0].real - np.sin(np.pi * g.y) / np.pi).max())
         assert errs[0] < 1e-3
@@ -324,19 +340,19 @@ class TestDealiasAndProducts:
 
     def test_pin_walls(self):
         g = make_grid(8, 9)
-        f = Field(g, np.ones((g.Nx, g.Ny), dtype=complex))
+        f = Field(g, np.ones((g.band, g.Ny), dtype=complex))
         out = pin_walls(f)
-        assert np.abs(out.coeff[:, 0]).max() == 0.0
-        assert np.abs(out.coeff[:, -1]).max() == 0.0
-        assert np.abs(out.coeff[:, 1] - 1.0).max() == 0.0
+        assert np.abs(out.rows[:, 0]).max() == 0.0
+        assert np.abs(out.rows[:, -1]).max() == 0.0
+        assert np.abs(out.rows[:, 1] - 1.0).max() == 0.0
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_sequence_form_is_sum_of_products(self, pairs):
         # 3 pairs: one packed pair plus the odd leftover
         g = make_grid(48, 17)
         rng = np.random.default_rng(pairs)
-        fs = [to_spectral(g, rng.standard_normal((g.Nx, g.Ny))) for _ in range(pairs)]
-        hs = [to_spectral(g, rng.standard_normal((g.Nx, g.Ny))) for _ in range(pairs)]
+        fs = [Field(g, random_rows(g, rng)) for _ in range(pairs)]
+        hs = [Field(g, random_rows(g, rng)) for _ in range(pairs)]
         expect = multiply(fs[0], hs[0])
         for f, h in zip(fs[1:], hs[1:]):
             expect = expect + multiply(f, h)
@@ -352,7 +368,7 @@ class TestDealiasAndProducts:
         rng = np.random.default_rng(factors)
 
         def field():
-            return to_spectral(g, rng.standard_normal((g.Nx, g.Ny)))
+            return Field(g, random_rows(g, rng))
 
         fs = [field() for _ in range(factors)]
         gss = [[field() for _ in range(factors)] for _ in range(2)]
@@ -365,7 +381,7 @@ class TestDealiasAndProducts:
             err = np.abs(out.coeff - expect.coeff).max()
             assert err <= 1e-13 * np.abs(expect.coeff).max()
             assert np.abs(out.coeff[~g.dealias_mask]).max() == 0.0
-            assert real_symmetry_defect(out) <= 1e-15
+            assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
 
     def test_sequence_form_rejects_bad_input(self):
         g = make_grid(16, 9)
@@ -434,7 +450,7 @@ class TestParsevalProperty:
         for seed in range(3):
             g = make_grid(48, 25)
             rng = np.random.default_rng(seed)
-            vals = rng.standard_normal((g.Nx, g.Ny))
+            vals = random_dealiased(g, rng)
             f = to_spectral(g, vals)
             phys = np.sqrt((g.Lx / g.Nx) * np.sum(vals**2 @ g.trapz_w))
             assert l2_norm(f) == pytest.approx(phys, rel=1e-12)
@@ -442,16 +458,13 @@ class TestParsevalProperty:
 
 def random_band(g: Grid, seed: int = 0) -> np.ndarray:
     """Band rows m = 0..Nx/3 of a random real field with pinned walls."""
-    rng = np.random.default_rng(seed)
-    shape = (g.band, g.Ny)
-    band = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    band[0] = band[0].real
+    band = random_rows(g, np.random.default_rng(seed))
     band[:, [0, -1]] = 0.0
     return band
 
 
 class TestBand:
-    """Solver states hold the band m = 0..Nx/3; fold and unfold change layout."""
+    """A Field is its band m = 0..Nx/3; fold and unfold change layout."""
 
     def test_round_trip_exact(self):
         from stripflow.gevrey import GevreyParams, make_gevrey_data
@@ -459,7 +472,7 @@ class TestBand:
         g = make_grid(32, 33)
         full = g.unfold(random_band(g))
         assert full.shape == (32, 33)
-        assert real_symmetry_defect(Field(g, full)) == 0.0
+        assert np.array_equal(full[g.dealias_mirror], np.conj(full[:g.band]))
         assert np.array_equal(g.unfold(g.fold(full)), full)
         u0, _ = make_gevrey_data(g, GevreyParams(), amplitude=1e-3, m_max=g.Nx // 3)
         assert np.array_equal(g.unfold(g.fold(u0.coeff)), u0.coeff)
@@ -467,21 +480,16 @@ class TestBand:
     def test_band_field_reads_full_spectrum(self):
         g = make_grid(32, 33)
         band = random_band(g)
-        f, full = Field(g, band), Field(g, g.unfold(band))
-        assert f.is_band and not full.is_band
-        for op in (dx, dy, dyy, integrate_y, lambda h: frac_dx(h, 0.5), pin_walls,
-                   lambda h: h + h, lambda h: -h):
-            assert np.array_equal(op(f).coeff, op(full).coeff)
-        assert l2_norm(f) == l2_norm(full)
+        f = Field(g, band)
+        assert np.shares_memory(f.rows, band)  # a view, not a copy
+        assert np.array_equal(f.coeff, g.unfold(band))
+        assert np.array_equal(Field(g, g.unfold(band)).rows, band)
         with pytest.raises(ValueError, match="read-only"):
             f.coeff[1, 1] = 0.0
 
     @pytest.mark.parametrize("fault, match", [
         ("outside", "outside the band"), ("mirror", "conjugates"), ("mean", "conjugates")])
     def test_fold_refuses_what_it_would_drop(self, fault, match):
-        from stripflow.hns import HnsState
-        from stripflow.prandtl import PrandtlState
-
         g = make_grid(32, 33)
         full = g.unfold(random_band(g))
         row = {"outside": g.band, "mirror": g.Nx - 2, "mean": 0}[fault]
@@ -489,14 +497,40 @@ class TestBand:
         c[row, 5] += 1e-9j * np.abs(c).max()  # above the 1e-12 tolerance
         with pytest.raises(ValueError, match=match):
             g.fold(c)
-        f, z = Field(g, c), Field.zeros(g)
         with pytest.raises(ValueError, match=match):
-            PrandtlState(f, z)
-        with pytest.raises(ValueError, match=match):
-            HnsState(z, z, z, f, eps=0.5)
+            Field(g, c)  # a full spectrum is only input, folded
         c = full.copy()
         c[row, 5] += 1e-14j * np.abs(c).max()  # roundoff folds
         assert g.fold(c).shape == (g.band, g.Ny)
+        assert np.array_equal(Field(g, c).rows, g.fold(c))
+
+    @pytest.mark.parametrize("op", [
+        lambda f, h: (dx(f),),
+        lambda f, h: (frac_dx(f, 0.5),),
+        lambda f, h: (dy(f),),
+        lambda f, h: (dyy(f),),
+        lambda f, h: (integrate_y(f),),
+        lambda f, h: (pin_walls(f),),
+        lambda f, h: (f + h,),
+        lambda f, h: (f - h,),
+        lambda f, h: (f * 2.5, 2.5 * f),
+        lambda f, h: (-f,),
+        lambda f, h: (multiply(f, h),),
+        lambda f, h: multiply((f, h), ((h, f), (f, f))),
+        lambda f, h: (delta_k(f, 1),),
+        lambda f, h: (S_k(f, 1),),
+        lambda f, h: bony(f, h),
+        lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), +1),),
+        lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), -1),),
+    ], ids=["dx", "frac_dx", "dy", "dyy", "integrate_y", "pin_walls", "add", "sub",
+            "mul", "neg", "multiply", "multiply_two_outputs", "delta_k", "S_k",
+            "bony", "gevrey_plus", "gevrey_minus"])
+    def test_operators_return_the_band(self, op):
+        g = make_grid(32, 33)
+        f, h = (Field(g, random_band(g, seed)) for seed in (0, 1))
+        outs = op(f, h)
+        assert len(outs) >= 1
+        assert all(out.rows.shape == (g.band, g.Ny) for out in outs)
 
     def test_state_rows_are_read_only(self):
         from stripflow.prandtl import PrandtlState

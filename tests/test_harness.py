@@ -127,6 +127,9 @@ class TestConfig:
             (dict(amplitude=float("inf")), "amplitude must be finite"),
             (dict(T_final=float("inf")), "T_final must be finite"),
             (dict(eps_list=(0.1, float("nan"), 0.025)), "eps_list must be finite"),
+            # finite keys whose step count T_final / dt overflows to inf
+            (dict(T_final=1e308), "^T_final makes the step count"),
+            (dict(dt=1e-320), "^dt makes the step count"),
         ],
     )
     def test_bad_values_rejected(self, overrides, match):

@@ -57,3 +57,14 @@ def test_conjugate_mirrors_only_in_grid(path):
     lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if re.search(r"\bnp\.conj(ugate)?\(|\[\s*-\s*m\b", line)]
     assert lines == [], f"{path.name}: conjugate mirror on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_coeff_read_only_in_grid(path):
+    # a Field is its band; its full spectrum `coeff` is unfolded on every
+    # read, which only grid.py needs: other modules use `rows`
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "coeff"]
+    assert lines == [], f"{path.name}: .coeff read on lines {lines}"
