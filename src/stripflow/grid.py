@@ -23,8 +23,6 @@ differences inside and second-order one-sided stencils on the walls.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -38,7 +36,6 @@ __all__ = [
     "dyy",
     "dy_matrix",
     "y_diff",
-    "real_view",
     "unstack",
     "cumulative_trapezoid",
     "integrate_y",
@@ -86,6 +83,7 @@ class Grid:
         self.band = Nx // 3 + 1
         self.dealias_mirror = (-np.arange(self.band)) % Nx
         self._band_row = np.minimum(np.abs(m), Nx // 3)  # of each mode in the band
+        self._dx_rows = self._dx_mult[:self.band, None]  # d/dx on band rows
         # trapezoid weights in y (fixed summation order via dot products)
         w = np.full(Ny, self.dy)
         w[0] = w[-1] = 0.5 * self.dy
@@ -93,26 +91,20 @@ class Grid:
         self.key = (self.Lx, self.Nx, self.Ny)
         self._work = {}
 
-    def work(self, name: str, shape: tuple) -> np.ndarray:
-        """Complex scratch array of `shape`, kept per name.
-
-        A 128x65 field is larger than the allocator's mmap threshold, so a
-        fresh temporary of that size is faulted in on every call; hot loops
-        reuse these instead.  Requests of one name share memory (the
-        largest size is kept), so a name must not serve two arrays in use
-        at once.  The contents are undefined on entry, and an array from
-        here must never be handed out as a result.  The buffers belong to
-        this Grid object, so two states on one Grid must never step at the
-        same time (two threads that did corrupted each other's RK stages);
-        concurrent runs each need their own Grid.  The solvers ask for band
-        stacks, (n, band, Ny), and the products for full spectra, (Nx, Ny).
-        """
-        size = math.prod(shape)
-        buf = self._work.get(name)
-        if buf is None or buf.size < size:
-            buf = np.empty(size, dtype=np.complex128)
-            self._work[name] = buf
-        return buf[:size].reshape(shape)
+    def work(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
+        """Scratch array of `shape` and `dtype`, kept per (name, shape, dtype)
+        for hot loops: a 128x65 field is larger than the allocator's mmap
+        threshold, so a fresh temporary of that size is faulted in on every
+        call.  A name must not serve two arrays in use at once; the contents
+        are undefined on entry, and an array from here must never be handed
+        out as a result.  The buffers belong to this Grid object, so two
+        states on one Grid must never step at the same time (two threads
+        that did corrupted each other's RK stages)."""
+        key = (name, shape, dtype)
+        buf = self._work.get(key)
+        if buf is None:
+            buf = self._work[key] = np.empty(shape, dtype)
+        return buf
 
     def fold(self, full: np.ndarray) -> np.ndarray:
         """The band rows m = 0..Nx/3 of full spectra (..., Nx, Ny), copied.
@@ -136,18 +128,20 @@ class Grid:
             raise ValueError("rows m <= 0 are not the conjugates of rows -m")
         return full[..., :K + 1, :].copy()
 
-    def unfold(self, band: np.ndarray) -> np.ndarray:
+    def unfold(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Full spectra (..., Nx, Ny) of the real fields whose band rows
         m = 0..Nx/3 are `band` (..., band, Ny): rows -m are their
         conjugates, the rest 0.  A 1-D `band` holds real per-mode values,
-        such as densities, and its rows -m repeat rows m.
+        such as densities, and its rows -m repeat rows m.  Complex spectra
+        are written into `out` when it is given.
 
         A mirrored zero is written as +0.0, not -0.0, as the arithmetic on
         a full spectrum leaves it."""
         if band.ndim == 1:
             return np.where(self.dealias_mask, band[self._band_row], 0.0)
         K = self.band - 1
-        out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
+        if out is None:
+            out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
         out[..., :K + 1, :] = band
         out[..., K + 1:self.Nx - K, :] = 0.0
         src, hi = band[..., K:0:-1, :], out[..., self.Nx - K:, :]
@@ -179,7 +173,8 @@ class Field:
     __slots__ = ("grid", "rows")
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
-        coeff = np.asarray(coeff, dtype=np.complex128)
+        if type(coeff) is not np.ndarray or coeff.dtype != np.complex128:
+            coeff = np.asarray(coeff, dtype=np.complex128)
         if coeff.shape == (grid.Nx, grid.Ny):
             coeff = grid.fold(coeff)
         elif coeff.shape != (grid.band, grid.Ny):
@@ -262,7 +257,7 @@ def to_physical(f: Field) -> np.ndarray:
 
 def dx(f: Field) -> Field:
     """Horizontal derivative: multiply by i*xi."""
-    return Field(f.grid, f.rows * f.grid._dx_mult[:f.grid.band, None])
+    return Field(f.grid, f.rows * f.grid._dx_rows)
 
 
 def frac_dx(f: Field, s: float) -> Field:
@@ -289,10 +284,14 @@ Y_STENCILS = {
         ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))),
 }
 
-#: the wall terms of Y_STENCILS for both walls at once: (offset, weights at
-#: y = 0 and at y = 1)
+#: the wall terms of Y_STENCILS for both walls at once: the nodes, taken in
+#: pairs (off-th from y = 0, off-th from y = 1) in the order of the terms,
+#: and their weights, complex so that a complex node is scaled as
+#: complex * real scales it
 _WALL_TERMS = {
-    order: tuple((off, np.array([w, (-1.0) ** order * w])) for off, w in wall)
+    order: (np.array([j for off, _ in wall for j in (off, -1 - off)]),
+            np.array([[v] for _, w in wall for v in (w, (-1.0) ** order * w)],
+                     dtype=np.complex128))
     for order, (_, _, wall) in Y_STENCILS.items()
 }
 
@@ -306,43 +305,42 @@ def y_diff(c: np.ndarray, h: float, order: int,
     and must not overlap `c`.
     """
     div, inner, _ = Y_STENCILS[order]
-    c = np.ascontiguousarray(c)
+    if not c.flags.c_contiguous:
+        c = np.ascontiguousarray(c)
     if out is None:
         out = np.empty_like(c)
     elif not out.flags.c_contiguous:
         raise ValueError("y_diff needs a C-contiguous out array")
-    # The interior stencil runs over the flattened array, in long contiguous
-    # passes; what it leaves on the wall columns, where it straddles two
-    # rows, the wall stencils overwrite.
-    src, n = c.reshape(-1), c.shape[-1]
-    mid = out.reshape(-1)[1:-1]
-    end = src.size - 1
+    # The interior stencil runs over the flattened float view, in long
+    # contiguous passes (a node is r floats: 2 for complex input); what it
+    # leaves on the wall columns, where it straddles two rows, the wall
+    # stencils overwrite.  Real weights scale the float view: the same
+    # numbers as complex * real.
+    src, dst = c.reshape(-1).view(np.float64), out.reshape(-1).view(np.float64)
+    n, r = c.shape[-1], 2 if c.dtype.kind == "c" else 1
+    mid, end = dst[r:-r], src.size - r
     for k, (off, w) in enumerate(inner):
-        term = src[1 + off:end + off]
+        term = src[r * (1 + off):end + r * off]
         if k == 0:
-            np.multiply(real_view(term), w, out=real_view(mid))
+            # a unit weight is exact, so the next term reads the node itself
+            first = term if w == 1.0 else np.multiply(term, w, out=mid)
             continue
-        if abs(w) != 1.0:
+        if w not in (1.0, -1.0):
             term = term * abs(w)
-        (np.add if w > 0 else np.subtract)(mid, term, out=mid)
-    # Columns off and n-1-off, the off-th node in from either wall, are one
-    # strided view, so each wall term serves both walls.
-    walls = out[..., ::n - 1]
-    for k, (off, w) in enumerate(_WALL_TERMS[order]):
-        cols = c[..., off:n - off:n - 1 - 2 * off]
-        if k == 0:
-            np.multiply(cols, w, out=walls)
-        else:
-            walls += cols * w
-    scaled = real_view(out)
-    scaled *= 1.0 / (div * h ** order)  # what complex / real computes
+        (np.add if w > 0 else np.subtract)(first, term, out=mid)
+        first = mid
+    # The wall nodes of every row, gathered term by term into contiguous
+    # (2, rows) blocks (y = 0, then y = 1), weighted in one pass and summed
+    # in the order of the terms.
+    nodes, weights = _WALL_TERMS[order]
+    terms = c.reshape(-1, n).T.take(nodes, axis=0)
+    terms *= weights if r == 2 else weights.real
+    walls = terms[:2]
+    for k in range(2, len(nodes), 2):
+        walls += terms[k:k + 2]
+    out.reshape(-1, n)[:, ::n - 1] = walls.T
+    dst *= 1.0 / (div * h ** order)  # what complex / real computes
     return out
-
-
-def real_view(c: np.ndarray) -> np.ndarray:
-    """Float64 view of a complex array (real and imaginary parts interleaved
-    along the last axis), for scaling by real numbers at real-array cost."""
-    return c.view(np.float64) if c.dtype.kind == "c" else c
 
 
 def dy(f: Field) -> Field:
@@ -363,18 +361,21 @@ def dy_matrix(grid: Grid) -> np.ndarray:
     return y_diff(np.eye(grid.Ny), grid.dy, 1).T
 
 
-def cumulative_trapezoid(c: np.ndarray, h: float) -> np.ndarray:
+def cumulative_trapezoid(c: np.ndarray, h: float,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative trapezoid rule along the last axis with spacing h.
 
     Zero in the first column; the arithmetic and its order are those of
     scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0).
+    `out`, if given, receives the result and must not overlap `c`.
     """
-    out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
+    if out is None:
+        out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     out[..., 0] = 0.0
     cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
     cum *= h
     cum /= 2.0
-    np.cumsum(cum, axis=-1, out=cum)
+    cum.cumsum(axis=-1, out=cum)
     return out
 
 
@@ -384,8 +385,11 @@ def integrate_y(f: Field) -> Field:
 
 
 def mean_y(f: Field) -> np.ndarray:
-    """Per-mode trapezoid integral over [0, 1] (length-Nx complex array)."""
-    return f.coeff @ f.grid.trapz_w
+    """Per-mode trapezoid integral over [0, 1] of the band rows m = 0..Nx/3
+    (a complex array of length Nx//3 + 1).  A row -m holds the conjugate of
+    row m's integral and the rows past the band zero, so the band gives the
+    largest |mean| of the whole spectrum."""
+    return f.rows @ f.grid.trapz_w
 
 
 def y_density(f: Field) -> np.ndarray:
@@ -420,8 +424,7 @@ def _pack(a: Field, b: Field | None, out: np.ndarray) -> np.ndarray:
     rows -m are conj(A) + i conj(B) (two real fields in one complex
     transform: Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
     if b is None:
-        out[...] = a.coeff
-        return out
+        return a.grid.unfold(a.rows, out)
     K, Nx = a.grid.band - 1, a.grid.Nx
     lo, hi = out[:K + 1], out[Nx - K:]
     np.multiply(b.rows, 1j, out=lo)
@@ -463,7 +466,8 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     of two products each thus cost 4 transforms.
 
     The result holds only the rows m = 0..Nx/3 of the product, with no
-    mirror written.  Overflow is not warned about: the solvers' finiteness
+    mirror written.  Overflow warns as any numpy arithmetic does; the RK4
+    step silences it (`stepper.rk4_step`), because the solvers' finiteness
     checks turn it into an abort.
     """
     fs = (f,) if isinstance(f, Field) else tuple(f)
@@ -481,28 +485,30 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     if not single and len(gss) != 2:
         raise ValueError(
             f"multiply's two-output form takes exactly two outputs, got {len(gss)}")
-    grid, factors = fs[0].grid, fs + sum(gss, ())
-    for h in factors[1:]:
-        fs[0]._check_same_grid(h)
+    grid = fs[0].grid
+    for gs in (fs,) + gss:
+        for h in gs:
+            if h.grid is not grid:
+                fs[0]._check_same_grid(h)
 
-    with np.errstate(over="ignore", invalid="ignore"):
-        fv = _physical(grid, "multiply.f", fs)
-        if single:
-            gv = _physical(grid, "multiply.g", gss[0])
-            prod = fv[0] * gv[0]
-            for fk, gk in zip(fv[1:], gv[1:]):
-                prod += fk * gk
-            spec = np.fft.fft(prod, axis=0, norm="forward")
-            return Field(grid, spec[:grid.band])
-        total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
-        for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
-            dst = total if k == 0 else z
-            np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
-            dst *= fk
-            if k:
-                total += z
-        np.fft.fft(total, axis=0, norm="forward", out=total)
-        return tuple(Field(grid, part) for part in _split_pair(grid, total))
+    fv = _physical(grid, "multiply.f", fs)
+    if single:
+        gv = _physical(grid, "multiply.g", gss[0])
+        prod = grid.work("multiply.prod", (grid.Nx, grid.Ny), np.float64)
+        np.multiply(fv[0], gv[0], out=prod)
+        for fk, gk in zip(fv[1:], gv[1:]):
+            prod += np.multiply(fk, gk, out=fk)  # fk is not read again
+        spec = np.fft.fft(prod, axis=0, norm="forward")
+        return Field(grid, spec[:grid.band])
+    total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
+    for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
+        dst = total if k == 0 else z
+        np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
+        dst *= fk
+        if k:
+            total += z
+    np.fft.fft(total, axis=0, norm="forward", out=total)
+    return tuple(Field(grid, part) for part in _split_pair(grid, total))
 
 
 def pin_walls(f: Field) -> Field:

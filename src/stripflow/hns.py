@@ -29,20 +29,13 @@ operator, so it is enforced directly rather than solved for.  The x-mean
 of the second equation then only determines a diagnostic pressure profile
 and never feeds back into u.
 
-Storage and stepping: a state owns one stacked complex array
-``HnsState.stack`` of shape (4, Nx//3 + 1, Ny), rows (u, v, ut, vt), each
-the band m = 0..Nx/3 of its field (the 2/3 rule keeps every other row at
-zero or a conjugate mirror; see ``Grid.fold``), and its Fields are band
-Fields over those rows.  ``hns_step`` advances the stack with the RK4
-step shared with the limit system (``stepper.rk4_step``), so the RK
-arithmetic, the stencils and the projection run on the band rows only.
-The right-hand side applies the y stencils to the stacked pair (u, v) in
-one pass and takes both advection terms, N1 = u u_x + v u_y and
-N2 = u v_x + v v_y, from the two-output form of ``multiply``: u + i v goes
-to physical x once, u_x + i v_x and u_y + i v_y once each, and N1 + i N2
-takes one forward transform that conjugate symmetry splits, so a
-right-hand side costs four transforms.  Only there, inside the products,
-is a full spectrum built; the products return band rows.
+Storage and stepping: ``HnsState.stack`` holds the band rows m = 0..Nx/3
+of (u, v, ut, vt) (see ``stepper.StackedState``), and ``hns_step``
+advances it with the RK4 step shared with the limit system
+(``stepper.rk4_step``).  The right-hand side applies the y stencils to the
+stacked pair (u, v) in one pass and takes both advection terms,
+N1 = u u_x + v u_y and N2 = u v_x + v v_y, from the two-output form of
+``multiply``, at four transforms per right-hand side.
 """
 
 from __future__ import annotations
@@ -55,7 +48,7 @@ import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
 from .grid import (Field, cumulative_trapezoid, dx, dy, l2_norm, mean_y, multiply,
-                   pin_walls, real_view, unstack, y_diff)
+                   pin_walls, unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -83,10 +76,9 @@ class HnsState(StackedState):
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
 
-    def __post_init__(self, _rows):
+    def _check_values(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
-        super().__post_init__(_rows)
 
     def divergence(self) -> Field:
         return dx(self.u) + dy(self.v)
@@ -214,7 +206,7 @@ class _Projector:
         self._spread = np.hstack([basis.spread[:, :grid.Ny],
                                   basis.spread[:, grid.Ny:] / e2])
         #: c1 = i xi M q, over every band row (q is zero at the mean mode)
-        self._c1_mult = grid._dx_mult[:grid.band, None] * basis.mask[None, :]
+        self._c1_mult = grid._dx_rows * basis.mask[None, :]
 
 
 @cache
@@ -275,13 +267,13 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
 
     dx_uv, dy_uv = g.work("hns.dx", uv.shape), g.work("hns.dy", uv.shape)
     acc = y_diff(uv, g.dy, 2, out=out)
-    np.multiply(real_view(uv), (eps**2 * g._dxx_mult[:g.band])[:, None],
-                out=real_view(dx_uv))
+    np.multiply(uv.view(np.float64), (eps**2 * g._dxx_mult[:g.band])[:, None],
+                out=dx_uv.view(np.float64))
     acc += dx_uv
     acc -= y[2:]
     N2 = None
     if not disable_nonlinear:
-        ux, vx = unstack(g, np.multiply(uv, g._dx_mult[:g.band, None], out=dx_uv))
+        ux, vx = unstack(g, np.multiply(uv, g._dx_rows, out=dx_uv))
         uy, vy = unstack(g, y_diff(uv, g.dy, 1, out=dy_uv))
         N1, N2 = multiply((state.u, state.v), ((ux, uy), (vx, vy)))
         acc[0] -= N1.rows

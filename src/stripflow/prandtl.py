@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dx, dy, integrate_y, mean_y, multiply, y_diff
+from .grid import Field, cumulative_trapezoid, dx, mean_y, multiply, y_diff
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -71,7 +71,7 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
     The y = 1 row vanishes only to quadrature accuracy; its residual is
     written into `report` when a dict is supplied.
     """
-    v = _slaved_v(dx(u))
+    v = Field(u.grid, _slaved_v(dx(u).rows, u.grid.dy))
     if report is not None:
         top = np.abs(v.rows[:, -1]).max()
         scale = max(np.abs(v.rows).max(), 1e-300)
@@ -80,25 +80,30 @@ def recover_v(u: Field, report: dict | None = None) -> Field:
     return v
 
 
-def _slaved_v(ux: Field) -> Field:
-    """v = -int_0^y ux dy' from ux = d_x u."""
-    v = integrate_y(ux)
-    v.rows *= -1.0
+def _slaved_v(ux: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of v = -int_0^y ux dy' from the rows of ux = d_x u, node spacing h."""
+    v = cumulative_trapezoid(ux, h, out=out)
+    v *= -1.0
     return v
 
 
 def _advection(u: Field) -> Field:
-    """Dealiased u d_x u + v d_y u with the slaved v."""
-    ux = dx(u)
-    return multiply((u, _slaved_v(ux)), (ux, dy(u)))
+    """Dealiased u d_x u + v d_y u with the slaved v.  d_x u, v and d_y u
+    fill one per-grid work stack, read only by the product."""
+    g = u.grid
+    ux, v, uy = g.work("prandtl.advection", (3, g.band, g.Ny))
+    np.multiply(u.rows, g._dx_rows, out=ux)
+    _slaved_v(ux, g.dy, out=v)
+    y_diff(u.rows, g.dy, 1, out=uy)
+    return multiply((u, Field(g, v)), (Field(g, ux), Field(g, uy)))
 
 
 def _pressure_from(visc: np.ndarray, N: Field | None, factor: float) -> np.ndarray:
     """Interior-row-mean pressure law, one value per x-mode, from the
     coefficients of dyy u and the advection term."""
-    inner = visc[:, 1:-1].sum(axis=1)
+    inner = np.add.reduce(visc[:, 1:-1], axis=1)  # what .sum(axis=1) computes
     if N is not None:
-        inner = inner - factor * N.rows[:, 1:-1].sum(axis=1)
+        inner = inner - factor * np.add.reduce(N.rows[:, 1:-1], axis=1)
     vals = inner / (visc.shape[1] - 2)
     vals[0] = 0.0  # a pressure gradient has no x-mean on the torus
     return vals
@@ -115,12 +120,8 @@ def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
     return Field(g, np.broadcast_to(vals[:, None], u.rows.shape).copy())
 
 
-def prandtl_rhs(
-    state: PrandtlState,
-    factor: float = 1.0,
-    disable_nonlinear: bool = False,
-    out: np.ndarray | None = None,
-) -> tuple[Field, Field]:
+def prandtl_rhs(state: PrandtlState, factor: float = 1.0, disable_nonlinear: bool = False,
+                out: np.ndarray | None = None) -> tuple[Field, Field]:
     """(du, dut) with wall rows of dut pinned; aborts on non-finite values.
 
     disable_nonlinear drops the advection term (verification mode for the
@@ -141,9 +142,7 @@ def prandtl_rhs(
     if not np.isfinite(acc).all():
         bad = np.argwhere(~np.isfinite(acc))[0]
         raise SolverAbort(
-            f"non-finite acceleration at t={state.t}, mode/node {tuple(bad)}",
-            state,
-        )
+            f"non-finite acceleration at t={state.t}, mode/node {tuple(bad)}", state)
     return ut, Field(g, acc)
 
 
@@ -152,13 +151,8 @@ def _pin_walls(y: np.ndarray) -> None:
     y[..., -1] = 0.0
 
 
-def prandtl_step(
-    state: PrandtlState,
-    dt: float,
-    factor: float = 1.0,
-    disable_nonlinear: bool = False,
-    check: bool = False,
-) -> PrandtlState:
+def prandtl_step(state: PrandtlState, dt: float, factor: float = 1.0,
+                 disable_nonlinear: bool = False, check: bool = False) -> PrandtlState:
     """Classical RK4 step (`rk4_step`) on the stack (u, ut); wall rows
     re-pinned afterwards.
 

@@ -6,27 +6,25 @@ A solver state (`StackedState`) owns one stacked complex array,
 (u, v, ut, vt) for the scaled pair.  Each row is the band m = 0..Nx/3 of
 a dealiased real field (see `Grid.fold`); its rows |m| > Nx/3 are zero and
 its rows m < 0 conjugate mirrors, so neither is stored nor stepped.
-`rk4_step` advances such a stack by one step.  Stage states and
-accelerations live in the grid's work buffers (`Grid.work`) and are
-reused from step to step; the update accumulates in low storage, without
-keeping k1..k4; the new state is written into one fresh array, because
-samples keep every returned state.
+`rk4_step` advances such a stack by one step.  The stage state and the
+slope live in the grid's work buffers (`Grid.work`) and are reused from
+step to step; the update accumulates in low storage, without keeping
+k1..k4; the new state is written into one fresh array, because samples
+keep every returned state.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import InitVar, dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
-from .grid import real_view, unstack
+from .grid import Field, Grid
 
 __all__ = [
     "SolverAbort",
     "StackedState",
-    "stage_abort",
     "rk4_step",
     "CFL_FACTOR",
     "CFL_LIMIT",
@@ -64,33 +62,51 @@ class StackedState:
     one grid and copies their bands into a new stack once; `with_stack`
     puts a state over an existing stack.  A state is not changed after it
     is made (samples keep states), so a changed one comes from `with_stack`
-    or `dataclasses.replace`.
+    or `dataclasses.replace`.  A state type checks its own values in
+    `_check_values`, which both of those run.
     """
 
     ROWS: ClassVar[tuple[str, ...]] = ()
     _rows: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
+    grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self, _rows):
-        g = self.grid
+        self._check_values()
+        g = getattr(self, self.ROWS[0]).grid
         if _rows is None:
             if any(f.grid != g for f in self.fields):
                 raise ValueError("all state fields must share one grid")
             _rows = np.stack([f.rows for f in self.fields])
-        for name, value in zip(("stack",) + self.ROWS, (_rows,) + unstack(g, _rows)):
-            object.__setattr__(self, name, value)  # frozen: set here, once
+        object.__setattr__(self, "grid", g)  # frozen: set here, once
+        self._set_stack(_rows)
 
-    @property
-    def grid(self):
-        return getattr(self, self.ROWS[0]).grid
+    def _set_stack(self, stack: np.ndarray) -> None:
+        d, g = self.__dict__, self.grid
+        d["stack"] = stack
+        for name, rows in zip(self.ROWS, stack):
+            d[name] = Field(g, rows)
+
+    def _check_values(self) -> None:
+        """Refuse field values the state type does not allow (none here)."""
 
     @property
     def fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.ROWS)
 
     def with_stack(self, stack: np.ndarray, **changes):
-        """This state, with `changes`, over the rows of `stack` (not copied)."""
-        return replace(self, _rows=stack, **changes)
+        """This state, with `changes`, over the rows of `stack` (not copied).
+        A copy of the instance dict, cheaper than `dataclasses.replace`; it
+        refuses unknown names and checks the values that `__post_init__` does."""
+        unknown = changes.keys() - self.__dict__.keys()
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
+        new = object.__new__(type(self))
+        new.__dict__.update(self.__dict__, **changes)
+        if changes:
+            new._check_values()
+        new._set_stack(stack)
+        return new
 
     def check_invariants(self):
         """Wall rows pinned and values finite in every row; a state type
@@ -102,21 +118,6 @@ class StackedState:
                 raise SolverAbort(f"non-finite {name} at t={self.t}", self)
 
 
-@contextmanager
-def stage_abort(stage: int, state):
-    """Re-raise a SolverAbort from RK stage `stage` against the step's input.
-
-    A stage state is not a step state (it is stamped with the step's start
-    time but holds a partial update), so the abort carries `state`, the
-    last accepted step, names the stage in its reason and stores it as
-    `.stage`.
-    """
-    try:
-        yield
-    except SolverAbort as exc:
-        raise SolverAbort(f"RK stage {stage}: {exc.reason}", state, stage) from exc
-
-
 def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
     """One classical RK4 step of length dt of a system second order in
     time, q_tt = accel(q, q_t), from the stacked state y0 = `state.stack`,
@@ -124,11 +125,12 @@ def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
 
     `accel(s, out)` writes q_tt at the stage state s into `out`, an array
     shaped like the q_t half.  Stage 1 is `state` itself; stages 2-4 share
-    one state over the stage buffer, refilled per stage.  `pin(out)`
-    re-imposes the boundary rows on the new state in place.  y0 is only
-    read; the result is a fresh array.  `state` is the step's input,
-    carried by every SolverAbort raised here, including a stage's (see
-    `stage_abort`).
+    one state over the stage buffer.  `pin(out)` re-imposes the boundary
+    rows on the new stack in place.  y0 is only read; the result is fresh.
+    Every SolverAbort raised here carries `state`, the last accepted step:
+    one from a stage, whose state holds a partial update, is raised again
+    with `state`, naming the stage in its reason and in `.stage`.  Overflow
+    warnings are off in the stages; the finiteness guards abort instead.
     """
     y0 = state.stack
     if dt <= 0.0:
@@ -138,30 +140,34 @@ def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
     if dt > limit:
         raise SolverAbort(f"dt={dt:.3e} exceeds the wave CFL bound {limit:.3e}", state)
     n = len(y0) // 2
-    y, acc = grid.work("rk4.stage", y0.shape), grid.work("rk4.rhs", y0[n:].shape)
+    y, k = grid.work("rk4", (2,) + y0.shape)  # stage state, slope
     staged = state.with_stack(y)
     out = np.empty_like(y0)
     # out gathers k1 + 2 k2 + 2 k3 + k4; stage s + 1 starts from y0 + h_s k_s,
-    # with k_s = (q_t, q_tt) at stage s.  The q half of y is free once read,
-    # so it holds 2 k_s first; its q_t half is read before it is rewritten.
-    # Real factors scale the float views: the same numbers as complex * real.
-    for stage, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt), (4, None)):
-        s = state if stage == 1 else staged
-        with stage_abort(stage, state):
-            accel(s, acc)
-        for rows, ks in ((slice(0, n), s.stack[n:]), (slice(n, None), acc)):
+    # with k_s = (q_t, q_tt) at stage s: accel writes q_tt into the q_t half
+    # of k, and q_t is copied into its q half before y is rewritten.  Real
+    # factors scale the float views: the same numbers as complex * real.
+    y_f, k_f, out_f = y.view(np.float64), k.view(np.float64), out.view(np.float64)
+    s = state
+    with np.errstate(over="ignore", invalid="ignore"):
+        for stage, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt), (4, None)):
+            try:
+                accel(s, k[n:])
+            except SolverAbort as exc:
+                raise SolverAbort(f"RK stage {stage}: {exc.reason}", state, stage) from exc
+            k[:n] = s.stack[n:]
             if stage == 1:
-                out[rows] = ks
+                out[...] = k
             elif stage == 4:
-                out[rows] += ks
+                out += k
             else:
-                np.multiply(real_view(ks), 2.0, out=real_view(y[rows]))
-                out[rows] += y[rows]
+                np.multiply(k_f, 2.0, out=y_f)
+                out += y
             if h is not None:
-                np.multiply(real_view(ks), h, out=real_view(y[rows]))
-                y[rows] += y0[rows]
-    scaled = real_view(out)
-    scaled *= dt / 6.0
+                np.multiply(k_f, h, out=y_f)
+                y += y0
+            s = staged
+    out_f *= dt / 6.0
     out += y0
     pin(out)
     return out

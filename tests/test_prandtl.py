@@ -327,3 +327,32 @@ class TestSmallDataDecay:
             worst = max(worst, np.exp(K * s.t) * w)
         assert worst <= 10.0 * weighted0
         assert np.abs(mean_y(s.u)).max() <= 1e-10
+
+
+class TestCallBudget:
+    #: Python and C calls that `sys.setprofile` saw in one warm prandtl_step
+    #: at 32x33 before the fused RK4 update (Python 3.11, numpy 2.4); numpy's
+    #: own FFT wrappers are part of the count, so it depends on numpy
+    BEFORE = 609
+
+    def test_step_makes_at_most_two_thirds_of_the_calls(self):
+        import sys
+
+        g = Grid(32, 33)
+        u0, u1 = make_gevrey_data(g, GevreyParams(a=0.5), amplitude=1e-4, m_max=2)
+        s = PrandtlState(u0, u1)
+        dt = 0.25 * g.dy
+        for _ in range(3):  # warm the work buffers
+            s = prandtl_step(s, dt)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            prandtl_step(s, dt)
+        finally:
+            sys.setprofile(None)
+        assert calls <= 2 * self.BEFORE // 3, calls
