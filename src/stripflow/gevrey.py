@@ -108,16 +108,16 @@ def phi(t, xi, p: GevreyParams):
 
 
 def gevrey_weight(grid: Grid, t: float, p: GevreyParams):
-    """(Phi(t, xi_m) per x-mode, the column of factors e^{Phi}).
+    """(Phi(t, xi_m) per band row m = 0..Nx/3, the column of factors e^{Phi}).
 
     Computed once, it serves every `apply_gevrey(..., sign=+1)` of one
-    sample time.  The factor at the largest grid frequency must not
-    overflow float64 for O(1) coefficients.
+    sample time.  The factor at the largest band frequency, the largest
+    one a Field holds, must not overflow float64 for O(1) coefficients.
     """
-    ph = phi(t, grid.abs_xi, p)
-    if ph.max() > _EXP_OVERFLOW:
+    ph = phi(t, grid.band_xi, p)
+    if ph[-1] > _EXP_OVERFLOW:
         raise OverflowError(
-            f"Gevrey weight e^{{{ph.max():.1f}}} at |xi|={grid.abs_xi.max():.1f} "
+            f"Gevrey weight e^{{{ph[-1]:.1f}}} at |xi|={grid.band_xi[-1]:.1f} "
             "overflows float64; shrink the radius or the grid"
         )
     return ph, np.exp(ph)[:, None]
@@ -127,16 +127,16 @@ def apply_gevrey(
     f: Field, t: float, p: GevreyParams, sign: int, report: dict | None = None,
     weight=None,
 ) -> Field:
-    """Multiply mode m by e^{sign Phi(t, xi_m)}.
+    """Multiply band row m by e^{sign Phi(t, xi_m)}.
 
     For sign = +1 (amplification) two guards apply: coefficients below
     SPECTRAL_FLOOR relative to the field's max modulus are zeroed before
     weighting, and the weight must not overflow (see `gevrey_weight`).
     `weight`, if given, is `gevrey_weight(f.grid, t, p)`, computed once for
     the fields of one sample; it serves sign = +1 only.  If `report` is a
-    dict it receives the trust horizon: the largest |xi| at which
-    Phi + log(relative coefficient) still exceeds -3, i.e. where the
-    weighted output stands above amplified roundoff.
+    dict its one key "trust_horizon" receives the largest band |xi| at
+    which Phi + log(relative coefficient) still exceeds -3, i.e. where the
+    weighted output stands above amplified roundoff (0.0 if none does).
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
@@ -145,18 +145,17 @@ def apply_gevrey(
         ph, factor = gevrey_weight(g, t, p) if weight is None else weight
         mag = np.abs(f.rows)
         scale = mag.max()
-        c = f.rows * factor[:g.band]
+        c = f.rows * factor
         floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
         c[floored] = 0.0
         if report is not None:
-            mode_mag = g.unfold(np.where(floored, 0.0, mag).max(axis=1))
+            mode_mag = np.where(floored, 0.0, mag).max(axis=1)
             with np.errstate(divide="ignore"):
                 level = ph + np.log(mode_mag / max(scale, 1e-300))
-            trusted = g.abs_xi[level > TRUST_LOG_LEVEL]
+            trusted = g.band_xi[level > TRUST_LOG_LEVEL]
             report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
-            report["floored_modes"] = np.count_nonzero(mode_mag[g.abs_xi > 0] == 0)
         return Field(g, c)
-    return Field(g, f.rows * np.exp(-phi(t, g.abs_xi[:g.band], p))[:, None])
+    return Field(g, f.rows * np.exp(-phi(t, g.band_xi, p))[:, None])
 
 
 def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,

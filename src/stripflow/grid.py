@@ -12,8 +12,8 @@ conjugate symmetry c[-m, j] = conj(c[m, j]).
 A dealiased real field (2/3 rule: c[m] = 0 for |m| > Nx/3) is fixed by its
 band, the rows m = 0..Nx/3.  `Grid.fold` takes a full spectrum to its band
 and checks that nothing is dropped; `Grid.unfold` rebuilds the full
-spectrum.  A Field is its band: it stores only those rows, so the solvers
-step band rows only.  Every conjugate mirror is written in this module.
+spectrum.  A Field is its band, and so is every per-mode array (densities,
+weights, multipliers).  Every conjugate mirror is written in this module.
 
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
@@ -74,37 +74,37 @@ class Grid:
         self.m = m
         self.xi = 2.0 * np.pi * m / Lx
         self.abs_xi = np.abs(self.xi)
-        # i*xi multiplier for d/dx, and -xi^2 for d2/dx2, its square
-        self._dx_mult = 1j * self.xi
-        self._dxx_mult = (self._dx_mult * self._dx_mult).real
-        # 2/3-rule mask: keep |m| <= Nx/3; the band is the rows m = 0..Nx/3
-        # (never the Nyquist row), its mirror the rows of the modes -m
-        self.dealias_mask = np.abs(m) <= Nx // 3
+        # 2/3 rule: the band is the rows m = 0..Nx/3 (never the Nyquist
+        # row), its mirror the rows of the modes -m; band_xi is their xi >= 0
         self.band = Nx // 3 + 1
         self.dealias_mirror = (-np.arange(self.band)) % Nx
-        self._band_row = np.minimum(np.abs(m), Nx // 3)  # of each mode in the band
-        self._dx_rows = self._dx_mult[:self.band, None]  # d/dx on band rows
+        self.band_xi = self.xi[:self.band]
+        # band-row multipliers: i*xi for d/dx, and -xi^2 for d2/dx2, its square
+        self._dx_rows = 1j * self.band_xi[:, None]
+        self._dxx_rows = (self._dx_rows * self._dx_rows).real
         # trapezoid weights in y (fixed summation order via dot products)
         w = np.full(Ny, self.dy)
         w[0] = w[-1] = 0.5 * self.dy
         self.trapz_w = w
         self.key = (self.Lx, self.Nx, self.Ny)
-        self._work = {}
+        self._work, self._views = {}, {}  # flat buffer per (name, dtype), views of it
 
     def work(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        """Scratch array of `shape` and `dtype`, kept per (name, shape, dtype)
-        for hot loops: a 128x65 field is larger than the allocator's mmap
-        threshold, so a fresh temporary of that size is faulted in on every
-        call.  A name must not serve two arrays in use at once; the contents
-        are undefined on entry, and an array from here must never be handed
-        out as a result.  The buffers belong to this Grid object, so two
-        states on one Grid must never step at the same time (two threads
-        that did corrupted each other's RK stages)."""
-        key = (name, shape, dtype)
-        buf = self._work.get(key)
-        if buf is None:
-            buf = self._work[key] = np.empty(shape, dtype)
-        return buf
+        """Scratch array of `shape` and `dtype` for hot loops (a fresh 128x65
+        temporary is faulted in on every call).  Each (name, dtype) holds one
+        flat buffer, sized to its largest request, that every shape views: a
+        name serves one user at a time.  The contents are undefined on entry,
+        and an array from here must never be handed out as a result.  Two
+        states on one Grid must never step at the same time (two threads that
+        did corrupted each other's RK stages)."""
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            size, buf = int(np.prod(shape)), self._work.get((name, dtype))
+            if buf is None or buf.size < size:  # grow, dropping the old views
+                buf = self._work[name, dtype] = np.empty(size, dtype)
+                self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
+            view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
+        return view
 
     def fold(self, full: np.ndarray) -> np.ndarray:
         """The band rows m = 0..Nx/3 of full spectra (..., Nx, Ny), copied.
@@ -131,14 +131,11 @@ class Grid:
     def unfold(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """Full spectra (..., Nx, Ny) of the real fields whose band rows
         m = 0..Nx/3 are `band` (..., band, Ny): rows -m are their
-        conjugates, the rest 0.  A 1-D `band` holds real per-mode values,
-        such as densities, and its rows -m repeat rows m.  Complex spectra
-        are written into `out` when it is given.
+        conjugates, the rest 0.  Written into `out` when it is given; only
+        the transforms and snapshots need a full spectrum.
 
         A mirrored zero is written as +0.0, not -0.0, as the arithmetic on
         a full spectrum leaves it."""
-        if band.ndim == 1:
-            return np.where(self.dealias_mask, band[self._band_row], 0.0)
         K = self.band - 1
         if out is None:
             out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
@@ -265,12 +262,12 @@ def frac_dx(f: Field, s: float) -> Field:
 
     For s < 0 the m = 0 mode is set to zero instead of diverging.
     """
-    g = f.grid
     if s == 0.0:
         return f.copy()
-    nonzero = g.abs_xi > 0.0
-    mult = np.where(nonzero, g.abs_xi, 1.0) ** s * nonzero
-    return Field(g, f.rows * mult[:g.band, None])
+    xi = f.grid.band_xi
+    nonzero = xi > 0.0
+    mult = np.where(nonzero, xi, 1.0) ** s * nonzero
+    return Field(f.grid, f.rows * mult[:, None])
 
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
@@ -393,10 +390,12 @@ def mean_y(f: Field) -> np.ndarray:
 
 
 def y_density(f: Field) -> np.ndarray:
-    """Trapezoid-in-y integral of |c[m, y]|^2 for each of the Nx modes m, in
-    FFT order (from the band rows, their mirrors and zeros)."""
+    """Trapezoid-in-y integral of |c[m, y]|^2 per band row m = 0..Nx/3, a row
+    m >= 1 doubled to count its mirror -m: the energy of the whole spectrum."""
     c = f.rows
-    return f.grid.unfold((c.real ** 2 + c.imag ** 2) @ f.grid.trapz_w)
+    dens = (c.real ** 2 + c.imag ** 2) @ f.grid.trapz_w
+    dens[1:] *= 2.0  # exact: the mirror's density is bit-identical
+    return dens
 
 
 def l2_norm(f: Field) -> float:

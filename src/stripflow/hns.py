@@ -267,7 +267,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
 
     dx_uv, dy_uv = g.work("hns.dx", uv.shape), g.work("hns.dy", uv.shape)
     acc = y_diff(uv, g.dy, 2, out=out)
-    np.multiply(uv.view(np.float64), (eps**2 * g._dxx_mult[:g.band])[:, None],
+    np.multiply(uv.view(np.float64), eps**2 * g._dxx_rows,
                 out=dx_uv.view(np.float64))
     acc += dx_uv
     acc -= y[2:]

@@ -84,10 +84,10 @@ class DyadicBank:
     k_max: int
     phi_samples: np.ndarray  # (K, Nx): phi(2^{-k} |xi_m|)
     chi_samples: np.ndarray  # (K, Nx): chi(2^{-k} |xi_m|)
-    phi_sq: np.ndarray = dataclass_field(init=False)
+    phi_sq: np.ndarray = dataclass_field(init=False)  # (K, band): squares, band columns
 
     def __post_init__(self):
-        self.phi_sq = self.phi_samples**2
+        self.phi_sq = self.phi_samples[:, :self.grid.band] ** 2
 
     @property
     def ks(self) -> np.ndarray:
@@ -154,7 +154,8 @@ def S_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
 
 
 def mode_density(fields) -> np.ndarray:
-    """Per-mode squared-L2 density: trapz_y sum_components |c_m(y)|^2."""
+    """Per-mode squared-L2 density trapz_y sum_components |c_m(y)|^2 on the
+    band rows, a row m >= 1 counting its mirror -m too (see `y_density`)."""
     if isinstance(fields, Field):
         fields = (fields,)
     return reduce(np.add, [y_density(f) for f in fields])
@@ -176,7 +177,7 @@ def block_norms(fields, bank: DyadicBank | None = None) -> np.ndarray:
     `fields` may be a single Field or a sequence of Fields: components of a
     vector field are combined in L2 inside each block (root-sum-square)
     before any summation over blocks.  A `mode_density` with its `bank`
-    works too; a 2-D (rows, Nx) density gives a row of blocks per row.
+    works too; a 2-D (rows, Nx//3 + 1) density gives a row of blocks per row.
     """
     dens, bank = _density(fields, bank)
     # a gemv per row keeps each row bit-identical to its 1-D form (a GEMM would not)

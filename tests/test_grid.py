@@ -359,7 +359,7 @@ class TestDealiasAndProducts:
         got = multiply(fs, hs)
         err = np.abs(got.coeff - expect.coeff).max()
         assert err <= 1e-13 * np.abs(expect.coeff).max()
-        assert np.abs(got.coeff[~g.dealias_mask]).max() == 0.0
+        assert np.abs(got.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
 
     @pytest.mark.parametrize("factors", [1, 2, 3])
     def test_multi_output_form_matches_products(self, factors):
@@ -380,7 +380,7 @@ class TestDealiasAndProducts:
                 expect = expect + multiply(f, h)
             err = np.abs(out.coeff - expect.coeff).max()
             assert err <= 1e-13 * np.abs(expect.coeff).max()
-            assert np.abs(out.coeff[~g.dealias_mask]).max() == 0.0
+            assert np.abs(out.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
             assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
 
     def test_sequence_form_rejects_bad_input(self):
@@ -559,3 +559,50 @@ class TestBand:
         assert calls == []
         for s in states:
             assert s.stack.shape == (len(s.ROWS), g.Nx // 3 + 1, g.Ny)
+
+
+class TestBandDensity:
+    """Per-mode densities live on the band, a row m >= 1 counting m and -m."""
+
+    @pytest.mark.parametrize("shape", [(32, 33), (128, 65)])
+    def test_density_folds_the_full_spectrum(self, shape):
+        g = make_grid(*shape)
+        for seed in range(3):
+            f = Field(g, random_rows(g, np.random.default_rng(seed)))
+            c = f.coeff
+            sq = c.real ** 2 + c.imag ** 2  # all Nx modes
+            assert not sq[g.band:g.Nx - g.band + 1].any()  # nothing past the band
+            # rows m and rows -m, each reduced as one (band, Ny) block
+            plus, minus = (sq[rows] @ g.trapz_w for rows in (np.arange(g.band), g.dealias_mirror))
+            folded = np.concatenate([plus[:1], plus[1:] + minus[1:]])
+            assert np.array_equal(sg.y_density(f), folded)
+            expect = np.sqrt(g.Lx * (sq @ g.trapz_w).sum())
+            assert abs(l2_norm(f) - expect) <= 1e-15 * expect
+
+
+class TestWorkBuffers:
+    def test_one_buffer_per_name(self):
+        g = make_grid(32, 33)
+        small = g.work("t", (2, 3))
+        assert g.work("t", (2, 3)) is small  # a request is a lookup
+        big = g.work("t", (4, 5))
+        assert len(g._work) == 1 and g._work["t", np.complex128].size == 20
+        assert np.shares_memory(big, g.work("t", (2, 3)))
+        assert np.shares_memory(big, g.work("t", (3,)))
+        assert not np.shares_memory(big, g.work("t", (3,), np.float64))
+
+    def test_both_solvers_share_the_buffers(self):
+        # largest request per name: rk4 at the hns stack, multiply.g at the
+        # two-output pair; 1,110.1 KB at 128x65 (1,415 KB held per shape)
+        from stripflow.gevrey import make_gevrey_data
+        from stripflow.hns import hns_step, make_hns_data
+        from stripflow.prandtl import PrandtlState, prandtl_step
+
+        g = make_grid(128, 65)
+        p = GevreyParams()
+        u0, u1 = make_gevrey_data(g, p, amplitude=1e-4, m_max=4)
+        s, h = PrandtlState(u0, u1), make_hns_data(u0, p, eps=0.1)
+        for _ in range(2):
+            s, h = prandtl_step(s, 1e-3), hns_step(h, 1e-3)
+        held = sum(buf.nbytes for buf in g._work.values())
+        assert held <= 1112 * 1024

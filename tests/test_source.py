@@ -68,3 +68,14 @@ def test_coeff_read_only_in_grid(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "coeff"]
     assert lines == [], f"{path.name}: .coeff read on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("grid.py", "harness.py")],
+                         ids=lambda p: p.name)
+def test_unfold_only_in_grid_and_snapshots(path):
+    # per-mode values (densities, weights, multipliers) live on the band;
+    # a full spectrum is built only for the transforms (grid.py) and the
+    # snapshot files (harness.py)
+    lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+             if ".unfold(" in line]
+    assert lines == [], f"{path.name}: .unfold( call on lines {lines}"
