@@ -43,7 +43,6 @@ __all__ = [
     "l2_norm",
     "y_density",
     "multiply",
-    "pin_walls",
 ]
 
 
@@ -508,11 +507,3 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
             total += z
     np.fft.fft(total, axis=0, norm="forward", out=total)
     return tuple(Field(grid, part) for part in _split_pair(grid, total))
-
-
-def pin_walls(f: Field) -> Field:
-    """Zero the wall rows j = 0 and j = Ny-1 (homogeneous Dirichlet)."""
-    out = f.rows.copy()
-    out[:, 0] = 0.0
-    out[:, -1] = 0.0
-    return Field(f.grid, out)

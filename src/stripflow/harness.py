@@ -85,16 +85,14 @@ class RunConfig:
     n_proj: int = _key("solver", N_PROJ,
                        "constraint re-projection cadence in steps, scaled system (>= 1)")
     n_check: int = _key("solver", 100, "invariant check cadence in steps (>= 1)")
-    pressure_factor: float = _key(
-        "solver", 1.0, "prefactor of the nonlinear term in the mean pressure law "
-        "(1 conserves the vertical mean exactly)")
     kind: str = _key("experiment", "prandtl", "experiment kind: prandtl | hns | sweep")
     eps: float = _key("experiment", 0.5, "aspect ratio for kind = hns (0 < eps <= 1)")
     eps_list: tuple = _key("experiment", (0.1, 0.05, 0.025, 0.0125),
                            "sweep members; positive, strictly decreasing, >= 3 entries")
     directory: str = _key("output", "stripflow-out", "output directory; relative "
                           f"paths live under ${OUTPUT_ROOT_ENV} when that is set")
-    sample_every: int = _key("output", 10, "diagnostic sampling cadence in steps (>= 1)")
+    sample_every: int = _key("output", 10, "diagnostic sampling cadence in steps (>= 1); "
+                             "the last sample is before T_final unless it divides the steps")
 
     def validate(self) -> None:
         """Check every type and numeric range, building the data, before a run's work."""
@@ -126,10 +124,6 @@ class RunConfig:
         for name in ("n_proj", "n_check", "sample_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.pressure_factor <= 0.0:
-            raise ValueError(
-                f"pressure_factor must be positive, got {self.pressure_factor}"
-            )
         if self.kind not in ("prandtl", "hns", "sweep"):
             raise ValueError(f"kind must be prandtl | hns | sweep, got {self.kind!r}")
         if not (0.0 < self.eps <= 1.0):
@@ -299,7 +293,7 @@ def read_snapshot(path):
     g = Grid(Nx, Ny, Lx=Lx)
     stack = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
     stack = g.fold(stack.reshape(len(cls.ROWS), Nx, Ny))
-    return cls(**dict(zip(cls.ROWS, unstack(g, stack))), t=t, _rows=stack, **extra)
+    return cls(**dict(zip(cls.ROWS, unstack(g, stack))), t=t, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -410,8 +404,7 @@ class _Run:
             for i in range(cfg.n_steps()):
                 check = (i + 1) % cfg.n_check == 0
                 if self.eps is None:
-                    state = prandtl_step(state, self.dt, factor=cfg.pressure_factor,
-                                         check=check)
+                    state = prandtl_step(state, self.dt, check=check)
                 else:
                     state = hns_step(state, self.dt, check=check, n_proj=cfg.n_proj)
                 clock.lap("stepping")
@@ -519,11 +512,12 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
 
     One reference run (the limit system) and one scaled run per eps, all
     from the same data (u0, u1), grid, and time step, sampled at the same
-    times.  Per member: sup-in-time and final-time L2 error of the
+    times.  Per member: sup-in-time and last-sample L2 error of the
     horizontal difference, plus the undamped pair-energy of the difference
     (u, v, ut, vt) of the member's states and the reference samples, whose
     v and vt are slaved to u and ut.  Writes sweep.csv and metadata.json
-    into the output directory.
+    into the output directory.  `final_error.l2` is the error at the last
+    multiple of `sample_every`: step 30 of a 32-step sweep sampled every 10.
 
     The whole sweep runs with BLAS on one thread (see `_one_blas_thread`),
     so sweep.csv does not depend on the thread count or on the number of

@@ -25,9 +25,9 @@ solve with ghost-node wall data.
 
 The x-mean of v is pinned to zero throughout: integrating the constraint
 up from the wall forces it, and it is the nullspace of the projection
-operator, so it is enforced directly rather than solved for.  The x-mean
-of the second equation then only determines a diagnostic pressure profile
-and never feeds back into u.
+operator, so it is enforced directly rather than solved for, by
+``HnsState.pin`` with the walls.  The x-mean of the second equation then
+only determines a diagnostic pressure profile and never feeds back into u.
 
 Storage and stepping: ``HnsState.stack`` holds the band rows m = 0..Nx/3
 of (u, v, ut, vt) (see ``stepper.StackedState``), and ``hns_step``
@@ -48,7 +48,7 @@ import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
 from .grid import (Field, cumulative_trapezoid, dx, dy, l2_norm, mean_y, multiply,
-                   pin_walls, unstack, y_diff)
+                   unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -75,6 +75,11 @@ class HnsState(StackedState):
     tol_div: float = 1e-6
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
+
+    def pin(self, y):
+        """Zero the walls and the x-means of the odd rows: v and vt, or vt of (ut, vt)."""
+        super().pin(y)
+        y[1::2, 0] = 0.0
 
     def _check_values(self):
         if not (0.0 < self.eps <= 1.0):
@@ -253,8 +258,8 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
 
     ``disable_nonlinear`` drops the advection terms; ``disable_pressure``
     skips the projection (for linear single-mode checks where the state is
-    deliberately not divergence-free).  Boundary rows of the accelerations
-    are pinned, and the x-mean row of dvt is pinned.  All four are band
+    deliberately not divergence-free).  The accelerations are pinned
+    (``HnsState.pin``) before the projection.  All four are band
     Fields; the accelerations (dut, dvt) are written into ``out``, a
     (2, Nx//3 + 1, Ny) complex array, when one is given.  The linear
     terms act on the stacked pair (u, v) at once, and both advection terms
@@ -278,8 +283,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
         N1, N2 = multiply((state.u, state.v), ((ux, uy), (vx, vy)))
         acc[0] -= N1.rows
         acc[1] -= N2.rows
-    acc[..., 0] = acc[..., -1] = 0.0
-    acc[1, 0] = 0.0  # the x-mean of v is pinned, not solved for
+    state.pin(acc)  # the x-mean of v is pinned, not solved for
 
     if not np.all(np.isfinite(acc)):
         raise SolverAbort("non-finite acceleration", state)
@@ -300,13 +304,6 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
             raise SolverAbort("non-finite acceleration", state)
 
     return (state.ut, state.vt) + unstack(g, acc)
-
-
-def _pin_pair(y: np.ndarray) -> None:
-    """Pin the walls of (u, v, ut, vt) and the x-mean rows of v and vt."""
-    y[..., 0] = 0.0
-    y[..., -1] = 0.0
-    y[1::2, 0] = 0.0
 
 
 def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
@@ -331,7 +328,7 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     def accel(stage, out):
         hns_rhs(stage, out=out, **flags)
 
-    out = state.with_stack(rk4_step(state, dt, accel, _pin_pair),
+    out = state.with_stack(rk4_step(state, dt, accel),
                            t=state.t + dt, steps=state.steps + 1)
 
     if out.steps % n_proj == 0:
@@ -354,10 +351,10 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
 
     Solves the same per-mode operator as the stepper's projection with the
     current divergence as data and subtracts the masked weighted gradient,
-    so the post-cleanup divergence is at solver precision.  The correction
-    magnitude is logged and optionally reported.  The result is stacked in
-    ``out``, a band stack shaped like the state's that may be its own,
-    or else in a fresh array, leaving the input state as it was.
+    so the post-cleanup divergence is at solver precision, then pins.  The
+    correction magnitude is logged and optionally reported.  The result is
+    stacked in ``out``, a band stack shaped like the state's that may be its
+    own, or else in a fresh array, leaving the input state as it was.
     """
     g = state.grid
     eps = state.eps
@@ -370,7 +367,7 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
         np.subtract(y[row + 1], c2, out=new[row + 1])
         mags[name] = float(np.sqrt(
             l2_norm(Field(g, c1)) ** 2 + l2_norm(Field(g, c2)) ** 2))
-    new[1::2, 0] = 0.0  # the x-means of v and vt stay pinned
+    state.pin(new)
     log.debug("divergence cleanup at t=%.6f: |corr_uv|=%.3e |corr_ut|=%.3e",
               state.t, mags["uv"], mags["ut_vt"])
     if report is not None:
@@ -380,7 +377,7 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
 
 def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,
                   u1: Field | None = None) -> HnsState:
-    """Initial state with v recovered from the constraint and cleaned up.
+    """Initial state with v recovered from the constraint, pinned and cleaned up.
 
     u0 must have zero vertical mean per x-mode (otherwise the recovered v
     cannot vanish at both walls).  The time-derivative data defaults to
@@ -395,19 +392,9 @@ def make_hns_data(u0: Field, p: GevreyParams, eps: float = 1.0,
     # data must be analytic enough to carry the exponential weight
     apply_gevrey(u0, 0.0, p, +1)
 
-    def pair(fu):
-        fv = recover_v(fu)
-        cv = fv.rows.copy()
-        cv[:, -1] = 0.0  # wall residual is quadrature roundoff; pin exactly
-        cv[0] = 0.0
-        return fu, Field(g, cv)
-
-    fu0, fv0 = pair(u0)
-    if u1 is None:
-        fu1, fv1 = Field.zeros(g), Field.zeros(g)
-    else:
-        fu1, fv1 = pair(u1)
-    state = HnsState(pin_walls(fu0), fv0, pin_walls(fu1), fv1, eps=eps)
+    ut, vt = (Field.zeros(g),) * 2 if u1 is None else (u1, recover_v(u1))
+    state = HnsState(u0, recover_v(u0), ut, vt, eps=eps)
+    state.pin(state.stack)  # the stack is the state's own copy
     state = divergence_cleanup(state)
     state.check_invariants()
     return state

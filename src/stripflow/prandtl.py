@@ -138,7 +138,7 @@ def prandtl_rhs(state: PrandtlState, factor: float = 1.0, disable_nonlinear: boo
     if N is not None:
         acc -= N.rows
     acc -= pg[:, None]
-    acc[:, 0] = acc[:, -1] = 0.0
+    state.pin(acc)
     if not np.isfinite(acc).all():
         bad = np.argwhere(~np.isfinite(acc))[0]
         raise SolverAbort(
@@ -146,15 +146,10 @@ def prandtl_rhs(state: PrandtlState, factor: float = 1.0, disable_nonlinear: boo
     return ut, Field(g, acc)
 
 
-def _pin_walls(y: np.ndarray) -> None:
-    y[..., 0] = 0.0
-    y[..., -1] = 0.0
-
-
 def prandtl_step(state: PrandtlState, dt: float, factor: float = 1.0,
                  disable_nonlinear: bool = False, check: bool = False) -> PrandtlState:
     """Classical RK4 step (`rk4_step`) on the stack (u, ut); wall rows
-    re-pinned afterwards.
+    re-pinned afterwards (`StackedState.pin`).
 
     `check` additionally re-validates the state invariants (intended to be
     turned on every N_check steps by the driving loop).
@@ -162,7 +157,7 @@ def prandtl_step(state: PrandtlState, dt: float, factor: float = 1.0,
     def accel(stage, out):
         prandtl_rhs(stage, factor, disable_nonlinear, out[0])
 
-    out = state.with_stack(rk4_step(state, dt, accel, _pin_walls), t=state.t + dt)
+    out = state.with_stack(rk4_step(state, dt, accel), t=state.t + dt)
     if check:
         out.check_invariants()
     return out

@@ -5,17 +5,17 @@ A solver state (`StackedState`) owns one stacked complex array,
 `state.stack`, of shape (n, Nx//3 + 1, Ny): (u, ut) for the limit system,
 (u, v, ut, vt) for the scaled pair.  Each row is the band m = 0..Nx/3 of
 a dealiased real field (see `Grid.fold`); its rows |m| > Nx/3 are zero and
-its rows m < 0 conjugate mirrors, so neither is stored nor stepped.
-`rk4_step` advances such a stack by one step.  The stage state and the
-slope live in the grid's work buffers (`Grid.work`) and are reused from
-step to step; the update accumulates in low storage, without keeping
-k1..k4; the new state is written into one fresh array, because samples
-keep every returned state.
+its rows m < 0 conjugate mirrors, so neither is stored nor stepped.  A
+state type's `pin` is its one boundary rule.  `rk4_step` advances a stack
+by one step and pins it.  The stage state and the slope live in the
+grid's work buffers (`Grid.work`), reused from step to step; the update
+accumulates in low storage, without keeping k1..k4; the new state is
+written into one fresh array, because samples keep every returned state.
 """
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
@@ -63,29 +63,32 @@ class StackedState:
     puts a state over an existing stack.  A state is not changed after it
     is made (samples keep states), so a changed one comes from `with_stack`
     or `dataclasses.replace`.  A state type checks its own values in
-    `_check_values`, which both of those run.
+    `_check_values`, which both of those run, and imposes its boundary rule
+    with `pin`, which `check_invariants` checks.
     """
 
     ROWS: ClassVar[tuple[str, ...]] = ()
-    _rows: InitVar[np.ndarray | None] = field(default=None, kw_only=True)
     stack: np.ndarray = field(init=False, repr=False, compare=False)
     grid: Grid = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self, _rows):
+    def __post_init__(self):
         self._check_values()
         g = getattr(self, self.ROWS[0]).grid
-        if _rows is None:
-            if any(f.grid != g for f in self.fields):
-                raise ValueError("all state fields must share one grid")
-            _rows = np.stack([f.rows for f in self.fields])
+        if any(f.grid != g for f in self.fields):
+            raise ValueError("all state fields must share one grid")
         object.__setattr__(self, "grid", g)  # frozen: set here, once
-        self._set_stack(_rows)
+        self._set_stack(np.stack([f.rows for f in self.fields]))
 
     def _set_stack(self, stack: np.ndarray) -> None:
         d, g = self.__dict__, self.grid
         d["stack"] = stack
         for name, rows in zip(self.ROWS, stack):
             d[name] = Field(g, rows)
+
+    def pin(self, y: np.ndarray) -> None:
+        """Zero, in place, the walls of every row of a stack or of its q_t half."""
+        y[..., 0] = 0.0
+        y[..., -1] = 0.0
 
     def _check_values(self) -> None:
         """Refuse field values the state type does not allow (none here)."""
@@ -118,15 +121,15 @@ class StackedState:
                 raise SolverAbort(f"non-finite {name} at t={self.t}", self)
 
 
-def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
+def rk4_step(state, dt: float, accel) -> np.ndarray:
     """One classical RK4 step of length dt of a system second order in
     time, q_tt = accel(q, q_t), from the stacked state y0 = `state.stack`,
     whose first and second halves are q and q_t; returns the new stack.
 
     `accel(s, out)` writes q_tt at the stage state s into `out`, an array
     shaped like the q_t half.  Stage 1 is `state` itself; stages 2-4 share
-    one state over the stage buffer.  `pin(out)` re-imposes the boundary
-    rows on the new stack in place.  y0 is only read; the result is fresh.
+    one state over the stage buffer.  The new stack is pinned with the
+    state type's rule, `state.pin`.  y0 is only read; the result is fresh.
     Every SolverAbort raised here carries `state`, the last accepted step:
     one from a stage, whose state holds a partial update, is raised again
     with `state`, naming the stage in its reason and in `.stage`.  Overflow
@@ -169,5 +172,5 @@ def rk4_step(state, dt: float, accel, pin) -> np.ndarray:
             s = staged
     out_f *= dt / 6.0
     out += y0
-    pin(out)
+    state.pin(out)
     return out

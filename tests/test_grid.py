@@ -18,7 +18,6 @@ from stripflow.grid import (
     l2_norm,
     mean_y,
     multiply,
-    pin_walls,
     to_physical,
     to_spectral,
 )
@@ -338,14 +337,6 @@ class TestDealiasAndProducts:
         prod = multiply(f, f)  # cos^2(3x) has a mode at m = 6 > 12/3
         assert np.abs(prod.coeff[np.abs(g.m) > 4]).max() == 0.0
 
-    def test_pin_walls(self):
-        g = make_grid(8, 9)
-        f = Field(g, np.ones((g.band, g.Ny), dtype=complex))
-        out = pin_walls(f)
-        assert np.abs(out.rows[:, 0]).max() == 0.0
-        assert np.abs(out.rows[:, -1]).max() == 0.0
-        assert np.abs(out.rows[:, 1] - 1.0).max() == 0.0
-
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_sequence_form_is_sum_of_products(self, pairs):
         # 3 pairs: one packed pair plus the odd leftover
@@ -432,14 +423,14 @@ class TestTransformCount:
         from stripflow.prandtl import PrandtlState, prandtl_rhs
 
         g = make_grid(16, 9)
-        s = PrandtlState(pin_walls(band_limited_field(g, 3)), Field.zeros(g))
+        s = PrandtlState(band_limited_field(g, 3), Field.zeros(g))
         assert count_transforms(lambda: prandtl_rhs(s)) == {"fft": 1, "ifft": 2}
 
     def test_hns_rhs(self, count_transforms):
         from stripflow.hns import HnsState, hns_rhs
 
         g = make_grid(16, 9)
-        u, v = (pin_walls(band_limited_field(g, 3, seed)) for seed in (0, 1))
+        u, v = (band_limited_field(g, 3, seed) for seed in (0, 1))
         z = Field.zeros(g)
         s = HnsState(u, v, z, z.copy(), eps=0.5)
         assert count_transforms(lambda: hns_rhs(s)) == {"fft": 1, "ifft": 3}
@@ -510,7 +501,6 @@ class TestBand:
         lambda f, h: (dy(f),),
         lambda f, h: (dyy(f),),
         lambda f, h: (integrate_y(f),),
-        lambda f, h: (pin_walls(f),),
         lambda f, h: (f + h,),
         lambda f, h: (f - h,),
         lambda f, h: (f * 2.5, 2.5 * f),
@@ -522,7 +512,7 @@ class TestBand:
         lambda f, h: bony(f, h),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), +1),),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), -1),),
-    ], ids=["dx", "frac_dx", "dy", "dyy", "integrate_y", "pin_walls", "add", "sub",
+    ], ids=["dx", "frac_dx", "dy", "dyy", "integrate_y", "add", "sub",
             "mul", "neg", "multiply", "multiply_two_outputs", "delta_k", "S_k",
             "bony", "gevrey_plus", "gevrey_minus"])
     def test_operators_return_the_band(self, op):

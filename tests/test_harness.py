@@ -99,7 +99,7 @@ class TestConfig:
             (dict(n_proj=0), "n_proj"),
             (dict(n_check=0), "n_check"),
             (dict(sample_every=0), "sample_every"),
-            (dict(pressure_factor=0.0), "pressure_factor"),
+            (dict(Lx=0.0), "Lx must be positive"),
             (dict(kind="bogus"), "kind"),
             (dict(eps=0.0), "eps"),
             (dict(eps=1.5), "eps"),
@@ -122,7 +122,7 @@ class TestConfig:
             (dict(a=float("nan")), "a must be finite"),
             (dict(lam=float("nan")), "lam must be finite"),
             (dict(poincare=float("nan")), "poincare must be finite"),
-            (dict(pressure_factor=float("nan")), "pressure_factor must be finite"),
+            (dict(eps=float("nan")), "eps must be finite"),
             (dict(Lx=float("inf")), "Lx must be finite"),
             (dict(amplitude=float("inf")), "amplitude must be finite"),
             (dict(T_final=float("inf")), "T_final must be finite"),
@@ -146,9 +146,11 @@ class TestConfig:
     @pytest.mark.parametrize("data", [
         {"data": {"profile": "sin2py"}},
         {"solver": {"cfl_factor": 0.25}},
-    ], ids=["profile", "cfl_factor"])
+        {"solver": {"pressure_factor": 1.0}},
+    ], ids=["profile", "cfl_factor", "pressure_factor"])
     def test_removed_keys_rejected(self, data):
-        # sin(2 pi y) is the only profile, and dt sets any multiple of dy
+        # sin(2 pi y) is the only profile, dt sets any multiple of dy, and
+        # the pressure law's factor 1 is the one that conserves the mean
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_dict(data)
 
@@ -173,7 +175,7 @@ class TestConfig:
         import dataclasses
 
         assert flat == {f.name for f in dataclasses.fields(RunConfig)}
-        assert len(flat) == 19
+        assert len(flat) == 18
         for group in schema.values():
             for entry in group.values():
                 assert set(entry) == {"default", "doc"}

@@ -3,20 +3,53 @@
 import numpy as np
 import pytest
 
+from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.grid import Field, Grid
-from stripflow.hns import HnsState
-from stripflow.prandtl import PrandtlState
+from stripflow.hns import HnsState, divergence_cleanup, hns_step, make_hns_data
+from stripflow.prandtl import PrandtlState, prandtl_step
 from stripflow.stepper import SolverAbort, rk4_step
 
 
-def random_state(g: Grid, n: int, seed: int):
-    """A state over a random complex (n, band, Ny) stack (no wall pinning)."""
+class UnpinnedPrandtl(PrandtlState):
+    """A PrandtlState whose rule pins nothing, so `rk4_step` is plain RK4."""
+
+    def pin(self, y):
+        pass
+
+
+class UnpinnedHns(HnsState):
+    """An HnsState whose rule pins nothing, so `rk4_step` is plain RK4."""
+
+    def pin(self, y):
+        pass
+
+
+def random_state(g: Grid, n: int, seed: int, pinned: bool = False):
+    """A state over a random complex (n, band, Ny) stack, nonzero at the
+    walls and mean rows; its type pins nothing unless `pinned`."""
     rng = np.random.default_rng(seed)
     stack = rng.standard_normal((n, g.band, g.Ny)) + 1j * rng.standard_normal((n, g.band, g.Ny))
     fields = [Field(g, rows) for rows in stack]
     if n == 2:
-        return PrandtlState(*fields, t=0.25)
-    return HnsState(*fields, eps=0.5, t=0.25)
+        return (PrandtlState if pinned else UnpinnedPrandtl)(*fields, t=0.25)
+    return (HnsState if pinned else UnpinnedHns)(*fields, eps=0.5, t=0.25)
+
+
+def pinned_entries(n: int, shape) -> np.ndarray:
+    """Mask of the entries a stack of n rows pins: the walls of every row,
+    and for (u, v, ut, vt) the x-mean rows of v and vt."""
+    mask = np.zeros(shape, dtype=bool)
+    mask[..., [0, -1]] = True
+    if n == 4:
+        mask[1::2, 0] = True
+    return mask
+
+
+def assert_plus_zero(values: np.ndarray, what: str = "") -> None:
+    """Every entry is +0.0, in its real and its imaginary part."""
+    for part in (values.real, values.imag):
+        assert np.all(part == 0.0), what
+        assert not np.signbit(part).any(), (what, int(np.signbit(part).sum()))
 
 
 def linear_accel(n: int, seed: int):
@@ -59,19 +92,33 @@ class TestRk4Step:
         f, accel = linear_accel(n, seed + 100)
         dt = 0.25 * g.dy
         y0 = s.stack.copy()
-        got = rk4_step(s, dt, accel, lambda y: None)
+        got = rk4_step(s, dt, accel)
         assert np.array_equal(got, textbook_rk4(y0, dt, f))
         assert np.array_equal(s.stack, y0)  # the input is only read
         assert got is not s.stack
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_pins_with_the_state_types_rule(self, n):
+        # the pinned entries come back +0.0; every other one is plain RK4's
+        g = Grid(32, 33)
+        s = random_state(g, n, 8, pinned=True)
+        f, accel = linear_accel(n, 108)
+        dt = 0.25 * g.dy
+        want = textbook_rk4(s.stack.copy(), dt, f)
+        got = rk4_step(s, dt, accel)
+        mask = pinned_entries(n, got.shape)
+        assert np.abs(want[mask]).min() > 0.0  # plain RK4 leaves them nonzero
+        assert_plus_zero(got[mask])
+        assert np.array_equal(got[~mask], want[~mask])
 
     def test_reused_buffers_do_not_leak_between_steps(self):
         g = Grid(16, 17)
         f, accel = linear_accel(2, 7)
         dt = 0.25 * g.dy
         a, b = random_state(g, 2, 3), random_state(g, 2, 4)
-        first = rk4_step(a, dt, accel, lambda y: None)
-        rk4_step(b, dt, accel, lambda y: None)
-        assert np.array_equal(rk4_step(a, dt, accel, lambda y: None), first)
+        first = rk4_step(a, dt, accel)
+        rk4_step(b, dt, accel)
+        assert np.array_equal(rk4_step(a, dt, accel), first)
 
     def test_stage_abort_names_stage_and_carries_input(self):
         g = Grid(16, 17)
@@ -85,7 +132,7 @@ class TestRk4Step:
             out[...] = 0.0
 
         with pytest.raises(SolverAbort, match="^RK stage 2: synthetic$") as info:
-            rk4_step(s, 0.25 * g.dy, accel, lambda y: None)
+            rk4_step(s, 0.25 * g.dy, accel)
         assert info.value.state is s
         assert info.value.stage == 2
         assert seen[1] is not s  # the stage state, not the step input
@@ -94,10 +141,10 @@ class TestRk4Step:
         g = Grid(16, 17)
         s = random_state(g, 2, 6)
         with pytest.raises(SolverAbort, match="positive") as info:
-            rk4_step(s, 0.0, None, None)
+            rk4_step(s, 0.0, None)
         assert info.value.state is s and info.value.stage is None
         with pytest.raises(SolverAbort, match="CFL"):
-            rk4_step(s, 10.0 * g.dy, None, None)
+            rk4_step(s, 10.0 * g.dy, None)
 
 
 class TestWithStack:
@@ -119,3 +166,37 @@ class TestWithStack:
             s.with_stack(s.stack, eps=2.0)
         with pytest.raises(TypeError, match="no fields"):
             s.with_stack(s.stack, tt=1.0)
+
+
+class TestPinnedZerosArePositive:
+    """Each state a solver returns holds +0.0, never -0.0, at every entry
+    its type pins (`StackedState.pin`, `HnsState.pin`)."""
+
+    P = GevreyParams(a=0.5)
+
+    def data(self, shape):
+        g = Grid(*shape)
+        u0, u1 = make_gevrey_data(g, self.P, amplitude=1e-4, m_max=4)
+        return g, u0, u1
+
+    def assert_pinned(self, state, what):
+        n = len(state.ROWS)
+        assert_plus_zero(state.stack[pinned_entries(n, state.stack.shape)], what)
+
+    @pytest.mark.parametrize("shape", [(32, 33), (128, 65)])
+    def test_hns_states(self, shape):
+        g, u0, _ = self.data(shape)
+        dt = 0.25 * g.dy
+        for u1 in (None, u0 * (-0.5)):
+            s = make_hns_data(u0, self.P, eps=0.1, u1=u1)
+            self.assert_pinned(s, "make_hns_data")
+            self.assert_pinned(divergence_cleanup(s), "divergence_cleanup")
+            for _ in range(2):  # the second step ends with a cleanup
+                s = hns_step(s, dt, n_proj=2)
+                self.assert_pinned(s, f"hns_step {s.steps}")
+
+    @pytest.mark.parametrize("shape", [(32, 33), (128, 65)])
+    def test_prandtl_step(self, shape):
+        g, u0, u1 = self.data(shape)
+        s = prandtl_step(PrandtlState(u0, u1), 0.25 * g.dy)
+        self.assert_pinned(s, "prandtl_step")
