@@ -29,8 +29,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey, gevrey_weight, radius, theta_dot
-from .grid import dx, dy, frac_dx
-from .paley import NormSeries, besov_norm, get_bank, mode_density, norm_series_update
+from .grid import dx, dy, frac_dx, y_density
+from .paley import NormSeries, besov_norm, get_bank, norm_series_update
 
 
 class Term(NamedTuple):
@@ -234,9 +234,9 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
         w = gevrey_weight(smp.u.grid, smp.t, p)
         u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
         ut_phi = apply_gevrey(smp.ut, smp.t, p, +1, weight=w)
-        return {"u": mode_density(u_phi), "ut": mode_density(ut_phi),
-                "dy_u": mode_density(apply_gevrey(dy(smp.u), smp.t, p, +1, weight=w)),
-                "dt_of_u": mode_density(ut_phi - p.lam * td * frac_dx(u_phi, 0.5))}
+        return {"u": y_density(u_phi), "ut": y_density(ut_phi),
+                "dy_u": y_density(apply_gevrey(dy(smp.u), smp.t, p, +1, weight=w)),
+                "dt_of_u": y_density(ut_phi - p.lam * td * frac_dx(u_phi, 0.5))}
 
     return _assemble(list(samples), s, p, p.K, E_S_TABLE, parts)
 
@@ -260,14 +260,14 @@ def energy_E1(
         u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
         ev_phi = eps * apply_gevrey(smp.v, smp.t, p, +1, weight=w)
         return {
-            "u": mode_density(u_phi),
-            "ev": mode_density(ev_phi),
-            "eps_dx_u": mode_density(eps * dx(u_phi)),
-            "eps_dx_ev": mode_density(eps * dx(ev_phi)),
-            "dy_u": mode_density(dy(u_phi)),
-            "dy_ev": mode_density(dy(ev_phi)),
-            "ut": mode_density(apply_gevrey(smp.ut, smp.t, p, +1, weight=w)),
-            "evt": mode_density(eps * apply_gevrey(smp.vt, smp.t, p, +1, weight=w)),
+            "u": y_density(u_phi),
+            "ev": y_density(ev_phi),
+            "eps_dx_u": y_density(eps * dx(u_phi)),
+            "eps_dx_ev": y_density(eps * dx(ev_phi)),
+            "dy_u": y_density(dy(u_phi)),
+            "dy_ev": y_density(dy(ev_phi)),
+            "ut": y_density(apply_gevrey(smp.ut, smp.t, p, +1, weight=w)),
+            "evt": y_density(eps * apply_gevrey(smp.vt, smp.t, p, +1, weight=w)),
         }
 
     return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE, parts)

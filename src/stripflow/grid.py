@@ -38,7 +38,6 @@ __all__ = [
     "y_diff",
     "unstack",
     "cumulative_trapezoid",
-    "integrate_y",
     "mean_y",
     "l2_norm",
     "y_density",
@@ -349,12 +348,12 @@ def dyy(f: Field) -> Field:
     return Field(f.grid, y_diff(f.rows, f.grid.dy, 2))
 
 
-def dy_matrix(grid: Grid) -> np.ndarray:
-    """Dense (Ny, Ny) matrix of the dy() stencils; dy(f) == f.coeff @ D.T.
+def dy_matrix(Ny: int) -> np.ndarray:
+    """Dense (Ny, Ny) matrix of the dy() stencils on Ny nodes: dy(f) == f.rows @ D.T.
 
     Row j of the stencil applied to the unit vectors is column j of D.
     """
-    return y_diff(np.eye(grid.Ny), grid.dy, 1).T
+    return y_diff(np.eye(Ny), 1.0 / (Ny - 1), 1).T
 
 
 def cumulative_trapezoid(c: np.ndarray, h: float,
@@ -373,11 +372,6 @@ def cumulative_trapezoid(c: np.ndarray, h: float,
     cum /= 2.0
     cum.cumsum(axis=-1, out=cum)
     return out
-
-
-def integrate_y(f: Field) -> Field:
-    """Cumulative trapezoidal integral from y = 0 (zero at y = 0)."""
-    return Field(f.grid, cumulative_trapezoid(f.rows, f.grid.dy))
 
 
 def mean_y(f: Field) -> np.ndarray:
@@ -443,7 +437,7 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s + r), -0.5j * (s - r)
 
 
-def multiply(f, g) -> Field | tuple[Field, Field]:
+def multiply(f, g, h=None) -> Field | tuple[Field, Field]:
     """Dealiased pointwise product of two real fields.
 
     `f` and `g` may also be equal-length sequences of real fields; the
@@ -455,13 +449,13 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     factor by factor, so two single fields take two inverse transforms and
     one forward transform.
 
-    Two-output form: with `g` a pair of sequences (g1, g2), each as long as
-    `f`, the result is the pair of dealiased sums f[0] g1[0] + f[1] g1[1] +
-    ... and f[0] g2[0] + f[1] g2[1] + ...  The factors of `f` go to
-    physical x once for both outputs, the k-th factors of g1 and g2 share
-    one inverse transform (g1[k] + i g2[k]), and the packed sum takes one
-    forward transform that conjugate symmetry splits in two.  Two outputs
-    of two products each thus cost 4 transforms.
+    Two-output form: with `h`, a sequence as long as `f`, the result is the
+    pair of dealiased sums f[0] g[0] + f[1] g[1] + ... and f[0] h[0] +
+    f[1] h[1] + ...  The factors of `f` go to physical x once for both
+    outputs, the k-th factors of g and h share one inverse transform
+    (g[k] + i h[k]), and the packed sum takes one forward transform that
+    conjugate symmetry splits in two.  Two outputs of two products each
+    thus cost 4 transforms.
 
     The result holds only the rows m = 0..Nx/3 of the product, with no
     mirror written.  Overflow warns as any numpy arithmetic does; the RK4
@@ -469,29 +463,19 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
     checks turn it into an abort.
     """
     fs = (f,) if isinstance(f, Field) else tuple(f)
-    if isinstance(g, Field):
-        gss, single = ((g,),), True
-    else:
-        g = tuple(g)
-        single = bool(g) and isinstance(g[0], Field)
-        gss = (g,) if single or not g else tuple(tuple(gj) for gj in g)
-    if not fs or any(len(gs) != len(fs) for gs in gss):
-        raise ValueError(
-            f"multiply needs equal-length, non-empty sequences of fields, "
-            f"got lengths {len(fs)} and {[len(gs) for gs in gss]}"
-        )
-    if not single and len(gss) != 2:
-        raise ValueError(
-            f"multiply's two-output form takes exactly two outputs, got {len(gss)}")
+    gs = (g,) if isinstance(g, Field) else tuple(g)
+    hs = () if h is None else tuple(h)
+    if not fs or len(gs) != len(fs) or (h is not None and len(hs) != len(fs)):
+        raise ValueError(f"multiply needs equal-length, non-empty f, g (and h if given), "
+                         f"got lengths {len(fs)}, {len(gs)} and {len(hs)}")
     grid = fs[0].grid
-    for gs in (fs,) + gss:
-        for h in gs:
-            if h.grid is not grid:
-                fs[0]._check_same_grid(h)
+    for x in fs + gs + hs:
+        if x.grid is not grid:
+            fs[0]._check_same_grid(x)
 
     fv = _physical(grid, "multiply.f", fs)
-    if single:
-        gv = _physical(grid, "multiply.g", gss[0])
+    if h is None:
+        gv = _physical(grid, "multiply.g", gs)
         prod = grid.work("multiply.prod", (grid.Nx, grid.Ny), np.float64)
         np.multiply(fv[0], gv[0], out=prod)
         for fk, gk in zip(fv[1:], gv[1:]):
@@ -499,7 +483,7 @@ def multiply(f, g) -> Field | tuple[Field, Field]:
         spec = np.fft.fft(prod, axis=0, norm="forward")
         return Field(grid, spec[:grid.band])
     total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
-    for k, (fk, gk, hk) in enumerate(zip(fv, *gss)):
+    for k, (fk, gk, hk) in enumerate(zip(fv, gs, hs)):
         dst = total if k == 0 else z
         np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
         dst *= fk

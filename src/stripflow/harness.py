@@ -391,6 +391,7 @@ class _Run:
         u0, u1 = data  # not kept: the initial state holds its own copy
         if eps is None:
             self.state = PrandtlState(u=u0, ut=u1)
+            self.state.pin(self.state.stack)  # the stack is the state's own copy
         else:
             self.state = make_hns_data(u0, cfg.gevrey_params(), eps=eps,
                                        u1=None if cfg.u1 == "zero" else u1)
@@ -579,6 +580,8 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
             for s in trajectory(None)))
     except SolverAbort as exc:
         raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
+    for r in reference:  # the members' rule: a difference is +0.0 where both are pinned
+        HnsState.pin(r)
     done = _in_workers(share, workers, clock)
     for i, eps in enumerate(cfg.eps_list):  # the first failed member is raised
         if isinstance(done[i], Exception):

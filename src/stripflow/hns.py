@@ -47,8 +47,8 @@ from functools import cache
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import (Field, cumulative_trapezoid, dx, dy, l2_norm, mean_y, multiply,
-                   unstack, y_diff)
+from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, l2_norm, mean_y,
+                   multiply, unstack, y_diff)
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -76,7 +76,8 @@ class HnsState(StackedState):
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
 
-    def pin(self, y):
+    @classmethod
+    def pin(cls, y):
         """Zero the walls and the x-means of the odd rows: v and vt, or vt of (ut, vt)."""
         super().pin(y)
         y[1::2, 0] = 0.0
@@ -145,7 +146,7 @@ class _Eigenbasis:
     """
 
     def __init__(self, Ny: int):
-        D = y_diff(np.eye(Ny), 1.0 / (Ny - 1), 1).T  # dy_matrix of any grid with Ny
+        D = dy_matrix(Ny)
         mask = np.ones(Ny)
         mask[0] = mask[-1] = 0.0
         K = D @ (mask[:, None] * D)
@@ -280,7 +281,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     if not disable_nonlinear:
         ux, vx = unstack(g, np.multiply(uv, g._dx_rows, out=dx_uv))
         uy, vy = unstack(g, y_diff(uv, g.dy, 1, out=dy_uv))
-        N1, N2 = multiply((state.u, state.v), ((ux, uy), (vx, vy)))
+        N1, N2 = multiply((state.u, state.v), (ux, uy), (vx, vy))
         acc[0] -= N1.rows
         acc[1] -= N2.rows
     state.pin(acc)  # the x-mean of v is pinned, not solved for

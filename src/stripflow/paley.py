@@ -26,11 +26,11 @@ Conventions on the periodic strip:
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from functools import cache, reduce
+from functools import cache
 
 import numpy as np
 
-from .grid import Field, Grid, dx, l2_norm, multiply, to_physical, y_density
+from .grid import Field, Grid, dx, l2_norm, multiply, to_physical
 
 __all__ = [
     "chi",
@@ -40,7 +40,6 @@ __all__ = [
     "get_bank",
     "delta_k",
     "S_k",
-    "mode_density",
     "block_norms",
     "besov_norm",
     "bony",
@@ -153,43 +152,22 @@ def S_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
     return Field(f.grid, f.rows * bank.chi_row(k)[:f.grid.band, None])
 
 
-def mode_density(fields) -> np.ndarray:
-    """Per-mode squared-L2 density trapz_y sum_components |c_m(y)|^2 on the
-    band rows, a row m >= 1 counting its mirror -m too (see `y_density`)."""
-    if isinstance(fields, Field):
-        fields = (fields,)
-    return reduce(np.add, [y_density(f) for f in fields])
-
-
-def _density(fields, bank: DyadicBank | None):
-    """(density, bank) of a Field, a component tuple or a density (with `bank`)."""
-    if not isinstance(fields, np.ndarray):
-        first = fields if isinstance(fields, Field) else fields[0]
-        return mode_density(fields), bank or get_bank(first.grid)
-    if bank is None:
-        raise ValueError("a density array needs the bank of its grid")
-    return fields, bank
-
-
-def block_norms(fields, bank: DyadicBank | None = None) -> np.ndarray:
+def block_norms(dens: np.ndarray, bank: DyadicBank) -> np.ndarray:
     """Per-block L2 norms ||delta_k f||, m = 0 energy folded into k_min.
 
-    `fields` may be a single Field or a sequence of Fields: components of a
-    vector field are combined in L2 inside each block (root-sum-square)
-    before any summation over blocks.  A `mode_density` with its `bank`
-    works too; a 2-D (rows, Nx//3 + 1) density gives a row of blocks per row.
+    `dens` is f's `grid.y_density`, summed over the components of a vector
+    field (they combine in L2 inside each block); a 2-D (rows, Nx//3 + 1)
+    density gives a row of blocks per row.
     """
-    dens, bank = _density(fields, bank)
     # a gemv per row keeps each row bit-identical to its 1-D form (a GEMM would not)
     sq = np.matmul(bank.phi_sq, dens[..., None])[..., 0]
     sq[..., 0] += dens[..., 0]  # fold the x-mean mode into block k_min
     return np.sqrt(bank.grid.Lx * sq)
 
 
-def besov_norm(fields, s, bank: DyadicBank | None = None):
-    """l1-over-blocks Besov norm sum_k 2^{ks} ||delta_k f||_{L2} of what
-    block_norms takes (one value per row of a 2-D density)."""
-    dens, bank = _density(fields, bank)
+def besov_norm(dens: np.ndarray, s, bank: DyadicBank):
+    """l1-over-blocks Besov norm sum_k 2^{ks} ||delta_k f||_{L2} of a density
+    (one value per row of a 2-D density)."""
     return bank.besov_sum(block_norms(dens, bank), bank.weights(s))
 
 
@@ -259,13 +237,13 @@ class NormSeries:
 
     and the running max of e^{rate t} ||delta_k a(t)||, from which the
     time-integrated (l2-in-time) and sup-in-time block norms are read off
-    as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k.  Array `s`,
-    `rate` and weight hold one series per row; density samples need `bank`.
+    as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k, with the
+    blocks of `bank`.  Array `s`, `rate` and weight hold one series per row.
     """
 
     s: float | np.ndarray
+    bank: DyadicBank
     rate: float | np.ndarray = 0.0
-    bank: DyadicBank | None = None
     integrals: np.ndarray | None = None
     maxima: np.ndarray | None = None
     last_t: float | None = None
@@ -285,10 +263,9 @@ class NormSeries:
         return self.bank.besov_sum(self.maxima, self._weights)
 
 
-def norm_series_update(acc: NormSeries, fields, t, weight_value=1.0) -> NormSeries:
-    """Feed one time sample, anything block_norms takes, into a NormSeries
-    (trapezoid in t over the step from acc.last_t)."""
-    dens, acc.bank = _density(fields, acc.bank)
+def norm_series_update(acc: NormSeries, dens: np.ndarray, t, weight_value=1.0) -> NormSeries:
+    """Feed one time sample, a density as block_norms takes it, into a
+    NormSeries (trapezoid in t over the step from acc.last_t)."""
     norms = block_norms(dens, acc.bank)
     if acc.integrals is None:
         acc._weights = acc.bank.weights(acc.s)

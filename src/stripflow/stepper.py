@@ -85,7 +85,8 @@ class StackedState:
         for name, rows in zip(self.ROWS, stack):
             d[name] = Field(g, rows)
 
-    def pin(self, y: np.ndarray) -> None:
+    @classmethod
+    def pin(cls, y: np.ndarray) -> None:
         """Zero, in place, the walls of every row of a stack or of its q_t half."""
         y[..., 0] = 0.0
         y[..., -1] = 0.0
@@ -97,16 +98,19 @@ class StackedState:
     def fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.ROWS)
 
-    def with_stack(self, stack: np.ndarray, **changes):
+    def with_stack(self, stack: np.ndarray, /, **changes):
         """This state, with `changes`, over the rows of `stack` (not copied).
-        A copy of the instance dict, cheaper than `dataclasses.replace`; it
-        refuses unknown names and checks the values that `__post_init__` does."""
-        unknown = changes.keys() - self.__dict__.keys()
-        if unknown:
-            raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
+        A copy of the instance dict, cheaper than `dataclasses.replace`; it refuses
+        unknown names and those `stack` sets, and checks what `__post_init__` does."""
         new = object.__new__(type(self))
         new.__dict__.update(self.__dict__, **changes)
         if changes:
+            fixed = changes.keys() & {"stack", "grid", *self.ROWS}
+            if fixed:
+                raise TypeError(f"with_stack cannot change {fixed}: pass rows in the stack")
+            unknown = changes.keys() - self.__dict__.keys()
+            if unknown:
+                raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
             new._check_values()
         new._set_stack(stack)
         return new

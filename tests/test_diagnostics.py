@@ -1,5 +1,6 @@
 """Tests for the energy-report assembly and the decay-rate fitter."""
 
+from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
@@ -9,11 +10,16 @@ from scipy.integrate import trapezoid
 from stripflow import gevrey as gv
 from stripflow import paley
 from stripflow.diagnostics import decay_fit, energy_E1, energy_E_s
-from stripflow.grid import Field, Grid, dy, frac_dx, l2_norm, to_spectral
+from stripflow.grid import Field, Grid, dy, frac_dx, l2_norm, to_spectral, y_density
 from stripflow.hns import hns_step, make_hns_data
 from stripflow.prandtl import PrandtlState, prandtl_step
 
 P = gv.GevreyParams(a=0.5)
+
+
+def density(*fields):
+    """Summed mode density of the components, added left to right."""
+    return reduce(np.add, map(y_density, fields))
 
 
 class Record(NamedTuple):
@@ -99,10 +105,10 @@ def oracle_E_s(samples, s, p):
             {
                 "t": smp.t,
                 "td": td,
-                "b1": paley.block_norms((u_phi, dyu_phi, ut_phi), bank),
-                "bu": paley.block_norms(u_phi, bank),
-                "b4": paley.block_norms((u_phi, dtu_phi, dyu_phi), bank),
-                "b7": paley.block_norms((ut_phi, dyu_phi), bank),
+                "b1": paley.block_norms(density(u_phi, dyu_phi, ut_phi), bank),
+                "bu": paley.block_norms(density(u_phi), bank),
+                "b4": paley.block_norms(density(u_phi, dtu_phi, dyu_phi), bank),
+                "b7": paley.block_norms(density(ut_phi, dyu_phi), bank),
             }
         )
     ts = np.array([r["t"] for r in rows])
@@ -155,9 +161,9 @@ def oracle_E1(samples, eps, p, decay_rates=True):
         rows.append(
             {
                 "t": t,
-                "b1": paley.block_norms((u_phi, ev_phi, *grads), bank),
-                "bp": paley.block_norms((u_phi, ev_phi), bank),
-                "b4": paley.block_norms(grads, bank),
+                "b1": paley.block_norms(density(u_phi, ev_phi, *grads), bank),
+                "bp": paley.block_norms(density(u_phi, ev_phi), bank),
+                "b4": paley.block_norms(density(*grads), bank),
             }
         )
     ts = np.array([r["t"] for r in rows])
@@ -291,8 +297,8 @@ class TestEnergyEs:
         bank = paley.get_bank(g)
         u_phi0 = gv.apply_gevrey(u, 0.0, p2, +1)
         dyu_phi0 = gv.apply_gevrey(dy(u), 0.0, p2, +1)
-        b1 = paley.block_norms((u_phi0, dyu_phi0, zero), bank)
-        bu = paley.block_norms(u_phi0, bank)
+        b1 = paley.block_norms(density(u_phi0, dyu_phi0, zero), bank)
+        bu = paley.block_norms(density(u_phi0), bank)
         a, K = p2.a, p2.K
         exp1 = float(np.sum(2.0 ** (bank.ks * 0.5) * b1))
         exp2 = np.sqrt(a * K) * float(np.sum(2.0 ** (bank.ks * 0.75) * bu))

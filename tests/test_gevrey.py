@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from stripflow.grid import Field, Grid, l2_norm, mean_y, to_physical
+from stripflow.grid import Field, Grid, l2_norm, mean_y, to_physical, y_density
 from stripflow import paley
 from stripflow.gevrey import (
     GevreyParams,
@@ -272,7 +272,7 @@ class TestMakeGevreyData:
         for c in (1e-3, 2e-3):
             u0, _ = make_gevrey_data(g, p, amplitude=c, m_max=6)
             w = apply_gevrey(u0, 0.0, p, +1)
-            n.append(paley.besov_norm(w, 0.5))
+            n.append(paley.besov_norm(y_density(w), 0.5, paley.get_bank(g)))
         assert n[1] == pytest.approx(2.0 * n[0], rel=1e-12)
 
     @pytest.mark.parametrize("Nx", [32, 64])

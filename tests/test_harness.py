@@ -536,8 +536,10 @@ class TestCmdSweep:
         # members that step the limit system and carry its slaved pair are
         # the reference itself: every error is exactly 0.0, no slope is fit
         def slaved(state, eps):
-            return HnsState(state.u, recover_v(state.u), state.ut, recover_v(state.ut),
-                            eps=eps, t=state.t)
+            s = HnsState(state.u, recover_v(state.u), state.ut, recover_v(state.ut),
+                         eps=eps, t=state.t)
+            s.pin(s.stack)  # as make_hns_data and hns_step pin a real member
+            return s
 
         def limit_data(u0, p, eps, u1):
             return slaved(PrandtlState(u0, u1), eps)
@@ -560,6 +562,29 @@ class TestCmdSweep:
         assert "slope fit skipped" in capsys.readouterr().out
         meta = json.loads((Path(res.directory) / "metadata.json").read_text())
         assert meta["slope"] is None
+
+    def test_member_differences_hold_pinned_zeros(self, tmp_path, monkeypatch):
+        # the reference's slaved v and vt obey the members' rule (HnsState.pin),
+        # so every difference is +0.0 at the walls and in the x-mean rows of
+        # v and vt, not the quadrature residual of recover_v
+        diffs = []
+
+        def capture(samples, eps, p, decay_rates=True):
+            diffs.extend(samples)
+            return energy_E1(samples, eps, p, decay_rates=decay_rates)
+
+        use_cores(monkeypatch, 1)  # the members run in this process
+        monkeypatch.setattr(harness, "energy_E1", capture)
+        cfg = small_cfg(tmp_path, Nx=32, kind="sweep", amplitude=1e-3, T_final=0.125,
+                        eps_list=(0.2, 0.1, 0.05), u1="half-decay")
+        cmd_sweep(cfg)
+        assert len(diffs) == 3 * (1 + cfg.n_steps() // cfg.sample_every)
+        for d in diffs:
+            pinned_zeros = np.concatenate([d.stack[..., [0, -1]].ravel(),
+                                           d.stack[1::2, 0].ravel()])
+            for part in (pinned_zeros.real, pinned_zeros.imag):
+                assert np.all(part == 0.0), d.t
+                assert not np.signbit(part).any(), d.t
 
     @pytest.mark.parametrize("u1", ["zero", "half-decay"])
     def test_mini_sweep_converges(self, tmp_path, u1):

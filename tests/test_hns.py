@@ -277,7 +277,7 @@ class TestProjector:
         g = Grid(*shape)
         f1, f2 = random_pair(g, seed=3)
         c1, c2, q = _project_pair(g, eps, f1, f2)
-        D = dy_matrix(g)
+        D = dy_matrix(g.Ny)
         mask = np.ones(g.Ny)
         mask[0] = mask[-1] = 0.0
         K = D @ (mask[:, None] * D)
@@ -299,7 +299,7 @@ class TestProjector:
         g = Grid(*shape)
         f1, f2 = random_pair(g, seed=4)
         c1, c2, _ = _project_pair(g, eps, f1, f2)
-        D = dy_matrix(g)
+        D = dy_matrix(g.Ny)
         ms = np.arange(1, g.band)
         before = f1[ms] * g._dx_rows[ms] + f2[ms] @ D.T
         after = (f1 - c1)[ms] * g._dx_rows[ms] + (f2 - c2)[ms] @ D.T

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stripflow.grid import Field, Grid, l2_norm, multiply
+from stripflow.grid import Field, Grid, l2_norm, multiply, y_density
 from stripflow import paley
 from stripflow.paley import (
     NormSeries,
@@ -18,7 +18,6 @@ from stripflow.paley import (
     chi,
     delta_k,
     get_bank,
-    mode_density,
     norm_series_update,
     phi,
 )
@@ -162,17 +161,19 @@ def oracle_besov(f, s):
 class TestBesovNorm:
     def test_zero_field(self):
         g = make_grid()
-        assert besov_norm(Field.zeros(g), 0.5) == 0.0
+        assert besov_norm(y_density(Field.zeros(g)), 0.5, get_bank(g)) == 0.0
 
     def test_homogeneity(self):
         g = make_grid()
+        bank = get_bank(g)
         f = random_field(g, seed=5)
-        assert besov_norm(-2.5 * f, 0.5) == pytest.approx(
-            2.5 * besov_norm(f, 0.5), rel=1e-13
+        assert besov_norm(y_density(-2.5 * f), 0.5, bank) == pytest.approx(
+            2.5 * besov_norm(y_density(f), 0.5, bank), rel=1e-13
         )
         h = random_field(g, seed=7)
-        assert besov_norm((-2.5 * f, 2.5 * h), 0.5) == pytest.approx(
-            2.5 * besov_norm((f, h), 0.5), rel=1e-13
+        pair = y_density(-2.5 * f) + y_density(2.5 * h)
+        assert besov_norm(pair, 0.5, bank) == pytest.approx(
+            2.5 * besov_norm(y_density(f) + y_density(h), 0.5, bank), rel=1e-13
         )
 
     def test_single_mode_against_direct_sum(self):
@@ -186,15 +187,18 @@ class TestBesovNorm:
             expect = sum(
                 2.0 ** (k * s) * phi(xi / 2.0**k) for k in range(-10, 20)
             )
-            assert besov_norm(fn, s) == pytest.approx(float(expect), rel=1e-12)
+            assert besov_norm(y_density(fn), s, get_bank(g)) == pytest.approx(
+                float(expect), rel=1e-12)
 
     @pytest.mark.parametrize("s", [-0.5, 0.0, 0.25, 0.5, 1.0])
     def test_matches_independent_oracle(self, s):
         g = make_grid()
+        bank = get_bank(g)
         f = random_field(g, seed=6, zero_mean=False)
-        assert besov_norm(f, s) == pytest.approx(oracle_besov(f, s), rel=1e-12)
-        # a component tuple with a zero second component is the same norm
-        assert besov_norm((f, Field.zeros(g)), s) == besov_norm(f, s)
+        norm = besov_norm(y_density(f), s, bank)
+        assert norm == pytest.approx(oracle_besov(f, s), rel=1e-12)
+        # adding a zero component's density gives the same norm
+        assert besov_norm(y_density(f) + y_density(Field.zeros(g)), s, bank) == norm
 
     def test_frame_sandwich_constants_computed(self):
         # field supported where phi_k >= 0.1; constants from sampled overlaps
@@ -213,7 +217,7 @@ class TestBesovNorm:
             2.0 ** (j * s) * bank.row(j)[keep].max()
             for j in range(k - 1, k + 2)
         )
-        nb = besov_norm(fk, s)
+        nb = besov_norm(y_density(fk), s, bank)
         assert lower * l2_norm(fk) <= nb <= upper * l2_norm(fk)
 
 
@@ -278,16 +282,17 @@ class TestBernstein:
 class TestNormSeries:
     def test_constant_field_weight_one(self):
         g = make_grid()
-        f = random_field(g, seed=14)
-        acc = NormSeries(s=0.5)
+        bank = get_bank(g)
+        d = y_density(random_field(g, seed=14))
+        acc = NormSeries(s=0.5, bank=bank)
         T, n = 2.0, 40
         ts = np.linspace(0.0, T, n + 1)
         for t in ts:
-            norm_series_update(acc, f, t, weight_value=1.0)
-        blocks = block_norms(f)
-        expect = np.sum(2.0 ** (acc.bank.ks * 0.5) * np.sqrt(T) * blocks)
+            norm_series_update(acc, d, t, weight_value=1.0)
+        blocks = block_norms(d, bank)
+        expect = np.sum(2.0 ** (bank.ks * 0.5) * np.sqrt(T) * blocks)
         assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-12)
-        assert acc.sup_in_time() == pytest.approx(besov_norm(f, 0.5), rel=1e-12)
+        assert acc.sup_in_time() == pytest.approx(besov_norm(d, 0.5, bank), rel=1e-12)
 
     def test_theta_dot_weight_mass(self):
         # closed-form envelope: theta_dot = sqrt(delta) e^{-K t / 2}
@@ -295,53 +300,55 @@ class TestNormSeries:
         theta = lambda t: (2 * np.sqrt(delta) / K) * (1 - np.exp(-K * t / 2))
         theta_dot = lambda t: np.sqrt(delta) * np.exp(-K * t / 2)
         g = make_grid()
-        f = random_field(g, seed=15)
-        acc = NormSeries(s=0.0)
+        bank = get_bank(g)
+        d = y_density(random_field(g, seed=15))
+        acc = NormSeries(s=0.0, bank=bank)
         T, n = 3.0, 3000
         ts = np.linspace(0.0, T, n + 1)
         for t in ts:
-            norm_series_update(acc, f, t, weight_value=theta_dot(t))
-        blocks = block_norms(f)
+            norm_series_update(acc, d, t, weight_value=theta_dot(t))
+        blocks = block_norms(d, bank)
         expect = np.sum(np.sqrt(theta(T)) * blocks)
         assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-8)
 
     def test_zero_field(self):
         g = make_grid()
-        acc = NormSeries(s=0.5)
+        acc = NormSeries(s=0.5, bank=get_bank(g))
         for t in [0.0, 0.1, 0.2]:
-            norm_series_update(acc, Field.zeros(g), t)
+            norm_series_update(acc, y_density(Field.zeros(g)), t)
         assert acc.l2_in_time() == 0.0
         assert acc.sup_in_time() == 0.0
 
     def test_rejects_non_monotone_time(self):
         g = make_grid()
-        f = random_field(g, seed=16)
-        acc = NormSeries(s=0.5)
-        norm_series_update(acc, f, 0.0)
-        norm_series_update(acc, f, 0.1)
+        d = y_density(random_field(g, seed=16))
+        acc = NormSeries(s=0.5, bank=get_bank(g))
+        norm_series_update(acc, d, 0.0)
+        norm_series_update(acc, d, 0.1)
         with pytest.raises(ValueError, match="non-monotone"):
-            norm_series_update(acc, f, 0.05)
+            norm_series_update(acc, d, 0.05)
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
     def test_accumulators_nondecreasing(self, weights):
         g = Grid(16, 9)
-        f = random_field(g, seed=17)
-        acc = NormSeries(s=0.25, rate=1.0 / 6.0)
+        d = y_density(random_field(g, seed=17))
+        acc = NormSeries(s=0.25, bank=get_bank(g), rate=1.0 / 6.0)
         prev = 0.0
         for i, w in enumerate(weights):
-            norm_series_update(acc, f, 0.1 * i, w)
+            norm_series_update(acc, d, 0.1 * i, w)
             cur = acc.l2_in_time()
             assert cur >= prev - 1e-15
             prev = cur
 
     def test_multicomponent_blocks_are_rss(self):
         g = make_grid()
-        f1 = random_field(g, seed=18)
-        f2 = random_field(g, seed=19)
-        b1 = block_norms(f1)
-        b2 = block_norms(f2)
-        both = block_norms((f1, f2))
+        bank = get_bank(g)
+        d1 = y_density(random_field(g, seed=18))
+        d2 = y_density(random_field(g, seed=19))
+        b1 = block_norms(d1, bank)
+        b2 = block_norms(d2, bank)
+        both = block_norms(d1 + d2, bank)
         assert np.allclose(both, np.sqrt(b1**2 + b2**2), rtol=1e-12)
 
     def test_multi_row_series_matches_single_rows(self):
@@ -353,7 +360,7 @@ class TestNormSeries:
         multi = NormSeries(s=np.array(s), rate=np.array(rate), bank=bank)
         singles = [NormSeries(s=si, rate=ri, bank=bank) for si, ri in zip(s, rate)]
         for i, t in enumerate(np.linspace(0.0, 1.0, 6)):
-            dens = [mode_density(2.0**-i * f) for f in fields]
+            dens = [y_density(2.0**-i * f) for f in fields]
             weights = [(0.3 + t) ** w for w in wpow]
             norm_series_update(multi, np.array(dens), t, weights)
             for acc, d, w in zip(singles, dens, weights):
@@ -367,41 +374,15 @@ class TestNormSeries:
 
 
 class TestDensityInput:
-    """A mode density with its bank stands in for the Field it came from."""
-
-    def test_matches_field_form_bit_for_bit(self):
-        g = make_grid()
-        bank = get_bank(g)
-        f1 = random_field(g, seed=23, zero_mean=False)
-        f2 = random_field(g, seed=24)
-        for fields in (f1, (f1, f2)):
-            dens = mode_density(fields)
-            assert np.array_equal(block_norms(dens, bank), block_norms(fields))
-            assert besov_norm(dens, 0.75, bank) == besov_norm(fields, 0.75)
-            by_field = NormSeries(s=0.5, rate=0.2)
-            by_dens = NormSeries(s=0.5, rate=0.2, bank=bank)
-            for t in (0.0, 0.1, 0.3):
-                norm_series_update(by_field, fields, t, weight_value=1.0 + t)
-                norm_series_update(by_dens, dens, t, 1.0 + t)
-            assert np.array_equal(by_dens.integrals, by_field.integrals)
-            assert np.array_equal(by_dens.maxima, by_field.maxima)
-            assert by_dens.l2_in_time() == by_field.l2_in_time()
-            assert by_dens.sup_in_time() == by_field.sup_in_time()
+    """A 2-D density gives one row of results per row."""
 
     def test_rows_match_one_dimensional_form(self):
         g = make_grid()
         bank = get_bank(g)
-        dens = np.array([mode_density(random_field(g, seed=s)) for s in (25, 26, 27)])
+        dens = np.array([y_density(random_field(g, seed=s)) for s in (25, 26, 27)])
         blocks = block_norms(dens, bank)
         values = besov_norm(dens, 0.5, bank)
         assert blocks.shape == (3, len(bank.ks)) and values.shape == (3,)
         for row, d in enumerate(dens):
             assert np.array_equal(blocks[row], block_norms(d, bank))
             assert values[row] == besov_norm(d, 0.5, bank)
-
-    def test_density_needs_its_bank(self):
-        dens = mode_density(random_field(make_grid(), seed=28))
-        with pytest.raises(ValueError, match="bank"):
-            block_norms(dens)
-        with pytest.raises(ValueError, match="bank"):
-            norm_series_update(NormSeries(s=0.5), dens, 0.0)

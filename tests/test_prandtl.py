@@ -13,6 +13,7 @@ from stripflow.grid import (
     mean_y,
     to_physical,
     to_spectral,
+    y_density,
 )
 from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
 from stripflow import paley, prandtl
@@ -317,13 +318,14 @@ class TestSmallDataDecay:
         u0, u1 = make_gevrey_data(g, p, amplitude=3e-5, m_max=5)
         s = PrandtlState(u0, u1)
         dt = 0.25 * g.dy
-        weighted0 = paley.besov_norm(apply_gevrey(s.u, 0.0, p, +1), 0.5)
+        bank = paley.get_bank(g)
+        weighted0 = paley.besov_norm(y_density(apply_gevrey(s.u, 0.0, p, +1)), 0.5, bank)
         K = p.K
         worst = 0.0
         while s.t < 5.0:
             for _ in range(40):
                 s = prandtl_step(s, dt)
-            w = paley.besov_norm(apply_gevrey(s.u, s.t, p, +1), 0.5)
+            w = paley.besov_norm(y_density(apply_gevrey(s.u, s.t, p, +1)), 0.5, bank)
             worst = max(worst, np.exp(K * s.t) * w)
         assert worst <= 10.0 * weighted0
         assert np.abs(mean_y(s.u)).max() <= 1e-10

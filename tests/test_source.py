@@ -79,3 +79,23 @@ def test_unfold_only_in_grid_and_snapshots(path):
     lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
              if ".unfold(" in line]
     assert lines == [], f"{path.name}: .unfold( call on lines {lines}"
+
+
+def _names_field(node) -> bool:
+    return any((isinstance(n, ast.Name) and n.id == "Field")
+               or (isinstance(n, ast.Attribute) and n.attr == "Field")
+               for n in ast.walk(node))
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_field_type_checks_only_in_grid(path):
+    # each norm takes one input form (a density with its bank), so no module
+    # but grid.py, whose products take a Field or a sequence of Fields, tells
+    # a Field from anything else
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance" and len(node.args) == 2
+             and _names_field(node.args[1])]
+    assert lines == [], f"{path.name}: isinstance(..., Field) on lines {lines}"

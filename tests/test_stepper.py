@@ -5,6 +5,7 @@ import pytest
 
 from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.grid import Field, Grid
+from stripflow.harness import RunConfig, cmd_run, read_snapshot
 from stripflow.hns import HnsState, divergence_cleanup, hns_step, make_hns_data
 from stripflow.prandtl import PrandtlState, prandtl_step
 from stripflow.stepper import SolverAbort, rk4_step
@@ -167,6 +168,16 @@ class TestWithStack:
         with pytest.raises(TypeError, match="no fields"):
             s.with_stack(s.stack, tt=1.0)
 
+    @pytest.mark.parametrize("name", ["stack", "grid", "u", "v", "ut", "vt"])
+    def test_refuses_what_only_the_stack_sets(self, name):
+        # a row, the grid or the stack passed by name would be dropped or
+        # fail elsewhere: the stack argument alone sets them
+        g = Grid(16, 17)
+        s = random_state(g, 4, 2)
+        value = getattr(s, name)
+        with pytest.raises(TypeError, match="pass rows in the stack"):
+            s.with_stack(s.stack.copy(), **{name: value})
+
 
 class TestPinnedZerosArePositive:
     """Each state a solver returns holds +0.0, never -0.0, at every entry
@@ -194,6 +205,17 @@ class TestPinnedZerosArePositive:
             for _ in range(2):  # the second step ends with a cleanup
                 s = hns_step(s, dt, n_proj=2)
                 self.assert_pinned(s, f"hns_step {s.steps}")
+
+    def test_prandtl_run_initial_state(self, tmp_path):
+        # u1 = -u0/2 turns the +0.0 walls of u0 into -0.0 in ut; the run's
+        # initial state, and so its initial.snap, must hold +0.0 there
+        cfg = RunConfig(Nx=32, Ny=33, amplitude=1e-4, m_max=4, u1="half-decay",
+                        T_final=4 * 0.25 / 32, directory=str(tmp_path / "out"))
+        _, u1 = cfg.make_data()
+        assert np.signbit(u1.rows[:, [0, -1]].real).any()  # the data has -0.0
+        out = cmd_run(cfg)
+        self.assert_pinned(read_snapshot(out / "snapshots" / "initial.snap"),
+                           "initial.snap")
 
     @pytest.mark.parametrize("shape", [(32, 33), (128, 65)])
     def test_prandtl_step(self, shape):
