@@ -28,9 +28,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .gevrey import GevreyParams, apply_gevrey, gevrey_weight, radius, theta_dot
-from .grid import dx, dy, frac_dx, y_density
+from .gevrey import GevreyParams, apply_gevrey, radius, theta_dot
+from .grid import rows_density, y_diff
 from .paley import NormSeries, besov_norm, get_bank, norm_series_update
+
+#: bytes of one component's band rows gathered into a block of the energy
+#: pass: 16 samples at 32x33 (5.8 KB a field), 2 at 128x65 (44.7 KB); a
+#: block's temporaries add about half of its gathered rows
+BLOCK_BYTES = 96 << 10
 
 
 class Term(NamedTuple):
@@ -114,7 +119,8 @@ class EnergyReport:
     """Diagnostic series for one run, all arrays indexed by sample.
 
     point_norms holds the instantaneous weighted Besov values
-    e^{K t} ||u_Phi||_{B^s} (keys "u", "dy_u", "ut"); terms holds the
+    e^{K t} ||u_Phi||_{B^s} (keys "u", "dy_u", "ut"); l2_norms the
+    unweighted L2 norms of u and ut (keys "u", "ut"); terms holds the
     running accumulated norms ("term1", "term2", ...); composite is the
     sum of the terms marked composite in the table (the printed energy);
     composite_full adds the remaining terms and is None when there are
@@ -125,6 +131,7 @@ class EnergyReport:
     s: float
     params: GevreyParams
     point_norms: dict[str, np.ndarray]
+    l2_norms: dict[str, np.ndarray]
     terms: dict[str, np.ndarray]
     composite: np.ndarray
     composite_full: np.ndarray | None
@@ -163,13 +170,19 @@ class EnergyReport:
 
 
 def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
-              parts) -> EnergyReport:
-    """Run the samples through the terms of `table`.
+              comps: tuple, parts) -> EnergyReport:
+    """Run the samples through the terms of `table`, a block at a time.
 
-    `parts(smp, theta_dot, report)` returns the mode densities of the named
-    weighted components of one sample and stores the trust horizon of the
-    weighted velocity in `report`; `K` is the unit of the table's rates.
-    One NormSeries row per term takes its components' densities, summed in order.
+    A block gathers the rows `comps` of consecutive samples, BLOCK_BYTES of
+    each, to (len(comps), B, band, Ny); a None in `comps` is a slot that
+    `parts` fills, and comps start with u and ut, whose unweighted
+    densities give `l2_norms`.  `parts(grid, rows, t, theta_dot, report)`
+    weights `rows` in place, stores their trust horizons in `report` and
+    returns the (B, band) mode densities of the named weighted components;
+    `K` is the unit of the table's rates.  One NormSeries row per term
+    takes its components' densities, summed in order.  Each sample's
+    arithmetic, and its order, is that of one sample at a time, so the
+    block size changes no bit.
     """
     # GevreyParams derives delta from (a, lam, K): this fires only if that
     # coupling breaks
@@ -184,29 +197,43 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     rows = table.terms
     scale = np.array([prefactor[row.prefactor] for row in rows])
     is_sup = np.array([row.readout == "sup" for row in rows])
+    g = samples[0].u.grid
     series = NormSeries(s=np.array([s + row.ds for row in rows]),
                         rate=np.array([row.rate * K for row in rows]),
-                        bank=get_bank(samples[0].u.grid))
+                        bank=get_bank(g))
 
     n = len(samples)
+    size = max(1, BLOCK_BYTES // (16 * g.band * g.Ny))
+    buf = np.empty((len(comps), min(size, n), g.band, g.Ny), dtype=np.complex128)
     times = np.array([smp.t for smp in samples], dtype=float)
     readouts = np.zeros((len(rows), n))
-    point = {key: np.zeros(n) for key in ("u", "dy_u", "ut")}
+    point = np.zeros((3, n))  # u, dy_u, ut
+    l2 = np.zeros((2, n))  # u, ut
     horizon = np.zeros(n)
 
-    for i, smp in enumerate(samples):
-        t = smp.t
+    for lo in range(0, n, size):
+        block, t = samples[lo:lo + size], times[lo:lo + size]
+        hi = lo + len(block)
+        gathered = buf[:, :len(block)]
+        for name, out in zip(comps, gathered):
+            if name is not None:
+                np.concatenate([getattr(smp, name).rows for smp in block],
+                               out=out.reshape(-1, g.Ny))
+        l2[:, lo:hi] = np.sqrt(g.Lx * rows_density(g, gathered[:2]).sum(axis=-1))
         rep: dict = {}
         td = theta_dot(t, p)
-        dens = parts(smp, td, rep)
-        term_dens = np.array([reduce(np.add, map(dens.get, row.parts)) for row in rows])
-        norm_series_update(series, term_dens, t, [td**row.wpow for row in rows])
-        sup, l2 = series.sup_in_time(), series.l2_in_time()
-        readouts[:, i] = scale * np.where(is_sup, sup, l2)
-        norms = besov_norm(np.array([dens[key] for key in point]), s, series.bank)
-        for arr, norm in zip(point.values(), np.exp(K * t) * norms):
-            arr[i] = norm
-        horizon[i] = rep.get("trust_horizon", 0.0)
+        dens = parts(g, gathered, t, td, rep)
+        horizon[lo:hi] = rep["trust_horizon"][0]
+        term_dens = np.empty((len(block), len(rows), g.band))
+        for i, row in enumerate(rows):
+            term_dens[:, i] = reduce(np.add, map(dens.get, row.parts))
+        # Python floats: numpy's power can round td**3 another way
+        weights = [[tdi**row.wpow for row in rows] for tdi in td.tolist()]
+        norm_series_update(series, term_dens, t, weights)
+        readouts[:, lo:hi] = (scale * np.where(is_sup, series.sup_in_time(),
+                                               series.l2_in_time())).T
+        norms = besov_norm(np.array([dens["u"], dens["dy_u"], dens["ut"]]), s, series.bank)
+        point[:, lo:hi] = np.exp(K * t) * norms
 
     terms = dict(zip((row.name for row in rows), readouts))
     composite = sum(terms[row.name] for row in rows if row.composite)
@@ -215,7 +242,8 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
         times=times,
         s=s,
         params=p,
-        point_norms=point,
+        point_norms=dict(zip(("u", "dy_u", "ut"), point)),
+        l2_norms=dict(zip(("u", "ut"), l2)),
         terms=terms,
         composite=composite,
         composite_full=sum(rest, composite) if rest else None,
@@ -230,15 +258,20 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
 def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
     """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
 
-    def parts(smp, td, rep):
-        w = gevrey_weight(smp.u.grid, smp.t, p)
-        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
-        ut_phi = apply_gevrey(smp.ut, smp.t, p, +1, weight=w)
-        return {"u": y_density(u_phi), "ut": y_density(ut_phi),
-                "dy_u": y_density(apply_gevrey(dy(smp.u), smp.t, p, +1, weight=w)),
-                "dt_of_u": y_density(ut_phi - p.lam * td * frac_dx(u_phi, 0.5))}
+    def parts(g, rows, t, td, rep):
+        y_diff(rows[0], g.dy, 1, out=rows[2])
+        # u, ut and dy u, each weighted with its own spectral floor
+        u, ut, dy_u = apply_gevrey(rows, t, p, +1, report=rep, grid=g)
+        dens = {"u": rows_density(g, u), "ut": rows_density(g, ut),
+                "dy_u": rows_density(g, dy_u)}
+        # dt(u_Phi) = ut_Phi - lam theta_dot |D_x|^{1/2} u_Phi, in the rows of
+        # dy u; sqrt(xi) is the multiplier of `grid.frac_dx`
+        dt_of_u = np.multiply(u, np.sqrt(g.band_xi)[:, None], out=dy_u)
+        dt_of_u *= (p.lam * td)[:, None, None]
+        dens["dt_of_u"] = rows_density(g, np.subtract(ut, dt_of_u, out=dt_of_u))
+        return dens
 
-    return _assemble(list(samples), s, p, p.K, E_S_TABLE, parts)
+    return _assemble(list(samples), s, p, p.K, E_S_TABLE, ("u", "ut", None), parts)
 
 
 def energy_E1(
@@ -255,22 +288,23 @@ def energy_E1(
            for smp in samples):
         raise ValueError("energy_E1 needs v and vt on every sample")
 
-    def parts(smp, td, rep):
-        w = gevrey_weight(smp.u.grid, smp.t, p)
-        u_phi = apply_gevrey(smp.u, smp.t, p, +1, report=rep, weight=w)
-        ev_phi = eps * apply_gevrey(smp.v, smp.t, p, +1, weight=w)
-        return {
-            "u": y_density(u_phi),
-            "ev": y_density(ev_phi),
-            "eps_dx_u": y_density(eps * dx(u_phi)),
-            "eps_dx_ev": y_density(eps * dx(ev_phi)),
-            "dy_u": y_density(dy(u_phi)),
-            "dy_ev": y_density(dy(ev_phi)),
-            "ut": y_density(apply_gevrey(smp.ut, smp.t, p, +1, weight=w)),
-            "evt": y_density(eps * apply_gevrey(smp.vt, smp.t, p, +1, weight=w)),
-        }
+    def parts(g, rows, t, td, rep):
+        u, ut, v, vt = apply_gevrey(rows, t, p, +1, report=rep, grid=g)
+        v *= eps  # (eps v)_Phi
+        vt *= eps
+        dens = {"u": rows_density(g, u), "ut": rows_density(g, ut),
+                "ev": rows_density(g, v), "evt": rows_density(g, vt)}
+        # the derivatives of u and ev go into the rows of ut and evt
+        dx = 1j * g.band_xi[:, None]  # the multiplier of `grid.dx`
+        for name, f, out in (("u", u, ut), ("ev", v, vt)):
+            np.multiply(f, dx, out=out)
+            out *= eps
+            dens["eps_dx_" + name] = rows_density(g, out)
+            dens["dy_" + name] = rows_density(g, y_diff(f, g.dy, 1, out=out))
+        return dens
 
-    return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE, parts)
+    return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE,
+                     ("u", "ut", "v", "vt"), parts)
 
 
 def decay_fit(series, window=None) -> tuple[float, float]:

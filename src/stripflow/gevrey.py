@@ -29,7 +29,6 @@ __all__ = [
     "theta_dot",
     "radius",
     "phi",
-    "gevrey_weight",
     "apply_gevrey",
     "make_gevrey_data",
 ]
@@ -78,7 +77,7 @@ def _check_t(t):
     if isinstance(t, float) and t >= 0.0:  # per-sample calls skip numpy
         return t
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0.0):
+    if not (t >= 0.0).all():  # written so that NaN fails too
         raise ValueError(f"time must be nonnegative, got {t}")
     return t
 
@@ -107,55 +106,52 @@ def phi(t, xi, p: GevreyParams):
     return radius(t, p) * np.sqrt(np.abs(xi))
 
 
-def gevrey_weight(grid: Grid, t: float, p: GevreyParams):
-    """(Phi(t, xi_m) per band row m = 0..Nx/3, the column of factors e^{Phi}).
-
-    Computed once, it serves every `apply_gevrey(..., sign=+1)` of one
-    sample time.  The factor at the largest band frequency, the largest
-    one a Field holds, must not overflow float64 for O(1) coefficients.
-    """
-    ph = phi(t, grid.band_xi, p)
-    if ph[-1] > _EXP_OVERFLOW:
-        raise OverflowError(
-            f"Gevrey weight e^{{{ph[-1]:.1f}}} at |xi|={grid.band_xi[-1]:.1f} "
-            "overflows float64; shrink the radius or the grid"
-        )
-    return ph, np.exp(ph)[:, None]
-
-
-def apply_gevrey(
-    f: Field, t: float, p: GevreyParams, sign: int, report: dict | None = None,
-    weight=None,
-) -> Field:
+def apply_gevrey(f, t, p: GevreyParams, sign: int, report: dict | None = None,
+                 grid: Grid | None = None):
     """Multiply band row m by e^{sign Phi(t, xi_m)}.
 
-    For sign = +1 (amplification) two guards apply: coefficients below
-    SPECTRAL_FLOOR relative to the field's max modulus are zeroed before
-    weighting, and the weight must not overflow (see `gevrey_weight`).
-    `weight`, if given, is `gevrey_weight(f.grid, t, p)`, computed once for
-    the fields of one sample; it serves sign = +1 only.  If `report` is a
-    dict its one key "trust_horizon" receives the largest band |xi| at
-    which Phi + log(relative coefficient) still exceeds -3, i.e. where the
+    `f` is a Field, weighted into a new Field, or, with its `grid` given,
+    band rows with leading axes (..., Nx//3 + 1, Ny), weighted in place and
+    returned; `t` broadcasts against those leading axes (one time per
+    sample of a block).  For sign = +1 (amplification) two guards apply: in
+    each field, coefficients below SPECTRAL_FLOOR relative to its max
+    modulus are zeroed before weighting, and the factor e^{Phi} at the
+    largest band frequency, the largest one a Field holds, must not
+    overflow float64 for O(1) coefficients.  If `report` is a dict its one
+    key "trust_horizon" receives, per field, the largest band |xi| at which
+    Phi + log(relative coefficient) still exceeds -3, i.e. where the
     weighted output stands above amplified roundoff (0.0 if none does).
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    g = f.grid
-    if sign > 0:
-        ph, factor = gevrey_weight(g, t, p) if weight is None else weight
-        mag = np.abs(f.rows)
-        scale = mag.max()
-        c = f.rows * factor
-        floored = mag < SPECTRAL_FLOOR * scale  # none if the field is zero
-        c[floored] = 0.0
-        if report is not None:
-            mode_mag = np.where(floored, 0.0, mag).max(axis=1)
-            with np.errstate(divide="ignore"):
-                level = ph + np.log(mode_mag / max(scale, 1e-300))
-            trusted = g.band_xi[level > TRUST_LOG_LEVEL]
-            report["trust_horizon"] = float(trusted.max()) if trusted.size else 0.0
-        return Field(g, c)
-    return Field(g, f.rows * np.exp(-phi(t, g.band_xi, p))[:, None])
+    if grid is None:
+        return Field(f.grid, apply_gevrey(f.rows.copy(), t, p, sign, report, f.grid))
+    ph = np.multiply.outer(radius(t, p), np.sqrt(grid.band_xi))  # (..., band)
+    if sign < 0:
+        f *= np.exp(-ph)[..., None]
+        return f
+    top = ph[..., -1].max()
+    if top > _EXP_OVERFLOW:
+        raise OverflowError(
+            f"Gevrey weight e^{{{top:.1f}}} at |xi|={grid.band_xi[-1]:.1f} "
+            "overflows float64; shrink the radius or the grid"
+        )
+    mag = np.abs(f)
+    scale = mag.max(axis=(-2, -1), keepdims=True)
+    floor = SPECTRAL_FLOOR * scale
+    floored = mag < floor  # none if the field is zero
+    f *= np.exp(ph)[..., None]
+    np.copyto(f, 0.0, where=floored)
+    if report is not None:
+        # a row's largest coefficient that is not floored: its max, or none
+        mode_mag = mag.max(axis=-1)
+        mode_mag[mode_mag < floor[..., 0]] = 0.0
+        with np.errstate(divide="ignore"):
+            level = ph + np.log(mode_mag / np.maximum(scale[..., 0], 1e-300))
+        # band_xi[0] is 0.0, so a field with no trusted row reports 0.0
+        horizon = np.where(level > TRUST_LOG_LEVEL, grid.band_xi, 0.0).max(axis=-1)
+        report["trust_horizon"] = float(horizon) if horizon.ndim == 0 else horizon
+    return f
 
 
 def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,

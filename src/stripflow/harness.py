@@ -35,7 +35,7 @@ from . import __version__
 from .blas import one_blas_thread
 from .diagnostics import EnergyReport, energy_E1, energy_E_s
 from .gevrey import GevreyParams, make_gevrey_data
-from .grid import Field, Grid, l2_norm, unstack
+from .grid import Field, Grid, unstack
 from .hns import N_PROJ, HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, prandtl_step, recover_v
 from .stepper import CFL_FACTOR, SolverAbort
@@ -316,11 +316,11 @@ def _write_csv(path, columns) -> Path:
     return Path(path)
 
 
-def _energy_csv(path, samples, report: EnergyReport, div_rel=None):
+def _energy_csv(path, report: EnergyReport, div_rel=None):
     """time, l2.u, l2.ut[, div.rel], then the report's columns."""
     cols = [("time", report.times),
-            ("l2.u", np.array([l2_norm(s.u) for s in samples])),
-            ("l2.ut", np.array([l2_norm(s.ut) for s in samples]))]
+            ("l2.u", report.l2_norms["u"]),
+            ("l2.ut", report.l2_norms["ut"])]
     if div_rel is not None:
         cols.append(("div.rel", np.asarray(div_rel)))
     return _write_csv(path, cols + report.columns())
@@ -486,7 +486,7 @@ def cmd_run(cfg: RunConfig, blas_threads) -> Path:
 
     report = energy_E1(samples, cfg.eps, p) if pair else energy_E_s(samples, 0.5, p)
     clock.lap("diagnostics")
-    _energy_csv(out / "energy.csv", samples, report, div_rel if pair else None)
+    _energy_csv(out / "energy.csv", report, div_rel if pair else None)
     clock.lap("io")
 
     abort = run.abort
@@ -553,8 +553,9 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
         if tuple(m.t for m in member) != ref_times:
             raise RuntimeError("sample times diverged from the reference")
         diffs = [m.with_stack(m.stack - r) for m, r in zip(member, reference)]
-        errs = np.array([l2_norm(d.u) for d in diffs])
-        energy = energy_E1(diffs, eps, p, decay_rates=False).composite[-1]
+        del member  # its states are not needed while the energy pass runs
+        report = energy_E1(diffs, eps, p, decay_rates=False)
+        errs, energy = report.l2_norms["u"], report.composite[-1]
         clock.lap("diagnostics")
         return float(errs.max()), float(errs[-1]), float(energy)
 

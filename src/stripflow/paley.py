@@ -140,15 +140,13 @@ def get_bank(grid: Grid) -> DyadicBank:
     return build_bank(grid)
 
 
-def delta_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
+def delta_k(f: Field, k: int, bank: DyadicBank) -> Field:
     """Dyadic block projector: multiply coefficients by phi(2^{-k}|xi|)."""
-    bank = bank or get_bank(f.grid)
     return Field(f.grid, f.rows * bank.row(k)[:f.grid.band, None])
 
 
-def S_k(f: Field, k: int, bank: DyadicBank | None = None) -> Field:
+def S_k(f: Field, k: int, bank: DyadicBank) -> Field:
     """Low-pass up to block k: multiply by chi(2^{-k}|xi|) (keeps the mean)."""
-    bank = bank or get_bank(f.grid)
     return Field(f.grid, f.rows * bank.chi_row(k)[:f.grid.band, None])
 
 
@@ -203,14 +201,13 @@ class BernsteinReport:
     skipped: bool
 
 
-def bernstein_check(f: Field, k: int, bank: DyadicBank | None = None) -> BernsteinReport:
+def bernstein_check(f: Field, k: int, bank: DyadicBank) -> BernsteinReport:
     """Empirical Bernstein ratios for the block-k piece of f.
 
     The first ratio is the mean horizontal frequency of the block in units
     of 2^k; the cutoff support pins it inside [3/4, 8/3].  A spectrally
     empty block is reported as skipped.
     """
-    bank = bank or get_bank(f.grid)
     blk = delta_k(f, k, bank)
     l2 = l2_norm(blk)
     if l2 <= 1e-13 * max(l2_norm(f), 1e-300):
@@ -239,6 +236,8 @@ class NormSeries:
     time-integrated (l2-in-time) and sup-in-time block norms are read off
     as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k, with the
     blocks of `bank`.  Array `s`, `rate` and weight hold one series per row.
+    `integrals` and `maxima` hold the running values at each sample of the
+    last block fed, so the readouts give one value (or row) per sample.
     """
 
     s: float | np.ndarray
@@ -264,20 +263,38 @@ class NormSeries:
 
 
 def norm_series_update(acc: NormSeries, dens: np.ndarray, t, weight_value=1.0) -> NormSeries:
-    """Feed one time sample, a density as block_norms takes it, into a
-    NormSeries (trapezoid in t over the step from acc.last_t)."""
-    norms = block_norms(dens, acc.bank)
-    if acc.integrals is None:
-        acc._weights = acc.bank.weights(acc.s)
-        acc.integrals = np.zeros(norms.shape)
-        acc.maxima = np.zeros(norms.shape)
-    weighted = np.exp(np.asarray(acc.rate)[..., None] * t) * norms
+    """Feed a block of samples at increasing times `t` (1-D) into a NormSeries,
+    the trapezoid in t running on from acc.last_t: `dens` holds one density
+    as block_norms takes it per entry of its first axis, as does an array
+    `weight_value`.
+
+    The running max is one `maximum.accumulate` and the trapezoid one
+    cumsum from the carried integral, so a block adds in the order of
+    sample-by-sample updates: the values are the same bit for bit.
+    """
+    ts = np.asarray(t, dtype=float)
+    norms = block_norms(dens, acc.bank)  # (samples, ..., blocks)
+    per_sample = (-1,) + (1,) * (norms.ndim - 1)
+    weighted = np.exp(np.asarray(acc.rate)[..., None] * ts.reshape(per_sample)) * norms
     integrand = np.asarray(weight_value)[..., None] * weighted**2
-    if acc.last_t is not None:
-        if t <= acc.last_t:
-            raise ValueError(f"non-monotone time sample: t={t} after t={acc.last_t}")
-        acc.integrals += 0.5 * (t - acc.last_t) * (acc._last_weighted_sq + integrand)
-    acc.maxima = np.maximum(acc.maxima, weighted)
-    acc.last_t = t
-    acc._last_weighted_sq = integrand
+    fresh = acc.last_t is None  # then the first sample opens the series at zero
+    tt = ts if fresh else np.concatenate(([acc.last_t], ts))
+    dt = tt[1:] - tt[:-1]
+    if (dt <= 0.0).any():
+        i = int(np.argmax(dt <= 0.0))
+        raise ValueError(f"non-monotone time sample: t={tt[i + 1]} after t={tt[i]}")
+    if fresh:
+        acc._weights = acc.bank.weights(acc.s)
+        acc.integrals = acc.maxima = np.zeros((1,) + norms.shape[1:])
+        sq = integrand
+    else:
+        sq = np.concatenate((acc._last_weighted_sq[None], integrand))
+    steps = (0.5 * dt).reshape(per_sample) * (sq[:-1] + sq[1:])
+    # the values at last_t head the sums; a fresh series has no step into
+    # its first sample, so its zeros stay
+    integrals = np.add.accumulate(np.concatenate((acc.integrals[-1:], steps)), axis=0)
+    acc.integrals = integrals[-len(ts):]
+    acc.maxima = np.maximum.accumulate(np.concatenate((acc.maxima[-1:], weighted)), axis=0)[1:]
+    acc.last_t = float(ts[-1])
+    acc._last_weighted_sq = integrand[-1]
     return acc

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.integrate import trapezoid
 
+from stripflow import diagnostics
 from stripflow import gevrey as gv
 from stripflow import paley
 from stripflow.diagnostics import decay_fit, energy_E1, energy_E_s
@@ -477,3 +478,86 @@ class TestRunDiagnostics:
         rate, r2 = decay_fit(series, window=(1.0, 11.0))
         assert -0.55 < rate < -0.45
         assert r2 > 0.99
+
+
+class TestBlockPass:
+    """The energies run the samples through the term tables a block at a time."""
+
+    TIMES = [0.0, 0.03, 0.1, 0.12, 0.2, 0.31, 0.5]
+
+    @staticmethod
+    def block_of(monkeypatch, g, n):
+        # BLOCK_BYTES counts the band rows of one component per sample
+        monkeypatch.setattr(diagnostics, "BLOCK_BYTES", n * 16 * g.band * g.Ny)
+
+    @staticmethod
+    def reports(samples):
+        return (energy_E_s(samples, 0.5, P), energy_E1(samples, 0.3, P),
+                energy_E1(samples, 0.3, P, decay_rates=False))
+
+    def test_block_size_changes_no_bit(self, monkeypatch):
+        g = Grid(32, 17)
+        samples = random_samples(g, np.random.default_rng(29), self.TIMES,
+                                 modes=(1, 2, 4), with_pair=True)
+        runs = []
+        for n in (1, 3, len(samples)):
+            self.block_of(monkeypatch, g, n)
+            runs.append(self.reports(samples))
+        for reps in zip(*runs):
+            first = reps[0]
+            for rep in reps[1:]:
+                assert np.array_equal(rep.times, first.times)
+                assert [name for name, _ in rep.columns()] == [
+                    name for name, _ in first.columns()]
+                for (name, got), (_, want) in zip(rep.columns(), first.columns()):
+                    assert np.array_equal(got, want), name
+                for key in ("u", "ut"):
+                    assert np.array_equal(rep.l2_norms[key], first.l2_norms[key])
+
+    def test_l2_norms_are_the_unweighted_norms(self):
+        g = Grid(32, 17)
+        samples = random_samples(g, np.random.default_rng(31), self.TIMES,
+                                 with_pair=True)
+        for rep in self.reports(samples):
+            for key in ("u", "ut"):
+                expect = np.array([l2_norm(getattr(smp, key)) for smp in samples])
+                assert np.array_equal(rep.l2_norms[key], expect), key
+
+    def test_time_going_back_across_blocks_raises(self, monkeypatch):
+        g = Grid(16, 9)
+        times = [0.0, 0.1, 0.05, 0.2]  # blocks of two: 0.05 opens the second
+        samples = random_samples(g, np.random.default_rng(37), times, with_pair=True)
+        self.block_of(monkeypatch, g, 2)
+        with pytest.raises(ValueError, match="non-monotone time sample"):
+            energy_E_s(samples, 0.5, P)
+        with pytest.raises(ValueError, match="non-monotone time sample"):
+            energy_E1(samples, 0.3, P)
+
+    #: Python and C calls that `sys.setprofile` saw per sample in energy_E_s
+    #: over 65 prandtl states at 32x33 when the energy was assembled one
+    #: sample at a time (Python 3.11, numpy 2.4)
+    BEFORE = 117
+
+    def test_energy_pass_makes_at_most_a_quarter_of_the_calls(self):
+        import sys
+
+        g = Grid(32, 33)
+        u0, u1 = gv.make_gevrey_data(g, P, amplitude=1e-4, m_max=2)
+        s = PrandtlState(u0, u1)
+        samples = [s]
+        for _ in range(64):
+            s = prandtl_step(s, 0.25 * g.dy)
+            samples.append(s)
+        energy_E_s(samples, 0.5, P)  # warm the caches
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            energy_E_s(samples, 0.5, P)
+        finally:
+            sys.setprofile(None)
+        assert calls <= len(samples) * self.BEFORE // 4, calls

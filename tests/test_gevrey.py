@@ -78,6 +78,18 @@ class TestTheta:
         with pytest.raises(ValueError, match="nonnegative"):
             theta(-0.1, DEFAULT)
 
+    def test_rejects_nan_time(self):
+        # theta_dot(nan) was nan, and apply_gevrey weighted by it silently
+        nan = float("nan")
+        for fn in (theta, theta_dot, radius):
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(nan, DEFAULT)
+            with pytest.raises(ValueError, match="nonnegative"):
+                fn(np.array([0.0, nan]), DEFAULT)
+        g = Grid(16, 9)
+        with pytest.raises(ValueError, match="nonnegative"):
+            apply_gevrey(Field.zeros(g), nan, DEFAULT, +1)
+
     def test_matches_rk4_ode_oracle(self):
         # integrate theta_dot with classic RK4, compare to the closed form
         p = GevreyParams(a=0.5, lam=1.0)
@@ -243,6 +255,37 @@ class TestApplyGevrey:
         out = apply_gevrey(f, 0.0, p, +1)
         assert np.all(np.isfinite(out.rows))
         assert out.rows[1, 0] == pytest.approx(np.exp(phi(0.0, g.xi[1], p)), rel=1e-14)
+
+    def test_block_of_rows_matches_each_field(self):
+        # rows with leading axes (component, sample), one time per sample:
+        # each field bit-identical to its own Field form, floors and trust
+        # horizons per field; the rows are weighted in place
+        g = self.grid()
+        u0, _ = make_gevrey_data(g, DEFAULT, amplitude=1e-3, m_max=12)
+        f = self.band_field(g, m_max=6, seed=2)
+        f.rows[7:10] = 3e-14 * np.abs(f.rows).max()
+        fields = [[u0, f, Field.zeros(g)], [-f, u0 * 1e-9, f]]
+        t = np.array([0.0, 0.9, 6.0])
+        for sign in (+1, -1):
+            rows = np.array([[fld.rows for fld in comp] for comp in fields])
+            rep = {}
+            out = apply_gevrey(rows, t, DEFAULT, sign, report=rep, grid=g)
+            assert out is rows
+            for i, comp in enumerate(fields):
+                for j, fld in enumerate(comp):
+                    one = {}
+                    expect = apply_gevrey(fld, float(t[j]), DEFAULT, sign, report=one)
+                    assert np.array_equal(out[i, j], expect.rows)
+                    if sign > 0:
+                        assert rep["trust_horizon"][i, j] == one["trust_horizon"]
+
+    def test_field_form_keeps_its_input(self):
+        g = self.grid()
+        f = self.band_field(g)
+        before = f.rows.copy()
+        for sign in (+1, -1):
+            apply_gevrey(f, 0.3, DEFAULT, sign)
+            assert np.array_equal(f.rows, before)
 
     def test_bad_sign_rejected(self):
         g = self.grid()

@@ -20,7 +20,7 @@ from stripflow.grid import (
     to_physical,
     to_spectral,
 )
-from stripflow.paley import S_k, bony, delta_k
+from stripflow.paley import S_k, bony, delta_k, get_bank
 
 
 def make_grid(Nx=64, Ny=33, Lx=2 * np.pi):
@@ -502,8 +502,8 @@ class TestBand:
         lambda f, h: (-f,),
         lambda f, h: (multiply(f, h),),
         lambda f, h: multiply((f, h), (h, f), (f, f)),
-        lambda f, h: (delta_k(f, 1),),
-        lambda f, h: (S_k(f, 1),),
+        lambda f, h: (delta_k(f, 1, get_bank(f.grid)),),
+        lambda f, h: (S_k(f, 1, get_bank(f.grid)),),
         lambda f, h: bony(f, h),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), +1),),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), -1),),

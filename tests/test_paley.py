@@ -111,9 +111,10 @@ class TestBlockProjectors:
         g = make_grid(Lx=2 * np.pi)  # xi = m
         f = Field.zeros(g)
         f.rows[3, :] = 1.0  # |xi| = 3 = 1.5 * 2^1 -> block k = 1
-        assert np.abs(delta_k(f, 1).coeff - f.coeff).max() < 1e-15  # phi(3/2) = 1
+        bank = get_bank(g)
+        assert np.abs(delta_k(f, 1, bank).coeff - f.coeff).max() < 1e-15  # phi(3/2) = 1
         for j in (-1, 3, 4):
-            assert np.abs(delta_k(f, j).coeff).max() == 0.0
+            assert np.abs(delta_k(f, j, bank).coeff).max() == 0.0
 
     def test_block_overlap_vanishes_at_distance_two(self):
         g = make_grid()
@@ -259,7 +260,7 @@ class TestBernstein:
         g = make_grid(Lx=2 * np.pi)
         f = Field.zeros(g)
         f.rows[3, :] = 1.0  # block 1, tau = 3 / 2 = 1.5
-        rep = bernstein_check(f, 1)
+        rep = bernstein_check(f, 1, get_bank(g))
         assert not rep.skipped
         assert rep.ratio == pytest.approx(1.5, rel=1e-12)
 
@@ -274,7 +275,7 @@ class TestBernstein:
 
     def test_zero_field_skipped(self):
         g = make_grid()
-        rep = bernstein_check(Field.zeros(g), 2)
+        rep = bernstein_check(Field.zeros(g), 2, get_bank(g))
         assert rep.skipped
         assert rep.ratio is None
 
@@ -287,12 +288,11 @@ class TestNormSeries:
         acc = NormSeries(s=0.5, bank=bank)
         T, n = 2.0, 40
         ts = np.linspace(0.0, T, n + 1)
-        for t in ts:
-            norm_series_update(acc, d, t, weight_value=1.0)
+        norm_series_update(acc, np.array([d] * (n + 1)), ts, weight_value=1.0)
         blocks = block_norms(d, bank)
         expect = np.sum(2.0 ** (bank.ks * 0.5) * np.sqrt(T) * blocks)
-        assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-12)
-        assert acc.sup_in_time() == pytest.approx(besov_norm(d, 0.5, bank), rel=1e-12)
+        assert acc.l2_in_time()[-1] == pytest.approx(float(expect), rel=1e-12)
+        assert acc.sup_in_time()[-1] == pytest.approx(besov_norm(d, 0.5, bank), rel=1e-12)
 
     def test_theta_dot_weight_mass(self):
         # closed-form envelope: theta_dot = sqrt(delta) e^{-K t / 2}
@@ -305,17 +305,16 @@ class TestNormSeries:
         acc = NormSeries(s=0.0, bank=bank)
         T, n = 3.0, 3000
         ts = np.linspace(0.0, T, n + 1)
-        for t in ts:
-            norm_series_update(acc, d, t, weight_value=theta_dot(t))
+        norm_series_update(acc, np.array([d] * (n + 1)), ts, weight_value=theta_dot(ts))
         blocks = block_norms(d, bank)
         expect = np.sum(np.sqrt(theta(T)) * blocks)
-        assert acc.l2_in_time() == pytest.approx(float(expect), rel=1e-8)
+        assert acc.l2_in_time()[-1] == pytest.approx(float(expect), rel=1e-8)
 
     def test_zero_field(self):
         g = make_grid()
         acc = NormSeries(s=0.5, bank=get_bank(g))
         for t in [0.0, 0.1, 0.2]:
-            norm_series_update(acc, y_density(Field.zeros(g)), t)
+            norm_series_update(acc, y_density(Field.zeros(g))[None], [t])
         assert acc.l2_in_time() == 0.0
         assert acc.sup_in_time() == 0.0
 
@@ -323,10 +322,10 @@ class TestNormSeries:
         g = make_grid()
         d = y_density(random_field(g, seed=16))
         acc = NormSeries(s=0.5, bank=get_bank(g))
-        norm_series_update(acc, d, 0.0)
-        norm_series_update(acc, d, 0.1)
+        norm_series_update(acc, d[None], [0.0])
+        norm_series_update(acc, d[None], [0.1])
         with pytest.raises(ValueError, match="non-monotone"):
-            norm_series_update(acc, d, 0.05)
+            norm_series_update(acc, d[None], [0.05])
 
     @given(st.lists(st.floats(0.0, 5.0), min_size=1, max_size=8))
     @settings(max_examples=20, deadline=None)
@@ -336,8 +335,8 @@ class TestNormSeries:
         acc = NormSeries(s=0.25, bank=get_bank(g), rate=1.0 / 6.0)
         prev = 0.0
         for i, w in enumerate(weights):
-            norm_series_update(acc, d, 0.1 * i, w)
-            cur = acc.l2_in_time()
+            norm_series_update(acc, d[None], [0.1 * i], w)
+            cur = acc.l2_in_time()[-1]
             assert cur >= prev - 1e-15
             prev = cur
 
@@ -362,15 +361,58 @@ class TestNormSeries:
         for i, t in enumerate(np.linspace(0.0, 1.0, 6)):
             dens = [y_density(2.0**-i * f) for f in fields]
             weights = [(0.3 + t) ** w for w in wpow]
-            norm_series_update(multi, np.array(dens), t, weights)
+            norm_series_update(multi, np.array(dens)[None], [t], [weights])
             for acc, d, w in zip(singles, dens, weights):
-                norm_series_update(acc, d, t, w)
-        assert multi.integrals.shape == multi.maxima.shape == (3, len(bank.ks))
+                norm_series_update(acc, d[None], [t], w)
+        assert multi.integrals.shape == multi.maxima.shape == (1, 3, len(bank.ks))
         for row, acc in enumerate(singles):
-            assert np.array_equal(multi.integrals[row], acc.integrals)
-            assert np.array_equal(multi.maxima[row], acc.maxima)
-            assert multi.l2_in_time()[row] == acc.l2_in_time()
-            assert multi.sup_in_time()[row] == acc.sup_in_time()
+            assert np.array_equal(multi.integrals[:, row], acc.integrals)
+            assert np.array_equal(multi.maxima[:, row], acc.maxima)
+            assert multi.l2_in_time()[:, row] == acc.l2_in_time()
+            assert multi.sup_in_time()[:, row] == acc.sup_in_time()
+
+
+    def test_blocks_match_sample_by_sample_bit_for_bit(self):
+        # blocks of 3 and 4 samples give the running values of one sample
+        # at a time, at every sample, and carry on across blocks
+        g = make_grid()
+        bank = get_bank(g)
+        fields = [random_field(g, seed=s) for s in (23, 24)]
+        ts = np.array([0.0, 0.05, 0.2, 0.21, 0.4, 0.7, 0.75, 1.0])
+        dens = np.array([[y_density(2.0**-i * f) for f in fields] for i in range(len(ts))])
+        weights = np.array([[1.0, 0.3 + t] for t in ts])
+        kw = dict(s=np.array([0.5, 0.75]), rate=np.array([1.0 / 6.0, 0.125]), bank=bank)
+        single, rows = NormSeries(**kw), []
+        for i in range(len(ts)):
+            norm_series_update(single, dens[i:i + 1], ts[i:i + 1], weights[i:i + 1])
+            rows.append((single.integrals[0], single.maxima[0],
+                         single.l2_in_time()[0], single.sup_in_time()[0]))
+        for cuts in ([3, 3, 2], [4, 4]):
+            block, lo = NormSeries(**kw), 0
+            for n in cuts:
+                sl = slice(lo, lo + n)
+                norm_series_update(block, dens[sl], ts[sl], weights[sl])
+                for k, (integ, maxi, l2, sup) in enumerate(rows[sl]):
+                    assert np.array_equal(block.integrals[k], integ)
+                    assert np.array_equal(block.maxima[k], maxi)
+                    assert np.array_equal(block.l2_in_time()[k], l2)
+                    assert np.array_equal(block.sup_in_time()[k], sup)
+                lo += n
+            assert block.last_t == single.last_t
+
+    def test_block_rejects_time_going_back(self):
+        g = make_grid()
+        d = y_density(random_field(g, seed=25))
+        acc = NormSeries(s=0.5, bank=get_bank(g))
+        norm_series_update(acc, np.array([d, d]), np.array([0.0, 0.1]))
+        with pytest.raises(ValueError, match="non-monotone time sample: t=0.05 after t=0.1"):
+            norm_series_update(acc, np.array([d, d]), np.array([0.05, 0.2]))
+        with pytest.raises(ValueError, match="non-monotone time sample: t=0.15 after t=0.2"):
+            norm_series_update(acc, np.array([d, d, d]), np.array([0.2, 0.15, 0.3]))
+        assert acc.last_t == 0.1  # a refused block leaves the series as it was
+        with pytest.raises(ValueError, match="non-monotone"):
+            norm_series_update(NormSeries(s=0.5, bank=get_bank(g)), np.array([d, d]),
+                               np.array([0.1, 0.1]))
 
 
 class TestDensityInput:
