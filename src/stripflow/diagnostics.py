@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey, radius, theta_dot
-from .grid import rows_density, y_diff
+from .grid import Field, dx, dy, l2_norm, y_density
 from .paley import NormSeries, besov_norm, get_bank, norm_series_update
 
 #: bytes of one component's band rows gathered into a block of the energy
@@ -174,12 +174,12 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     """Run the samples through the terms of `table`, a block at a time.
 
     A block gathers the rows `comps` of consecutive samples, BLOCK_BYTES of
-    each, to (len(comps), B, band, Ny); a None in `comps` is a slot that
-    `parts` fills, and comps start with u and ut, whose unweighted
-    densities give `l2_norms`.  `parts(grid, rows, t, theta_dot, report)`
-    weights `rows` in place, stores their trust horizons in `report` and
-    returns the (B, band) mode densities of the named weighted components;
-    `K` is the unit of the table's rates.  One NormSeries row per term
+    each, into one stacked Field (len(comps), B, band, Ny); a None in
+    `comps` is a slot that `parts` fills, and comps hold u first and ut
+    third, whose unweighted densities give `l2_norms`.  `parts(block, t,
+    theta_dot, report)` weights the block, stores its trust horizons in
+    `report` and returns the (B, band) mode densities of the named weighted
+    components; `K` is the unit of the table's rates.  One NormSeries row per term
     takes its components' densities, summed in order.  Each sample's
     arithmetic, and its order, is that of one sample at a time, so the
     block size changes no bit.
@@ -219,10 +219,10 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
             if name is not None:
                 np.concatenate([getattr(smp, name).rows for smp in block],
                                out=out.reshape(-1, g.Ny))
-        l2[:, lo:hi] = np.sqrt(g.Lx * rows_density(g, gathered[:2]).sum(axis=-1))
+        l2[:, lo:hi] = l2_norm(Field(g, gathered[:3:2]))
         rep: dict = {}
         td = theta_dot(t, p)
-        dens = parts(g, gathered, t, td, rep)
+        dens = parts(Field(g, gathered), t, td, rep)
         horizon[lo:hi] = rep["trust_horizon"][0]
         term_dens = np.empty((len(block), len(rows), g.band))
         for i, row in enumerate(rows):
@@ -258,20 +258,21 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
 def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
     """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
 
-    def parts(g, rows, t, td, rep):
-        y_diff(rows[0], g.dy, 1, out=rows[2])
-        # u, ut and dy u, each weighted with its own spectral floor
-        u, ut, dy_u = apply_gevrey(rows, t, p, +1, report=rep, grid=g)
-        dens = {"u": rows_density(g, u), "ut": rows_density(g, ut),
-                "dy_u": rows_density(g, dy_u)}
+    def parts(block, t, td, rep):
+        g = block.grid
+        dy(Field(g, block.rows[0]), out=block.rows[1])
+        # u, dy u and ut, each weighted with its own spectral floor
+        weighted = apply_gevrey(block, t, p, +1, report=rep)
+        dens = dict(zip(("u", "dy_u", "ut"), y_density(weighted)))
         # dt(u_Phi) = ut_Phi - lam theta_dot |D_x|^{1/2} u_Phi, in the rows of
-        # dy u; sqrt(xi) is the multiplier of `grid.frac_dx`
-        dt_of_u = np.multiply(u, np.sqrt(g.band_xi)[:, None], out=dy_u)
+        # dy u
+        u, dt_of_u, ut = weighted.rows
+        np.multiply(u, np.sqrt(g.band_xi)[:, None], out=dt_of_u)
         dt_of_u *= (p.lam * td)[:, None, None]
-        dens["dt_of_u"] = rows_density(g, np.subtract(ut, dt_of_u, out=dt_of_u))
+        dens["dt_of_u"] = y_density(Field(g, np.subtract(ut, dt_of_u, out=dt_of_u)))
         return dens
 
-    return _assemble(list(samples), s, p, p.K, E_S_TABLE, ("u", "ut", None), parts)
+    return _assemble(list(samples), s, p, p.K, E_S_TABLE, ("u", None, "ut"), parts)
 
 
 def energy_E1(
@@ -288,23 +289,21 @@ def energy_E1(
            for smp in samples):
         raise ValueError("energy_E1 needs v and vt on every sample")
 
-    def parts(g, rows, t, td, rep):
-        u, ut, v, vt = apply_gevrey(rows, t, p, +1, report=rep, grid=g)
-        v *= eps  # (eps v)_Phi
-        vt *= eps
-        dens = {"u": rows_density(g, u), "ut": rows_density(g, ut),
-                "ev": rows_density(g, v), "evt": rows_density(g, vt)}
-        # the derivatives of u and ev go into the rows of ut and evt
-        dx = 1j * g.band_xi[:, None]  # the multiplier of `grid.dx`
-        for name, f, out in (("u", u, ut), ("ev", v, vt)):
-            np.multiply(f, dx, out=out)
-            out *= eps
-            dens["eps_dx_" + name] = rows_density(g, out)
-            dens["dy_" + name] = rows_density(g, y_diff(f, g.dy, 1, out=out))
+    def parts(block, t, td, rep):
+        g = block.grid
+        weighted = apply_gevrey(block, t, p, +1, report=rep).rows
+        weighted[1::2] *= eps  # (eps v)_Phi and (eps vt)_Phi
+        dens = dict(zip(("u", "ev", "ut", "evt"), y_density(Field(g, weighted))))
+        # the derivatives of the pair q = (u, ev) go into the rows of qt
+        q, qt = Field(g, weighted[:2]), weighted[2:]
+        dx(q, out=qt)
+        qt *= eps
+        dens["eps_dx_u"], dens["eps_dx_ev"] = y_density(Field(g, qt))
+        dens["dy_u"], dens["dy_ev"] = y_density(dy(q, out=qt))
         return dens
 
     return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE,
-                     ("u", "ut", "v", "vt"), parts)
+                     ("u", "v", "ut", "vt"), parts)
 
 
 def decay_fit(series, window=None) -> tuple[float, float]:

@@ -106,42 +106,39 @@ def phi(t, xi, p: GevreyParams):
     return radius(t, p) * np.sqrt(np.abs(xi))
 
 
-def apply_gevrey(f, t, p: GevreyParams, sign: int, report: dict | None = None,
-                 grid: Grid | None = None):
-    """Multiply band row m by e^{sign Phi(t, xi_m)}.
+def apply_gevrey(f: Field, t, p: GevreyParams, sign: int,
+                 report: dict | None = None) -> Field:
+    """Multiply band row m by e^{sign Phi(t, xi_m)}, into a new Field.
 
-    `f` is a Field, weighted into a new Field, or, with its `grid` given,
-    band rows with leading axes (..., Nx//3 + 1, Ny), weighted in place and
-    returned; `t` broadcasts against those leading axes (one time per
-    sample of a block).  For sign = +1 (amplification) two guards apply: in
-    each field, coefficients below SPECTRAL_FLOOR relative to its max
-    modulus are zeroed before weighting, and the factor e^{Phi} at the
-    largest band frequency, the largest one a Field holds, must not
-    overflow float64 for O(1) coefficients.  If `report` is a dict its one
-    key "trust_horizon" receives, per field, the largest band |xi| at which
-    Phi + log(relative coefficient) still exceeds -3, i.e. where the
-    weighted output stands above amplified roundoff (0.0 if none does).
+    `f` may hold a stack of fields, and `t` broadcasts against its leading
+    axes (one time per sample of a block).  For sign = +1 (amplification)
+    two guards apply: in each field, coefficients below SPECTRAL_FLOOR
+    relative to its max modulus are zeroed before weighting, and the factor
+    e^{Phi} at the largest band frequency, the largest one a Field holds,
+    must not overflow float64 for O(1) coefficients.  If `report` is a dict
+    its one key "trust_horizon" receives, per field, the largest band |xi|
+    at which Phi + log(relative coefficient) still exceeds -3, i.e. where
+    the weighted output stands above amplified roundoff (0.0 if none does).
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    if grid is None:
-        return Field(f.grid, apply_gevrey(f.rows.copy(), t, p, sign, report, f.grid))
+    grid, w = f.grid, f.rows.copy()
     ph = np.multiply.outer(radius(t, p), np.sqrt(grid.band_xi))  # (..., band)
     if sign < 0:
-        f *= np.exp(-ph)[..., None]
-        return f
+        w *= np.exp(-ph)[..., None]
+        return Field(grid, w)
     top = ph[..., -1].max()
     if top > _EXP_OVERFLOW:
         raise OverflowError(
             f"Gevrey weight e^{{{top:.1f}}} at |xi|={grid.band_xi[-1]:.1f} "
             "overflows float64; shrink the radius or the grid"
         )
-    mag = np.abs(f)
+    mag = np.abs(w)
     scale = mag.max(axis=(-2, -1), keepdims=True)
     floor = SPECTRAL_FLOOR * scale
     floored = mag < floor  # none if the field is zero
-    f *= np.exp(ph)[..., None]
-    np.copyto(f, 0.0, where=floored)
+    w *= np.exp(ph)[..., None]
+    np.copyto(w, 0.0, where=floored)
     if report is not None:
         # a row's largest coefficient that is not floored: its max, or none
         mode_mag = mag.max(axis=-1)
@@ -151,7 +148,7 @@ def apply_gevrey(f, t, p: GevreyParams, sign: int, report: dict | None = None,
         # band_xi[0] is 0.0, so a field with no trusted row reports 0.0
         horizon = np.where(level > TRUST_LOG_LEVEL, grid.band_xi, 0.0).max(axis=-1)
         report["trust_horizon"] = float(horizon) if horizon.ndim == 0 else horizon
-    return f
+    return Field(grid, w)
 
 
 def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,

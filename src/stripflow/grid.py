@@ -15,6 +15,11 @@ and checks that nothing is dropped; `Grid.unfold` rebuilds the full
 spectrum.  A Field is its band, and so is every per-mode array (densities,
 weights, multipliers).  Every conjugate mirror is written in this module.
 
+A Field may hold a stack of fields: band rows with any leading axes,
+(..., Nx//3 + 1, Ny).  Every operator acts field by field over the leading
+axes, each field with the arithmetic of a single one, except `multiply`,
+whose leading axis indexes a fused sum of products.
+
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
 The y direction is a uniform node set with second-order centered
@@ -31,17 +36,14 @@ __all__ = [
     "to_spectral",
     "to_physical",
     "dx",
-    "frac_dx",
     "dy",
     "dyy",
     "dy_matrix",
     "y_diff",
-    "unstack",
     "cumulative_trapezoid",
     "mean_y",
     "l2_norm",
     "y_density",
-    "rows_density",
     "multiply",
 ]
 
@@ -96,13 +98,15 @@ class Grid:
         and an array from here must never be handed out as a result.  Two
         states on one Grid must never step at the same time (two threads that
         did corrupted each other's RK stages)."""
-        view = self._views.get((name, shape, dtype))
-        if view is None:
-            size, buf = int(np.prod(shape)), self._work.get((name, dtype))
-            if buf is None or buf.size < size:  # grow, dropping the old views
-                buf = self._work[name, dtype] = np.empty(size, dtype)
-                self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
-            view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
+        try:
+            return self._views[name, shape, dtype]
+        except KeyError:  # a first request of this shape
+            pass
+        size, buf = int(np.prod(shape)), self._work.get((name, dtype))
+        if buf is None or buf.size < size:  # grow, dropping the old views
+            buf = self._work[name, dtype] = np.empty(size, dtype)
+            self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
+        view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
         return view
 
     def fold(self, full: np.ndarray) -> np.ndarray:
@@ -156,14 +160,15 @@ class Grid:
 
 
 class Field:
-    """Coefficients of a real dealiased field on a grid, with light arithmetic.
+    """Coefficients of real dealiased fields on a grid, with light arithmetic.
 
-    A Field is its band: `rows` has shape (band, Ny), the rows m = 0..Nx/3
-    (see `Grid.fold`), viewed, not copied; every operator returns a band
-    Field.  A full spectrum (Nx, Ny) is accepted as input only and folded,
-    which raises ValueError on content the band would drop.  `coeff` is the
-    full spectrum, unfolded on every read into a read-only array, so a
-    write through it raises instead of being lost.
+    A Field is its band: `rows` has shape (..., band, Ny), the rows
+    m = 0..Nx/3 (see `Grid.fold`) of one field or of a stack of fields with
+    any leading axes, viewed, not copied; every operator returns a band
+    Field.  Full spectra (..., Nx, Ny) are accepted as input only and
+    folded, which raises ValueError on content the band would drop.
+    `coeff` is the full spectrum, unfolded on every read into a read-only
+    array, so a write through it raises instead of being lost.
     """
 
     __slots__ = ("grid", "rows")
@@ -171,12 +176,13 @@ class Field:
     def __init__(self, grid: Grid, coeff: np.ndarray):
         if type(coeff) is not np.ndarray or coeff.dtype != np.complex128:
             coeff = np.asarray(coeff, dtype=np.complex128)
-        if coeff.shape == (grid.Nx, grid.Ny):
+        shape = coeff.shape[-2:]
+        if shape == (grid.Nx, grid.Ny):
             coeff = grid.fold(coeff)
-        elif coeff.shape != (grid.band, grid.Ny):
+        elif shape != (grid.band, grid.Ny):
             raise ValueError(
-                f"coefficient shape {coeff.shape} does not match grid "
-                f"(Nx, Ny) = {(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)}"
+                f"coefficient shape {coeff.shape} does not match grid (Nx, Ny) = "
+                f"{(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)} in its last two axes"
             )
         self.grid = grid
         self.rows = coeff
@@ -215,12 +221,6 @@ class Field:
         return Field(self.grid, -self.rows)
 
 
-def unstack(grid: Grid, arr: np.ndarray) -> tuple[Field, ...]:
-    """Fields viewing the rows of a stacked (n, band, Ny) array (no copy);
-    a Field is its band."""
-    return tuple(Field(grid, row) for row in arr)
-
-
 def to_spectral(grid: Grid, values: np.ndarray) -> Field:
     """Transform physical values (real, Nx x Ny) to a spectral Field.  A
     Field is its band, so values that are not dealiased raise ValueError
@@ -237,36 +237,24 @@ def to_spectral(grid: Grid, values: np.ndarray) -> Field:
 
 
 def to_physical(f: Field) -> np.ndarray:
-    """Transform back to physical values.
+    """Transform back to physical values (..., Nx, Ny), x along axis -2.
 
     A band Field is conjugate-symmetric by construction except for its mean
     row m = 0, which must be real: an imaginary part beyond 1e-12 of
-    max |rows| raises ValueError rather than being dropped."""
-    defect = np.abs(f.rows[0].imag).max()
-    if defect > 1e-12 * np.abs(f.rows).max():
+    max |rows| of its field raises ValueError rather than being dropped."""
+    defect = np.abs(f.rows[..., 0, :].imag).max(axis=-1)
+    bad = defect > 1e-12 * np.abs(f.rows).max(axis=(-2, -1))
+    if bad.any():
         raise ValueError(
             f"field is not conjugate-symmetric (mean row m = 0 has imaginary "
-            f"part {defect:.3e}); refusing to drop imaginary parts"
+            f"part {defect.max():.3e}); refusing to drop imaginary parts"
         )
-    return np.fft.ifft(f.coeff, axis=0, norm="forward").real
+    return np.fft.ifft(f.coeff, axis=-2, norm="forward").real
 
 
-def dx(f: Field) -> Field:
-    """Horizontal derivative: multiply by i*xi."""
-    return Field(f.grid, f.rows * f.grid._dx_rows)
-
-
-def frac_dx(f: Field, s: float) -> Field:
-    """Fractional horizontal derivative |D_x|^s (xi-multiplier |xi|^s).
-
-    For s < 0 the m = 0 mode is set to zero instead of diverging.
-    """
-    if s == 0.0:
-        return f.copy()
-    xi = f.grid.band_xi
-    nonzero = xi > 0.0
-    mult = np.where(nonzero, xi, 1.0) ** s * nonzero
-    return Field(f.grid, f.rows * mult[:, None])
+def dx(f: Field, out: np.ndarray | None = None) -> Field:
+    """Horizontal derivative: multiply by i*xi, into `out` if given."""
+    return Field(f.grid, np.multiply(f.rows, f.grid._dx_rows, out=out))
 
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
@@ -332,21 +320,23 @@ def y_diff(c: np.ndarray, h: float, order: int,
     terms = c.reshape(-1, n).T.take(nodes, axis=0)
     terms *= weights if r == 2 else weights.real
     walls = terms[:2]
-    for k in range(2, len(nodes), 2):
+    for k in range(2, terms.shape[0], 2):
         walls += terms[k:k + 2]
     out.reshape(-1, n)[:, ::n - 1] = walls.T
     dst *= 1.0 / (div * h ** order)  # what complex / real computes
     return out
 
 
-def dy(f: Field) -> Field:
-    """d/dy: centered second order inside, one-sided second order at walls."""
-    return Field(f.grid, y_diff(f.rows, f.grid.dy, 1))
+def dy(f: Field, out: np.ndarray | None = None) -> Field:
+    """d/dy: centered second order inside, one-sided second order at walls;
+    into `out` if given (see `y_diff`)."""
+    return Field(f.grid, y_diff(f.rows, f.grid.dy, 1, out))
 
 
-def dyy(f: Field) -> Field:
-    """d2/dy2: centered second order inside, one-sided second order at walls."""
-    return Field(f.grid, y_diff(f.rows, f.grid.dy, 2))
+def dyy(f: Field, out: np.ndarray | None = None) -> Field:
+    """d2/dy2: centered second order inside, one-sided second order at walls;
+    into `out` if given (see `y_diff`)."""
+    return Field(f.grid, y_diff(f.rows, f.grid.dy, 2, out))
 
 
 def dy_matrix(Ny: int) -> np.ndarray:
@@ -377,60 +367,59 @@ def cumulative_trapezoid(c: np.ndarray, h: float,
 
 def mean_y(f: Field) -> np.ndarray:
     """Per-mode trapezoid integral over [0, 1] of the band rows m = 0..Nx/3
-    (a complex array of length Nx//3 + 1).  A row -m holds the conjugate of
+    (a complex array (..., Nx//3 + 1)).  A row -m holds the conjugate of
     row m's integral and the rows past the band zero, so the band gives the
     largest |mean| of the whole spectrum."""
-    return f.rows @ f.grid.trapz_w
+    return f.rows @ f.grid.trapz_w  # a gemv per field
 
 
 def y_density(f: Field) -> np.ndarray:
     """Trapezoid-in-y integral of |c[m, y]|^2 per band row m = 0..Nx/3, a row
-    m >= 1 doubled to count its mirror -m: the energy of the whole spectrum."""
-    return rows_density(f.grid, f.rows)
-
-
-def rows_density(grid: Grid, rows: np.ndarray) -> np.ndarray:
-    """`y_density` of band rows with any leading axes (..., Nx//3 + 1, Ny), a
-    stack of fields in one pass; each row is bit-identical to its own."""
-    sq = rows.real ** 2
-    sq += rows.imag ** 2
-    dens = sq @ grid.trapz_w  # a gemv per field
+    m >= 1 doubled to count its mirror -m: the energy of the whole spectrum,
+    (..., Nx//3 + 1) for a stack, all fields in one pass."""
+    sq = f.rows.real ** 2
+    sq += f.rows.imag ** 2
+    dens = sq @ f.grid.trapz_w  # a gemv per field
     dens[..., 1:] *= 2.0  # exact: the mirror's density is bit-identical
     return dens
 
 
-def l2_norm(f: Field) -> float:
-    """L2 norm on the strip: Parseval in x (weight Lx), trapezoid in y."""
-    return float(np.sqrt(f.grid.Lx * y_density(f).sum()))
+def l2_norm(f: Field):
+    """L2 norm on the strip: Parseval in x (weight Lx), trapezoid in y; a
+    float, or an array of one norm per field of a stack."""
+    norm = np.sqrt(f.grid.Lx * y_density(f).sum(axis=-1))
+    return float(norm) if norm.ndim == 0 else norm
 
 
-def _physical(grid: Grid, name: str, fields) -> list[np.ndarray]:
-    """Real physical values of `fields`, two per inverse transform (a + ib),
-    as views of the grid's `name` work stack."""
-    n = len(fields)
+def _physical(grid: Grid, name: str, rows: np.ndarray) -> list[np.ndarray]:
+    """Real physical values of the fields of the (n, band, Ny) stack `rows`,
+    two per inverse transform (a + ib), as views of the grid's `name` work
+    stack."""
+    n = rows.shape[0]
     buf = grid.work(name, ((n + 1) // 2, grid.Nx, grid.Ny))
     vals = []
     for z, k in zip(buf, range(0, n, 2)):
         pair = k + 1 < n
-        _pack(fields[k], fields[k + 1] if pair else None, z)
+        _pack(grid, rows[k], rows[k + 1] if pair else None, z)
         np.fft.ifft(z, axis=0, norm="forward", out=z)
         vals += [z.real, z.imag] if pair else [z.real]
     return vals
 
 
-def _pack(a: Field, b: Field | None, out: np.ndarray) -> np.ndarray:
+def _pack(grid: Grid, a: np.ndarray, b: np.ndarray | None, out: np.ndarray) -> np.ndarray:
     """a + ib into `out`, the full spectrum of the complex physical field
-    a + ib (of a alone when b is None).  Rows m = 0..Nx/3 are A + iB and
-    rows -m are conj(A) + i conj(B) (two real fields in one complex
-    transform: Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
+    a + ib of the band rows a and b (of a alone when b is None).  Rows
+    m = 0..Nx/3 are A + iB and rows -m are conj(A) + i conj(B) (two real
+    fields in one complex transform: Press et al., Numerical Recipes, 3rd
+    ed., 12.3.2)."""
     if b is None:
-        return a.grid.unfold(a.rows, out)
-    K, Nx = a.grid.band - 1, a.grid.Nx
+        return grid.unfold(a, out)
+    K, Nx = grid.band - 1, grid.Nx
     lo, hi = out[:K + 1], out[Nx - K:]
-    np.multiply(b.rows, 1j, out=lo)
-    np.subtract(a.rows[K:0:-1], lo[K:0:-1], out=hi)  # conj(A - iB), rows -1..-K
+    np.multiply(b, 1j, out=lo)
+    np.subtract(a[K:0:-1], lo[K:0:-1], out=hi)  # conj(A - iB), rows -1..-K
     np.conj(hi, out=hi)
-    lo += a.rows
+    lo += a
     out[K + 1:Nx - K] = 0.0
     return out
 
@@ -445,19 +434,20 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s + r), -0.5j * (s - r)
 
 
-def multiply(f, g, h=None) -> Field | tuple[Field, Field]:
+def multiply(f: Field, g: Field, h: Field | None = None) -> Field | tuple[Field, Field]:
     """Dealiased pointwise product of two real fields.
 
-    `f` and `g` may also be equal-length sequences of real fields; the
-    result is then the dealiased sum f[0] g[0] + f[1] g[1] + ...  Factors
-    go to physical x two per inverse transform (real a, b ride as a + ib),
-    the products are summed there, and the sum takes one forward transform
-    and one dealias (the 2/3 rule is linear).  A sum of n products thus
-    costs n + 1 transforms instead of 3n.  An odd last pair is transformed
-    factor by factor, so two single fields take two inverse transforms and
-    one forward transform.
+    `f` and `g` may also hold equal-length stacks of fields, (n, band, Ny);
+    the leading axis then indexes a fused sum, and the result is the one
+    dealiased field f[0] g[0] + f[1] g[1] + ...  Factors go to physical x
+    two per inverse transform (real a, b ride as a + ib), the products are
+    summed there, and the sum takes one forward transform and one dealias
+    (the 2/3 rule is linear).  A sum of n products thus costs n + 1
+    transforms instead of 3n.  An odd last pair is transformed factor by
+    factor, so two single fields take two inverse transforms and one
+    forward transform.
 
-    Two-output form: with `h`, a sequence as long as `f`, the result is the
+    Two-output form: with `h`, a Field stacked as `f` is, the result is the
     pair of dealiased sums f[0] g[0] + f[1] g[1] + ... and f[0] h[0] +
     f[1] h[1] + ...  The factors of `f` go to physical x once for both
     outputs, the k-th factors of g and h share one inverse transform
@@ -470,16 +460,20 @@ def multiply(f, g, h=None) -> Field | tuple[Field, Field]:
     step silences it (`stepper.rk4_step`), because the solvers' finiteness
     checks turn it into an abort.
     """
-    fs = (f,) if isinstance(f, Field) else tuple(f)
-    gs = (g,) if isinstance(g, Field) else tuple(g)
-    hs = () if h is None else tuple(h)
-    if not fs or len(gs) != len(fs) or (h is not None and len(hs) != len(fs)):
+    fs, gs, hs = f.rows, g.rows, None if h is None else h.rows
+    lead = fs.shape[:-2]
+    if (lead[1:] or lead == (0,) or gs.shape[:-2] != lead
+            or (h is not None and hs.shape[:-2] != lead)):
         raise ValueError(f"multiply needs equal-length, non-empty f, g (and h if given), "
-                         f"got lengths {len(fs)}, {len(gs)} and {len(hs)}")
-    grid = fs[0].grid
-    for x in fs + gs + hs:
-        if x.grid is not grid:
-            fs[0]._check_same_grid(x)
+                         f"got leading shapes {lead}, {gs.shape[:-2]} and "
+                         f"{None if h is None else hs.shape[:-2]}")
+    grid = f.grid
+    for x in (g, h):
+        if x is not None and x.grid is not grid:
+            f._check_same_grid(x)
+    if not lead:  # single fields: stacks of one
+        fs, gs = fs[None], gs[None]
+        hs = None if h is None else hs[None]
 
     fv = _physical(grid, "multiply.f", fs)
     if h is None:
@@ -493,9 +487,10 @@ def multiply(f, g, h=None) -> Field | tuple[Field, Field]:
     total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
     for k, (fk, gk, hk) in enumerate(zip(fv, gs, hs)):
         dst = total if k == 0 else z
-        np.fft.ifft(_pack(gk, hk, dst), axis=0, norm="forward", out=dst)
+        np.fft.ifft(_pack(grid, gk, hk, dst), axis=0, norm="forward", out=dst)
         dst *= fk
         if k:
             total += z
     np.fft.fft(total, axis=0, norm="forward", out=total)
-    return tuple(Field(grid, part) for part in _split_pair(grid, total))
+    even, odd = _split_pair(grid, total)
+    return Field(grid, even), Field(grid, odd)

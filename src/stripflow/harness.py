@@ -35,7 +35,7 @@ from . import __version__
 from .blas import one_blas_thread
 from .diagnostics import EnergyReport, energy_E1, energy_E_s
 from .gevrey import GevreyParams, make_gevrey_data
-from .grid import Field, Grid, unstack
+from .grid import Field, Grid
 from .hns import N_PROJ, HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, prandtl_step, recover_v
 from .stepper import CFL_FACTOR, SolverAbort
@@ -291,9 +291,9 @@ def read_snapshot(path):
     if len(raw) != need:  # before a Grid of a corrupt header's size is built
         raise ValueError(f"{path}: expected {need} bytes, found {len(raw)}")
     g = Grid(Nx, Ny, Lx=Lx)
-    stack = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    stack = g.fold(stack.reshape(len(cls.ROWS), Nx, Ny))
-    return cls(**dict(zip(cls.ROWS, unstack(g, stack))), t=t, **extra)
+    spectra = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
+    rows = Field(g, spectra.reshape(len(cls.ROWS), Nx, Ny)).rows
+    return cls(*(Field(g, r) for r in rows), t=t, **extra)
 
 
 # ---------------------------------------------------------------------------
@@ -574,11 +574,13 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
 
     cores = len(os.sched_getaffinity(0))
     workers = min(cores, len(cfg.eps_list)) if blas_threads else 1
-    try:  # each reference sample is one (u, v, ut, vt) band stack, v and vt slaved
-        ref_times, reference = zip(*(
-            (s.t, np.stack([s.stack[0], recover_v(s.u).rows,
-                            s.stack[1], recover_v(s.ut).rows]))
-            for s in trajectory(None)))
+    def slaved(s):
+        """The (u, v, ut, vt) band stack of a reference state, v and vt slaved."""
+        v, vt = recover_v(Field(s.grid, s.stack)).rows
+        return np.stack([s.stack[0], v, s.stack[1], vt])
+
+    try:
+        ref_times, reference = zip(*((s.t, slaved(s)) for s in trajectory(None)))
     except SolverAbort as exc:
         raise RuntimeError(f"sweep reference (prandtl) aborted: {exc}") from exc
     for r in reference:  # the members' rule: a difference is +0.0 where both are pinned

@@ -47,8 +47,8 @@ from functools import cache
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, l2_norm, mean_y,
-                   multiply, unstack, y_diff)
+from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, dyy, l2_norm, mean_y,
+                   multiply)
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -90,10 +90,14 @@ class HnsState(StackedState):
         return dx(self.u) + dy(self.v)
 
     def divergence_rel(self) -> float:
-        scale = l2_norm(dx(self.u)) + l2_norm(dy(self.v))
+        """|dx u + dy v| relative to |dx u| + |dy v|, from one dx u and dy v."""
+        ux, vy = dx(self.u).rows, dy(self.v).rows
+        parts = Field(self.grid, np.stack([ux, vy, ux + vy]))
+        norm_ux, norm_vy, norm_div = l2_norm(parts).tolist()
+        scale = norm_ux + norm_vy
         if scale == 0.0:
             return 0.0
-        return l2_norm(self.divergence()) / scale
+        return norm_div / scale
 
     def energy(self) -> float:
         """Graph (Lyapunov) energy of the damped-wave pair.
@@ -105,12 +109,13 @@ class HnsState(StackedState):
         v terms) is monotone along the damped wave up to small-data terms.
         """
         e2 = self.eps**2
+        q, qt = Field(self.grid, self.stack[:2]), Field(self.grid, self.stack[2:])
+        (xu, xv), (yu, yv), (tu, tv) = (l2_norm(f).tolist() for f in (dx(q), dy(q), qt))
 
-        def graph(f, ft):
-            return (e2 * l2_norm(dx(f)) ** 2 + l2_norm(dy(f)) ** 2
-                    + l2_norm(ft) ** 2)
+        def graph(x, y, t):
+            return e2 * x ** 2 + y ** 2 + t ** 2
 
-        return graph(self.u, self.ut) + e2 * graph(self.v, self.vt)
+        return graph(xu, yu, tu) + e2 * graph(xv, yv, tv)
 
     def check_invariants(self):
         super().check_invariants()
@@ -221,11 +226,13 @@ def _get_projector(grid, eps: float) -> _Projector:
     return _Projector(grid, eps)
 
 
-def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
-    """Return band corrections (c1, c2) and the potential q such that the
-    divergence of (f1 - c1, f2 - c2) vanishes at every mode 1..Nx/3; f1 and
-    f2 are band rows (band, Ny), and their mean rows are untouched."""
+def _project_pair(grid, eps, f: np.ndarray):
+    """Return the band corrections c = (c1, c2), one (2, band, Ny) stack, and
+    the potential q such that the divergence of f - c vanishes at every
+    mode 1..Nx/3; f = (f1, f2) is a pair of band rows, and its mean rows
+    are untouched."""
     proj = _get_projector(grid, eps)
+    f1, f2 = f
     nm, Ny = proj.modes.size, grid.Ny
     pos = slice(1, nm + 1)  # modes 1 .. Nx/3
     xi = grid.xi[pos, None]
@@ -241,11 +248,12 @@ def _project_pair(grid, eps, f1: np.ndarray, f2: np.ndarray):
     z *= proj._scale
     out = np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
     q = np.zeros_like(f1)
-    c2 = np.zeros_like(f2)
-    for f, cols in ((q, slice(0, Ny)), (c2, slice(Ny, 2 * Ny))):
-        f.real[pos] = out[:nm, cols]
-        f.imag[pos] = out[nm:, cols]
-    return q * proj._c1_mult, c2, q
+    c = np.zeros_like(f)
+    for dst, cols in ((q, slice(0, Ny)), (c[1], slice(Ny, 2 * Ny))):
+        dst.real[pos] = out[:nm, cols]
+        dst.imag[pos] = out[nm:, cols]
+    np.multiply(q, proj._c1_mult, out=c[0])
+    return c, q
 
 
 # ---------------------------------------------------------------------------
@@ -269,19 +277,22 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     g = state.grid
     eps = state.eps
     y = state.stack
-    uv = y[:2]
+    uv = Field(g, y[:2])
 
-    dx_uv, dy_uv = g.work("hns.dx", uv.shape), g.work("hns.dy", uv.shape)
-    acc = y_diff(uv, g.dy, 2, out=out)
-    np.multiply(uv.view(np.float64), eps**2 * g._dxx_rows,
-                out=dx_uv.view(np.float64))
-    acc += dx_uv
+    # the x and y derivatives of (u, v), in the grid's "advection" work
+    # stack shared with the limit system's advection
+    grad = g.work("advection", (2, 2, g.band, g.Ny))
+    acc = dyy(uv, out=out).rows
+    np.multiply(uv.rows.view(np.float64), eps**2 * g._dxx_rows,
+                out=grad[0].view(np.float64))
+    acc += grad[0]
     acc -= y[2:]
     N2 = None
     if not disable_nonlinear:
-        ux, vx = unstack(g, np.multiply(uv, g._dx_rows, out=dx_uv))
-        uy, vy = unstack(g, y_diff(uv, g.dy, 1, out=dy_uv))
-        N1, N2 = multiply((state.u, state.v), (ux, uy), (vx, vy))
+        dx(uv, out=grad[0])
+        dy(uv, out=grad[1])
+        # N1 = u u_x + v u_y and N2 = u v_x + v v_y
+        N1, N2 = multiply(uv, Field(g, grad[:, 0]), Field(g, grad[:, 1]))
         acc[0] -= N1.rows
         acc[1] -= N2.rows
     state.pin(acc)  # the x-mean of v is pinned, not solved for
@@ -290,9 +301,8 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
         raise SolverAbort("non-finite acceleration", state)
 
     if not disable_pressure:
-        c1, c2, q = _project_pair(g, eps, acc[0], acc[1])
-        acc[0] -= c1
-        acc[1] -= c2
+        c, q = _project_pair(g, eps, acc)
+        acc -= c
         if report is not None:
             # mean-mode pressure profile is diagnostic only:
             # d_y p = -eps^2 N2 at the mean mode (v, Lv vanish there)
@@ -304,7 +314,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
         if not np.all(np.isfinite(acc)):
             raise SolverAbort("non-finite acceleration", state)
 
-    return (state.ut, state.vt) + unstack(g, acc)
+    return state.ut, state.vt, Field(g, acc[0]), Field(g, acc[1])
 
 
 def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
@@ -362,12 +372,11 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     y = state.stack
     new = np.empty_like(y) if out is None else out
     mags = {}
-    for name, row in (("uv", 0), ("ut_vt", 2)):
-        c1, c2, _ = _project_pair(g, eps, y[row], y[row + 1])
-        np.subtract(y[row], c1, out=new[row])
-        np.subtract(y[row + 1], c2, out=new[row + 1])
-        mags[name] = float(np.sqrt(
-            l2_norm(Field(g, c1)) ** 2 + l2_norm(Field(g, c2)) ** 2))
+    for name, pair in (("uv", slice(0, 2)), ("ut_vt", slice(2, 4))):
+        c, _ = _project_pair(g, eps, y[pair])
+        np.subtract(y[pair], c, out=new[pair])
+        n1, n2 = l2_norm(Field(g, c)).tolist()
+        mags[name] = float(np.sqrt(n1 ** 2 + n2 ** 2))
     state.pin(new)
     log.debug("divergence cleanup at t=%.6f: |corr_uv|=%.3e |corr_ut|=%.3e",
               state.t, mags["uv"], mags["ut_vt"])

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, cumulative_trapezoid, dx, mean_y, multiply, y_diff
+from .grid import Field, cumulative_trapezoid, dx, dy, dyy, mean_y, multiply
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -65,37 +65,34 @@ class PrandtlState(StackedState):
             )
 
 
-def recover_v(u: Field, report: dict | None = None) -> Field:
-    """Slaved vertical velocity v = -int_0^y d_x u dy' (zero at y = 0).
+def recover_v(u: Field, report: dict | None = None, out: np.ndarray | None = None) -> Field:
+    """Slaved vertical velocity v = -int_0^y d_x u dy' (zero at y = 0), of
+    each field of a stack, into `out` if given.
 
-    The y = 1 row vanishes only to quadrature accuracy; its residual is
-    written into `report` when a dict is supplied.
+    The y = 1 row vanishes only to quadrature accuracy; its largest
+    residual is written into `report` when a dict is supplied.
     """
-    v = Field(u.grid, _slaved_v(dx(u).rows, u.grid.dy))
+    v = cumulative_trapezoid(dx(u).rows, u.grid.dy, out=out)
+    v *= -1.0
     if report is not None:
-        top = np.abs(v.rows[:, -1]).max()
-        scale = max(np.abs(v.rows).max(), 1e-300)
+        top = np.abs(v[..., -1]).max()
+        scale = max(np.abs(v).max(), 1e-300)
         report["wall_residual"] = float(top)
         report["wall_residual_rel"] = float(top / scale)
-    return v
-
-
-def _slaved_v(ux: np.ndarray, h: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Rows of v = -int_0^y ux dy' from the rows of ux = d_x u, node spacing h."""
-    v = cumulative_trapezoid(ux, h, out=out)
-    v *= -1.0
-    return v
+    return Field(u.grid, v)
 
 
 def _advection(u: Field) -> Field:
-    """Dealiased u d_x u + v d_y u with the slaved v.  d_x u, v and d_y u
-    fill one per-grid work stack, read only by the product."""
+    """Dealiased u d_x u + v d_y u with the slaved v.  The factors (u, v) and
+    (d_x u, d_y u) fill the grid's "advection" work stack, shared with
+    `hns.hns_rhs` and read only by the product."""
     g = u.grid
-    ux, v, uy = g.work("prandtl.advection", (3, g.band, g.Ny))
-    np.multiply(u.rows, g._dx_rows, out=ux)
-    _slaved_v(ux, g.dy, out=v)
-    y_diff(u.rows, g.dy, 1, out=uy)
-    return multiply((u, Field(g, v)), (Field(g, ux), Field(g, uy)))
+    uv, grad = g.work("advection", (2, 2, g.band, g.Ny))
+    uv[0] = u.rows
+    recover_v(u, out=uv[1])
+    dx(u, out=grad[0])
+    dy(u, out=grad[1])
+    return multiply(Field(g, uv), Field(g, grad))
 
 
 def _pressure_from(visc: np.ndarray, N: Field | None, factor: float) -> np.ndarray:
@@ -116,7 +113,7 @@ def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
     continuum identity as printed and is selectable for comparison runs.
     """
     g = u.grid
-    vals = _pressure_from(y_diff(u.rows, g.dy, 2), _advection(u), factor)
+    vals = _pressure_from(dyy(u).rows, _advection(u), factor)
     return Field(g, np.broadcast_to(vals[:, None], u.rows.shape).copy())
 
 
@@ -131,7 +128,7 @@ def prandtl_rhs(state: PrandtlState, factor: float = 1.0, disable_nonlinear: boo
     """
     u, ut = state.u, state.ut
     g = u.grid
-    acc = y_diff(u.rows, g.dy, 2, out=out)
+    acc = dyy(u, out=out).rows
     N = None if disable_nonlinear else _advection(u)
     pg = _pressure_from(acc, N, factor)
     acc -= ut.rows

@@ -11,7 +11,7 @@ from stripflow import diagnostics
 from stripflow import gevrey as gv
 from stripflow import paley
 from stripflow.diagnostics import decay_fit, energy_E1, energy_E_s
-from stripflow.grid import Field, Grid, dy, frac_dx, l2_norm, to_spectral, y_density
+from stripflow.grid import Field, Grid, dy, l2_norm, to_spectral, y_density
 from stripflow.hns import hns_step, make_hns_data
 from stripflow.prandtl import PrandtlState, prandtl_step
 
@@ -81,6 +81,11 @@ def scaled_sample(smp, c):
     )
 
 
+def half_dx(f):
+    """|D_x|^{1/2} f, the full spectrum: the multiplier |xi|^{1/2} per mode."""
+    return f.coeff * np.sqrt(f.grid.abs_xi)[:, None]
+
+
 def weighted_parts(smp, p):
     """The weighted fields entering the horizontal energy, recomputed."""
     t = smp.t
@@ -89,7 +94,7 @@ def weighted_parts(smp, p):
     ut_phi = gv.apply_gevrey(smp.ut, t, p, +1)
     td = gv.theta_dot(t, p)
     dtu_phi = Field(
-        smp.u.grid, ut_phi.coeff - p.lam * td * frac_dx(u_phi, 0.5).coeff
+        smp.u.grid, ut_phi.coeff - p.lam * td * half_dx(u_phi)
     )
     return u_phi, dyu_phi, ut_phi, dtu_phi, td
 
@@ -330,7 +335,7 @@ class TestEnergyEs:
         u_phi = gv.apply_gevrey(u_at(t0), t0, P, +1)
         ut_phi = gv.apply_gevrey(Field(g, amp_dot(t0) * w.coeff), t0, P, +1)
         td = gv.theta_dot(t0, P)
-        exact = ut_phi.coeff - P.lam * td * frac_dx(u_phi, 0.5).coeff
+        exact = ut_phi.coeff - P.lam * td * half_dx(u_phi)
         scale = np.abs(exact).max()
         assert np.abs(num - exact).max() < 1e-7 * scale
 

@@ -257,9 +257,9 @@ class TestApplyGevrey:
         assert out.rows[1, 0] == pytest.approx(np.exp(phi(0.0, g.xi[1], p)), rel=1e-14)
 
     def test_block_of_rows_matches_each_field(self):
-        # rows with leading axes (component, sample), one time per sample:
-        # each field bit-identical to its own Field form, floors and trust
-        # horizons per field; the rows are weighted in place
+        # a stacked Field with leading axes (component, sample), one time
+        # per sample: each field bit-identical to its own, floors and trust
+        # horizons per field; the input rows are left as they were
         g = self.grid()
         u0, _ = make_gevrey_data(g, DEFAULT, amplitude=1e-3, m_max=12)
         f = self.band_field(g, m_max=6, seed=2)
@@ -268,9 +268,10 @@ class TestApplyGevrey:
         t = np.array([0.0, 0.9, 6.0])
         for sign in (+1, -1):
             rows = np.array([[fld.rows for fld in comp] for comp in fields])
+            before = rows.copy()
             rep = {}
-            out = apply_gevrey(rows, t, DEFAULT, sign, report=rep, grid=g)
-            assert out is rows
+            out = apply_gevrey(Field(g, rows), t, DEFAULT, sign, report=rep).rows
+            assert np.array_equal(rows, before)
             for i, comp in enumerate(fields):
                 for j, fld in enumerate(comp):
                     one = {}

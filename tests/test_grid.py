@@ -13,7 +13,6 @@ from stripflow.grid import (
     dy,
     dy_matrix,
     dyy,
-    frac_dx,
     l2_norm,
     mean_y,
     multiply,
@@ -25,6 +24,11 @@ from stripflow.paley import S_k, bony, delta_k, get_bank
 
 def make_grid(Nx=64, Ny=33, Lx=2 * np.pi):
     return Grid(Nx, Ny, Lx)
+
+
+def stack(*fields: Field) -> Field:
+    """One Field holding the rows of `fields` along a new leading axis."""
+    return Field(fields[0].grid, np.stack([f.rows for f in fields]))
 
 
 def random_rows(g: Grid, rng) -> np.ndarray:
@@ -164,49 +168,6 @@ class TestDx:
         assert 12.0 < ratio < 20.0  # O(dx^4)
 
 
-class TestFracDx:
-    def test_identity_at_zero(self):
-        g = make_grid()
-        f = band_limited_field(g, 6, seed=5)
-        assert np.abs(frac_dx(f, 0.0).coeff - f.coeff).max() < 1e-15
-
-    def test_semigroup(self):
-        g = make_grid()
-        f = band_limited_field(g, 6, seed=6)
-        twice = frac_dx(frac_dx(f, 2.0), 2.0)
-        once = frac_dx(f, 4.0)
-        scale = np.abs(once.coeff).max()
-        assert np.abs(twice.coeff - once.coeff).max() <= 1e-13 * scale
-
-    def test_single_mode_half_power(self):
-        g = make_grid(Lx=2 * np.pi)  # xi_1 = 1 -> pick mode m = 2 so xi = 2
-        f = Field.zeros(g)
-        f.rows[2, :] = 1.0
-        out = frac_dx(f, 0.5)
-        assert out.coeff[2, 3] == pytest.approx(np.sqrt(2.0))
-
-    def test_single_mode_xi_2pi(self):
-        g = make_grid(Lx=1.0)  # xi_1 = 2*pi
-        f = Field.zeros(g)
-        f.rows[1, :] = 1.0
-        out = frac_dx(f, 0.5)
-        assert out.coeff[1, 0] == pytest.approx((2 * np.pi) ** 0.5)
-
-    def test_negative_power_kills_mean(self):
-        g = make_grid()
-        f = to_spectral(g, np.ones((g.Nx, g.Ny)) + 0.0 * g.y[None, :])
-        out = frac_dx(f, -0.5)
-        assert np.abs(out.coeff[0]).max() == 0.0
-
-    def test_commutes_with_dx(self):
-        g = make_grid()
-        f = band_limited_field(g, 6, seed=8)
-        a = dx(frac_dx(f, 0.5))
-        b = frac_dx(dx(f), 0.5)
-        scale = np.abs(a.coeff).max()
-        assert np.abs(a.coeff - b.coeff).max() <= 1e-13 * scale
-
-
 class TestDyOperators:
     def test_dyy_exact_on_quadratic(self):
         g = make_grid(16, 21)
@@ -338,7 +299,7 @@ class TestDealiasAndProducts:
 
     @pytest.mark.parametrize("pairs", [1, 2, 3])
     def test_sequence_form_is_sum_of_products(self, pairs):
-        # 3 pairs: one packed pair plus the odd leftover
+        # a stack of 3 pairs: one packed pair plus the odd leftover
         g = make_grid(48, 17)
         rng = np.random.default_rng(pairs)
         fs = [Field(g, random_rows(g, rng)) for _ in range(pairs)]
@@ -346,14 +307,15 @@ class TestDealiasAndProducts:
         expect = multiply(fs[0], hs[0])
         for f, h in zip(fs[1:], hs[1:]):
             expect = expect + multiply(f, h)
-        got = multiply(fs, hs)
+        got = multiply(stack(*fs), stack(*hs))
         err = np.abs(got.coeff - expect.coeff).max()
         assert err <= 1e-13 * np.abs(expect.coeff).max()
         assert np.abs(got.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
 
     @pytest.mark.parametrize("factors", [1, 2, 3])
     def test_multi_output_form_matches_products(self, factors):
-        # an odd factor count leaves an unpaired f
+        # an odd factor count leaves an unpaired f; one factor comes both
+        # as a stack of one and as a single field
         g = make_grid(48, 17)
         rng = np.random.default_rng(factors)
 
@@ -362,29 +324,42 @@ class TestDealiasAndProducts:
 
         fs = [field() for _ in range(factors)]
         gss = [[field() for _ in range(factors)] for _ in range(2)]
-        got = multiply(fs, *gss)
-        assert isinstance(got, tuple) and len(got) == 2
-        for out, gs in zip(got, gss):
-            expect = multiply(fs[0], gs[0])
-            for f, h in zip(fs[1:], gs[1:]):
-                expect = expect + multiply(f, h)
-            err = np.abs(out.coeff - expect.coeff).max()
-            assert err <= 1e-13 * np.abs(expect.coeff).max()
-            assert np.abs(out.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
-            assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
+        forms = [multiply(stack(*fs), *(stack(*gs) for gs in gss))]
+        if factors == 1:
+            forms.append(multiply(fs[0], gss[0][0], gss[1][0]))
+        for got in forms:
+            assert isinstance(got, tuple) and len(got) == 2
+            for out, gs in zip(got, gss):
+                expect = multiply(fs[0], gs[0])
+                for f, h in zip(fs[1:], gs[1:]):
+                    expect = expect + multiply(f, h)
+                assert out.rows.shape == (g.band, g.Ny)
+                err = np.abs(out.coeff - expect.coeff).max()
+                assert err <= 1e-13 * np.abs(expect.coeff).max()
+                assert np.abs(out.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
+                assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
+        if factors == 1:
+            for a, b in zip(*forms):
+                assert np.array_equal(a.rows, b.rows)
 
     def test_sequence_form_rejects_bad_input(self):
+        # stacked factors must share one leading shape, of one non-empty axis
         g = make_grid(16, 9)
         f = band_limited_field(g, 3)
+        ff, none = stack(f, f), Field(g, np.zeros((0, g.band, g.Ny)))
         with pytest.raises(ValueError, match="equal-length"):
-            multiply((), ())
+            multiply(none, none)
         with pytest.raises(ValueError, match="equal-length"):
-            multiply((f, f), (f,))
+            multiply(ff, f)
         with pytest.raises(ValueError, match="equal-length"):
-            multiply((f, f), (f, f), (f,))
+            multiply(ff, ff, f)
+        with pytest.raises(ValueError, match="equal-length"):
+            multiply(stack(ff, ff), stack(ff, ff))
         other = band_limited_field(make_grid(32, 9), 3)
         with pytest.raises(ValueError, match="grid mismatch"):
-            multiply((f, f), (f, other))
+            multiply(ff, stack(other, other))
+        with pytest.raises(ValueError, match="grid mismatch"):
+            multiply(ff, ff, stack(other, other))
 
 
 class TestTransformCount:
@@ -493,7 +468,6 @@ class TestBand:
 
     @pytest.mark.parametrize("op", [
         lambda f, h: (dx(f),),
-        lambda f, h: (frac_dx(f, 0.5),),
         lambda f, h: (dy(f),),
         lambda f, h: (dyy(f),),
         lambda f, h: (f + h,),
@@ -501,13 +475,13 @@ class TestBand:
         lambda f, h: (f * 2.5, 2.5 * f),
         lambda f, h: (-f,),
         lambda f, h: (multiply(f, h),),
-        lambda f, h: multiply((f, h), (h, f), (f, f)),
+        lambda f, h: multiply(stack(f, h), stack(h, f), stack(f, f)),
         lambda f, h: (delta_k(f, 1, get_bank(f.grid)),),
         lambda f, h: (S_k(f, 1, get_bank(f.grid)),),
         lambda f, h: bony(f, h),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), +1),),
         lambda f, h: (apply_gevrey(f, 0.5, GevreyParams(), -1),),
-    ], ids=["dx", "frac_dx", "dy", "dyy", "add", "sub",
+    ], ids=["dx", "dy", "dyy", "add", "sub",
             "mul", "neg", "multiply", "multiply_two_outputs", "delta_k", "S_k",
             "bony", "gevrey_plus", "gevrey_minus"])
     def test_operators_return_the_band(self, op):
@@ -546,6 +520,76 @@ class TestBand:
             assert s.stack.shape == (len(s.ROWS), g.Nx // 3 + 1, g.Ny)
 
 
+class TestStackedFields:
+    """A Field may hold a stack of fields, (..., band, Ny): every operator
+    acts field by field, bit for bit as on each field alone."""
+
+    LEAD = (2, 3)
+
+    def fields(self, g: Grid) -> tuple[Field, list[list[Field]]]:
+        rng = np.random.default_rng(4)
+        rows = np.array([[random_band(g, int(rng.integers(1 << 30))) for _ in range(3)]
+                         for _ in range(2)])
+        rows[1, 2] *= 1e-7  # fields of unlike scales
+        return Field(g, rows), [[Field(g, r) for r in comp] for comp in rows]
+
+    @pytest.mark.parametrize("op", [
+        dx, dy, dyy, mean_y, sg.y_density, l2_norm, to_physical,
+        lambda f: apply_gevrey(f, 0.5, GevreyParams(), +1),
+        lambda f: apply_gevrey(f, 0.5, GevreyParams(), -1),
+        lambda f: delta_k(f, 1, get_bank(f.grid)),
+        lambda f: S_k(f, 2, get_bank(f.grid)),
+        lambda f: f + f * 0.5, lambda f: f - 2.0 * f, lambda f: -f,
+    ], ids=["dx", "dy", "dyy", "mean_y", "y_density", "l2_norm", "to_physical",
+            "gevrey_plus", "gevrey_minus", "delta_k", "S_k", "add_mul", "sub_rmul", "neg"])
+    def test_operator_acts_field_by_field(self, op):
+        g = make_grid(32, 33)
+        stacked, each = self.fields(g)
+        got = op(stacked)
+        got = got.rows if isinstance(got, Field) else np.asarray(got)
+        assert got.shape[:2] == self.LEAD
+        for i, comp in enumerate(each):
+            for j, f in enumerate(comp):
+                one = op(f)
+                assert np.array_equal(got[i, j], one.rows if isinstance(one, Field) else one)
+
+    @pytest.mark.parametrize("op", [dx, dy, dyy])
+    def test_derivatives_write_into_out(self, op):
+        g = make_grid(32, 33)
+        stacked, _ = self.fields(g)
+        out = np.empty_like(stacked.rows)
+        got = op(stacked, out=out)
+        assert got.rows is out
+        assert np.array_equal(out, op(stacked).rows)
+
+    def test_gevrey_floor_and_horizon_per_field(self):
+        # one time per sample (the last axis), a floor and a horizon per field
+        g = make_grid(32, 33)
+        stacked, each = self.fields(g)
+        stacked.rows[0, 1, 5:] *= 1e-14  # below the floor of its own field only
+        t = np.array([0.0, 0.9, 6.0])
+        rep = {}
+        got = apply_gevrey(stacked, t, GevreyParams(), +1, report=rep)
+        assert rep["trust_horizon"].shape == self.LEAD
+        for i, comp in enumerate(each):
+            for j, f in enumerate(comp):
+                one = {}
+                expect = apply_gevrey(f, float(t[j]), GevreyParams(), +1, report=one)
+                assert np.array_equal(got.rows[i, j], expect.rows)
+                assert rep["trust_horizon"][i, j] == one["trust_horizon"]
+
+    def test_full_spectra_fold_with_their_stack(self):
+        g = make_grid(32, 33)
+        stacked, _ = self.fields(g)
+        assert np.array_equal(Field(g, stacked.coeff).rows, stacked.rows)
+
+    @pytest.mark.parametrize("shape", [(33,), (2, 12, 33), (3, 32, 32), (5, 33, 11)])
+    def test_refuses_rows_of_other_shapes(self, shape):
+        g = make_grid(32, 33)
+        with pytest.raises(ValueError, match="does not match grid"):
+            Field(g, np.zeros(shape, dtype=complex))
+
+
 class TestBandDensity:
     """Per-mode densities live on the band, a row m >= 1 counting m and -m."""
 
@@ -578,7 +622,9 @@ class TestWorkBuffers:
 
     def test_both_solvers_share_the_buffers(self):
         # largest request per name: rk4 at the hns stack, multiply.g at the
-        # two-output pair; 1,110.1 KB at 128x65 (1,415 KB held per shape)
+        # two-output pair, and one advection stack that both solvers share;
+        # 979.1 KB at 128x65 (1,110.1 KB with a stack per solver, 1,415 KB
+        # held per shape)
         from stripflow.gevrey import make_gevrey_data
         from stripflow.hns import hns_step, make_hns_data
         from stripflow.prandtl import PrandtlState, prandtl_step
@@ -590,4 +636,4 @@ class TestWorkBuffers:
         for _ in range(2):
             s, h = prandtl_step(s, 1e-3), hns_step(h, 1e-3)
         held = sum(buf.nbytes for buf in g._work.values())
-        assert held <= 1112 * 1024
+        assert held <= 980 * 1024

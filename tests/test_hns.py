@@ -276,7 +276,7 @@ class TestProjector:
     def test_matches_dense_per_mode_solve(self, shape, eps):
         g = Grid(*shape)
         f1, f2 = random_pair(g, seed=3)
-        c1, c2, q = _project_pair(g, eps, f1, f2)
+        (c1, c2), q = _project_pair(g, eps, np.stack([f1, f2]))
         D = dy_matrix(g.Ny)
         mask = np.ones(g.Ny)
         mask[0] = mask[-1] = 0.0
@@ -298,7 +298,7 @@ class TestProjector:
     def test_divergence_removed(self, shape, eps):
         g = Grid(*shape)
         f1, f2 = random_pair(g, seed=4)
-        c1, c2, _ = _project_pair(g, eps, f1, f2)
+        (c1, c2), _ = _project_pair(g, eps, np.stack([f1, f2]))
         D = dy_matrix(g.Ny)
         ms = np.arange(1, g.band)
         before = f1[ms] * g._dx_rows[ms] + f2[ms] @ D.T
@@ -313,7 +313,7 @@ class TestProjector:
         monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
         for g, eps in ((Grid(32, 33), 0.1), (Grid(32, 33), 0.05), (Grid(16, 33), 0.1)):
             f1, f2 = random_pair(g, seed=5)
-            _project_pair(g, eps, f1, f2)
+            _project_pair(g, eps, np.stack([f1, f2]))
         assert calls == [(31, 31)]
         assert hns._get_projector.cache_info().currsize == 3
 
@@ -595,3 +595,36 @@ class TestHydrostaticLimit:
                     j += 1
             sups.append(worst)
         assert sups[1] < 0.5 * sups[0]
+
+
+class TestCallBudget:
+    #: Python and C calls that `sys.setprofile` saw in one warm hns_step at
+    #: 128x65 before the solvers took stacked Fields (Python 3.11, numpy
+    #: 2.4); numpy's own FFT wrappers are part of the count, so it depends
+    #: on numpy
+    BEFORE = 555
+    #: the count with stacked Fields, and the margin allowed above it
+    REACHED = 458
+    MARGIN = 30
+
+    def test_step_stays_within_its_call_budget(self):
+        import sys
+
+        g = Grid(128, 65)
+        u0, _ = make_gevrey_data(g, GevreyParams(), amplitude=1e-4, m_max=4)
+        s = make_hns_data(u0, GevreyParams(), eps=0.1)
+        dt = 0.25 * g.dy
+        for _ in range(3):  # warm the work buffers; no cleanup step
+            s = hns_step(s, dt)
+        calls = 0
+
+        def count(frame, event, arg):
+            nonlocal calls
+            calls += event in ("call", "c_call")
+
+        sys.setprofile(count)
+        try:
+            hns_step(s, dt)
+        finally:
+            sys.setprofile(None)
+        assert calls <= self.REACHED + self.MARGIN < self.BEFORE, calls

@@ -90,8 +90,8 @@ def _names_field(node) -> bool:
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
                          ids=lambda p: p.name)
 def test_field_type_checks_only_in_grid(path):
-    # each norm takes one input form (a density with its bank), so no module
-    # but grid.py, whose products take a Field or a sequence of Fields, tells
+    # each norm takes one input form (a density with its bank), and every
+    # operator one Field, single or stacked, so no module but grid.py tells
     # a Field from anything else
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
@@ -99,3 +99,15 @@ def test_field_type_checks_only_in_grid(path):
              and node.func.id == "isinstance" and len(node.args) == 2
              and _names_field(node.args[1])]
     assert lines == [], f"{path.name}: isinstance(..., Field) on lines {lines}"
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
+                         ids=lambda p: p.name)
+def test_y_stencils_only_in_grid(path):
+    # the y-stencil table has one reader: other modules differentiate in y
+    # through dy and dyy, on single or stacked Fields, never by y_diff
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call)
+             and "y_diff" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert lines == [], f"{path.name}: y_diff call on lines {lines}"
