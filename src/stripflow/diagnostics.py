@@ -177,9 +177,9 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     each, into one stacked Field (len(comps), B, band, Ny); a None in
     `comps` is a slot that `parts` fills, and comps hold u first and ut
     third, whose unweighted densities give `l2_norms`.  `parts(block, t,
-    theta_dot, report)` weights the block, stores its trust horizons in
-    `report` and returns the (B, band) mode densities of the named weighted
-    components; `K` is the unit of the table's rates.  One NormSeries row per term
+    theta_dot, report)` weights the block in place, stores its trust
+    horizons in `report` and returns the (B, band) mode densities of the
+    named weighted components; `K` is the unit of the table's rates.  One NormSeries row per term
     takes its components' densities, summed in order.  Each sample's
     arithmetic, and its order, is that of one sample at a time, so the
     block size changes no bit.
@@ -204,7 +204,7 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
 
     n = len(samples)
     size = max(1, BLOCK_BYTES // (16 * g.band * g.Ny))
-    buf = np.empty((len(comps), min(size, n), g.band, g.Ny), dtype=np.complex128)
+    buf = np.empty(len(comps) * min(size, n) * g.band * g.Ny, dtype=np.complex128)
     times = np.array([smp.t for smp in samples], dtype=float)
     readouts = np.zeros((len(rows), n))
     point = np.zeros((3, n))  # u, dy_u, ut
@@ -214,7 +214,8 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     for lo in range(0, n, size):
         block, t = samples[lo:lo + size], times[lo:lo + size]
         hi = lo + len(block)
-        gathered = buf[:, :len(block)]
+        gathered = buf[:len(comps) * len(block) * g.band * g.Ny].reshape(
+            len(comps), len(block), g.band, g.Ny)  # contiguous, as y stencils write into it
         for name, out in zip(comps, gathered):
             if name is not None:
                 np.concatenate([getattr(smp, name).rows for smp in block],
@@ -262,7 +263,7 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
         g = block.grid
         dy(Field(g, block.rows[0]), out=block.rows[1])
         # u, dy u and ut, each weighted with its own spectral floor
-        weighted = apply_gevrey(block, t, p, +1, report=rep)
+        weighted = apply_gevrey(block, t, p, +1, report=rep, out=block.rows)
         dens = dict(zip(("u", "dy_u", "ut"), y_density(weighted)))
         # dt(u_Phi) = ut_Phi - lam theta_dot |D_x|^{1/2} u_Phi, in the rows of
         # dy u
@@ -291,7 +292,7 @@ def energy_E1(
 
     def parts(block, t, td, rep):
         g = block.grid
-        weighted = apply_gevrey(block, t, p, +1, report=rep).rows
+        weighted = apply_gevrey(block, t, p, +1, report=rep, out=block.rows).rows
         weighted[1::2] *= eps  # (eps v)_Phi and (eps vt)_Phi
         dens = dict(zip(("u", "ev", "ut", "evt"), y_density(Field(g, weighted))))
         # the derivatives of the pair q = (u, ev) go into the rows of qt

@@ -107,8 +107,9 @@ def phi(t, xi, p: GevreyParams):
 
 
 def apply_gevrey(f: Field, t, p: GevreyParams, sign: int,
-                 report: dict | None = None) -> Field:
-    """Multiply band row m by e^{sign Phi(t, xi_m)}, into a new Field.
+                 report: dict | None = None, out: np.ndarray | None = None) -> Field:
+    """Multiply band row m by e^{sign Phi(t, xi_m)}, into a new Field or
+    into `out`, which may be `f.rows` itself.
 
     `f` may hold a stack of fields, and `t` broadcasts against its leading
     axes (one time per sample of a block).  For sign = +1 (amplification)
@@ -122,22 +123,21 @@ def apply_gevrey(f: Field, t, p: GevreyParams, sign: int,
     """
     if sign not in (-1, 1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    grid, w = f.grid, f.rows.copy()
+    grid = f.grid
     ph = np.multiply.outer(radius(t, p), np.sqrt(grid.band_xi))  # (..., band)
     if sign < 0:
-        w *= np.exp(-ph)[..., None]
-        return Field(grid, w)
+        return Field(grid, np.multiply(f.rows, np.exp(-ph)[..., None], out=out))
     top = ph[..., -1].max()
     if top > _EXP_OVERFLOW:
         raise OverflowError(
             f"Gevrey weight e^{{{top:.1f}}} at |xi|={grid.band_xi[-1]:.1f} "
             "overflows float64; shrink the radius or the grid"
         )
-    mag = np.abs(w)
+    mag = np.abs(f.rows)  # read before `out` may overwrite the rows
     scale = mag.max(axis=(-2, -1), keepdims=True)
     floor = SPECTRAL_FLOOR * scale
     floored = mag < floor  # none if the field is zero
-    w *= np.exp(ph)[..., None]
+    w = np.multiply(f.rows, np.exp(ph)[..., None], out=out)
     np.copyto(w, 0.0, where=floored)
     if report is not None:
         # a row's largest coefficient that is not floored: its max, or none

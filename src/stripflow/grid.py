@@ -159,6 +159,9 @@ class Grid:
         return f"Grid(Nx={self.Nx}, Ny={self.Ny}, Lx={self.Lx:g})"
 
 
+_COMPLEX = np.dtype(np.complex128)  # numpy's one native complex128; others go through asarray
+
+
 class Field:
     """Coefficients of real dealiased fields on a grid, with light arithmetic.
 
@@ -174,16 +177,16 @@ class Field:
     __slots__ = ("grid", "rows")
 
     def __init__(self, grid: Grid, coeff: np.ndarray):
-        if type(coeff) is not np.ndarray or coeff.dtype != np.complex128:
+        if type(coeff) is not np.ndarray or coeff.dtype is not _COMPLEX:
             coeff = np.asarray(coeff, dtype=np.complex128)
         shape = coeff.shape[-2:]
-        if shape == (grid.Nx, grid.Ny):
+        if shape != (grid.band, grid.Ny):
+            if shape != (grid.Nx, grid.Ny):
+                raise ValueError(
+                    f"coefficient shape {coeff.shape} does not match grid (Nx, Ny) = "
+                    f"{(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)} in its last "
+                    f"two axes")
             coeff = grid.fold(coeff)
-        elif shape != (grid.band, grid.Ny):
-            raise ValueError(
-                f"coefficient shape {coeff.shape} does not match grid (Nx, Ny) = "
-                f"{(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)} in its last two axes"
-            )
         self.grid = grid
         self.rows = coeff
 

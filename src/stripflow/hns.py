@@ -86,11 +86,8 @@ class HnsState(StackedState):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
 
-    def divergence(self) -> Field:
-        return dx(self.u) + dy(self.v)
-
     def divergence_rel(self) -> float:
-        """|dx u + dy v| relative to |dx u| + |dy v|, from one dx u and dy v."""
+        """|dx u + dy v| relative to |dx u| + |dy v|."""
         ux, vy = dx(self.u).rows, dy(self.v).rows
         parts = Field(self.grid, np.stack([ux, vy, ux + vy]))
         norm_ux, norm_vy, norm_div = l2_norm(parts).tolist()

@@ -89,8 +89,10 @@ def _advection(u: Field) -> Field:
     g = u.grid
     uv, grad = g.work("advection", (2, 2, g.band, g.Ny))
     uv[0] = u.rows
-    recover_v(u, out=uv[1])
-    dx(u, out=grad[0])
+    # v as `recover_v` writes it, from the d_x u that the product takes:
+    # recover_v would take d_x u a second time
+    cumulative_trapezoid(dx(u, out=grad[0]).rows, g.dy, out=uv[1])
+    uv[1] *= -1.0
     dy(u, out=grad[1])
     return multiply(Field(g, uv), Field(g, grad))
 
