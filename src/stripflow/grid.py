@@ -98,15 +98,13 @@ class Grid:
         and an array from here must never be handed out as a result.  Two
         states on one Grid must never step at the same time (two threads that
         did corrupted each other's RK stages)."""
-        try:
-            return self._views[name, shape, dtype]
-        except KeyError:  # a first request of this shape
-            pass
-        size, buf = int(np.prod(shape)), self._work.get((name, dtype))
-        if buf is None or buf.size < size:  # grow, dropping the old views
-            buf = self._work[name, dtype] = np.empty(size, dtype)
-            self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
-        view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
+        view = self._views.get((name, shape, dtype))
+        if view is None:
+            size, buf = int(np.prod(shape)), self._work.get((name, dtype))
+            if buf is None or buf.size < size:  # grow, dropping the old views
+                buf = self._work[name, dtype] = np.empty(size, dtype)
+                self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
+            view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
         return view
 
     def fold(self, full: np.ndarray) -> np.ndarray:

@@ -574,8 +574,7 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
 
     cores = len(os.sched_getaffinity(0))
     workers = min(cores, len(cfg.eps_list)) if blas_threads else 1
-    def slaved(s):
-        """The (u, v, ut, vt) band stack of a reference state, v and vt slaved."""
+    def slaved(s):  # the (u, v, ut, vt) band stack of a reference state
         v, vt = recover_v(Field(s.grid, s.stack)).rows
         return np.stack([s.stack[0], v, s.stack[1], vt])
 

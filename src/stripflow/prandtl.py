@@ -65,14 +65,14 @@ class PrandtlState(StackedState):
             )
 
 
-def recover_v(u: Field, report: dict | None = None, out: np.ndarray | None = None) -> Field:
+def recover_v(u: Field, report: dict | None = None) -> Field:
     """Slaved vertical velocity v = -int_0^y d_x u dy' (zero at y = 0), of
-    each field of a stack, into `out` if given.
+    each field of a stack.
 
     The y = 1 row vanishes only to quadrature accuracy; its largest
     residual is written into `report` when a dict is supplied.
     """
-    v = cumulative_trapezoid(dx(u).rows, u.grid.dy, out=out)
+    v = cumulative_trapezoid(dx(u).rows, u.grid.dy)
     v *= -1.0
     if report is not None:
         top = np.abs(v[..., -1]).max()
@@ -89,8 +89,7 @@ def _advection(u: Field) -> Field:
     g = u.grid
     uv, grad = g.work("advection", (2, 2, g.band, g.Ny))
     uv[0] = u.rows
-    # v as `recover_v` writes it, from the d_x u that the product takes:
-    # recover_v would take d_x u a second time
+    # v as `recover_v` writes it, from the d_x u that the product takes
     cumulative_trapezoid(dx(u, out=grad[0]).rows, g.dy, out=uv[1])
     uv[1] *= -1.0
     dy(u, out=grad[1])

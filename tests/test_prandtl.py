@@ -335,7 +335,7 @@ class TestCallBudget:
     #: Python and C calls that `sys.setprofile` saw in one warm prandtl_step
     #: at 32x33 before the fused RK4 update (Python 3.11, numpy 2.4); numpy's
     #: own FFT wrappers are part of the count, so it depends on numpy.  The
-    #: count was 358 before the solvers took stacked Fields, 325 after
+    #: count was 358 before the solvers took stacked Fields, 342 after
     BEFORE = 609
 
     def test_step_makes_at_most_two_thirds_of_the_calls(self):
