@@ -179,8 +179,9 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     third, whose unweighted densities give `l2_norms`.  `parts(block, t,
     theta_dot, report)` weights the block in place, stores its trust
     horizons in `report` and returns the (B, band) mode densities of the
-    named weighted components; `K` is the unit of the table's rates.  One NormSeries row per term
-    takes its components' densities, summed in order.  Each sample's
+    named weighted components; `K` is the unit of the table's rates.  One
+    NormSeries row per term takes its components' densities, summed in
+    order.  Each sample's
     arithmetic, and its order, is that of one sample at a time, so the
     block size changes no bit.
     """
@@ -265,8 +266,7 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
         # u, dy u and ut, each weighted with its own spectral floor
         weighted = apply_gevrey(block, t, p, +1, report=rep, out=block.rows)
         dens = dict(zip(("u", "dy_u", "ut"), y_density(weighted)))
-        # dt(u_Phi) = ut_Phi - lam theta_dot |D_x|^{1/2} u_Phi, in the rows of
-        # dy u
+        # dt(u_Phi) = ut_Phi - lam theta_dot |D_x|^{1/2} u_Phi, in the rows of dy u
         u, dt_of_u, ut = weighted.rows
         np.multiply(u, np.sqrt(g.band_xi)[:, None], out=dt_of_u)
         dt_of_u *= (p.lam * td)[:, None, None]

@@ -493,5 +493,5 @@ def multiply(f: Field, g: Field, h: Field | None = None) -> Field | tuple[Field,
         if k:
             total += z
     np.fft.fft(total, axis=0, norm="forward", out=total)
-    even, odd = _split_pair(grid, total)
-    return Field(grid, even), Field(grid, odd)
+    fg, fh = _split_pair(grid, total)
+    return Field(grid, fg), Field(grid, fh)

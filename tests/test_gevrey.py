@@ -259,7 +259,8 @@ class TestApplyGevrey:
     def test_block_of_rows_matches_each_field(self):
         # a stacked Field with leading axes (component, sample), one time
         # per sample: each field bit-identical to its own, floors and trust
-        # horizons per field; the input rows are left as they were
+        # horizons per field; the input rows are left as they were unless
+        # they are the output
         g = self.grid()
         u0, _ = make_gevrey_data(g, DEFAULT, amplitude=1e-3, m_max=12)
         f = self.band_field(g, m_max=6, seed=2)
@@ -272,6 +273,9 @@ class TestApplyGevrey:
             rep = {}
             out = apply_gevrey(Field(g, rows), t, DEFAULT, sign, report=rep).rows
             assert np.array_equal(rows, before)
+            # weighted in place into its own rows: the same numbers
+            in_place = apply_gevrey(Field(g, rows), t, DEFAULT, sign, out=rows).rows
+            assert in_place is rows and np.array_equal(rows, out)
             for i, comp in enumerate(fields):
                 for j, fld in enumerate(comp):
                     one = {}
