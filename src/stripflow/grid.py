@@ -24,9 +24,18 @@ Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
 The y direction is a uniform node set with second-order centered
 differences inside and second-order one-sided stencils on the walls.
+Three y operators also have a dense form, built once per Ny from the same
+stencil table and trapezoid rule (`y_operators`): d2/dy2, d/dy and
+int_0^y.  `y_dense` applies one as BLAS products, and the limit system
+applies all three so: with one BLAS thread, the y-work of its right-hand
+side took half the time of the stencil passes at 32x33 and three
+quarters at 128x65.  `hns` keeps the stencils (`dy`, `dyy`): dense
+products in its right-hand side gained nothing measurable at 128x65.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 import numpy as np
 
@@ -41,6 +50,9 @@ __all__ = [
     "dy_matrix",
     "y_diff",
     "cumulative_trapezoid",
+    "Y_DENSE",
+    "y_operators",
+    "y_dense",
     "mean_y",
     "l2_norm",
     "y_density",
@@ -340,30 +352,86 @@ def dyy(f: Field, out: np.ndarray | None = None) -> Field:
     return Field(f.grid, y_diff(f.rows, f.grid.dy, 2, out))
 
 
-def dy_matrix(Ny: int) -> np.ndarray:
-    """Dense (Ny, Ny) matrix of the dy() stencils on Ny nodes: dy(f) == f.rows @ D.T.
-
-    Row j of the stencil applied to the unit vectors is column j of D.
-    """
-    return y_diff(np.eye(Ny), 1.0 / (Ny - 1), 1).T
-
-
 def cumulative_trapezoid(c: np.ndarray, h: float,
                          out: np.ndarray | None = None) -> np.ndarray:
     """Cumulative trapezoid rule along the last axis with spacing h.
 
-    Zero in the first column; the arithmetic and its order are those of
-    scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0).
-    `out`, if given, receives the result and must not overlap `c`.
+    Zero in the first column; the values are those of
+    scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0), in
+    its order (a real scaling by h/2 rounds as h * s / 2 does; only the sign
+    of a zero may differ).  `out`, if given, receives the result and must
+    not overlap `c`.
     """
     if out is None:
         out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
     out[..., 0] = 0.0
     cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
-    cum *= h
-    cum /= 2.0
+    flat = cum.view(np.float64)
+    flat *= 0.5 * h
     cum.cumsum(axis=-1, out=cum)
     return out
+
+
+#: the orders of the y operators with a dense form, in the order of the
+#: matrices of `y_operators`: d2/dy2 and d/dy (Y_STENCILS), and order -1
+#: the antiderivative int_0^y (`cumulative_trapezoid`)
+Y_DENSE = (2, 1, -1)
+#: float columns per tile of a dense y operator (see `_y_tiles`)
+_TILE = 64
+
+
+@cache
+def y_operators(Ny: int) -> np.ndarray:
+    """The dense y operators on Ny nodes, one read-only (3, Ny, Ny) real
+    array with a matrix Op per order of Y_DENSE, rows @ Op applying it to
+    rows along their last axis, built by applying `y_diff` and
+    `cumulative_trapezoid` to the identity."""
+    h, eye = 1.0 / (Ny - 1), np.eye(Ny)
+    ops = np.stack([y_diff(eye, h, k) if k > 0 else cumulative_trapezoid(eye, h) for k in Y_DENSE])
+    ops.flags.writeable = False
+    return ops
+
+
+@cache
+def _y_tiles(Ny: int, order: int) -> list[tuple[slice, slice, np.ndarray]]:
+    """The (rows, cols, tile) pieces of the `order` operator on the float
+    view x of complex rows, y[..., cols] = x[..., rows] @ tile: column
+    blocks of about _TILE floats, each tile kron(Op[span, block], I2) over
+    only the span of nodes that is nonzero in its columns.  A banded d/dy
+    or d2/dy2 tile reads a band, so at Ny = 65 two tiles take 2/3 of the
+    time of one product."""
+    op = y_operators(Ny)[Y_DENSE.index(order)]
+    edges = np.linspace(0, Ny, max(1, round(2 * Ny / _TILE)) + 1).astype(int)
+    tiles = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        nz = np.flatnonzero(op[:, a:b].any(axis=1))
+        lo, hi = nz[0], nz[-1] + 1
+        tiles.append((slice(2 * lo, 2 * hi), slice(2 * a, 2 * b),
+                      np.kron(op[lo:hi, a:b], np.eye(2))))
+    return tiles
+
+
+def y_dense(f: Field, order: int, out: np.ndarray | None = None) -> Field:
+    """The dense y operator of `order` (see Y_DENSE) of each field of `f`, as
+    BLAS products on the float view of its rows, a tile at a time (see
+    `_y_tiles`); into `out` if given, which must be C-contiguous and must
+    not overlap `f.rows`.  Equal to `dyy`, `dy` and `cumulative_trapezoid`
+    up to roundoff, not bit for bit."""
+    rows = f.rows
+    if not rows.flags.c_contiguous:
+        rows = np.ascontiguousarray(rows)
+    if out is None:
+        out = np.empty_like(rows)
+    x, y = rows.view(np.float64), out.view(np.float64)
+    for r, c, tile in _y_tiles(f.grid.Ny, order):
+        np.matmul(x[..., r], tile, y[..., c])
+    return Field(f.grid, out)
+
+
+def dy_matrix(Ny: int) -> np.ndarray:
+    """Dense (Ny, Ny) matrix of the dy() stencils on Ny nodes: dy(f) == f.rows @ D.T,
+    a read-only view of the d/dy matrix of `y_operators`."""
+    return y_operators(Ny)[Y_DENSE.index(1)].T
 
 
 def mean_y(f: Field) -> np.ndarray:

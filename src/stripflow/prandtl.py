@@ -5,8 +5,10 @@ System (hydrostatic limit of the anisotropic family, on the strip):
     d_t^2 u + d_t u + u d_x u + v d_y u - d_y^2 u + d_x p = 0,
     d_y p = 0,      d_x u + d_y v = 0,      (u, v) = 0 at y = 0, 1,
 
-with v recovered as v = -int_0^y d_x u dy' and the pressure gradient a
+with v recovered as v = -d_x int_0^y u dy' and the pressure gradient a
 y-independent multiplier enforcing the per-mode vertical-mean constraint.
+Every right-hand side applies d2/dy2, d/dy and int_0^y to the rows of u,
+each as one BLAS product with its dense form (`grid.y_dense`).
 
 Discrete pressure law
 ---------------------
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, cumulative_trapezoid, dx, dy, dyy, mean_y, multiply
+from .grid import Field, dx, mean_y, multiply, y_dense
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -65,15 +67,15 @@ class PrandtlState(StackedState):
             )
 
 
-def recover_v(u: Field, report: dict | None = None) -> Field:
-    """Slaved vertical velocity v = -int_0^y d_x u dy' (zero at y = 0), of
-    each field of a stack.
+def recover_v(u: Field, report: dict | None = None, out: np.ndarray | None = None) -> Field:
+    """Slaved vertical velocity v = -d_x int_0^y u dy' (zero at y = 0), of
+    each field of a stack, into `out` if given (see `y_dense`).
 
     The y = 1 row vanishes only to quadrature accuracy; its largest
     residual is written into `report` when a dict is supplied.
     """
-    v = cumulative_trapezoid(dx(u).rows, u.grid.dy)
-    v *= -1.0
+    v = y_dense(u, -1, out=out).rows
+    np.multiply(v, -u.grid._dx_rows, out=v)
     if report is not None:
         top = np.abs(v[..., -1]).max()
         scale = max(np.abs(v).max(), 1e-300)
@@ -89,10 +91,9 @@ def _advection(u: Field) -> Field:
     g = u.grid
     uv, grad = g.work("advection", (2, 2, g.band, g.Ny))
     uv[0] = u.rows
-    # v as `recover_v` writes it, from the d_x u that the product takes
-    cumulative_trapezoid(dx(u, out=grad[0]).rows, g.dy, out=uv[1])
-    uv[1] *= -1.0
-    dy(u, out=grad[1])
+    recover_v(u, out=uv[1])
+    dx(u, out=grad[0])
+    y_dense(u, 1, out=grad[1])
     return multiply(Field(g, uv), Field(g, grad))
 
 
@@ -114,7 +115,7 @@ def pressure_gradient(u: Field, factor: float = 1.0) -> Field:
     continuum identity as printed and is selectable for comparison runs.
     """
     g = u.grid
-    vals = _pressure_from(dyy(u).rows, _advection(u), factor)
+    vals = _pressure_from(y_dense(u, 2).rows, _advection(u), factor)
     return Field(g, np.broadcast_to(vals[:, None], u.rows.shape).copy())
 
 
@@ -129,7 +130,7 @@ def prandtl_rhs(state: PrandtlState, factor: float = 1.0, disable_nonlinear: boo
     """
     u, ut = state.u, state.ut
     g = u.grid
-    acc = dyy(u, out=out).rows
+    acc = y_dense(u, 2, out=out).rows
     N = None if disable_nonlinear else _advection(u)
     pg = _pressure_from(acc, N, factor)
     acc -= ut.rows

@@ -210,6 +210,12 @@ class TestDyOperators:
         direct = f.coeff @ D.T
         assert np.abs(direct - dy(f).coeff).max() < 1e-12 * np.abs(direct).max()
 
+    def test_dense_operators_are_built_once_and_read_only(self):
+        ops = sg.y_operators(17)
+        assert sg.y_operators(17) is ops and ops.shape == (len(sg.Y_DENSE), 17, 17)
+        assert not ops.flags.writeable and not dy_matrix(17).flags.writeable
+        assert np.array_equal(dy_matrix(17), sg.y_diff(np.eye(17), 1 / 16, 1).T)
+
 
 class TestIntegration:
     def test_cumulative_of_one_is_y(self):
@@ -553,7 +559,9 @@ class TestStackedFields:
                 one = op(f)
                 assert np.array_equal(got[i, j], one.rows if isinstance(one, Field) else one)
 
-    @pytest.mark.parametrize("op", [dx, dy, dyy])
+    @pytest.mark.parametrize("op", [
+        dx, dy, dyy, *(lambda f, out=None, k=k: sg.y_dense(f, k, out) for k in sg.Y_DENSE),
+    ], ids=["dx", "dy", "dyy", *(f"y_dense{k}" for k in sg.Y_DENSE)])
     def test_derivatives_write_into_out(self, op):
         g = make_grid(32, 33)
         stacked, _ = self.fields(g)
@@ -561,6 +569,20 @@ class TestStackedFields:
         got = op(stacked, out=out)
         assert got.rows is out
         assert np.array_equal(out, op(stacked).rows)
+
+    @pytest.mark.parametrize("Ny", [33, 65, 129])  # one, two and four tiles
+    @pytest.mark.parametrize("order", sg.Y_DENSE)
+    def test_dense_y_operator_matches_its_stencil(self, order, Ny):
+        # a BLAS product per tile, not the stencil passes: equal to
+        # roundoff, field by field, at every scale of the stack
+        g = make_grid(32, Ny)
+        stacked, _ = self.fields(g)
+        got = sg.y_dense(stacked, order).rows
+        expect = (sg.y_diff(stacked.rows, g.dy, order) if order > 0
+                  else cumulative_trapezoid(stacked.rows, g.dy))
+        scale = np.abs(expect).max(axis=(-2, -1), keepdims=True)
+        assert got.shape == expect.shape
+        assert np.all(np.abs(got - expect) <= 1e-14 * scale)
 
     def test_gevrey_floor_and_horizon_per_field(self):
         # one time per sample (the last axis), a floor and a horizon per field

@@ -6,17 +6,19 @@ import pytest
 from stripflow.grid import (
     Field,
     Grid,
+    cumulative_trapezoid,
     dx,
     dy,
     dyy,
     l2_norm,
     mean_y,
+    multiply,
     to_physical,
     to_spectral,
     y_density,
 )
 from stripflow.gevrey import GevreyParams, apply_gevrey, make_gevrey_data
-from stripflow import paley, prandtl
+from stripflow import grid, paley, prandtl
 from stripflow.prandtl import (
     PrandtlState,
     prandtl_rhs,
@@ -171,6 +173,68 @@ class TestRhs:
         c[0, 5] = np.nan
         with pytest.raises(SolverAbort, match="non-finite"):
             prandtl_rhs(PrandtlState(Field(g, c), Field.zeros(g)))
+
+
+class TestDenseYOperators:
+    """The right-hand side applies d2/dy2, d/dy and int_0^y as dense
+    products; an oracle with the stencil passes they replaced checks it."""
+
+    @staticmethod
+    def oracle(u: Field, ut: Field, factor: float, nonlinear: bool):
+        """(d_x p values, acceleration rows) by the stencils, with
+        v = -int_0^y d_x u by the trapezoid rule."""
+        g = u.grid
+        visc = dyy(u).rows
+        inner = np.add.reduce(visc[:, 1:-1], axis=1)
+        acc = visc - ut.rows
+        if nonlinear:
+            ux = dx(u).rows
+            v = -cumulative_trapezoid(ux, g.dy)
+            N = multiply(Field(g, np.stack([u.rows, v])),
+                         Field(g, np.stack([ux, dy(u).rows]))).rows
+            inner = inner - factor * np.add.reduce(N[:, 1:-1], axis=1)
+            acc -= N
+        pg = inner / (g.Ny - 2)
+        pg[0] = 0.0
+        acc -= pg[:, None]
+        acc[:, [0, -1]] = 0.0
+        return pg, acc
+
+    @staticmethod
+    def state(g: Grid) -> PrandtlState:
+        # large enough that the advection is a fair share of the acceleration
+        rng = np.random.default_rng(g.Ny)
+        rows = rng.standard_normal((2, g.band, g.Ny)) + 1j * rng.standard_normal((2, g.band, g.Ny))
+        rows[:, 0] = rows[:, 0].real
+        rows[:, :, [0, -1]] = 0.0
+        rows[0] *= 0.3 / g.dy
+        return PrandtlState(Field(g, rows[0]), Field(g, rows[1]))
+
+    @pytest.mark.parametrize("shape", [(8, 9), (32, 33), (128, 65)])
+    @pytest.mark.parametrize("factor, nonlinear", [(1.0, True), (0.5, True), (1.0, False)],
+                             ids=["factor1", "factor_half", "linear"])
+    def test_rhs_matches_the_stencil_oracle(self, shape, factor, nonlinear):
+        s = self.state(Grid(*shape))
+        pg, expect = self.oracle(s.u, s.ut, factor, nonlinear)
+        du, dut = prandtl_rhs(s, factor, disable_nonlinear=not nonlinear)
+        assert du.rows is s.ut.rows
+        assert np.abs(dut.rows - expect).max() <= 1e-13 * np.abs(expect).max()
+        if nonlinear:
+            got = pressure_gradient(s.u, factor).rows
+            assert np.abs(got - pg[:, None]).max() <= 1e-13 * np.abs(pg).max()
+
+    def test_step_makes_no_stencil_pass(self, monkeypatch):
+        g = Grid(32, 33)
+        u0, u1 = make_gevrey_data(g, GevreyParams(a=0.5), amplitude=1e-4, m_max=2)
+        s = prandtl_step(PrandtlState(u0, u1), 0.25 * g.dy)  # builds the dense operators
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a stencil pass in prandtl_step")
+
+        for name in ("y_diff", "cumulative_trapezoid"):
+            monkeypatch.setattr(grid, name, refuse)
+            monkeypatch.setattr(prandtl, name, refuse, raising=False)
+        prandtl_step(s, 0.25 * g.dy)
 
 
 class TestStep:
@@ -335,7 +399,8 @@ class TestCallBudget:
     #: Python and C calls that `sys.setprofile` saw in one warm prandtl_step
     #: at 32x33 before the fused RK4 update (Python 3.11, numpy 2.4); numpy's
     #: own FFT wrappers are part of the count, so it depends on numpy.  The
-    #: count was 358 before the solvers took stacked Fields, 342 after
+    #: count was 358 before the solvers took stacked Fields, 342 after, and
+    #: 309 with the dense y operators
     BEFORE = 609
 
     def test_step_makes_at_most_two_thirds_of_the_calls(self):
