@@ -398,8 +398,8 @@ def _y_tiles(Ny: int, order: int) -> list[tuple[slice, slice, np.ndarray]]:
     view x of complex rows, y[..., cols] = x[..., rows] @ tile: column
     blocks of about _TILE floats, each tile kron(Op[span, block], I2) over
     only the span of nodes that is nonzero in its columns.  A banded d/dy
-    or d2/dy2 tile reads a band, so at Ny = 65 two tiles take 2/3 of the
-    time of one product."""
+    or d2/dy2 tile reads a band, so at Ny = 65 two tiles take about 2/3 of
+    the time of one product."""
     op = y_operators(Ny)[Y_DENSE.index(order)]
     edges = np.linspace(0, Ny, max(1, round(2 * Ny / _TILE)) + 1).astype(int)
     tiles = []

@@ -546,8 +546,10 @@ class TestStackedFields:
         lambda f: delta_k(f, 1, get_bank(f.grid)),
         lambda f: S_k(f, 2, get_bank(f.grid)),
         lambda f: f + f * 0.5, lambda f: f - 2.0 * f, lambda f: -f,
+        *(lambda f, k=k: sg.y_dense(f, k) for k in sg.Y_DENSE),
     ], ids=["dx", "dy", "dyy", "mean_y", "y_density", "l2_norm", "to_physical",
-            "gevrey_plus", "gevrey_minus", "delta_k", "S_k", "add_mul", "sub_rmul", "neg"])
+            "gevrey_plus", "gevrey_minus", "delta_k", "S_k", "add_mul", "sub_rmul", "neg",
+            *(f"y_dense{k}" for k in sg.Y_DENSE)])
     def test_operator_acts_field_by_field(self, op):
         g = make_grid(32, 33)
         stacked, each = self.fields(g)
