@@ -49,7 +49,6 @@ __all__ = [
     "dyy",
     "dy_matrix",
     "y_diff",
-    "cumulative_trapezoid",
     "Y_DENSE",
     "y_operators",
     "y_dense",
@@ -352,29 +351,9 @@ def dyy(f: Field, out: np.ndarray | None = None) -> Field:
     return Field(f.grid, y_diff(f.rows, f.grid.dy, 2, out))
 
 
-def cumulative_trapezoid(c: np.ndarray, h: float,
-                         out: np.ndarray | None = None) -> np.ndarray:
-    """Cumulative trapezoid rule along the last axis with spacing h.
-
-    Zero in the first column; the values are those of
-    scipy.integrate.cumulative_trapezoid(c, dx=h, axis=-1, initial=0), in
-    its order (a real scaling by h/2 rounds as h * s / 2 does; only the sign
-    of a zero may differ).  `out`, if given, receives the result and must
-    not overlap `c`.
-    """
-    if out is None:
-        out = np.empty(c.shape, dtype=np.result_type(c.dtype, float))
-    out[..., 0] = 0.0
-    cum = np.add(c[..., 1:], c[..., :-1], out=out[..., 1:])
-    flat = cum.view(np.float64)
-    flat *= 0.5 * h
-    cum.cumsum(axis=-1, out=cum)
-    return out
-
-
 #: the orders of the y operators with a dense form, in the order of the
 #: matrices of `y_operators`: d2/dy2 and d/dy (Y_STENCILS), and order -1
-#: the antiderivative int_0^y (`cumulative_trapezoid`)
+#: the antiderivative int_0^y by the cumulative trapezoid rule
 Y_DENSE = (2, 1, -1)
 #: float columns per tile of a dense y operator (see `_y_tiles`)
 _TILE = 64
@@ -384,10 +363,15 @@ _TILE = 64
 def y_operators(Ny: int) -> np.ndarray:
     """The dense y operators on Ny nodes, one read-only (3, Ny, Ny) real
     array with a matrix Op per order of Y_DENSE, rows @ Op applying it to
-    rows along their last axis, built by applying `y_diff` and
-    `cumulative_trapezoid` to the identity."""
+    rows along their last axis.  The derivatives apply `y_diff` to the
+    identity; int_0^y is the cumulative trapezoid rule, whose node i >= 1
+    weighs h/2 in the integral up to node i and h in those above it, and
+    node 0 h/2 in every integral but its own."""
     h, eye = 1.0 / (Ny - 1), np.eye(Ny)
-    ops = np.stack([y_diff(eye, h, k) if k > 0 else cumulative_trapezoid(eye, h) for k in Y_DENSE])
+    trapz = np.triu(np.full((Ny, Ny), h), 1)
+    trapz[0, 1:] = h / 2
+    np.fill_diagonal(trapz[1:, 1:], h / 2)
+    ops = np.stack([y_diff(eye, h, k) if k > 0 else trapz for k in Y_DENSE])
     ops.flags.writeable = False
     return ops
 
@@ -415,8 +399,8 @@ def y_dense(f: Field, order: int, out: np.ndarray | None = None) -> Field:
     """The dense y operator of `order` (see Y_DENSE) of each field of `f`, as
     BLAS products on the float view of its rows, a tile at a time (see
     `_y_tiles`); into `out` if given, which must be C-contiguous and must
-    not overlap `f.rows`.  Equal to `dyy`, `dy` and `cumulative_trapezoid`
-    up to roundoff, not bit for bit."""
+    not overlap `f.rows`.  Equal to `dyy`, `dy` and the cumulative
+    trapezoid rule up to roundoff, not bit for bit."""
     rows = f.rows
     if not rows.flags.c_contiguous:
         rows = np.ascontiguousarray(rows)

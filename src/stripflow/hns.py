@@ -27,7 +27,8 @@ The x-mean of v is pinned to zero throughout: integrating the constraint
 up from the wall forces it, and it is the nullspace of the projection
 operator, so it is enforced directly rather than solved for, by
 ``HnsState.pin`` with the walls.  The x-mean of the second equation then
-only determines a diagnostic pressure profile and never feeds back into u.
+only determines a pressure profile that never feeds back into u, so it is
+not computed.
 
 Storage and stepping: ``HnsState.stack`` holds the band rows m = 0..Nx/3
 of (u, v, ut, vt) (see ``stepper.StackedState``), and ``hns_step``
@@ -47,8 +48,7 @@ from functools import cache
 import numpy as np
 
 from .gevrey import GevreyParams, apply_gevrey
-from .grid import (Field, cumulative_trapezoid, dx, dy, dy_matrix, dyy, l2_norm, mean_y,
-                   multiply)
+from .grid import Field, dx, dy, dy_matrix, dyy, l2_norm, mean_y, multiply
 from .prandtl import recover_v
 from .stepper import SolverAbort, StackedState, rk4_step
 
@@ -58,6 +58,9 @@ log = logging.getLogger(__name__)
 N_PROJ = 50
 #: abort when the weighted energy grows by this factor between checks.
 ENERGY_GROWTH_LIMIT = 10.0
+#: largest relative divergence (`HnsState.divergence_rel`) that
+#: `check_invariants` accepts
+TOL_DIV = 1e-6
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,6 @@ class HnsState(StackedState):
     vt: Field
     eps: float
     t: float = 0.0
-    tol_div: float = 1e-6
     steps: int = 0
     energy_mark: float = field(default=-1.0, repr=False)
 
@@ -120,9 +122,9 @@ class HnsState(StackedState):
             if np.any(f.rows[0] != 0.0):
                 raise SolverAbort(f"x-mean of {name} not pinned", self)
         rel = self.divergence_rel()
-        if rel > self.tol_div:
+        if rel > TOL_DIV:
             raise SolverAbort(
-                f"divergence {rel:.3e} exceeds tolerance {self.tol_div:.1e}",
+                f"divergence {rel:.3e} exceeds tolerance {TOL_DIV:.1e}",
                 self,
             )
 
@@ -257,19 +259,18 @@ def _project_pair(grid, eps, f: np.ndarray):
 # Right-hand side, stepping, cleanup
 # ---------------------------------------------------------------------------
 
-def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
-            disable_pressure: bool = False, report: dict | None = None,
-            out: np.ndarray | None = None):
-    """Time derivative (du, dv, dut, dvt) of the state.
+def hns_rhs(state: HnsState, linear: bool = False,
+            out: np.ndarray | None = None) -> Field:
+    """The accelerations (dut, dvt) of the state, one stacked band Field,
+    written into ``out``, a (2, Nx//3 + 1, Ny) complex array, when one is
+    given; aborts on non-finite values.
 
-    ``disable_nonlinear`` drops the advection terms; ``disable_pressure``
-    skips the projection (for linear single-mode checks where the state is
-    deliberately not divergence-free).  The accelerations are pinned
-    (``HnsState.pin``) before the projection.  All four are band
-    Fields; the accelerations (dut, dvt) are written into ``out``, a
-    (2, Nx//3 + 1, Ny) complex array, when one is given.  The linear
-    terms act on the stacked pair (u, v) at once, and both advection terms
-    come from the two-output form of ``multiply``.
+    The linear terms act on the stacked pair (u, v) at once, and both
+    advection terms come from the two-output form of ``multiply``.  The
+    accelerations are pinned (``HnsState.pin``), then projected onto the
+    constraint.  ``linear`` drops the advection and the projection (for
+    linear single-mode checks where the state is deliberately not
+    divergence-free).
     """
     g = state.grid
     eps = state.eps
@@ -284,8 +285,7 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
                 out=grad[0].view(np.float64))
     acc += grad[0]
     acc -= y[2:]
-    N2 = None
-    if not disable_nonlinear:
+    if not linear:
         dx(uv, out=grad[0])
         dy(uv, out=grad[1])
         # N1 = u u_x + v u_y and N2 = u v_x + v v_y
@@ -297,28 +297,18 @@ def hns_rhs(state: HnsState, disable_nonlinear: bool = False,
     if not np.all(np.isfinite(acc)):
         raise SolverAbort("non-finite acceleration", state)
 
-    if not disable_pressure:
-        c, q = _project_pair(g, eps, acc)
-        acc -= c
-        if report is not None:
-            # mean-mode pressure profile is diagnostic only:
-            # d_y p = -eps^2 N2 at the mean mode (v, Lv vanish there)
-            if N2 is not None:
-                prof = -eps**2 * cumulative_trapezoid(N2.rows[0], g.dy)
-                prof -= g.trapz_w @ prof / g.trapz_w.sum()
-                q[0] = prof
-            report["pressure"] = Field(g, q)
+    if not linear:
+        acc -= _project_pair(g, eps, acc)[0]
         if not np.all(np.isfinite(acc)):
             raise SolverAbort("non-finite acceleration", state)
+    return Field(g, acc)
 
-    return state.ut, state.vt, Field(g, acc[0]), Field(g, acc[1])
 
-
-def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
-             disable_pressure: bool = False, check: bool = False,
+def hns_step(state: HnsState, dt: float, linear: bool = False, check: bool = False,
              n_proj: int = N_PROJ) -> HnsState:
     """One RK4 step (`rk4_step`) of length dt on the stack (u, v, ut, vt),
-    with periodic cleanup and energy guard.
+    with periodic cleanup and energy guard; ``linear`` as in `hns_rhs`,
+    and then no cleanup.
 
     The step refuses dt outside (0, CFL_LIMIT * dy].  The default step
     suggested for production runs is CFL_FACTOR * dy: the projection is an
@@ -330,17 +320,15 @@ def hns_step(state: HnsState, dt: float, disable_nonlinear: bool = False,
     """
     if n_proj < 1:
         raise SolverAbort(f"n_proj must be >= 1, got {n_proj}", state)
-    flags = dict(disable_nonlinear=disable_nonlinear,
-                 disable_pressure=disable_pressure)
 
     def accel(stage, out):
-        hns_rhs(stage, out=out, **flags)
+        hns_rhs(stage, linear=linear, out=out)
 
     out = state.with_stack(rk4_step(state, dt, accel),
                            t=state.t + dt, steps=state.steps + 1)
 
     if out.steps % n_proj == 0:
-        if not disable_pressure:  # the new stack is not shared yet: clean in place
+        if not linear:  # the new stack is not shared yet: clean in place
             out = divergence_cleanup(out, out=out.stack)
         e = out.energy()
         if out.energy_mark >= 0.0 and e > ENERGY_GROWTH_LIMIT * out.energy_mark:

@@ -213,7 +213,7 @@ def check_linear_mode_prandtl(Ny: int = 65, dt: float = 1e-3) -> CheckResult:
     return _linear_mode_check(
         "linear-mode-prandtl", Ny, dt, _mu_discrete(Ny),
         lambda u0: PrandtlState(u=u0, ut=Field.zeros(u0.grid)),
-        lambda s, h: prandtl_step(s, h, disable_nonlinear=True),
+        lambda s, h: prandtl_step(s, h, linear=True),
     )
 
 
@@ -222,7 +222,7 @@ def check_linear_mode_hns(
 ) -> CheckResult:
     """The scaled system's u-mode against the damped oscillator.
 
-    Runs with the nonlinearity and the pressure disabled, so the single
+    Runs linear, without the advection and the projection, so the single
     u-mode obeys the wave equation with mu = mu_discrete + eps^2 xi^2.
     """
     def make_state(u0):
@@ -231,7 +231,7 @@ def check_linear_mode_hns(
 
     return _linear_mode_check(
         "linear-mode-hns", Ny, dt, _mu_discrete(Ny) + eps**2, make_state,
-        lambda s, h: hns_step(s, h, disable_nonlinear=True, disable_pressure=True),
+        lambda s, h: hns_step(s, h, linear=True),
     )
 
 

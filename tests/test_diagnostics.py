@@ -474,7 +474,7 @@ class TestRunDiagnostics:
         series = []
         n_steps = int(round(12.0 / dt))
         for i in range(n_steps):
-            st = prandtl_step(st, dt, disable_nonlinear=True)
+            st = prandtl_step(st, dt, linear=True)
             if (i + 1) % 10 == 0:
                 val = np.sqrt(
                     l2_norm(st.u) ** 2 + l2_norm(st.ut) ** 2 + l2_norm(dy(st.u)) ** 2

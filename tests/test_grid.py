@@ -2,13 +2,13 @@
 
 import numpy as np
 import pytest
+from scipy.integrate import cumulative_trapezoid
 
 from stripflow import grid as sg
 from stripflow.gevrey import GevreyParams, apply_gevrey
 from stripflow.grid import (
     Field,
     Grid,
-    cumulative_trapezoid,
     dx,
     dy,
     dy_matrix,
@@ -221,7 +221,7 @@ class TestIntegration:
     def test_cumulative_of_one_is_y(self):
         g = make_grid(8, 33)
         f = Field(g, np.ones((g.band, g.Ny), dtype=complex))
-        out = cumulative_trapezoid(f.rows, g.dy)
+        out = sg.y_dense(f, -1).rows
         assert np.abs(out[0].real - g.y).max() < 1e-13
 
     def test_full_integral_of_sin2py_vanishes(self):
@@ -234,26 +234,20 @@ class TestIntegration:
         for Ny in (33, 65):
             g = make_grid(8, Ny)
             f = Field(g, np.tile(np.cos(np.pi * g.y), (g.band, 1)).astype(complex))
-            out = cumulative_trapezoid(f.rows, g.dy)
+            out = sg.y_dense(f, -1).rows
             errs.append(np.abs(out[0].real - np.sin(np.pi * g.y) / np.pi).max())
         assert errs[0] < 1e-3
         assert 3.4 < errs[0] / errs[1] < 4.6
 
     @pytest.mark.parametrize("dtype", [float, complex])
     def test_cumulative_trapezoid_is_scipys(self, dtype):
-        # same arithmetic in the same order, so equal to the last bit
-        from scipy.integrate import cumulative_trapezoid as scipy_cumtrapz
-
-        rng = np.random.default_rng(17)
-        c = rng.standard_normal((12, 33)).astype(dtype)
-        if dtype is complex:
-            c += 1j * rng.standard_normal((12, 33))
-        h = 1.0 / 32
-        for arr in (c, c[3]):
-            expect = scipy_cumtrapz(arr, dx=h, axis=-1, initial=0.0)
-            got = cumulative_trapezoid(arr, h)
-            assert got.dtype == expect.dtype
-            assert np.array_equal(got, expect)
+        # the int_0^y matrix of y_operators is scipy's rule applied to the
+        # identity, to the last bit and the sign of every zero
+        for Ny in (9, 17, 33, 65, 129, 257):
+            eye = np.eye(Ny, dtype=dtype)
+            expect = cumulative_trapezoid(eye, dx=1.0 / (Ny - 1), axis=-1, initial=0)
+            got = sg.y_operators(Ny)[sg.Y_DENSE.index(-1)].astype(dtype)
+            assert got.tobytes() == expect.tobytes()
 
 
 class TestL2Norm:
@@ -581,7 +575,7 @@ class TestStackedFields:
         stacked, _ = self.fields(g)
         got = sg.y_dense(stacked, order).rows
         expect = (sg.y_diff(stacked.rows, g.dy, order) if order > 0
-                  else cumulative_trapezoid(stacked.rows, g.dy))
+                  else cumulative_trapezoid(stacked.rows, dx=g.dy, axis=-1, initial=0))
         scale = np.abs(expect).max(axis=(-2, -1), keepdims=True)
         assert got.shape == expect.shape
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)

@@ -111,3 +111,28 @@ def test_y_stencils_only_in_grid(path):
              if isinstance(node, ast.Call)
              and "y_diff" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
     assert lines == [], f"{path.name}: y_diff call on lines {lines}"
+
+
+def test_solver_options():
+    # each option of a solver is one more path to keep working and test;
+    # a new parameter or state field changes this table, so it shows in
+    # review (the steppers' `linear` is their one physics switch)
+    import inspect
+    from dataclasses import fields
+
+    from stripflow import hns, prandtl
+
+    expected = {
+        "prandtl_step": ("state", "dt", "linear", "check"),
+        "prandtl_rhs": ("state", "linear", "out"),
+        "hns_step": ("state", "dt", "linear", "check", "n_proj"),
+        "hns_rhs": ("state", "linear", "out"),
+        "PrandtlState": ("stack", "grid", "u", "ut", "t"),
+        "HnsState": ("stack", "grid", "u", "v", "ut", "vt", "eps", "t", "steps", "energy_mark"),
+    }
+    got = {}
+    for name in expected:
+        obj = getattr(prandtl, name, None) or getattr(hns, name)
+        got[name] = (tuple(f.name for f in fields(obj)) if inspect.isclass(obj)
+                     else tuple(inspect.signature(obj).parameters))
+    assert got == expected
