@@ -216,7 +216,7 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
         block, t = samples[lo:lo + size], times[lo:lo + size]
         hi = lo + len(block)
         gathered = buf[:len(comps) * len(block) * g.band * g.Ny].reshape(
-            len(comps), len(block), g.band, g.Ny)  # contiguous, as y stencils write into it
+            len(comps), len(block), g.band, g.Ny)  # contiguous, as y_dense writes into it
         for name, out in zip(comps, gathered):
             if name is not None:
                 np.concatenate([getattr(smp, name).rows for smp in block],

@@ -24,13 +24,10 @@ Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
 The y direction is a uniform node set with second-order centered
 differences inside and second-order one-sided stencils on the walls.
-Three y operators also have a dense form, built once per Ny from the same
-stencil table and trapezoid rule (`y_operators`): d2/dy2, d/dy and
-int_0^y.  `y_dense` applies one as BLAS products, and the limit system
-applies all three so: with one BLAS thread, the y-work of its right-hand
-side took half the time of the stencil passes at 32x33 and three
-quarters at 128x65.  `hns` keeps the stencils (`dy`, `dyy`): dense
-products in its right-hand side gained nothing measurable at 128x65.
+The y operators d2/dy2, d/dy and int_0^y have one form: a dense matrix,
+built once per Ny from the stencil table and the trapezoid rule
+(`y_operators`), that `y_dense` applies as BLAS products.  `dy` and `dyy`
+are its first two orders.
 """
 
 from __future__ import annotations
@@ -48,7 +45,6 @@ __all__ = [
     "dy",
     "dyy",
     "dy_matrix",
-    "y_diff",
     "Y_DENSE",
     "y_operators",
     "y_dense",
@@ -270,90 +266,19 @@ def dx(f: Field, out: np.ndarray | None = None) -> Field:
 
 
 #: y-derivative stencils by order: (divisor in units of dy**order, interior
-#: terms, terms at the wall y = 0), each term a (node offset, weight) pair,
-#: summed in the order listed.  The wall y = 1 mirrors y = 0: offsets
-#: negated, weights times (-1)**order.  Second order everywhere: centered
-#: inside, one-sided at the walls.
+#: terms, terms at the wall y = 0), each term a (node offset, weight) pair
+#: that `y_operators` writes into its dense matrix.  The wall y = 1 mirrors
+#: y = 0: offsets negated, weights times (-1)**order.  Second order
+#: everywhere: centered inside, one-sided at the walls.
 Y_STENCILS = {
     1: (2.0, ((1, 1.0), (-1, -1.0)), ((0, -3.0), (1, 4.0), (2, -1.0))),
     2: (1.0, ((0, -2.0), (1, 1.0), (-1, 1.0)),
         ((0, 2.0), (1, -5.0), (2, 4.0), (3, -1.0))),
 }
 
-#: the wall terms of Y_STENCILS for both walls at once: the nodes, taken in
-#: pairs (off-th from y = 0, off-th from y = 1) in the order of the terms,
-#: and their weights, complex so that a complex node is scaled as
-#: complex * real scales it
-_WALL_TERMS = {
-    order: (np.array([j for off, _ in wall for j in (off, -1 - off)]),
-            np.array([[v] for _, w in wall for v in (w, (-1.0) ** order * w)],
-                     dtype=np.complex128))
-    for order, (_, _, wall) in Y_STENCILS.items()
-}
-
-
-def y_diff(c: np.ndarray, h: float, order: int,
-           out: np.ndarray | None = None) -> np.ndarray:
-    """Apply the Y_STENCILS derivative of `order` along the last axis of `c`.
-
-    `c` may carry any leading axes (a stack of fields is differentiated in
-    one pass); `out`, if given, receives the result, must be C-contiguous
-    and must not overlap `c`.
-    """
-    div, inner, _ = Y_STENCILS[order]
-    if not c.flags.c_contiguous:
-        c = np.ascontiguousarray(c)
-    if out is None:
-        out = np.empty_like(c)
-    elif not out.flags.c_contiguous:
-        raise ValueError("y_diff needs a C-contiguous out array")
-    # The interior stencil runs over the flattened float view, in long
-    # contiguous passes (a node is r floats: 2 for complex input); what it
-    # leaves on the wall columns, where it straddles two rows, the wall
-    # stencils overwrite.  Real weights scale the float view: the same
-    # numbers as complex * real.
-    src, dst = c.reshape(-1).view(np.float64), out.reshape(-1).view(np.float64)
-    n, r = c.shape[-1], 2 if c.dtype.kind == "c" else 1
-    mid, end = dst[r:-r], src.size - r
-    for k, (off, w) in enumerate(inner):
-        term = src[r * (1 + off):end + r * off]
-        if k == 0:
-            # a unit weight is exact, so the next term reads the node itself
-            first = term if w == 1.0 else np.multiply(term, w, out=mid)
-            continue
-        if w not in (1.0, -1.0):
-            term = term * abs(w)
-        (np.add if w > 0 else np.subtract)(first, term, out=mid)
-        first = mid
-    # The wall nodes of every row, gathered term by term into contiguous
-    # (2, rows) blocks (y = 0, then y = 1), weighted in one pass and summed
-    # in the order of the terms.
-    nodes, weights = _WALL_TERMS[order]
-    terms = c.reshape(-1, n).T.take(nodes, axis=0)
-    terms *= weights if r == 2 else weights.real
-    walls = terms[:2]
-    for k in range(2, terms.shape[0], 2):
-        walls += terms[k:k + 2]
-    out.reshape(-1, n)[:, ::n - 1] = walls.T
-    dst *= 1.0 / (div * h ** order)  # what complex / real computes
-    return out
-
-
-def dy(f: Field, out: np.ndarray | None = None) -> Field:
-    """d/dy: centered second order inside, one-sided second order at walls;
-    into `out` if given (see `y_diff`)."""
-    return Field(f.grid, y_diff(f.rows, f.grid.dy, 1, out))
-
-
-def dyy(f: Field, out: np.ndarray | None = None) -> Field:
-    """d2/dy2: centered second order inside, one-sided second order at walls;
-    into `out` if given (see `y_diff`)."""
-    return Field(f.grid, y_diff(f.rows, f.grid.dy, 2, out))
-
-
-#: the orders of the y operators with a dense form, in the order of the
-#: matrices of `y_operators`: d2/dy2 and d/dy (Y_STENCILS), and order -1
-#: the antiderivative int_0^y by the cumulative trapezoid rule
+#: the orders of the y operators, in the order of the matrices of
+#: `y_operators`: d2/dy2 and d/dy (Y_STENCILS), and order -1 the
+#: antiderivative int_0^y by the cumulative trapezoid rule
 Y_DENSE = (2, 1, -1)
 #: float columns per tile of a dense y operator (see `_y_tiles`)
 _TILE = 64
@@ -363,15 +288,26 @@ _TILE = 64
 def y_operators(Ny: int) -> np.ndarray:
     """The dense y operators on Ny nodes, one read-only (3, Ny, Ny) real
     array with a matrix Op per order of Y_DENSE, rows @ Op applying it to
-    rows along their last axis.  The derivatives apply `y_diff` to the
-    identity; int_0^y is the cumulative trapezoid rule, whose node i >= 1
-    weighs h/2 in the integral up to node i and h in those above it, and
-    node 0 h/2 in every integral but its own."""
-    h, eye = 1.0 / (Ny - 1), np.eye(Ny)
-    trapz = np.triu(np.full((Ny, Ny), h), 1)
-    trapz[0, 1:] = h / 2
-    np.fill_diagonal(trapz[1:, 1:], h / 2)
-    ops = np.stack([y_diff(eye, h, k) if k > 0 else trapz for k in Y_DENSE])
+    rows along their last axis.  A derivative's column j holds the weights
+    of its Y_STENCILS stencil at node j, each over div * h**order; int_0^y
+    is the cumulative trapezoid rule, whose node i >= 1 weighs h/2 in the
+    integral up to node i and h in those above it, and node 0 h/2 in every
+    integral but its own."""
+    h, inside = 1.0 / (Ny - 1), np.arange(1, Ny - 1)
+    ops = np.zeros((len(Y_DENSE), Ny, Ny))
+    for op, order in zip(ops, Y_DENSE):
+        if order < 0:
+            op[np.triu_indices(Ny, 1)] = h
+            op[0, 1:] = h / 2
+            np.fill_diagonal(op[1:, 1:], h / 2)
+            continue
+        div, inner, wall = Y_STENCILS[order]
+        scale = 1.0 / (div * h ** order)
+        for off, w in inner:
+            op[inside + off, inside] = w * scale
+        for off, w in wall:
+            op[off, 0] = w * scale
+            op[-1 - off, -1] = (-1.0) ** order * w * scale
     ops.flags.writeable = False
     return ops
 
@@ -398,23 +334,39 @@ def _y_tiles(Ny: int, order: int) -> list[tuple[slice, slice, np.ndarray]]:
 def y_dense(f: Field, order: int, out: np.ndarray | None = None) -> Field:
     """The dense y operator of `order` (see Y_DENSE) of each field of `f`, as
     BLAS products on the float view of its rows, a tile at a time (see
-    `_y_tiles`); into `out` if given, which must be C-contiguous and must
-    not overlap `f.rows`.  Equal to `dyy`, `dy` and the cumulative
-    trapezoid rule up to roundoff, not bit for bit."""
+    `_y_tiles`); into `out` if given, which must be C-contiguous.
+
+    Raises ValueError if `out` may overlap the rows it reads: a tile would
+    read what an earlier one wrote.
+    """
     rows = f.rows
     if not rows.flags.c_contiguous:
         rows = np.ascontiguousarray(rows)
     if out is None:
         out = np.empty_like(rows)
+    elif np.may_share_memory(out, rows):
+        raise ValueError("y_dense cannot write into the rows it reads")
     x, y = rows.view(np.float64), out.view(np.float64)
     for r, c, tile in _y_tiles(f.grid.Ny, order):
         np.matmul(x[..., r], tile, y[..., c])
     return Field(f.grid, out)
 
 
+def dy(f: Field, out: np.ndarray | None = None) -> Field:
+    """d/dy: centered second order inside, one-sided second order at walls;
+    into `out` if given (see `y_dense`)."""
+    return y_dense(f, 1, out)
+
+
+def dyy(f: Field, out: np.ndarray | None = None) -> Field:
+    """d2/dy2: centered second order inside, one-sided second order at walls;
+    into `out` if given (see `y_dense`)."""
+    return y_dense(f, 2, out)
+
+
 def dy_matrix(Ny: int) -> np.ndarray:
-    """Dense (Ny, Ny) matrix of the dy() stencils on Ny nodes: dy(f) == f.rows @ D.T,
-    a read-only view of the d/dy matrix of `y_operators`."""
+    """Dense (Ny, Ny) matrix of d/dy on Ny nodes, dy(f) == f.rows @ D.T up to
+    roundoff: a read-only view of the d/dy matrix of `y_operators`."""
     return y_operators(Ny)[Y_DENSE.index(1)].T
 
 

@@ -33,8 +33,9 @@ not computed.
 Storage and stepping: ``HnsState.stack`` holds the band rows m = 0..Nx/3
 of (u, v, ut, vt) (see ``stepper.StackedState``), and ``hns_step``
 advances it with the RK4 step shared with the limit system
-(``stepper.rk4_step``).  The right-hand side applies the y stencils to the
-stacked pair (u, v) in one pass and takes both advection terms,
+(``stepper.rk4_step``).  The right-hand side applies d/dy and d2/dy2 to
+the stacked pair (u, v) as dense products, one call each (``grid.dy``,
+``grid.dyy``), and takes both advection terms,
 N1 = u u_x + v u_y and N2 = u v_x + v v_y, from the two-output form of
 ``multiply``, at four transforms per right-hand side.
 """

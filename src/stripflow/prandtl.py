@@ -8,7 +8,7 @@ System (hydrostatic limit of the anisotropic family, on the strip):
 with v recovered as v = -d_x int_0^y u dy' and the pressure gradient a
 y-independent multiplier enforcing the per-mode vertical-mean constraint.
 Every right-hand side applies d2/dy2, d/dy and int_0^y to the rows of u
-as BLAS products with their dense forms (`grid.y_dense`).
+as dense BLAS products (`grid.y_dense`).
 
 Discrete pressure law
 ---------------------

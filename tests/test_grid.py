@@ -26,6 +26,21 @@ def make_grid(Nx=64, Ny=33, Lx=2 * np.pi):
     return Grid(Nx, Ny, Lx)
 
 
+def y_stencil(f: np.ndarray, h: float, order: int) -> np.ndarray:
+    """d/dy (order 1) or d2/dy2 (order 2) along the last axis by numpy
+    slicing: centered inside, one-sided second order at the walls."""
+    out = np.empty_like(f)
+    if order == 1:
+        out[..., 1:-1] = (f[..., 2:] - f[..., :-2]) / (2 * h)
+        out[..., 0] = (-3 * f[..., 0] + 4 * f[..., 1] - f[..., 2]) / (2 * h)
+        out[..., -1] = (3 * f[..., -1] - 4 * f[..., -2] + f[..., -3]) / (2 * h)
+    else:
+        out[..., 1:-1] = (f[..., 2:] - 2 * f[..., 1:-1] + f[..., :-2]) / h**2
+        out[..., 0] = (2 * f[..., 0] - 5 * f[..., 1] + 4 * f[..., 2] - f[..., 3]) / h**2
+        out[..., -1] = (2 * f[..., -1] - 5 * f[..., -2] + 4 * f[..., -3] - f[..., -4]) / h**2
+    return out
+
+
 def stack(*fields: Field) -> Field:
     """One Field holding the rows of `fields` along a new leading axis."""
     return Field(fields[0].grid, np.stack([f.rows for f in fields]))
@@ -214,7 +229,21 @@ class TestDyOperators:
         ops = sg.y_operators(17)
         assert sg.y_operators(17) is ops and ops.shape == (len(sg.Y_DENSE), 17, 17)
         assert not ops.flags.writeable and not dy_matrix(17).flags.writeable
-        assert np.array_equal(dy_matrix(17), sg.y_diff(np.eye(17), 1 / 16, 1).T)
+        # column j of d/dy and d2/dy2 holds the stencil at node j, placed
+        # by hand here, to the last bit and the sign of every zero
+        for Ny in (9, 17, 33, 65, 129, 257):
+            h, i = 1.0 / (Ny - 1), np.arange(1, Ny - 1)
+            d1, s1 = np.zeros((Ny, Ny)), 1.0 / (2.0 * h)
+            d1[i + 1, i], d1[i - 1, i] = s1, -s1
+            d1[:3, 0], d1[-3:, -1] = [-3.0 * s1, 4.0 * s1, -s1], [s1, -4.0 * s1, 3.0 * s1]
+            d2, s2 = np.zeros((Ny, Ny)), 1.0 / h**2
+            d2[i, i], d2[i + 1, i], d2[i - 1, i] = -2.0 * s2, s2, s2
+            d2[:4, 0] = [2.0 * s2, -5.0 * s2, 4.0 * s2, -s2]
+            d2[-4:, -1] = [-s2, 4.0 * s2, -5.0 * s2, 2.0 * s2]
+            ops = sg.y_operators(Ny)
+            assert ops[sg.Y_DENSE.index(1)].tobytes() == d1.tobytes()
+            assert ops[sg.Y_DENSE.index(2)].tobytes() == d2.tobytes()
+            assert dy_matrix(Ny).T.tobytes() == d1.tobytes()
 
 
 class TestIntegration:
@@ -569,16 +598,32 @@ class TestStackedFields:
     @pytest.mark.parametrize("Ny", [33, 65, 129])  # one, two and four tiles
     @pytest.mark.parametrize("order", sg.Y_DENSE)
     def test_dense_y_operator_matches_its_stencil(self, order, Ny):
-        # a BLAS product per tile, not the stencil passes: equal to
-        # roundoff, field by field, at every scale of the stack
+        # a BLAS product per tile: equal to the stencil by slicing or to
+        # scipy's trapezoid rule up to roundoff, field by field, at every
+        # scale of the stack
         g = make_grid(32, Ny)
         stacked, _ = self.fields(g)
         got = sg.y_dense(stacked, order).rows
-        expect = (sg.y_diff(stacked.rows, g.dy, order) if order > 0
+        expect = (y_stencil(stacked.rows, g.dy, order) if order > 0
                   else cumulative_trapezoid(stacked.rows, dx=g.dy, axis=-1, initial=0))
         scale = np.abs(expect).max(axis=(-2, -1), keepdims=True)
         assert got.shape == expect.shape
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("Ny", [33, 65])  # one and two tiles
+    @pytest.mark.parametrize("op", [
+        dy, dyy, *(lambda f, out=None, k=k: sg.y_dense(f, k, out) for k in sg.Y_DENSE),
+    ], ids=["dy", "dyy", *(f"y_dense{k}" for k in sg.Y_DENSE)])
+    def test_y_operators_refuse_to_write_over_their_input(self, op, Ny):
+        # a later tile would read what an earlier one wrote
+        g = make_grid(32, Ny)
+        rows = self.fields(g)[0].rows.reshape(-1, g.band, g.Ny)  # six fields
+        before = rows.copy()
+        for f, out in ((rows, rows), (rows[:5], rows[1:])):
+            with pytest.raises(ValueError, match="rows it reads"):
+                op(Field(g, f), out=out)
+        assert np.array_equal(rows, before)
+        op(Field(g, rows[:3]), out=rows[3:])  # disjoint parts of one buffer
 
     def test_gevrey_floor_and_horizon_per_field(self):
         # one time per sample (the last axis), a floor and a horizon per field

@@ -39,12 +39,12 @@ PINNED = {
         "snapshots/final.snap": "7824092c5a2c4e181c1e6d1607dca21bee1c782529d74dafc2a124270364807f",
     },
     "decay-hns": {
-        "energy.csv": "6b10641d00bda37d03531a53658674b996689b11105df30e662426b6b4426991",
+        "energy.csv": "b932dc8bebd0f52f4091c7ef149475ff9f06b42c7fecaf53f0ec2bb810ed1566",
         "snapshots/initial.snap": "441a987676678e1efd0ad9054a93281fa78e48130ac9b85d61034f0e26b43f02",
-        "snapshots/final.snap": "a226fbba2373b8dce6c2669f6c571261bdd4d7c9a02187dbb0b5bd34f6b071cd",
+        "snapshots/final.snap": "8d822517042baf3c28dd75b038213f64d505cc12945773c288f83f8ec2bc167d",
     },
     "sweep-eps": {
-        "sweep.csv": "cf90528c3709647608f95c783dd26eb42efda84780621d9de4b4438f419f1bfb",
+        "sweep.csv": "e6a12d5f306dca310efeb5e236fca62bf0969b73db057b0ecff520dfa199424d",
     },
 }
 

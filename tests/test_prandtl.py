@@ -187,12 +187,14 @@ class TestRhs:
 
 class TestDenseYOperators:
     """The right-hand side applies d2/dy2, d/dy and int_0^y as dense
-    products; an oracle with the stencil passes they replaced checks it."""
+    products; an oracle written out in the test checks it, with `dyy` and
+    `dy` (checked against the stencils in tests/test_grid.py) and scipy's
+    trapezoid rule."""
 
     @staticmethod
     def oracle(u: Field, ut: Field, factor: float, nonlinear: bool):
-        """(d_x p values, acceleration rows) by the stencils, with
-        v = -int_0^y d_x u by the trapezoid rule."""
+        """(d_x p values, acceleration rows) by the grid's derivatives,
+        with v = -int_0^y d_x u by scipy's trapezoid rule."""
         g = u.grid
         visc = dyy(u).rows
         inner = np.add.reduce(visc[:, 1:-1], axis=1)
@@ -230,17 +232,6 @@ class TestDenseYOperators:
         if nonlinear:
             got = pressure_gradient(s.u).rows[:, 1:-1]
             assert np.abs(got - pg[:, None]).max() <= 1e-13 * np.abs(pg).max()
-
-    def test_step_makes_no_stencil_pass(self, monkeypatch):
-        g = Grid(32, 33)
-        u0, u1 = make_gevrey_data(g, GevreyParams(a=0.5), amplitude=1e-4, m_max=2)
-        s = prandtl_step(PrandtlState(u0, u1), 0.25 * g.dy)  # builds the dense operators
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("a stencil pass in prandtl_step")
-
-        monkeypatch.setattr(grid, "y_diff", refuse)
-        prandtl_step(s, 0.25 * g.dy)
 
 
 class TestStep:
@@ -409,11 +400,15 @@ class TestSmallDataDecay:
 class TestCallBudget:
     #: Python and C calls that `sys.setprofile` saw in one warm prandtl_step
     #: at 32x33 before the fused RK4 update (Python 3.11, numpy 2.4); numpy's
-    #: own FFT wrappers are part of the count, so it depends on numpy.  The
-    #: count was 358 before the solvers took stacked Fields, 342 after, 309
-    #: with the dense y operators (310 measured since), and 306 with one
-    #: pressure law and one `linear` switch
+    #: own FFT wrappers are part of the count, so it depends on numpy
     BEFORE = 609
+    #: the count reached, and the margin allowed above it.  The count was
+    #: 358 before the solvers took stacked Fields, 342 after, 309 with the
+    #: dense y operators, 306 with one pressure law and one `linear` switch
+    #: (305 measured since), and 317 since `y_dense` refuses an `out` that
+    #: overlaps its input (one `np.may_share_memory` per call)
+    REACHED = 317
+    MARGIN = 20
 
     def test_step_makes_at_most_two_thirds_of_the_calls(self):
         import sys
@@ -435,4 +430,4 @@ class TestCallBudget:
             prandtl_step(s, dt)
         finally:
             sys.setprofile(None)
-        assert calls <= 2 * self.BEFORE // 3, calls
+        assert calls <= self.REACHED + self.MARGIN < 2 * self.BEFORE // 3, calls

@@ -104,13 +104,14 @@ def test_field_type_checks_only_in_grid(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
                          ids=lambda p: p.name)
 def test_y_stencils_only_in_grid(path):
-    # the y-stencil table has one reader: other modules differentiate in y
-    # through dy and dyy, on single or stacked Fields, never by y_diff
+    # the y-stencil table and the dense operators built from it have one
+    # reader: other modules differentiate in y through dy, dyy and y_dense
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = {"Y_STENCILS", "y_operators", "_y_tiles"}
     lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Call)
-             and "y_diff" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert lines == [], f"{path.name}: y_diff call on lines {lines}"
+             if names & {getattr(node, "id", None), getattr(node, "attr", None)}
+             or isinstance(node, ast.alias) and node.name in names]
+    assert lines == [], f"{path.name}: y-stencil table or dense operators named on lines {lines}"
 
 
 def test_solver_options():
