@@ -18,7 +18,8 @@ weights, multipliers).  Every conjugate mirror is written in this module.
 A Field may hold a stack of fields: band rows with any leading axes,
 (..., Nx//3 + 1, Ny).  Every operator acts field by field over the leading
 axes, each field with the arithmetic of a single one, except `multiply`,
-whose leading axis indexes a fused sum of products.
+whose leading axis indexes a fused sum of products, or the pair (u, v)
+of its advection form.
 
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
@@ -27,7 +28,9 @@ differences inside and second-order one-sided stencils on the walls.
 The y operators d2/dy2, d/dy and int_0^y have one form: a dense matrix,
 built once per Ny from the stencil table and the trapezoid rule
 (`y_operators`), that `y_dense` applies as BLAS products.  `dy` and `dyy`
-are its first two orders.
+are its first two orders.  The same tile loop (`_y_apply`) applies d/dy
+to physical values, where `multiply`'s advection form differentiates
+its packed pair: d/dy acts along y and the transform along x.
 """
 
 from __future__ import annotations
@@ -90,6 +93,7 @@ class Grid:
         # band-row multipliers: i*xi for d/dx, and -xi^2 for d2/dx2, its square
         self._dx_rows = 1j * self.band_xi[:, None]
         self._dxx_rows = (self._dx_rows * self._dx_rows).real
+        self._dx_full = 1j * self.xi[:, None]  # i*xi over every row
         # trapezoid weights in y (fixed summation order via dot products)
         w = np.full(Ny, self.dy)
         w[0] = w[-1] = 0.5 * self.dy
@@ -342,14 +346,19 @@ def y_dense(f: Field, order: int, out: np.ndarray | None = None) -> Field:
     rows = f.rows
     if not rows.flags.c_contiguous:
         rows = np.ascontiguousarray(rows)
-    if out is None:
-        out = np.empty_like(rows)
-    elif np.may_share_memory(out, rows):
-        raise ValueError("y_dense cannot write into the rows it reads")
-    x, y = rows.view(np.float64), out.view(np.float64)
-    for r, c, tile in _y_tiles(f.grid.Ny, order):
+    return Field(f.grid, _y_apply(rows, order, np.empty_like(rows) if out is None else out))
+
+
+def _y_apply(a: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
+    """The `order` operator along the last axis of the C-contiguous complex
+    array `a`, of any leading shape, into `out`, by the tiles of `_y_tiles`:
+    the tile loop of `y_dense`, also for physical values."""
+    if np.may_share_memory(out, a):
+        raise ValueError("a y operator cannot write into the rows it reads")
+    x, y = a.view(np.float64), out.view(np.float64)
+    for r, c, tile in _y_tiles(a.shape[-1], order):
         np.matmul(x[..., r], tile, y[..., c])
-    return Field(f.grid, out)
+    return out
 
 
 def dy(f: Field, out: np.ndarray | None = None) -> Field:
@@ -439,7 +448,7 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (s + r), -0.5j * (s - r)
 
 
-def multiply(f: Field, g: Field, h: Field | None = None) -> Field | tuple[Field, Field]:
+def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
     """Dealiased pointwise product of two real fields.
 
     `f` and `g` may also hold equal-length stacks of fields, (n, band, Ny);
@@ -452,50 +461,53 @@ def multiply(f: Field, g: Field, h: Field | None = None) -> Field | tuple[Field,
     factor, so two single fields take two inverse transforms and one
     forward transform.
 
-    Two-output form: with `h`, a Field stacked as `f` is, the result is the
-    pair of dealiased sums f[0] g[0] + f[1] g[1] + ... and f[0] h[0] +
-    f[1] h[1] + ...  The factors of `f` go to physical x once for both
-    outputs, the k-th factors of g and h share one inverse transform
-    (g[k] + i h[k]), and the packed sum takes one forward transform that
-    conjugate symmetry splits in two.  Two outputs of two products each
-    thus cost 4 transforms.
+    Advection form: without `g`, `f` is a pair (u, v), a (2, band, Ny)
+    stack, and the result is the pair of dealiased advections
+    (u d_x + v d_y) u and (u d_x + v d_y) v.  The pair rides as z = u + iv:
+    one inverse transform gives z, a second one of i xi times its packed
+    spectrum gives z_x, and d/dy, which acts along y where the transform
+    acts along x, is the dense product (`y_dense`'s tiles) of physical z.
+    Re(z) z_x + Im(z) z_y takes one forward transform that conjugate
+    symmetry splits in two, so the two advections cost 3 transforms.
 
     The result holds only the rows m = 0..Nx/3 of the product, with no
     mirror written.  Overflow warns as any numpy arithmetic does; the RK4
     step silences it (`stepper.rk4_step`), because the solvers' finiteness
     checks turn it into an abort.
     """
-    fs, gs, hs = f.rows, g.rows, None if h is None else h.rows
+    fs, grid = f.rows, f.grid
+    if g is None:
+        if fs.shape[:-2] != (2,):
+            raise ValueError(f"the advection form needs a pair (u, v), got leading "
+                             f"shape {fs.shape[:-2]}")
+        z = grid.work("multiply.f", (grid.Nx, grid.Ny))
+        zx, zy = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
+        np.multiply(_pack(grid, fs[0], fs[1], z), grid._dx_full, out=zx)
+        np.fft.ifft(z, axis=0, norm="forward", out=z)
+        np.fft.ifft(zx, axis=0, norm="forward", out=zx)
+        _y_apply(z, 1, zy)
+        zx *= z.real
+        zy *= z.imag
+        zx += zy
+        np.fft.fft(zx, axis=0, norm="forward", out=zx)
+        n1, n2 = _split_pair(grid, zx)
+        return Field(grid, n1), Field(grid, n2)
+    gs = g.rows
     lead = fs.shape[:-2]
-    if (lead[1:] or lead == (0,) or gs.shape[:-2] != lead
-            or (h is not None and hs.shape[:-2] != lead)):
-        raise ValueError(f"multiply needs equal-length, non-empty f, g (and h if given), "
-                         f"got leading shapes {lead}, {gs.shape[:-2]} and "
-                         f"{None if h is None else hs.shape[:-2]}")
-    grid = f.grid
-    for x in (g, h):
-        if x is not None and x.grid is not grid:
-            f._check_same_grid(x)
+    if lead[1:] or lead == (0,) or gs.shape[:-2] != lead:
+        raise ValueError(f"multiply needs equal-length, non-empty f and g, "
+                         f"got leading shapes {lead} and {gs.shape[:-2]}")
+    if g.grid is not grid:
+        f._check_same_grid(g)
     if not lead:  # single fields: stacks of one
         fs, gs = fs[None], gs[None]
-        hs = None if h is None else hs[None]
 
     fv = _physical(grid, "multiply.f", fs)
-    if h is None:
-        gv = _physical(grid, "multiply.g", gs)
-        prod = grid.work("multiply.prod", (grid.Nx, grid.Ny), np.float64)
-        np.multiply(fv[0], gv[0], out=prod)
-        for fk, gk in zip(fv[1:], gv[1:]):
-            prod += np.multiply(fk, gk, out=fk)  # fk is not read again
-        spec = np.fft.fft(prod, axis=0, norm="forward")
-        return Field(grid, spec[:grid.band])
-    total, z = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
-    for k, (fk, gk, hk) in enumerate(zip(fv, gs, hs)):
-        dst = total if k == 0 else z
-        np.fft.ifft(_pack(grid, gk, hk, dst), axis=0, norm="forward", out=dst)
-        dst *= fk
-        if k:
-            total += z
-    np.fft.fft(total, axis=0, norm="forward", out=total)
-    fg, fh = _split_pair(grid, total)
-    return Field(grid, fg), Field(grid, fh)
+    gv = _physical(grid, "multiply.g", gs)
+    prod = grid.work("multiply.prod", (grid.Nx, grid.Ny), np.float64)
+    np.multiply(fv[0], gv[0], out=prod)
+    for fk, gk in zip(fv[1:], gv[1:]):
+        prod += np.multiply(fk, gk, out=fk)  # fk is not read again
+    spec = np.fft.fft(prod, axis=0, norm="forward")
+    return Field(grid, spec[:grid.band])
+

@@ -33,11 +33,11 @@ not computed.
 Storage and stepping: ``HnsState.stack`` holds the band rows m = 0..Nx/3
 of (u, v, ut, vt) (see ``stepper.StackedState``), and ``hns_step``
 advances it with the RK4 step shared with the limit system
-(``stepper.rk4_step``).  The right-hand side applies d/dy and d2/dy2 to
-the stacked pair (u, v) as dense products, one call each (``grid.dy``,
-``grid.dyy``), and takes both advection terms,
-N1 = u u_x + v u_y and N2 = u v_x + v v_y, from the two-output form of
-``multiply``, at four transforms per right-hand side.
+(``stepper.rk4_step``).  The right-hand side applies d2/dy2 to the
+stacked pair (u, v) as one dense product (``grid.dyy``), and takes both
+advection terms, N1 = u u_x + v u_y and N2 = u v_x + v v_y, from the
+advection form of ``multiply``, which differentiates the packed pair
+u + iv itself, at three transforms per right-hand side.
 """
 
 from __future__ import annotations
@@ -267,7 +267,7 @@ def hns_rhs(state: HnsState, linear: bool = False,
     given; aborts on non-finite values.
 
     The linear terms act on the stacked pair (u, v) at once, and both
-    advection terms come from the two-output form of ``multiply``.  The
+    advection terms come from the advection form of ``multiply``.  The
     accelerations are pinned (``HnsState.pin``), then projected onto the
     constraint.  ``linear`` drops the advection and the projection (for
     linear single-mode checks where the state is deliberately not
@@ -278,19 +278,17 @@ def hns_rhs(state: HnsState, linear: bool = False,
     y = state.stack
     uv = Field(g, y[:2])
 
-    # the x and y derivatives of (u, v), in the grid's "advection" work
-    # stack shared with the limit system's advection
-    grad = g.work("advection", (2, 2, g.band, g.Ny))
+    # eps^2 (u_xx, v_xx), in the grid's "advection" work stack shared with
+    # the limit system's advection
+    dxx = g.work("advection", (2, g.band, g.Ny))
     acc = dyy(uv, out=out).rows
     np.multiply(uv.rows.view(np.float64), eps**2 * g._dxx_rows,
-                out=grad[0].view(np.float64))
-    acc += grad[0]
+                out=dxx.view(np.float64))
+    acc += dxx
     acc -= y[2:]
     if not linear:
-        dx(uv, out=grad[0])
-        dy(uv, out=grad[1])
         # N1 = u u_x + v u_y and N2 = u v_x + v v_y
-        N1, N2 = multiply(uv, Field(g, grad[:, 0]), Field(g, grad[:, 1]))
+        N1, N2 = multiply(uv)
         acc[0] -= N1.rows
         acc[1] -= N2.rows
     state.pin(acc)  # the x-mean of v is pinned, not solved for

@@ -341,35 +341,29 @@ class TestDealiasAndProducts:
         assert err <= 1e-13 * np.abs(expect.coeff).max()
         assert np.abs(got.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
 
-    @pytest.mark.parametrize("factors", [1, 2, 3])
-    def test_multi_output_form_matches_products(self, factors):
-        # an odd factor count leaves an unpaired f; one factor comes both
-        # as a stack of one and as a single field
-        g = make_grid(48, 17)
-        rng = np.random.default_rng(factors)
+    @pytest.mark.parametrize("Ny", [17, 65, 129])  # one, two and four d/dy tiles
+    def test_advection_form_matches_products(self, Ny):
+        # (u d_x + v d_y)(u, v) from the packed pair equals the products of
+        # its factors; Nx = 48 keeps a Nyquist row and mirror rows that
+        # differ from the band rows
+        g = make_grid(48, Ny)
+        rng = np.random.default_rng(Ny)
+        u, v = (Field(g, random_rows(g, rng)) for _ in range(2))
+        got = multiply(stack(u, v))
+        assert isinstance(got, tuple) and len(got) == 2
+        for out, w in zip(got, (u, v)):
+            expect = multiply(u, dx(w)) + multiply(v, dy(w))
+            assert out.rows.shape == (g.band, g.Ny)
+            err = np.abs(out.coeff - expect.coeff).max()
+            assert err <= 1e-13 * np.abs(expect.coeff).max()
+            assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
 
-        def field():
-            return Field(g, random_rows(g, rng))
-
-        fs = [field() for _ in range(factors)]
-        gss = [[field() for _ in range(factors)] for _ in range(2)]
-        forms = [multiply(stack(*fs), *(stack(*gs) for gs in gss))]
-        if factors == 1:
-            forms.append(multiply(fs[0], gss[0][0], gss[1][0]))
-        for got in forms:
-            assert isinstance(got, tuple) and len(got) == 2
-            for out, gs in zip(got, gss):
-                expect = multiply(fs[0], gs[0])
-                for f, h in zip(fs[1:], gs[1:]):
-                    expect = expect + multiply(f, h)
-                assert out.rows.shape == (g.band, g.Ny)
-                err = np.abs(out.coeff - expect.coeff).max()
-                assert err <= 1e-13 * np.abs(expect.coeff).max()
-                assert np.abs(out.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
-                assert np.abs(out.rows[0].imag).max() <= 1e-15 * np.abs(out.rows).max()
-        if factors == 1:
-            for a, b in zip(*forms):
-                assert np.array_equal(a.rows, b.rows)
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "three", "two_axes"])
+    def test_advection_form_needs_a_pair(self, lead):
+        g = make_grid(16, 9)
+        f = Field(g, np.zeros(lead + (g.band, g.Ny), dtype=complex))
+        with pytest.raises(ValueError, match="pair"):
+            multiply(f)
 
     def test_sequence_form_rejects_bad_input(self):
         # stacked factors must share one leading shape, of one non-empty axis
@@ -381,14 +375,10 @@ class TestDealiasAndProducts:
         with pytest.raises(ValueError, match="equal-length"):
             multiply(ff, f)
         with pytest.raises(ValueError, match="equal-length"):
-            multiply(ff, ff, f)
-        with pytest.raises(ValueError, match="equal-length"):
             multiply(stack(ff, ff), stack(ff, ff))
         other = band_limited_field(make_grid(32, 9), 3)
         with pytest.raises(ValueError, match="grid mismatch"):
             multiply(ff, stack(other, other))
-        with pytest.raises(ValueError, match="grid mismatch"):
-            multiply(ff, ff, stack(other, other))
 
 
 class TestTransformCount:
@@ -433,7 +423,12 @@ class TestTransformCount:
         u, v = (band_limited_field(g, 3, seed) for seed in (0, 1))
         z = Field.zeros(g)
         s = HnsState(u, v, z, z.copy(), eps=0.5)
-        assert count_transforms(lambda: hns_rhs(s)) == {"fft": 1, "ifft": 3}
+        assert count_transforms(lambda: hns_rhs(s)) == {"fft": 1, "ifft": 2}
+
+    def test_advection_form(self, count_transforms):
+        g = make_grid(16, 9)
+        uv = stack(*(band_limited_field(g, 3, seed) for seed in (0, 1)))
+        assert count_transforms(lambda: multiply(uv)) == {"fft": 1, "ifft": 2}
 
 
 class TestParsevalProperty:
@@ -504,7 +499,7 @@ class TestBand:
         lambda f, h: (f * 2.5, 2.5 * f),
         lambda f, h: (-f,),
         lambda f, h: (multiply(f, h),),
-        lambda f, h: multiply(stack(f, h), stack(h, f), stack(f, f)),
+        lambda f, h: multiply(stack(f, h)),
         lambda f, h: (delta_k(f, 1, get_bank(f.grid)),),
         lambda f, h: (S_k(f, 1, get_bank(f.grid)),),
         lambda f, h: bony(f, h),
@@ -625,6 +620,24 @@ class TestStackedFields:
         assert np.array_equal(rows, before)
         op(Field(g, rows[:3]), out=rows[3:])  # disjoint parts of one buffer
 
+    @pytest.mark.parametrize("Ny", [33, 65])  # one and two tiles
+    def test_physical_d_dy_commutes_with_the_transform(self, Ny):
+        # the advection form differentiates physical values in y: d/dy of
+        # the physical rows is the physical d/dy up to roundoff, and its
+        # tile loop refuses to write into the values it reads
+        g = make_grid(32, Ny)
+        f = Field(g, random_band(g))
+        vals = to_physical(f).astype(complex)
+        got = sg._y_apply(vals, 1, np.empty_like(vals))
+        expect = to_physical(dy(f))
+        assert np.abs(got.imag).max() == 0.0
+        assert np.abs(got.real - expect).max() <= 1e-13 * np.abs(expect).max()
+        before = vals.copy()
+        for a, out in ((vals, vals), (vals[:-1], vals[1:])):
+            with pytest.raises(ValueError, match="rows it reads"):
+                sg._y_apply(a, 1, out)
+        assert np.array_equal(vals, before)
+
     def test_gevrey_floor_and_horizon_per_field(self):
         # one time per sample (the last axis), a floor and a horizon per field
         g = make_grid(32, 33)
@@ -685,9 +698,9 @@ class TestWorkBuffers:
 
     def test_both_solvers_share_the_buffers(self):
         # largest request per name: rk4 at the hns stack, multiply.g at the
-        # two-output pair, and one advection stack that both solvers share;
-        # 979.1 KB at 128x65 (1,110.1 KB with a stack per solver, 1,415 KB
-        # held per shape)
+        # advection form's z_x and z_y, and one advection stack that both
+        # solvers share; 979.1 KB at 128x65 (1,110.1 KB with a stack per
+        # solver, 1,415 KB held per shape)
         from stripflow.gevrey import make_gevrey_data
         from stripflow.hns import hns_step, make_hns_data
         from stripflow.prandtl import PrandtlState, prandtl_step

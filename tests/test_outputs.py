@@ -39,9 +39,9 @@ PINNED = {
         "snapshots/final.snap": "7824092c5a2c4e181c1e6d1607dca21bee1c782529d74dafc2a124270364807f",
     },
     "decay-hns": {
-        "energy.csv": "b932dc8bebd0f52f4091c7ef149475ff9f06b42c7fecaf53f0ec2bb810ed1566",
+        "energy.csv": "4f7855568bfbc85ebd9bd62f20d6df28cf64a33658fce510d8899c9f2522e435",
         "snapshots/initial.snap": "441a987676678e1efd0ad9054a93281fa78e48130ac9b85d61034f0e26b43f02",
-        "snapshots/final.snap": "8d822517042baf3c28dd75b038213f64d505cc12945773c288f83f8ec2bc167d",
+        "snapshots/final.snap": "b2934508cfb66bdce2ade452d2eb78990ae5e7b1bb15b7091c7b449df2923243",
     },
     "sweep-eps": {
         "sweep.csv": "e6a12d5f306dca310efeb5e236fca62bf0969b73db057b0ecff520dfa199424d",

@@ -105,9 +105,10 @@ def test_field_type_checks_only_in_grid(path):
                          ids=lambda p: p.name)
 def test_y_stencils_only_in_grid(path):
     # the y-stencil table and the dense operators built from it have one
-    # reader: other modules differentiate in y through dy, dyy and y_dense
+    # reader: other modules differentiate in y through dy, dyy and y_dense,
+    # never through the raw-array tile loop
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-    names = {"Y_STENCILS", "y_operators", "_y_tiles"}
+    names = {"Y_STENCILS", "y_operators", "_y_tiles", "_y_apply"}
     lines = [node.lineno for node in ast.walk(tree)
              if names & {getattr(node, "id", None), getattr(node, "attr", None)}
              or isinstance(node, ast.alias) and node.name in names]
