@@ -17,9 +17,8 @@ weights, multipliers).  Every conjugate mirror is written in this module.
 
 A Field may hold a stack of fields: band rows with any leading axes,
 (..., Nx//3 + 1, Ny).  Every operator acts field by field over the leading
-axes, each field with the arithmetic of a single one, except `multiply`,
-whose leading axis indexes a fused sum of products, or the pair (u, v)
-of its advection form.
+axes, each field with the arithmetic of a single one, except the
+advection form of `multiply`, whose leading axis is the pair (u, v).
 
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
@@ -140,17 +139,16 @@ class Grid:
             raise ValueError("rows m <= 0 are not the conjugates of rows -m")
         return full[..., :K + 1, :].copy()
 
-    def unfold(self, band: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    def unfold(self, band: np.ndarray) -> np.ndarray:
         """Full spectra (..., Nx, Ny) of the real fields whose band rows
         m = 0..Nx/3 are `band` (..., band, Ny): rows -m are their
-        conjugates, the rest 0.  Written into `out` when it is given; only
-        the transforms and snapshots need a full spectrum.
+        conjugates, the rest 0.  Only the transforms and snapshots need a
+        full spectrum.
 
         A mirrored zero is written as +0.0, not -0.0, as the arithmetic on
         a full spectrum leaves it."""
         K = self.band - 1
-        if out is None:
-            out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
+        out = np.empty(band.shape[:-2] + (self.Nx, self.Ny), dtype=np.complex128)
         out[..., :K + 1, :] = band
         out[..., K + 1:self.Nx - K, :] = 0.0
         src, hi = band[..., K:0:-1, :], out[..., self.Nx - K:, :]
@@ -405,29 +403,11 @@ def l2_norm(f: Field):
     return float(norm) if norm.ndim == 0 else norm
 
 
-def _physical(grid: Grid, name: str, rows: np.ndarray) -> list[np.ndarray]:
-    """Real physical values of the fields of the (n, band, Ny) stack `rows`,
-    two per inverse transform (a + ib), as views of the grid's `name` work
-    stack."""
-    n = rows.shape[0]
-    buf = grid.work(name, ((n + 1) // 2, grid.Nx, grid.Ny))
-    vals = []
-    for z, k in zip(buf, range(0, n, 2)):
-        pair = k + 1 < n
-        _pack(grid, rows[k], rows[k + 1] if pair else None, z)
-        np.fft.ifft(z, axis=0, norm="forward", out=z)
-        vals += [z.real, z.imag] if pair else [z.real]
-    return vals
-
-
-def _pack(grid: Grid, a: np.ndarray, b: np.ndarray | None, out: np.ndarray) -> np.ndarray:
+def _pack(grid: Grid, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a + ib into `out`, the full spectrum of the complex physical field
-    a + ib of the band rows a and b (of a alone when b is None).  Rows
-    m = 0..Nx/3 are A + iB and rows -m are conj(A) + i conj(B) (two real
-    fields in one complex transform: Press et al., Numerical Recipes, 3rd
-    ed., 12.3.2)."""
-    if b is None:
-        return grid.unfold(a, out)
+    a + ib of the band rows a and b.  Rows m = 0..Nx/3 are A + iB and rows
+    -m are conj(A) + i conj(B) (two real fields in one complex transform:
+    Press et al., Numerical Recipes, 3rd ed., 12.3.2)."""
     K, Nx = grid.band - 1, grid.Nx
     lo, hi = out[:K + 1], out[Nx - K:]
     np.multiply(b, 1j, out=lo)
@@ -449,17 +429,11 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
-    """Dealiased pointwise product of two real fields.
-
-    `f` and `g` may also hold equal-length stacks of fields, (n, band, Ny);
-    the leading axis then indexes a fused sum, and the result is the one
-    dealiased field f[0] g[0] + f[1] g[1] + ...  Factors go to physical x
-    two per inverse transform (real a, b ride as a + ib), the products are
-    summed there, and the sum takes one forward transform and one dealias
-    (the 2/3 rule is linear).  A sum of n products thus costs n + 1
-    transforms instead of 3n.  An odd last pair is transformed factor by
-    factor, so two single fields take two inverse transforms and one
-    forward transform.
+    """Dealiased pointwise product of two real fields, field by field over
+    stacks of one shape: both factors go to physical x (`to_physical`, with
+    its check of the mean row), are multiplied there, and the product takes
+    one forward transform and keeps its band.  Factors of unequal shapes
+    or on different grids raise ValueError.
 
     Advection form: without `g`, `f` is a pair (u, v), a (2, band, Ny)
     stack, and the result is the pair of dealiased advections
@@ -492,22 +466,9 @@ def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
         np.fft.fft(zx, axis=0, norm="forward", out=zx)
         n1, n2 = _split_pair(grid, zx)
         return Field(grid, n1), Field(grid, n2)
-    gs = g.rows
-    lead = fs.shape[:-2]
-    if lead[1:] or lead == (0,) or gs.shape[:-2] != lead:
-        raise ValueError(f"multiply needs equal-length, non-empty f and g, "
-                         f"got leading shapes {lead} and {gs.shape[:-2]}")
-    if g.grid is not grid:
-        f._check_same_grid(g)
-    if not lead:  # single fields: stacks of one
-        fs, gs = fs[None], gs[None]
-
-    fv = _physical(grid, "multiply.f", fs)
-    gv = _physical(grid, "multiply.g", gs)
-    prod = grid.work("multiply.prod", (grid.Nx, grid.Ny), np.float64)
-    np.multiply(fv[0], gv[0], out=prod)
-    for fk, gk in zip(fv[1:], gv[1:]):
-        prod += np.multiply(fk, gk, out=fk)  # fk is not read again
-    spec = np.fft.fft(prod, axis=0, norm="forward")
-    return Field(grid, spec[:grid.band])
-
+    if g.rows.shape != fs.shape:
+        raise ValueError(f"multiply needs factors of one shape, got {fs.shape} "
+                         f"and {g.rows.shape}")
+    f._check_same_grid(g)
+    spec = np.fft.fft(to_physical(f) * to_physical(g), axis=-2, norm="forward")
+    return Field(grid, spec[..., :grid.band, :])

@@ -7,8 +7,11 @@ System (hydrostatic limit of the anisotropic family, on the strip):
 
 with v recovered as v = -d_x int_0^y u dy' and the pressure gradient a
 y-independent multiplier enforcing the per-mode vertical-mean constraint.
-Every right-hand side applies d2/dy2, d/dy and int_0^y to the rows of u
-as dense BLAS products (`grid.y_dense`).
+Every right-hand side applies d2/dy2 and int_0^y to the rows of u as
+dense BLAS products (`grid.y_dense`).  The advection is the first output
+of the scaled system's advection form `multiply(uv)` on the pair (u, v),
+which takes d/dx and d/dy of the pair on physical values inside the
+product.
 
 Discrete pressure law
 ---------------------
@@ -36,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import Field, dx, mean_y, multiply, y_dense
+from .grid import Field, mean_y, multiply, y_dense
 from .stepper import SolverAbort, StackedState, rk4_step
 
 __all__ = [
@@ -89,16 +92,15 @@ def recover_v(u: Field, report: dict | None = None, out: np.ndarray | None = Non
 
 
 def _advection(u: Field) -> Field:
-    """Dealiased u d_x u + v d_y u with the slaved v.  The factors (u, v) and
-    (d_x u, d_y u) fill the grid's "advection" work stack, shared with
+    """Dealiased u d_x u + v d_y u with the slaved v: the first output of
+    `multiply(uv)`, the advection operator of `hns.hns_rhs` too.  The pair
+    (u, v) fills the grid's "advection" work stack, shared with
     `hns.hns_rhs` and read only by the product."""
     g = u.grid
-    uv, grad = g.work("advection", (2, 2, g.band, g.Ny))
+    uv = g.work("advection", (2, g.band, g.Ny))
     uv[0] = u.rows
     recover_v(u, out=uv[1])
-    dx(u, out=grad[0])
-    y_dense(u, 1, out=grad[1])
-    return multiply(Field(g, uv), Field(g, grad))
+    return multiply(Field(g, uv))[0]
 
 
 def prandtl_rhs(state: PrandtlState, linear: bool = False,

@@ -326,20 +326,21 @@ class TestDealiasAndProducts:
         prod = multiply(f, f)  # cos^2(3x) has a mode at m = 6 > 12/3
         assert np.abs(prod.coeff[np.abs(g.m) > 4]).max() == 0.0
 
-    @pytest.mark.parametrize("pairs", [1, 2, 3])
-    def test_sequence_form_is_sum_of_products(self, pairs):
-        # a stack of 3 pairs: one packed pair plus the odd leftover
+    @pytest.mark.parametrize("lead", [(), (3,), (2, 2)], ids=["single", "three", "two_axes"])
+    def test_product_acts_field_by_field(self, lead):
+        # stacked factors multiply field by field, bit for bit as each pair
+        # alone, at unlike scales
         g = make_grid(48, 17)
-        rng = np.random.default_rng(pairs)
-        fs = [Field(g, random_rows(g, rng)) for _ in range(pairs)]
-        hs = [Field(g, random_rows(g, rng)) for _ in range(pairs)]
-        expect = multiply(fs[0], hs[0])
-        for f, h in zip(fs[1:], hs[1:]):
-            expect = expect + multiply(f, h)
-        got = multiply(stack(*fs), stack(*hs))
-        err = np.abs(got.coeff - expect.coeff).max()
-        assert err <= 1e-13 * np.abs(expect.coeff).max()
-        assert np.abs(got.coeff[np.abs(g.m) > g.Nx // 3]).max() == 0.0
+        rng = np.random.default_rng(len(lead))
+        n = int(np.prod(lead))
+        fs, hs = (np.array([random_rows(g, rng) for _ in range(n)]).reshape(lead + (g.band, g.Ny))
+                  for _ in range(2))
+        fs.reshape(n, g.band, g.Ny)[-1] *= 1e-7
+        got = multiply(Field(g, fs), Field(g, hs))
+        assert got.rows.shape == lead + (g.band, g.Ny)
+        for idx in np.ndindex(lead):
+            one = multiply(Field(g, fs[idx]), Field(g, hs[idx]))
+            assert np.array_equal(got.rows[idx], one.rows)
 
     @pytest.mark.parametrize("Ny", [17, 65, 129])  # one, two and four d/dy tiles
     def test_advection_form_matches_products(self, Ny):
@@ -365,18 +366,17 @@ class TestDealiasAndProducts:
         with pytest.raises(ValueError, match="pair"):
             multiply(f)
 
-    def test_sequence_form_rejects_bad_input(self):
-        # stacked factors must share one leading shape, of one non-empty axis
+    def test_product_needs_one_shape_on_one_grid(self):
         g = make_grid(16, 9)
         f = band_limited_field(g, 3)
-        ff, none = stack(f, f), Field(g, np.zeros((0, g.band, g.Ny)))
-        with pytest.raises(ValueError, match="equal-length"):
-            multiply(none, none)
-        with pytest.raises(ValueError, match="equal-length"):
-            multiply(ff, f)
-        with pytest.raises(ValueError, match="equal-length"):
-            multiply(stack(ff, ff), stack(ff, ff))
-        other = band_limited_field(make_grid(32, 9), 3)
+        ff = stack(f, f)
+        for a, b in ((ff, f), (f, ff), (stack(ff, ff), ff), (ff, stack(f, f, f)),
+                     (f, band_limited_field(make_grid(32, 9), 3))):
+            with pytest.raises(ValueError, match="one shape"):
+                multiply(a, b)
+        other = band_limited_field(make_grid(16, 9, Lx=4.0), 3)  # same shape
+        with pytest.raises(ValueError, match="grid mismatch"):
+            multiply(f, other)
         with pytest.raises(ValueError, match="grid mismatch"):
             multiply(ff, stack(other, other))
 
@@ -697,10 +697,12 @@ class TestWorkBuffers:
         assert not np.shares_memory(big, g.work("t", (3,), np.float64))
 
     def test_both_solvers_share_the_buffers(self):
-        # largest request per name: rk4 at the hns stack, multiply.g at the
-        # advection form's z_x and z_y, and one advection stack that both
-        # solvers share; 979.1 KB at 128x65 (1,110.1 KB with a stack per
-        # solver, 1,415 KB held per shape)
+        # largest request per name: rk4 at the hns stack (349.4 KB),
+        # multiply.f at the advection form's z (130.0 KB), multiply.g at its
+        # z_x and z_y (260.0 KB), and the advection stack of the pair (u, v)
+        # that both solvers share (87.3 KB); 826.7 KB at 128x65 (979.1 KB
+        # while the limit system took a fused-sum product, 1,110.1 KB with
+        # a stack per solver, 1,415 KB held per shape)
         from stripflow.gevrey import make_gevrey_data
         from stripflow.hns import hns_step, make_hns_data
         from stripflow.prandtl import PrandtlState, prandtl_step
@@ -712,4 +714,5 @@ class TestWorkBuffers:
         for _ in range(2):
             s, h = prandtl_step(s, 1e-3), hns_step(h, 1e-3)
         held = sum(buf.nbytes for buf in g._work.values())
-        assert held <= 980 * 1024
+        assert held <= 827 * 1024
+        assert {name for name, _ in g._work} == {"rk4", "advection", "multiply.f", "multiply.g"}

@@ -34,9 +34,9 @@ from stripflow.harness import RunConfig, cmd_run, cmd_sweep  # noqa: E402
 #: sha256 of each output file of a workload run at DEFAULT_SEED
 PINNED = {
     "decay-small": {
-        "energy.csv": "a02035411ff27399a332cfc7ac1138e364aaa89bb75c2d208e93e5a4f809571b",
+        "energy.csv": "0ffd025fa70f92fa9c6c2bb9108c2ac854226e27109bef7724e88d5f3cfb2f0b",
         "snapshots/initial.snap": "5a9428654096f7517b47be5a20726a6737b4eea0b649233e205ef3026bf89642",
-        "snapshots/final.snap": "7824092c5a2c4e181c1e6d1607dca21bee1c782529d74dafc2a124270364807f",
+        "snapshots/final.snap": "f4884eb06d3c251dd896b1b8c22eaccfcd3e1ad3f8fb0a2e279a24558ea6e354",
     },
     "decay-hns": {
         "energy.csv": "4f7855568bfbc85ebd9bd62f20d6df28cf64a33658fce510d8899c9f2522e435",

@@ -115,6 +115,20 @@ def test_y_stencils_only_in_grid(path):
     assert lines == [], f"{path.name}: y-stencil table or dense operators named on lines {lines}"
 
 
+
+@pytest.mark.parametrize("name", ["prandtl.py", "hns.py"])
+def test_solvers_take_the_advection_form(name):
+    # both solvers take their advection from `multiply(uv)`, the one
+    # advection operator; a product of two fields there would bring back
+    # a second form of the same term
+    tree = ast.parse((SRC / name).read_text(encoding="utf-8"), filename=name)
+    calls = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "multiply"]
+    lines = [node.lineno for node in calls if len(node.args) + len(node.keywords) > 1]
+    assert calls and lines == [], f"{name}: multiply( with more than one argument on lines {lines}"
+
+
 def test_solver_options():
     # each option of a solver is one more path to keep working and test;
     # a new parameter or state field changes this table, so it shows in
