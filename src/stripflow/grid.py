@@ -13,12 +13,14 @@ A dealiased real field (2/3 rule: c[m] = 0 for |m| > Nx/3) is fixed by its
 band, the rows m = 0..Nx/3.  `Grid.fold` takes a full spectrum to its band
 and checks that nothing is dropped; `Grid.unfold` rebuilds the full
 spectrum.  A Field is its band, and so is every per-mode array (densities,
-weights, multipliers).  Every conjugate mirror is written in this module.
+weights, multipliers).  Only the transforms here and the snapshot codec
+see a full spectrum, and every conjugate mirror is written in this module.
 
 A Field may hold a stack of fields: band rows with any leading axes,
 (..., Nx//3 + 1, Ny).  Every operator acts field by field over the leading
 axes, each field with the arithmetic of a single one, except the
-advection form of `multiply`, whose leading axis is the pair (u, v).
+advection form of `multiply`, which maps the pair (u, v) to the pair of
+its advections.
 
 Fields stay spectral in x at rest.  Products transform to physical x,
 multiply pointwise, transform back, and are dealiased by the 2/3 rule.
@@ -98,23 +100,23 @@ class Grid:
         w[0] = w[-1] = 0.5 * self.dy
         self.trapz_w = w
         self.key = (self.Lx, self.Nx, self.Ny)
-        self._work, self._views = {}, {}  # flat buffer per (name, dtype), views of it
+        self._work, self._views = {}, {}  # flat buffer per name, views of it
 
-    def work(self, name: str, shape: tuple, dtype=np.complex128) -> np.ndarray:
-        """Scratch array of `shape` and `dtype` for hot loops (a fresh 128x65
-        temporary is faulted in on every call).  Each (name, dtype) holds one
-        flat buffer, sized to its largest request, that every shape views: a
-        name serves one user at a time.  The contents are undefined on entry,
-        and an array from here must never be handed out as a result.  Two
-        states on one Grid must never step at the same time (two threads that
-        did corrupted each other's RK stages)."""
-        view = self._views.get((name, shape, dtype))
+    def work(self, name: str, shape: tuple) -> np.ndarray:
+        """Complex scratch array of `shape` for hot loops (a fresh 128x65
+        temporary is faulted in on every call).  Each name holds one flat
+        buffer, sized to its largest request, that every shape views: a name
+        serves one user at a time.  The contents are undefined on entry, and
+        an array from here must never be handed out as a result.  Two states
+        on one Grid must never step at the same time (two threads that did
+        corrupted each other's RK stages)."""
+        view = self._views.get((name, shape))
         if view is None:
-            size, buf = int(np.prod(shape)), self._work.get((name, dtype))
+            size, buf = int(np.prod(shape)), self._work.get(name)
             if buf is None or buf.size < size:  # grow, dropping the old views
-                buf = self._work[name, dtype] = np.empty(size, dtype)
-                self._views = {k: v for k, v in self._views.items() if k[::2] != (name, dtype)}
-            view = self._views[name, shape, dtype] = buf[:size].reshape(shape)
+                buf = self._work[name] = np.empty(size, np.complex128)
+                self._views = {k: v for k, v in self._views.items() if k[0] != name}
+            view = self._views[name, shape] = buf[:size].reshape(shape)
         return view
 
     def fold(self, full: np.ndarray) -> np.ndarray:
@@ -172,36 +174,28 @@ _COMPLEX = np.dtype(np.complex128)  # numpy's one native complex128; others go t
 class Field:
     """Coefficients of real dealiased fields on a grid, with light arithmetic.
 
-    A Field is its band: `rows` has shape (..., band, Ny), the rows
-    m = 0..Nx/3 (see `Grid.fold`) of one field or of a stack of fields with
-    any leading axes, viewed, not copied; every operator returns a band
-    Field.  Full spectra (..., Nx, Ny) are accepted as input only and
-    folded, which raises ValueError on content the band would drop.
-    `coeff` is the full spectrum, unfolded on every read into a read-only
-    array, so a write through it raises instead of being lost.
+    A Field is its grid and its band: `rows` has shape (..., band, Ny), the
+    rows m = 0..Nx/3 (see `Grid.fold`) of one field or of a stack of fields
+    with any leading axes, viewed, not copied; every operator returns a band
+    Field.  Full spectra go through `Grid.fold` and `Grid.unfold`; one given
+    here is folded, for the benchmark's span check alone.
     """
 
     __slots__ = ("grid", "rows")
 
-    def __init__(self, grid: Grid, coeff: np.ndarray):
-        if type(coeff) is not np.ndarray or coeff.dtype is not _COMPLEX:
-            coeff = np.asarray(coeff, dtype=np.complex128)
-        shape = coeff.shape[-2:]
+    def __init__(self, grid: Grid, rows: np.ndarray):
+        if type(rows) is not np.ndarray or rows.dtype is not _COMPLEX:
+            rows = np.asarray(rows, dtype=np.complex128)
+        shape = rows.shape[-2:]
         if shape != (grid.band, grid.Ny):
             if shape != (grid.Nx, grid.Ny):
                 raise ValueError(
-                    f"coefficient shape {coeff.shape} does not match grid (Nx, Ny) = "
+                    f"coefficient shape {rows.shape} does not match grid (Nx, Ny) = "
                     f"{(grid.Nx, grid.Ny)} or its band {(grid.band, grid.Ny)} in its last "
                     f"two axes")
-            coeff = grid.fold(coeff)
+            rows = grid.fold(rows)
         self.grid = grid
-        self.rows = coeff
-
-    @property
-    def coeff(self) -> np.ndarray:
-        full = self.grid.unfold(self.rows)
-        full.flags.writeable = False
-        return full
+        self.rows = rows
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -243,7 +237,8 @@ def to_spectral(grid: Grid, values: np.ndarray) -> Field:
         )
     if np.iscomplexobj(values):
         raise ValueError("physical values must be real")
-    return Field(grid, np.fft.fft(values.astype(np.float64), axis=0, norm="forward"))
+    return Field(grid, grid.fold(np.fft.fft(values.astype(np.float64), axis=0,
+                                            norm="forward")))
 
 
 def to_physical(f: Field) -> np.ndarray:
@@ -259,7 +254,7 @@ def to_physical(f: Field) -> np.ndarray:
             f"field is not conjugate-symmetric (mean row m = 0 has imaginary "
             f"part {defect.max():.3e}); refusing to drop imaginary parts"
         )
-    return np.fft.ifft(f.coeff, axis=-2, norm="forward").real
+    return np.fft.ifft(f.grid.unfold(f.rows), axis=-2, norm="forward").real
 
 
 def dx(f: Field, out: np.ndarray | None = None) -> Field:
@@ -418,17 +413,20 @@ def _pack(grid: Grid, a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarr
     return out
 
 
-def _split_pair(grid: Grid, spec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _split_pair(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Band rows of the real and imaginary parts of a physical field whose
-    spectrum is `spec`.  Conjugate symmetry separates them: with
-    r = conj(spec[-m]), the parts are (spec[m] + r) / 2 and (spec[m] - r) / 2i
-    for 0 <= m <= Nx/3.
+    spectrum is `spec`, one (2, band, Ny) array.  Conjugate symmetry
+    separates them: with r = conj(spec[-m]), the parts are (spec[m] + r) / 2
+    and (spec[m] - r) / 2i for 0 <= m <= Nx/3.
     """
     s, r = spec[:grid.band], np.conj(spec[grid.dealias_mirror])
-    return 0.5 * (s + r), -0.5j * (s - r)
+    out = np.empty((2,) + s.shape, dtype=np.complex128)
+    np.multiply(0.5, s + r, out=out[0])
+    np.multiply(-0.5j, s - r, out=out[1])
+    return out
 
 
-def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
+def multiply(f: Field, g: Field | None = None) -> Field:
     """Dealiased pointwise product of two real fields, field by field over
     stacks of one shape: both factors go to physical x (`to_physical`, with
     its check of the mean row), are multiplied there, and the product takes
@@ -437,7 +435,8 @@ def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
 
     Advection form: without `g`, `f` is a pair (u, v), a (2, band, Ny)
     stack, and the result is the pair of dealiased advections
-    (u d_x + v d_y) u and (u d_x + v d_y) v.  The pair rides as z = u + iv:
+    (u d_x + v d_y) u and (u d_x + v d_y) v, one (2, band, Ny) stack in the
+    same order.  The pair rides as z = u + iv:
     one inverse transform gives z, a second one of i xi times its packed
     spectrum gives z_x, and d/dy, which acts along y where the transform
     acts along x, is the dense product (`y_dense`'s tiles) of physical z.
@@ -464,8 +463,7 @@ def multiply(f: Field, g: Field | None = None) -> Field | tuple[Field, Field]:
         zy *= z.imag
         zx += zy
         np.fft.fft(zx, axis=0, norm="forward", out=zx)
-        n1, n2 = _split_pair(grid, zx)
-        return Field(grid, n1), Field(grid, n2)
+        return Field(grid, _split_pair(grid, zx))
     if g.rows.shape != fs.shape:
         raise ValueError(f"multiply needs factors of one shape, got {fs.shape} "
                          f"and {g.rows.shape}")

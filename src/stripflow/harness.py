@@ -292,7 +292,7 @@ def read_snapshot(path):
         raise ValueError(f"{path}: expected {need} bytes, found {len(raw)}")
     g = Grid(Nx, Ny, Lx=Lx)
     spectra = np.frombuffer(raw, dtype="<c16", offset=_HEADER.size)
-    rows = Field(g, spectra.reshape(len(cls.ROWS), Nx, Ny)).rows
+    rows = g.fold(spectra.reshape(len(cls.ROWS), Nx, Ny))
     return cls(*(Field(g, r) for r in rows), t=t, **extra)
 
 

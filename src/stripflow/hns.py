@@ -287,10 +287,8 @@ def hns_rhs(state: HnsState, linear: bool = False,
     acc += dxx
     acc -= y[2:]
     if not linear:
-        # N1 = u u_x + v u_y and N2 = u v_x + v v_y
-        N1, N2 = multiply(uv)
-        acc[0] -= N1.rows
-        acc[1] -= N2.rows
+        # (u u_x + v u_y, u v_x + v v_y)
+        acc -= multiply(uv).rows
     state.pin(acc)  # the x-mean of v is pinned, not solved for
 
     if not np.all(np.isfinite(acc)):

@@ -8,8 +8,8 @@ System (hydrostatic limit of the anisotropic family, on the strip):
 with v recovered as v = -d_x int_0^y u dy' and the pressure gradient a
 y-independent multiplier enforcing the per-mode vertical-mean constraint.
 Every right-hand side applies d2/dy2 and int_0^y to the rows of u as
-dense BLAS products (`grid.y_dense`).  The advection is the first output
-of the scaled system's advection form `multiply(uv)` on the pair (u, v),
+dense BLAS products (`grid.y_dense`).  The advection is row 0 of the
+scaled system's advection form `multiply(uv)` on the pair (u, v),
 which takes d/dx and d/dy of the pair on physical values inside the
 product.
 
@@ -92,7 +92,7 @@ def recover_v(u: Field, report: dict | None = None, out: np.ndarray | None = Non
 
 
 def _advection(u: Field) -> Field:
-    """Dealiased u d_x u + v d_y u with the slaved v: the first output of
+    """Dealiased u d_x u + v d_y u with the slaved v: row 0 of
     `multiply(uv)`, the advection operator of `hns.hns_rhs` too.  The pair
     (u, v) fills the grid's "advection" work stack, shared with
     `hns.hns_rhs` and read only by the product."""
@@ -100,7 +100,7 @@ def _advection(u: Field) -> Field:
     uv = g.work("advection", (2, g.band, g.Ny))
     uv[0] = u.rows
     recover_v(u, out=uv[1])
-    return multiply(Field(g, uv))[0]
+    return Field(g, multiply(Field(g, uv)).rows[0])
 
 
 def prandtl_rhs(state: PrandtlState, linear: bool = False,

@@ -56,9 +56,8 @@ class StackedState:
     """Base of the solver states, which declare the `ROWS` Fields and a clock `t`.
 
     The state owns `stack`, one (len(ROWS), Nx//3 + 1, Ny) complex array of
-    band rows, which the Fields view: a Field is its band, and
-    `state.u.coeff` is the full spectrum, unfolded on each read and never
-    stored, and read-only.  Made from Fields, a state checks that they share
+    band rows, which the Fields view: a Field is its grid and its band, and
+    no full spectrum is stored.  Made from Fields, a state checks that they share
     one grid and copies their bands into a new stack once; `with_stack`
     puts a state over an existing stack.  A state is not changed after it
     is made (samples keep states), so a changed one comes from `with_stack`

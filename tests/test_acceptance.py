@@ -176,7 +176,7 @@ def test_linear_mode_oracle():
         for _ in range(int(round(1.0 / dt))):
             state = prandtl_step(state, dt, linear=True)
         target = damped_wave_factor(mu0, 1.0)
-        err = l2_norm(Field(g, state.u.coeff - target * u0.coeff))
+        err = l2_norm(Field(g, state.u.rows - target * u0.rows))
         return err / (abs(target) * l2_norm(u0))
 
     def hns_error(dt, eps=0.5):
@@ -188,7 +188,7 @@ def test_linear_mode_oracle():
         for _ in range(int(round(1.0 / dt))):
             state = hns_step(state, dt, linear=True)
         target = damped_wave_factor(mu0 + eps**2 * 1.0, 1.0)  # xi = 1
-        err = l2_norm(Field(g, state.u.coeff - target * u0.coeff))
+        err = l2_norm(Field(g, state.u.rows - target * u0.rows))
         return err / (abs(target) * l2_norm(u0))
 
     for error in (prandtl_error, hns_error):
@@ -212,8 +212,8 @@ def test_mean_conservation():
         if (i + 1) % 16 == 0:
             col = to_physical(state.u) @ g.trapz_w
             worst = max(worst, np.abs(col).max())
-            assert np.all(state.u.coeff[:, [0, -1]] == 0.0)
-            assert np.all(state.ut.coeff[:, [0, -1]] == 0.0)
+            assert np.all(state.u.rows[:, [0, -1]] == 0.0)
+            assert np.all(state.ut.rows[:, [0, -1]] == 0.0)
     assert worst <= 1e-10
 
 

@@ -72,7 +72,7 @@ class TestStateInvariants:
 
     def test_wall_violation_aborts(self):
         g = Grid(16, 17)
-        c = np.zeros((g.Nx, g.Ny), dtype=complex)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
         c[0, 0] = 1.0
         s = zero_state(g, 0.5)
         s = replace(s, u=Field(g, c))
@@ -83,7 +83,7 @@ class TestStateInvariants:
         g = Grid(32, 33)
         x = xnodes(g)
         u = to_spectral(g, np.sin(x)[:, None] * np.sin(np.pi * g.y)[None, :])
-        c = u.coeff.copy()
+        c = u.rows.copy()
         c[:, 0] = c[:, -1] = 0.0
         s = zero_state(g, 0.5)
         s = replace(s, u=Field(g, c))  # v = 0: divergence is d_x u, far beyond tol
@@ -116,8 +116,8 @@ def pressure_solve(state: HnsState, N1: Field, N2: Field,
     Ny, h = g.Ny, g.dy
     T = 1.0 / (eps**2 * h**2)
 
-    r = (-dx(N1) - dy(N2) + dx(Lu) + dy(Lv)).coeff.copy()
-    gy = eps**2 * dyy(state.v).coeff
+    r = g.unfold((-dx(N1) - dy(N2) + dx(Lu) + dy(Lv)).rows)
+    gy = eps**2 * g.unfold(dyy(state.v).rows)
     r[:, 0] += 2.0 * gy[:, 0] / (eps**2 * h)
     r[:, -1] -= 2.0 * gy[:, -1] / (eps**2 * h)
 
@@ -179,7 +179,7 @@ def pressure_solve(state: HnsState, N1: Field, N2: Field,
         p[m, 1:] = sol
         p[m] -= w @ p[m]  # zero-mean gauge
 
-    return Field(g, p)
+    return Field(g, g.fold(p))
 
 
 class TestPressureSolve:
@@ -188,7 +188,7 @@ class TestPressureSolve:
         s = zero_state(g, 0.3)
         z = Field.zeros(g)
         p = pressure_solve(s, z, z, z, z)
-        assert np.abs(p.coeff).max() == 0.0
+        assert np.abs(p.rows).max() == 0.0
 
     @pytest.mark.parametrize("eps", [1.0, 0.3])
     def test_manufactured_cospy_mode(self, eps):
@@ -215,15 +215,15 @@ class TestPressureSolve:
             g = Grid(16, Ny)
             # feed r through N2 = -sin(2 pi y)/(2 pi): -d_y N2 = cos + O(dy^2)
             prof = -np.sin(2 * np.pi * g.y) / (2 * np.pi)
-            c = np.zeros((g.Nx, g.Ny), dtype=complex)
+            c = np.zeros((g.band, g.Ny), dtype=complex)
             c[0] = prof
             z = Field.zeros(g)
             s = zero_state(g, 1.0)
             p = pressure_solve(s, z, Field(g, c), z, z)
             expect = -np.cos(2 * np.pi * g.y) / (4 * np.pi**2)
-            errs.append(np.abs(p.coeff[0].real - expect).max())
+            errs.append(np.abs(p.rows[0].real - expect).max())
             # gauge: zero vertical mean
-            assert abs(g.trapz_w @ p.coeff[0]) < 1e-14
+            assert abs(g.trapz_w @ p.rows[0]) < 1e-14
         assert 3.0 < errs[0] / errs[1] < 5.5
 
     def test_dual_route_agreement(self):
@@ -255,9 +255,9 @@ class TestPressureSolve:
             prof -= g.trapz_w @ prof / g.trapz_w.sum()
             q[0] = prof
             p_proj = Field(g, q)
-            scale = np.abs(p_tri.coeff).max()
+            scale = np.abs(p_tri.rows).max()
             diffs.append(
-                np.abs(p_tri.coeff[:, 2:-2] - p_proj.coeff[:, 2:-2]).max())
+                np.abs(p_tri.rows[:, 2:-2] - p_proj.rows[:, 2:-2]).max())
             assert diffs[-1] < 0.10 * scale
         assert 1.6 < diffs[0] / diffs[1] < 2.4
         assert 1.6 < diffs[1] / diffs[2] < 2.4
@@ -371,7 +371,7 @@ class TestRhs:
     def test_linear_mean_mode_plugin(self):
         g = Grid(8, 65)
         A, B = 0.7, -0.3
-        cu = np.zeros((g.Nx, g.Ny), dtype=complex)
+        cu = np.zeros((g.band, g.Ny), dtype=complex)
         cu[0] = A * np.sin(2 * np.pi * g.y)
         ct = np.zeros_like(cu)
         ct[0] = B * np.sin(2 * np.pi * g.y)
@@ -396,7 +396,7 @@ class TestRhs:
     def test_nonfinite_aborts(self):
         g = Grid(16, 17)
         s = zero_state(g, 0.5)
-        c = np.zeros((g.Nx, g.Ny), dtype=complex)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
         c[1, 5] = np.inf
         s = replace(s, ut=Field(g, c))
         with pytest.raises(SolverAbort, match="non-finite"):
@@ -408,7 +408,7 @@ class TestStep:
         g = Grid(16, 17)
         s = hns_step(zero_state(g, 0.5), 1e-3)
         for f in (s.u, s.v, s.ut, s.vt):
-            assert np.abs(f.coeff).max() == 0.0
+            assert np.abs(f.rows).max() == 0.0
         assert s.t == pytest.approx(1e-3)
 
     def run_linear_oscillator(self, eps, dt, T=1.0, Ny=65):
@@ -423,7 +423,7 @@ class TestStep:
         for _ in range(n):
             s = hns_step(s, dt, linear=True)
         j = Ny // 4
-        return s.u.coeff[1, j].imag / (-0.5 * prof[j])  # sin(x) mode, m=1
+        return s.u.rows[1, j].imag / (-0.5 * prof[j])  # sin(x) mode, m=1
 
     @pytest.mark.parametrize("eps", [0.5, 1.0])
     def test_oscillator_closed_form(self, eps):
@@ -462,14 +462,34 @@ class TestStep:
             return hns_rhs(state, **kw)
 
         monkeypatch.setattr(hns, "hns_rhs", failing_rhs)
-        coeffs = [f.coeff.copy() for f in (s.u, s.v, s.ut, s.vt)]
+        coeffs = [f.rows.copy() for f in (s.u, s.v, s.ut, s.vt)]
         with pytest.raises(SolverAbort, match="stage 3: synthetic failure") as info:
             hns_step(s, 0.25 * g.dy)
         got = info.value.state
         assert got.t == 0.375
         for f, c in zip((got.u, got.v, got.ut, got.vt), coeffs):
-            assert np.array_equal(f.coeff, c)
-        assert not np.array_equal(calls[2].u.coeff, coeffs[0])  # a real stage
+            assert np.array_equal(f.rows, c)
+        assert not np.array_equal(calls[2].u.rows, coeffs[0])  # a real stage
+
+    def test_energy_guard(self):
+        # each check compares the energy after the cleanup with the mark of
+        # the last check: a pass moves the mark, growth beyond
+        # ENERGY_GROWTH_LIMIT times it aborts with the post-step state
+        g = Grid(16, 17)
+        s = replace(gevrey_state(g, 0.5, m_max=4), t=0.375)
+        dt = 0.25 * g.dy
+        e0 = s.energy()
+        ok = hns_step(s.with_stack(s.stack, energy_mark=e0), dt, n_proj=1)
+        assert ok.energy() <= hns.ENERGY_GROWTH_LIMIT * e0
+        assert ok.energy_mark == ok.energy() != e0
+        tiny = 1e-6 * e0
+        with pytest.raises(SolverAbort) as info:
+            hns_step(s.with_stack(s.stack, energy_mark=tiny), dt, n_proj=1)
+        err = info.value
+        assert err.reason.startswith("energy grew") and err.stage is None
+        assert err.state.t == 0.375 + dt and err.state.steps == s.steps + 1
+        assert err.state.energy() > hns.ENERGY_GROWTH_LIMIT * tiny
+        assert np.array_equal(err.state.stack, ok.stack)
 
     def test_returned_states_keep_their_bytes(self):
         # samples keep returned states; stage buffers are reused, so later
@@ -498,8 +518,8 @@ class TestStep:
         assert s.divergence_rel() <= 1e-6
         assert s.energy() <= e0
         for f in (s.u, s.v, s.ut, s.vt):
-            assert np.abs(f.coeff[:, 0]).max() == 0.0
-            assert np.abs(f.coeff[:, -1]).max() == 0.0
+            assert np.abs(f.rows[:, 0]).max() == 0.0
+            assert np.abs(f.rows[:, -1]).max() == 0.0
 
 
 class TestCleanup:
@@ -510,7 +530,7 @@ class TestCleanup:
         s2 = divergence_cleanup(s, report=rep)
         scale = max(l2_norm(s.u), 1e-30)
         assert rep["uv"] <= 1e-12 * scale
-        assert np.abs(s2.u.coeff - s.u.coeff).max() <= 1e-14 * scale
+        assert np.abs(s2.u.rows - s.u.rows).max() <= 1e-14 * scale
 
     def test_injected_divergence_removed(self):
         g = Grid(32, 33)
@@ -518,7 +538,7 @@ class TestCleanup:
         x = xnodes(g)
         bump = 1e-4 * np.sin(2 * x)[:, None] * np.sin(np.pi * g.y)[None, :]
         bump[:, 0] = bump[:, -1] = 0.0
-        c = s.u.coeff + to_spectral(g, bump).coeff
+        c = s.u.rows + to_spectral(g, bump).rows
         dirty = HnsState(Field(g, c), s.v, s.ut, s.vt, eps=s.eps)
         pre = l2_norm(dx(dirty.u) + dy(dirty.v))
         cleaned = divergence_cleanup(dirty)
@@ -530,9 +550,9 @@ class TestCleanup:
         s = gevrey_state(g, 0.5)
         once = divergence_cleanup(s)
         twice = divergence_cleanup(once)
-        scale = max(np.abs(once.u.coeff).max(), 1e-30)
-        assert np.abs(twice.u.coeff - once.u.coeff).max() <= 1e-10 * scale
-        assert np.abs(twice.v.coeff - once.v.coeff).max() <= 1e-10 * scale
+        scale = max(np.abs(once.u.rows).max(), 1e-30)
+        assert np.abs(twice.u.rows - once.u.rows).max() <= 1e-10 * scale
+        assert np.abs(twice.v.rows - once.v.rows).max() <= 1e-10 * scale
 
 
 class TestMakeData:
@@ -540,15 +560,15 @@ class TestMakeData:
         g = Grid(16, 17)
         s = make_hns_data(Field.zeros(g), P, eps=0.5)
         for f in (s.u, s.v, s.ut, s.vt):
-            assert np.abs(f.coeff).max() == 0.0
+            assert np.abs(f.rows).max() == 0.0
 
     def test_gevrey_band_divergence(self):
         g = Grid(64, 33)
         u0, _ = make_gevrey_data(g, P, amplitude=1e-3, m_max=8)
         s = make_hns_data(u0, P, eps=0.25)
         assert s.divergence_rel() <= 1e-10
-        assert np.abs(s.v.coeff[:, -1]).max() == 0.0
-        assert np.abs(s.v.coeff[:, 0]).max() == 0.0
+        assert np.abs(s.v.rows[:, -1]).max() == 0.0
+        assert np.abs(s.v.rows[:, 0]).max() == 0.0
 
     def test_derivative_pair_divergence(self):
         g = Grid(32, 33)
@@ -586,7 +606,7 @@ class TestHydrostaticLimit:
         for i in range(n):
             ps = prandtl_step(ps, dt)
             if (i + 1) % 8 == 0:
-                ref.append(ps.u.coeff.copy())
+                ref.append(ps.u.rows.copy())
         sups = []
         for eps in (0.2, 0.1):
             s = make_hns_data(u0, P, eps=eps)
@@ -595,7 +615,7 @@ class TestHydrostaticLimit:
             for i in range(n):
                 s = hns_step(s, dt)
                 if (i + 1) % 8 == 0:
-                    worst = max(worst, l2_norm(Field(g, s.u.coeff - ref[j])))
+                    worst = max(worst, l2_norm(Field(g, s.u.rows - ref[j])))
                     j += 1
             sups.append(worst)
         assert sups[1] < 0.5 * sups[0]

@@ -105,47 +105,48 @@ class TestBlockProjectors:
         total = Field.zeros(g)
         for k in bank.ks:
             total = total + delta_k(f, k, bank)
-        assert np.abs(total.coeff - f.coeff).max() <= 1e-12 * np.abs(f.coeff).max()
+        assert np.abs(total.rows - f.rows).max() <= 1e-12 * np.abs(f.rows).max()
 
     def test_single_mode_lands_in_one_block(self):
         g = make_grid(Lx=2 * np.pi)  # xi = m
         f = Field.zeros(g)
         f.rows[3, :] = 1.0  # |xi| = 3 = 1.5 * 2^1 -> block k = 1
         bank = get_bank(g)
-        assert np.abs(delta_k(f, 1, bank).coeff - f.coeff).max() < 1e-15  # phi(3/2) = 1
+        assert np.abs(delta_k(f, 1, bank).rows - f.rows).max() < 1e-15  # phi(3/2) = 1
         for j in (-1, 3, 4):
-            assert np.abs(delta_k(f, j, bank).coeff).max() == 0.0
+            assert np.abs(delta_k(f, j, bank).rows).max() == 0.0
 
     def test_block_overlap_vanishes_at_distance_two(self):
         g = make_grid()
         f = random_field(g, seed=2)
         bank = get_bank(g)
-        scale = np.abs(f.coeff).max()
+        scale = np.abs(f.rows).max()
         for k in bank.ks:
             fk = delta_k(f, k, bank)
             for j in bank.ks:
                 if abs(j - k) >= 2:
-                    assert np.abs(delta_k(fk, j, bank).coeff).max() <= 1e-13 * scale
+                    assert np.abs(delta_k(fk, j, bank).rows).max() <= 1e-13 * scale
 
     def test_low_pass_becomes_identity(self):
         g = make_grid()
         f = random_field(g, seed=3)
         bank = get_bank(g)
         out = S_k(f, bank.k_max + 2, bank)
-        assert np.abs(out.coeff - f.coeff).max() <= 1e-13 * np.abs(f.coeff).max()
+        assert np.abs(out.rows - f.rows).max() <= 1e-13 * np.abs(f.rows).max()
 
     def test_S_k_keeps_mean_mode(self):
         g = make_grid()
         f = random_field(g, seed=4, zero_mean=False)
         bank = get_bank(g)
         out = S_k(f, bank.k_min, bank)
-        assert np.abs(out.coeff[0] - f.coeff[0]).max() < 1e-15
+        assert np.abs(out.rows[0] - f.rows[0]).max() < 1e-15
 
 
 def oracle_besov(f, s):
     """Direct-definition dyadic sum, coded independently of the bank."""
     g = f.grid
-    dens = np.array([(np.abs(f.coeff[m]) ** 2 @ g.trapz_w) for m in range(g.Nx)])
+    full = g.unfold(f.rows)
+    dens = np.array([(np.abs(full[m]) ** 2 @ g.trapz_w) for m in range(g.Nx)])
     ks = range(-40, 40)
     live = [k for k in ks if np.any(phi(g.abs_xi / 2.0**k) > 0)]
     k_min = min(live)
@@ -182,7 +183,7 @@ class TestBesovNorm:
         f = Field.zeros(g)
         f.rows[1, :] = 1.0
         norm = l2_norm(f)
-        fn = Field(g, f.coeff / norm)
+        fn = Field(g, f.rows / norm)
         xi = g.abs_xi[1]
         for s in (0.5, 0.25):
             expect = sum(
@@ -228,7 +229,7 @@ class TestBony:
         f = random_field(g, seed=8)
         Tfg, Tgf, R = bony(f, Field.zeros(g))
         for piece in (Tfg, Tgf, R):
-            assert np.abs(piece.coeff).max() == 0.0
+            assert np.abs(piece.rows).max() == 0.0
 
     def test_constant_times_zero_mean(self):
         g = make_grid()

@@ -59,14 +59,14 @@ class TestRecoverV:
     def test_zero(self):
         g = Grid(16, 17)
         v = recover_v(Field.zeros(g))
-        assert np.abs(v.coeff).max() == 0.0
+        assert np.abs(v.rows).max() == 0.0
 
     def test_x_independent(self):
         g = Grid(16, 17)
-        c = np.zeros((g.Nx, g.Ny), dtype=complex)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
         c[0] = np.sin(2 * np.pi * g.y)
         v = recover_v(Field(g, c))
-        assert np.abs(v.coeff).max() == 0.0
+        assert np.abs(v.rows).max() == 0.0
 
     def test_analytic_antiderivative(self):
         errs = []
@@ -87,7 +87,7 @@ class TestRecoverV:
 class TestPressureGradient:
     def test_zero(self):
         g = Grid(16, 17)
-        assert np.abs(pressure_gradient(Field.zeros(g)).coeff).max() == 0.0
+        assert np.abs(pressure_gradient(Field.zeros(g)).rows).max() == 0.0
 
     def test_sin2py_profile_linear_part_vanishes(self):
         # dyy(sin 2 pi y) is antisymmetric about y = 1/2 on the interior
@@ -99,7 +99,7 @@ class TestPressureGradient:
             g, c * np.sin(x)[:, None] * np.sin(2 * np.pi * g.y)[None, :]
         )
         pg = pressure_gradient(u)
-        assert np.abs(pg.coeff).max() < 10.0 * c**2
+        assert np.abs(pg.rows).max() < 10.0 * c**2
 
     def test_sin_py_boundary_derivative_value(self):
         # discrete law converges to [dy u]_0^1 = -2 pi g(x), first order
@@ -134,19 +134,19 @@ class TestRhs:
     def test_zero_state(self):
         g = Grid(16, 17)
         dut = prandtl_rhs(PrandtlState(Field.zeros(g), Field.zeros(g)))
-        assert np.abs(dut.coeff).max() == 0.0
+        assert np.abs(dut.rows).max() == 0.0
 
     def test_linear_plugin_mode(self):
         g = Grid(8, 65)
         A, B = 0.7, -0.3
-        cu = np.zeros((g.Nx, g.Ny), dtype=complex)
+        cu = np.zeros((g.band, g.Ny), dtype=complex)
         cu[0] = A * np.sin(2 * np.pi * g.y)
         ct = np.zeros_like(cu)
         ct[0] = B * np.sin(2 * np.pi * g.y)
         dut = prandtl_rhs(PrandtlState(Field(g, cu), Field(g, ct)))
         mu_d = mu_discrete(g.Ny)
         expect = (-mu_d * A - B) * np.sin(2 * np.pi * g.y[1:-1])
-        got = dut.coeff[0, 1:-1].real
+        got = dut.rows[0, 1:-1].real
         # exact against the discrete eigenvalue, up to the 1/dy^2 roundoff
         # amplification inherent in the second difference ...
         assert np.abs(got - expect).max() < 20 * np.finfo(float).eps / g.dy**2
@@ -179,7 +179,7 @@ class TestRhs:
 
     def test_nonfinite_aborts_with_location(self):
         g = Grid(16, 17)
-        c = np.zeros((g.Nx, g.Ny), dtype=complex)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
         c[0, 5] = np.nan
         with pytest.raises(SolverAbort, match="non-finite"):
             prandtl_rhs(PrandtlState(Field(g, c), Field.zeros(g)))
@@ -237,22 +237,18 @@ class TestDenseYOperators:
 
 class TestStep:
     def make_eigenmode_state(self, g, amp=1.0, x_mode=0):
-        cu = np.zeros((g.Nx, g.Ny), dtype=complex)
+        cu = np.zeros((g.band, g.Ny), dtype=complex)
         prof = amp * np.sin(2 * np.pi * g.y)
         prof[0] = prof[-1] = 0.0
-        if x_mode == 0:
-            cu[0] = prof
-        else:
-            cu[x_mode] = 0.5 * prof
-            cu[-x_mode] = 0.5 * prof
+        cu[x_mode] = prof if x_mode == 0 else 0.5 * prof  # its mirror -m holds the other half
         return PrandtlState(Field(g, cu), Field.zeros(g))
 
     def test_zero_state_is_fixed_point(self):
         g = Grid(16, 17)
         s = PrandtlState(Field.zeros(g), Field.zeros(g))
         s2 = prandtl_step(s, 1e-3)
-        assert np.abs(s2.u.coeff).max() == 0.0
-        assert np.abs(s2.ut.coeff).max() == 0.0
+        assert np.abs(s2.u.rows).max() == 0.0
+        assert np.abs(s2.ut.rows).max() == 0.0
         assert s2.t == pytest.approx(1e-3)
 
     def run_oscillator(self, dt, T=1.0, Ny=65):
@@ -262,7 +258,7 @@ class TestStep:
         for _ in range(n):
             s = prandtl_step(s, dt)
         j = Ny // 4  # y = 1/4 where sin(2 pi y) = 1
-        return s.u.coeff[0, j].real / np.sin(2 * np.pi * g.y[j])
+        return s.u.rows[0, j].real / np.sin(2 * np.pi * g.y[j])
 
     def test_oscillator_closed_form(self):
         mu_d = mu_discrete(65)
@@ -296,14 +292,14 @@ class TestStep:
             return prandtl_rhs(state, *args)
 
         monkeypatch.setattr(prandtl, "prandtl_rhs", failing_rhs)
-        u, ut = s.u.coeff.copy(), s.ut.coeff.copy()
+        u, ut = s.u.rows.copy(), s.ut.rows.copy()
         with pytest.raises(SolverAbort, match="stage 3: synthetic failure") as info:
             prandtl_step(s, 0.25 * g.dy)
         got = info.value.state
         assert got.t == 0.375
-        assert np.array_equal(got.u.coeff, u)
-        assert np.array_equal(got.ut.coeff, ut)
-        assert not np.array_equal(calls[2].u.coeff, u)  # a real stage
+        assert np.array_equal(got.u.rows, u)
+        assert np.array_equal(got.ut.rows, ut)
+        assert not np.array_equal(calls[2].u.rows, u)  # a real stage
 
     def test_returned_states_keep_their_bytes(self):
         # samples keep returned states; stage buffers are reused, so later
@@ -335,7 +331,7 @@ class TestStep:
 
     def test_invariant_check_catches_unpinned_state(self):
         g = Grid(16, 17)
-        c = np.zeros((g.Nx, g.Ny), dtype=complex)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
         c[0, 0] = 1.0  # wall row loaded
         s = PrandtlState(Field(g, c), Field.zeros(g))
         with pytest.raises(SolverAbort, match="wall"):

@@ -62,23 +62,24 @@ def test_conjugate_mirrors_only_in_grid(path):
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
                          ids=lambda p: p.name)
 def test_coeff_read_only_in_grid(path):
-    # a Field is its band; its full spectrum `coeff` is unfolded on every
-    # read, which only grid.py needs: other modules use `rows`
+    # a Field is its grid and its band rows; it has no `coeff`, the full
+    # spectrum it once unfolded on every read, and no module reads one:
+    # a full spectrum is asked for by name (`Grid.unfold`, below)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "coeff"]
-    assert lines == [], f"{path.name}: .coeff read on lines {lines}"
+    assert lines == [], f"{path.name}: coeff attribute read on lines {lines}"
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("grid.py", "harness.py")],
                          ids=lambda p: p.name)
 def test_unfold_only_in_grid_and_snapshots(path):
     # per-mode values (densities, weights, multipliers) live on the band;
-    # a full spectrum is built only for the transforms (grid.py) and the
-    # snapshot files (harness.py)
+    # a full spectrum is built or folded only for the transforms (grid.py)
+    # and the snapshot files (harness.py)
     lines = [n for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
-             if ".unfold(" in line]
-    assert lines == [], f"{path.name}: .unfold( call on lines {lines}"
+             if re.search(r"\.(un)?fold\(", line)]
+    assert lines == [], f"{path.name}: .fold( or .unfold( call on lines {lines}"
 
 
 def _names_field(node) -> bool:
