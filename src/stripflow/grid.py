@@ -277,8 +277,10 @@ Y_STENCILS = {
 #: `y_operators`: d2/dy2 and d/dy (Y_STENCILS), and order -1 the
 #: antiderivative int_0^y by the cumulative trapezoid rule
 Y_DENSE = (2, 1, -1)
-#: float columns per tile of a dense y operator (see `_y_tiles`)
-_TILE = 64
+#: float columns per tile of a dense y operator, by the rows of each of its
+#: products (see `_y_tiles`): wide for fewer than _MANY_ROWS rows, else narrow
+_TILE = (64, 32)
+_MANY_ROWS = 32
 
 
 @cache
@@ -310,15 +312,15 @@ def y_operators(Ny: int) -> np.ndarray:
 
 
 @cache
-def _y_tiles(Ny: int, order: int) -> list[tuple[slice, slice, np.ndarray]]:
+def _y_tiles(Ny: int, order: int, many: bool) -> list[tuple[slice, slice, np.ndarray]]:
     """The (rows, cols, tile) pieces of the `order` operator on the float
     view x of complex rows, y[..., cols] = x[..., rows] @ tile: column
-    blocks of about _TILE floats, each tile kron(Op[span, block], I2) over
-    only the span of nodes that is nonzero in its columns.  A banded d/dy
-    or d2/dy2 tile reads a band, so at Ny = 65 two tiles take about 2/3 of
-    the time of one product."""
+    blocks of about _TILE[many] floats, each tile kron(Op[span, block], I2)
+    over only the span of nodes that is nonzero in its columns.  Narrower
+    tiles of a banded operator do less work in more BLAS calls, which pays
+    from _MANY_ROWS rows per product (`many`; see the README's table)."""
     op = y_operators(Ny)[Y_DENSE.index(order)]
-    edges = np.linspace(0, Ny, max(1, round(2 * Ny / _TILE)) + 1).astype(int)
+    edges = np.linspace(0, Ny, max(1, round(2 * Ny / _TILE[many])) + 1).astype(int)
     tiles = []
     for a, b in zip(edges[:-1], edges[1:]):
         nz = np.flatnonzero(op[:, a:b].any(axis=1))
@@ -348,8 +350,9 @@ def _y_apply(a: np.ndarray, order: int, out: np.ndarray) -> np.ndarray:
     the tile loop of `y_dense`, also for physical values."""
     if np.may_share_memory(out, a):
         raise ValueError("a y operator cannot write into the rows it reads")
+    many = a.ndim > 1 and a.shape[-2] >= _MANY_ROWS  # rows per product
     x, y = a.view(np.float64), out.view(np.float64)
-    for r, c, tile in _y_tiles(a.shape[-1], order):
+    for r, c, tile in _y_tiles(a.shape[-1], order, many):
         np.matmul(x[..., r], tile, y[..., c])
     return out
 
@@ -417,12 +420,18 @@ def _split_pair(grid: Grid, spec: np.ndarray) -> np.ndarray:
     """Band rows of the real and imaginary parts of a physical field whose
     spectrum is `spec`, one (2, band, Ny) array.  Conjugate symmetry
     separates them: with r = conj(spec[-m]), the parts are (spec[m] + r) / 2
-    and (spec[m] - r) / 2i for 0 <= m <= Nx/3.
+    and (spec[m] - r) / 2i for 0 <= m <= Nx/3.  r is read by slices into
+    the second output, which then takes spec[m] - r in place.
     """
-    s, r = spec[:grid.band], np.conj(spec[grid.dealias_mirror])
-    out = np.empty((2,) + s.shape, dtype=np.complex128)
-    np.multiply(0.5, s + r, out=out[0])
-    np.multiply(-0.5j, s - r, out=out[1])
+    K, Nx = grid.band - 1, grid.Nx
+    out = np.empty((2, K + 1, spec.shape[-1]), dtype=np.complex128)
+    s, r = spec[:K + 1], out[1]
+    np.conj(spec[0], out=r[0])
+    np.conj(spec[Nx - 1:Nx - K - 1:-1], out=r[1:])
+    np.add(s, r, out=out[0])
+    np.subtract(s, r, out=r)
+    np.multiply(0.5, out[0], out=out[0])
+    np.multiply(-0.5j, r, out=r)
     return out
 
 
@@ -436,12 +445,13 @@ def multiply(f: Field, g: Field | None = None) -> Field:
     Advection form: without `g`, `f` is a pair (u, v), a (2, band, Ny)
     stack, and the result is the pair of dealiased advections
     (u d_x + v d_y) u and (u d_x + v d_y) v, one (2, band, Ny) stack in the
-    same order.  The pair rides as z = u + iv:
-    one inverse transform gives z, a second one of i xi times its packed
-    spectrum gives z_x, and d/dy, which acts along y where the transform
-    acts along x, is the dense product (`y_dense`'s tiles) of physical z.
-    Re(z) z_x + Im(z) z_y takes one forward transform that conjugate
-    symmetry splits in two, so the two advections cost 3 transforms.
+    same order.  The pair rides as z = u + iv: its packed spectrum and
+    i xi times it fill one (2, Nx, Ny) work stack, which one inverse
+    transform takes to z and z_x, and d/dy, which acts along y where the
+    transform acts along x, is the dense product (`y_dense`'s tiles) of
+    physical z.  Re(z) z_x + Im(z) z_y takes one forward transform that
+    conjugate symmetry splits in two, so the two advections cost one
+    inverse and one forward call.
 
     The result holds only the rows m = 0..Nx/3 of the product, with no
     mirror written.  Overflow warns as any numpy arithmetic does; the RK4
@@ -453,11 +463,10 @@ def multiply(f: Field, g: Field | None = None) -> Field:
         if fs.shape[:-2] != (2,):
             raise ValueError(f"the advection form needs a pair (u, v), got leading "
                              f"shape {fs.shape[:-2]}")
-        z = grid.work("multiply.f", (grid.Nx, grid.Ny))
-        zx, zy = grid.work("multiply.g", (2, grid.Nx, grid.Ny))
+        z, zx = w = grid.work("multiply.f", (2, grid.Nx, grid.Ny))
+        zy = grid.work("multiply.g", (grid.Nx, grid.Ny))
         np.multiply(_pack(grid, fs[0], fs[1], z), grid._dx_full, out=zx)
-        np.fft.ifft(z, axis=0, norm="forward", out=z)
-        np.fft.ifft(zx, axis=0, norm="forward", out=zx)
+        np.fft.ifft(w, axis=-2, norm="forward", out=w)
         _y_apply(z, 1, zy)
         zx *= z.real
         zy *= z.imag

@@ -37,7 +37,8 @@ advances it with the RK4 step shared with the limit system
 stacked pair (u, v) as one dense product (``grid.dyy``), and takes both
 advection terms, N1 = u u_x + v u_y and N2 = u v_x + v v_y, from the
 advection form of ``multiply``, which differentiates the packed pair
-u + iv itself, at three transforms per right-hand side.
+u + iv itself, at one inverse and one forward transform call per
+right-hand side, and projects the acceleration in place.
 """
 
 from __future__ import annotations
@@ -216,8 +217,8 @@ class _Projector:
         self._gather = basis.gather
         self._spread = np.hstack([basis.spread[:, :grid.Ny],
                                   basis.spread[:, grid.Ny:] / e2])
-        #: c1 = i xi M q, over every band row (q is zero at the mean mode)
-        self._c1_mult = grid._dx_rows * basis.mask[None, :]
+        #: xi M over the modes 1..Nx/3: c1 = i xi M q
+        self._xi_mask = grid.xi[self.modes, None] * basis.mask[None, :]
 
 
 @cache
@@ -226,11 +227,13 @@ def _get_projector(grid, eps: float) -> _Projector:
     return _Projector(grid, eps)
 
 
-def _project_pair(grid, eps, f: np.ndarray):
-    """Return the band corrections c = (c1, c2), one (2, band, Ny) stack, and
-    the potential q such that the divergence of f - c vanishes at every
-    mode 1..Nx/3; f = (f1, f2) is a pair of band rows, and its mean rows
-    are untouched."""
+def _project_pair(grid, eps, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """f - c into `out` (which may be f itself) or a fresh array, where
+    c = (i xi M q, eps^-2 M D q) is the masked weighted gradient of the
+    potential q that makes the divergence of f - c vanish at every mode
+    1..Nx/3; f = (f1, f2) is a pair of band rows, whose mean rows are kept.
+    q is not stored: c1 folds into the subtraction, Re(f1 - c1) =
+    Re f1 + xi M Im q and Im(f1 - c1) = Im f1 - xi M Re q."""
     proj = _get_projector(grid, eps)
     f1, f2 = f
     nm, Ny = proj.modes.size, grid.Ny
@@ -246,14 +249,21 @@ def _project_pair(grid, eps, f: np.ndarray):
     buf[nm:, Ny:] = f2[pos].imag
     z = buf @ proj._gather
     z *= proj._scale
-    out = np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
-    q = np.zeros_like(f1)
-    c = np.zeros_like(f)
-    for dst, cols in ((q, slice(0, Ny)), (c[1], slice(Ny, 2 * Ny))):
-        dst.real[pos] = out[:nm, cols]
-        dst.imag[pos] = out[nm:, cols]
-    np.multiply(q, proj._c1_mult, out=c[0])
-    return c, q
+    np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
+    # f is all in buf by now, so out may be f
+    if out is None:
+        out = np.empty_like(f)
+    if out is not f:
+        out[:, 0] = f[:, 0]
+    q_re, c2_re, q_im, c2_im = buf[:nm, :Ny], buf[:nm, Ny:], buf[nm:, :Ny], buf[nm:, Ny:]
+    o1, o2 = out[0, pos], out[1, pos]
+    np.subtract(f2[pos].real, c2_re, out=o2.real)
+    np.subtract(f2[pos].imag, c2_im, out=o2.imag)
+    q_im *= proj._xi_mask  # -Re c1
+    q_re *= proj._xi_mask  # Im c1
+    np.add(f1[pos].real, q_im, out=o1.real)
+    np.subtract(f1[pos].imag, q_re, out=o1.imag)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -291,12 +301,13 @@ def hns_rhs(state: HnsState, linear: bool = False,
         acc -= multiply(uv).rows
     state.pin(acc)  # the x-mean of v is pinned, not solved for
 
-    if not np.all(np.isfinite(acc)):
+    # a complex value is finite when both of its parts are
+    if not np.isfinite(acc.view(np.float64)).all():
         raise SolverAbort("non-finite acceleration", state)
 
     if not linear:
-        acc -= _project_pair(g, eps, acc)[0]
-        if not np.all(np.isfinite(acc)):
+        _project_pair(g, eps, acc, out=acc)
+        if not np.isfinite(acc.view(np.float64)).all():
             raise SolverAbort("non-finite acceleration", state)
     return Field(g, acc)
 
@@ -347,7 +358,8 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     so the post-cleanup divergence is at solver precision, then pins.  The
     correction magnitude is logged and optionally reported.  The result is
     stacked in ``out``, a band stack shaped like the state's that may be its
-    own, or else in a fresh array, leaving the input state as it was.
+    own (each pair is copied first to measure its correction), or else in
+    a fresh array, leaving the input state as it was.
     """
     g = state.grid
     eps = state.eps
@@ -355,9 +367,9 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     new = np.empty_like(y) if out is None else out
     mags = {}
     for name, pair in (("uv", slice(0, 2)), ("ut_vt", slice(2, 4))):
-        c, _ = _project_pair(g, eps, y[pair])
-        np.subtract(y[pair], c, out=new[pair])
-        n1, n2 = l2_norm(Field(g, c)).tolist()
+        f = y[pair].copy()  # the pair as it was: `new` may be `y`
+        _project_pair(g, eps, f, out=new[pair])
+        n1, n2 = l2_norm(Field(g, f - new[pair])).tolist()
         mags[name] = float(np.sqrt(n1 ** 2 + n2 ** 2))
     state.pin(new)
     log.debug("divergence cleanup at t=%.6f: |corr_uv|=%.3e |corr_ut|=%.3e",

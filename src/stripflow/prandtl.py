@@ -126,7 +126,7 @@ def prandtl_rhs(state: PrandtlState, linear: bool = False,
     pg[0] = 0.0  # a pressure gradient has no x-mean on the torus
     acc -= pg[:, None]
     state.pin(acc)
-    if not np.isfinite(acc).all():
+    if not np.isfinite(acc.view(np.float64)).all():  # both parts of every value
         bad = np.argwhere(~np.isfinite(acc))[0]
         raise SolverAbort(
             f"non-finite acceleration at t={state.t}, mode/node {tuple(bad)}", state)

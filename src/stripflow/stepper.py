@@ -116,11 +116,15 @@ class StackedState:
 
     def check_invariants(self):
         """Wall rows pinned and values finite in every row; a state type
-        extends this with its own invariants."""
-        for name, rows in zip(self.ROWS, self.stack):
-            if np.any(rows[:, 0] != 0.0) or np.any(rows[:, -1] != 0.0):
+        extends this with its own invariants.  One pass over the stack per
+        check; the first row that fails either is named."""
+        y = self.stack
+        unpinned = (y[..., 0] != 0.0).any(axis=-1) | (y[..., -1] != 0.0).any(axis=-1)
+        finite = np.isfinite(y.view(np.float64)).all(axis=(-2, -1))
+        for name, wall, ok in zip(self.ROWS, unpinned, finite):
+            if wall:
                 raise SolverAbort(f"{name} wall rows not pinned at t={self.t}", self)
-            if not np.isfinite(rows).all():
+            if not ok:
                 raise SolverAbort(f"non-finite {name} at t={self.t}", self)
 
 
