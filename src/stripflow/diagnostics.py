@@ -128,7 +128,6 @@ class EnergyReport:
     """
 
     times: np.ndarray
-    s: float
     params: GevreyParams
     point_norms: dict[str, np.ndarray]
     l2_norms: dict[str, np.ndarray]
@@ -242,7 +241,6 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     rest = [terms[row.name] for row in rows if not row.composite]
     report = EnergyReport(
         times=times,
-        s=s,
         params=p,
         point_norms=dict(zip(("u", "dy_u", "ut"), point)),
         l2_norms=dict(zip(("u", "ut"), l2)),

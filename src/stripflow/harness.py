@@ -17,7 +17,6 @@ metadata JSON only).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import functools
 import json
@@ -301,18 +300,11 @@ def read_snapshot(path):
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path, columns) -> Path:
-    """columns is a list of (header, array) pairs."""
+    """columns is a list of (header, array) pairs; lines end in CRLF."""
     header, arrays = zip(*columns)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for i in range(len(arrays[0])):
-            w.writerow([_fmt(col[i]) for col in arrays])
+    np.savetxt(path, np.column_stack(arrays), fmt="%.17g", delimiter=",",
+               newline="\r\n", header=",".join(header), comments="")
     return Path(path)
 
 
@@ -702,24 +694,16 @@ def _portable(exc: Exception) -> Exception:
 
 
 def _read_csv(path) -> tuple[list[str], np.ndarray]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    header = rows[0]
-    data = np.array([[float(v) for v in row] for row in rows[1:]])
-    return header, data
-
-
-def _safe_name(column: str) -> str:
-    return column.replace("/", "_")
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().rstrip("\n").split(",")
+    return header, np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
 def _write_report(d: Path, header, data) -> Path:
     """report.txt: the CSV as a right-aligned plain-text table."""
     report = d / "report.txt"
-    with open(report, "w", encoding="utf-8") as fh:
-        fh.write("  ".join(f"{h:>22}" for h in header) + "\n")
-        for row in data:
-            fh.write("  ".join(f"{v:>22.9e}" for v in row) + "\n")
+    np.savetxt(report, data, fmt="%22.9e", delimiter="  ",
+               header="  ".join(f"{h:>22}" for h in header), comments="")
     return report
 
 
@@ -737,12 +721,9 @@ def cmd_report(directory) -> list[Path]:
     if sweep_csv.exists():
         header, data = _read_csv(sweep_csv)
         loglog = d / "loglog.dat"
-        with open(loglog, "w", encoding="utf-8") as fh:
-            fh.write("# log10(eps)  log10(sup_error.l2)\n")
-            for row in data:
-                lo = np.log10(row[0])
-                hi = np.log10(row[1]) if row[1] > 0 else -np.inf
-                fh.write(f"{lo:.17g} {hi:.17g}\n")
+        with np.errstate(divide="ignore"):  # a zero error reads -inf
+            np.savetxt(loglog, np.log10(data[:, :2]), fmt="%.17g",
+                       header="log10(eps)  log10(sup_error.l2)")
         written.append(loglog)
         return written + [_write_report(d, header, data)]
     if energy_csv.exists():
@@ -750,11 +731,8 @@ def cmd_report(directory) -> list[Path]:
         for j, name in enumerate(header):
             if not name.startswith(("E_s.", "E_1.")):
                 continue
-            out = d / f"{_safe_name(name)}.dat"
-            with open(out, "w", encoding="utf-8") as fh:
-                fh.write(f"# time  {name}\n")
-                for row in data:
-                    fh.write(f"{row[0]:.17g} {row[j]:.17g}\n")
+            out = d / f"{name.replace('/', '_')}.dat"
+            np.savetxt(out, data[:, [0, j]], fmt="%.17g", header=f"time  {name}")
             written.append(out)
         return written + [_write_report(d, header, data)]
     raise FileNotFoundError(

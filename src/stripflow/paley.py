@@ -30,7 +30,7 @@ from functools import cache
 
 import numpy as np
 
-from .grid import Field, Grid, dx, l2_norm, multiply, to_physical
+from .grid import Field, Grid, dx, l2_norm, multiply
 
 __all__ = [
     "chi",
@@ -196,32 +196,26 @@ def bony(f: Field, g: Field):
 class BernsteinReport:
     k: int
     ratio: float | None  # ||dx delta_k f|| / (2^k ||delta_k f||)
-    mixed_ratio: float | None  # sup_x ||f(x,.)||_{L2_y} / (2^{k/2} ||f||)
-    block_l2: float
     skipped: bool
 
 
 def bernstein_check(f: Field, k: int, bank: DyadicBank) -> BernsteinReport:
-    """Empirical Bernstein ratios for the block-k piece of f.
+    """Empirical Bernstein ratio for the block-k piece of f.
 
-    The first ratio is the mean horizontal frequency of the block in units
-    of 2^k; the cutoff support pins it inside [3/4, 8/3].  A spectrally
+    The ratio is the mean horizontal frequency of the block in units of
+    2^k; the cutoff support pins it inside [3/4, 8/3].  A spectrally
     empty block is reported as skipped.
     """
     blk = delta_k(f, k, bank)
     l2 = l2_norm(blk)
     if l2 <= 1e-13 * max(l2_norm(f), 1e-300):
-        return BernsteinReport(k, None, None, l2, True)
+        return BernsteinReport(k, None, True)
     ratio = l2_norm(dx(blk)) / (2.0**k * l2)
     if not (0.75 <= ratio <= 8.0 / 3.0):
         raise AssertionError(
             f"block-{k} frequency ratio {ratio:.6f} escaped [3/4, 8/3]"
         )
-    vals = to_physical(blk)
-    g = f.grid
-    col_l2 = np.sqrt((vals**2) @ g.trapz_w)  # ||f(x_i, .)||_{L2_y} per x
-    mixed = float(col_l2.max()) / (2.0 ** (k / 2.0) * l2)
-    return BernsteinReport(k, float(ratio), mixed, l2, False)
+    return BernsteinReport(k, float(ratio), False)
 
 
 @dataclass

@@ -564,6 +564,11 @@ class TestCmdSweep:
         assert "slope fit skipped" in capsys.readouterr().out
         meta = json.loads((Path(res.directory) / "metadata.json").read_text())
         assert meta["slope"] is None
+        # log10 of a zero error is -inf, and warns of nothing
+        cmd_report(res.directory)
+        loglog = (Path(res.directory) / "loglog.dat").read_text().splitlines()[1:]
+        assert len(loglog) == 3
+        assert all(line.split()[1] == "-inf" for line in loglog)
 
     def test_member_differences_hold_pinned_zeros(self, tmp_path, monkeypatch):
         # the reference's slaved v and vt obey the members' rule (HnsState.pin),
@@ -745,7 +750,43 @@ class TestCmdSweep:
         assert get_threads() == before
 
 
+def report_text(d):
+    """{file name: text} that cmd_report writes for the directory `d`,
+    formatted here, row by row, from the CSV as `read_csv` reads it."""
+    sweep = (d / "sweep.csv").exists()
+    header, data = read_csv(d / ("sweep.csv" if sweep else "energy.csv"))
+    files = {}
+    if sweep:
+        files["loglog.dat"] = ["# log10(eps)  log10(sup_error.l2)"] + [
+            f"{np.log10(eps):.17g} {np.log10(err) if err > 0 else -np.inf:.17g}"
+            for eps, err in data[:, :2]]
+    else:
+        for j, name in enumerate(header):
+            if name.startswith(("E_s.", "E_1.")):
+                files[name.replace("/", "_") + ".dat"] = [f"# time  {name}"] + [
+                    f"{row[0]:.17g} {row[j]:.17g}" for row in data]
+    files["report.txt"] = ["  ".join(f"{h:>22}" for h in header)] + [
+        "  ".join(f"{v:>22.9e}" for v in row) for row in data]
+    return header, {name: "".join(line + "\n" for line in lines)
+                    for name, lines in files.items()}
+
+
 class TestCmdReport:
+    @pytest.mark.parametrize("kind", ["prandtl", "hns", "sweep"])
+    def test_report_text(self, tmp_path, kind):
+        # every report file, to the byte, against the text formatted here
+        cfg = small_cfg(tmp_path, kind=kind, eps=0.3, eps_list=(0.2, 0.1, 0.05))
+        if kind == "sweep":
+            out = Path(cmd_sweep(cfg).directory)
+        else:
+            out = cmd_run(cfg)
+        header, expected = report_text(out)
+        assert ("div.rel" in header) == (kind == "hns")
+        paths = cmd_report(out)
+        assert [p.name for p in paths] == list(expected)
+        for path in paths:
+            assert path.read_bytes() == expected[path.name].encode(), path.name
+
     def test_run_report(self, tmp_path):
         out = cmd_run(small_cfg(tmp_path))
         paths = cmd_report(out)

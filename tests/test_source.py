@@ -48,6 +48,17 @@ def test_no_module_level_empty_dicts(path):
     assert lines == [], f"{path.name}: module-level empty dicts on lines {lines}"
 
 
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_csv_module(path):
+    # numpy is the one text codec: np.savetxt writes every CSV and report
+    # file and np.loadtxt reads them back; the tests keep `csv` as an oracle
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Import) and any(a.name == "csv" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "csv"]
+    assert lines == [], f"{path.name}: imports csv on lines {lines}"
+
+
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name != "grid.py"],
                          ids=lambda p: p.name)
 def test_conjugate_mirrors_only_in_grid(path):
