@@ -35,7 +35,7 @@ from .blas import one_blas_thread
 from .diagnostics import EnergyReport, energy_E1, energy_E_s
 from .gevrey import GevreyParams, make_gevrey_data
 from .grid import Field, Grid
-from .hns import N_PROJ, HnsState, hns_step, make_hns_data
+from .hns import HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, prandtl_step, recover_v
 from .stepper import CFL_FACTOR, SolverAbort
 from .verify import verify_all
@@ -44,6 +44,8 @@ VERSION_STRING = f"stripflow-{__version__}"
 SNAPSHOT_MAGIC = b"STRF"
 SNAPSHOT_VERSION = 1
 OUTPUT_ROOT_ENV = "STRIPFLOW_OUTPUT_ROOT"
+#: checkpoint cadence of a run, in steps (see `_Run`)
+N_CHECK = 50
 
 
 def _key(section: str, default, doc: str):
@@ -81,9 +83,6 @@ class RunConfig:
                             f"time step (> 0); null selects {CFL_FACTOR} * dy")
     T_final: float = _key("solver", 2.0,
                           "integration horizon (> 0, at least one step long)")
-    n_proj: int = _key("solver", N_PROJ,
-                       "constraint re-projection cadence in steps, scaled system (>= 1)")
-    n_check: int = _key("solver", 100, "invariant check cadence in steps (>= 1)")
     kind: str = _key("experiment", "prandtl", "experiment kind: prandtl | hns | sweep")
     eps: float = _key("experiment", 0.5, "aspect ratio for kind = hns (0 < eps <= 1)")
     eps_list: tuple = _key("experiment", (0.1, 0.05, 0.025, 0.0125),
@@ -120,9 +119,8 @@ class RunConfig:
                              f"(T_final={self.T_final!r}, dt={self.effective_dt()!r})")
         if self.n_steps() < 1:
             raise ValueError("T_final is shorter than one time step")
-        for name in ("n_proj", "n_check", "sample_every"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {self.sample_every}")
         if self.kind not in ("prandtl", "hns", "sweep"):
             raise ValueError(f"kind must be prandtl | hns | sweep, got {self.kind!r}")
         if not (0.0 < self.eps <= 1.0):
@@ -371,9 +369,11 @@ class _Run:
     the initial state is built from `data` = (u0, u1) on construction.
     `steps()` yields the initial state and every `sample_every`-th step
     state, charging `clock` with the setup, stepping and diagnostics laps
-    (the caller's work on a yielded state counts as diagnostics).  When it
-    ends, `done` is the completed step count, `state` the last accepted
-    state and `abort` the SolverAbort that stopped the run early, else None.
+    (the caller's work on a yielded state counts as diagnostics).  Every
+    `N_CHECK`-th step is a checkpoint (the stepper's `check`), and the last
+    step's invariants are checked too.  When it ends, `done` is the completed
+    step count, `state` the last accepted state and `abort` the SolverAbort
+    that stopped the run early, else None.
     """
 
     def __init__(self, cfg: RunConfig, clock: _Timings, data, eps=None):
@@ -390,18 +390,19 @@ class _Run:
 
     def steps(self):
         cfg, clock, state = self.cfg, self.clock, self.state
+        # looked up per run, not bound at import: tracers wrap these names
+        step, n = prandtl_step if self.eps is None else hns_step, cfg.n_steps()
         clock.lap("setup")
         yield state
         clock.lap("diagnostics")
         try:
-            for i in range(cfg.n_steps()):
-                check = (i + 1) % cfg.n_check == 0
-                if self.eps is None:
-                    state = prandtl_step(state, self.dt, check=check)
-                else:
-                    state = hns_step(state, self.dt, check=check, n_proj=cfg.n_proj)
+            for i in range(1, n + 1):
+                check = i % N_CHECK == 0
+                state = step(state, self.dt, check=check)
+                if i == n and not check:
+                    state.check_invariants()
                 clock.lap("stepping")
-                self.done, self.state = i + 1, state
+                self.done, self.state = i, state
                 if self.done % cfg.sample_every == 0:
                     yield state
                     clock.lap("diagnostics")

@@ -138,8 +138,8 @@ def prandtl_step(state: PrandtlState, dt: float, linear: bool = False,
     """Classical RK4 step (`rk4_step`) on the stack (u, ut); wall rows
     re-pinned afterwards (`StackedState.pin`); `linear` as in `prandtl_rhs`.
 
-    `check` additionally re-validates the state invariants (intended to be
-    turned on every N_check steps by the driving loop).
+    `check` makes the step a checkpoint: the new state's invariants are
+    checked (the run loop, `harness._Run`, sets it every N_CHECK steps).
     """
     def accel(stage, out):
         prandtl_rhs(stage, linear, out[0])

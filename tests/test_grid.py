@@ -568,7 +568,7 @@ class TestBand:
         dt = 0.25 * g.dy
         for _ in range(3):
             states = (prandtl_step(states[0], dt),
-                      hns_step(states[1], dt, n_proj=10**6))  # no cleanup, no energy
+                      hns_step(states[1], dt, check=True))  # with its cleanup
         assert calls == []
         for s in states:
             assert s.stack.shape == (len(s.ROWS), g.Nx // 3 + 1, g.Ny)

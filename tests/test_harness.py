@@ -28,7 +28,7 @@ from stripflow.diagnostics import energy_E1, energy_E_s
 from stripflow.hns import HnsState, make_hns_data
 from stripflow.gevrey import GevreyParams, make_gevrey_data
 from stripflow.prandtl import PrandtlState, prandtl_step, recover_v
-from stripflow.stepper import CFL_FACTOR, SolverAbort
+from stripflow.stepper import CFL_FACTOR, SolverAbort, StackedState
 
 
 BLAS_THREADS = None if blas._openblas() is None else 1  # as metadata.json records it
@@ -96,8 +96,8 @@ class TestConfig:
             (dict(dt=float("nan")), "dt must be finite"),
             (dict(T_final=-1.0), "T_final"),
             (dict(T_final=1e-9), "shorter than one"),
-            (dict(n_proj=0), "n_proj"),
-            (dict(n_check=0), "n_check"),
+            (dict(a=0.0), "radius a must be positive"),
+            (dict(lam=0.5), "lam must be >= 1"),
             (dict(sample_every=0), "sample_every"),
             (dict(Lx=0.0), "Lx must be positive"),
             (dict(kind="bogus"), "kind"),
@@ -109,9 +109,9 @@ class TestConfig:
             (dict(directory=""), "directory"),
             # wrong types: a float or a bool is not an int, a string no float
             (dict(sample_every=2.5), "sample_every must be of type int"),
-            (dict(n_check=2.5), "n_check must be of type int"),
+            (dict(T_final="2"), "T_final must be of type float"),
             (dict(m_max=2.5), "m_max must be of type int"),
-            (dict(n_proj=2.0), "n_proj must be of type int"),
+            (dict(u1=0), "u1 must be of type str"),
             (dict(Nx=64.0), "Nx must be of type int"),
             (dict(Ny=True), "Ny must be of type int"),
             (dict(amplitude="1e-4"), "amplitude must be of type float"),
@@ -147,10 +147,13 @@ class TestConfig:
         {"data": {"profile": "sin2py"}},
         {"solver": {"cfl_factor": 0.25}},
         {"solver": {"pressure_factor": 1.0}},
-    ], ids=["profile", "cfl_factor", "pressure_factor"])
+        {"solver": {"n_proj": 50}},
+        {"solver": {"n_check": 100}},
+    ], ids=["profile", "cfl_factor", "pressure_factor", "n_proj", "n_check"])
     def test_removed_keys_rejected(self, data):
-        # sin(2 pi y) is the only profile, dt sets any multiple of dy, and
-        # the pressure law's factor 1 is the one that conserves the mean
+        # sin(2 pi y) is the only profile, dt sets any multiple of dy, the
+        # pressure law's factor 1 is the one that conserves the mean, and
+        # the run loop alone sets when a solver cleans and checks itself
         with pytest.raises(ValueError, match="unknown config key"):
             RunConfig.from_dict(data)
 
@@ -175,7 +178,7 @@ class TestConfig:
         import dataclasses
 
         assert flat == {f.name for f in dataclasses.fields(RunConfig)}
-        assert len(flat) == 18
+        assert len(flat) == 16
         for group in schema.values():
             for entry in group.values():
                 assert set(entry) == {"default", "doc"}
@@ -470,7 +473,8 @@ class TestCmdRun:
         # at 128x65 the projection's GEMMs are large enough for OpenBLAS to
         # split them over threads, which changed the last bits when unpinned
         src = Path(__file__).resolve().parent.parent / "src"
-        cfg = small_cfg(tmp_path, Nx=128, Ny=65, m_max=4, T_final=0.05, n_proj=5,
+        # T_final 0.2 is 51 steps: the run passes the step-50 checkpoint
+        cfg = small_cfg(tmp_path, Nx=128, Ny=65, m_max=4, T_final=0.2,
                         kind="hns", eps=0.1)
         csv_bytes = {}
         for threads in (None, "1", "2"):
@@ -537,9 +541,16 @@ class TestCmdSweep:
                                                          capsys):
         # members that step the limit system and carry its slaved pair are
         # the reference itself: every error is exactly 0.0, no slope is fit
+        class LimitState(HnsState):
+            # v recovered by quadrature is divergence-free to about 1e-2
+            # only, so these states take the limit system's checks
+            def check_invariants(self):
+                StackedState.check_invariants(self)  # walls, finite values
+                PrandtlState(self.u, self.ut, self.t).check_invariants()  # mean drift
+
         def slaved(state, eps):
-            s = HnsState(state.u, recover_v(state.u), state.ut, recover_v(state.ut),
-                         eps=eps, t=state.t)
+            s = LimitState(state.u, recover_v(state.u), state.ut, recover_v(state.ut),
+                           eps=eps, t=state.t)
             s.pin(s.stack)  # as make_hns_data and hns_step pin a real member
             return s
 
@@ -750,6 +761,51 @@ class TestCmdSweep:
         assert get_threads() == before
 
 
+class TestLastStepChecked:
+    """Every run's last state has its invariants checked, however short the
+    run: these runs are 16 steps long, shorter than the N_CHECK cadence."""
+
+    def unpin_last_step(self, monkeypatch, name, n):
+        """Wrap the harness's stepper so that its n-th call returns a state
+        with a nonzero u wall row; returns the list that receives it."""
+        real, calls, bad = getattr(harness, name), [], []
+
+        def step(state, dt, **kw):
+            out = real(state, dt, **kw)
+            calls.append(out.t)
+            if len(calls) == n:
+                stack = out.stack.copy()
+                stack[0, 1, -1] = 1e-3
+                out = out.with_stack(stack)
+                bad.append(out)
+            return out
+
+        monkeypatch.setattr(harness, name, step)
+        return bad
+
+    @pytest.mark.parametrize("kind", ["prandtl", "hns"])
+    def test_run(self, tmp_path, monkeypatch, kind):
+        cfg = small_cfg(tmp_path, kind=kind, eps=0.3, T_final=0.25)
+        n = cfg.n_steps()
+        assert n < harness.N_CHECK
+        bad = self.unpin_last_step(monkeypatch, f"{kind}_step", n)
+        out = cmd_run(cfg)
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["abort"].startswith("u wall rows not pinned")
+        assert meta["abort_stage"] is None and meta["completed_steps"] == n - 1
+        final = read_snapshot(out / "snapshots" / "final.snap")
+        assert type(final) is type(bad[0]) and final.t == bad[0].t
+        assert np.array_equal(final.stack, bad[0].stack)
+
+    def test_sweep_member(self, tmp_path, monkeypatch):
+        use_cores(monkeypatch, 1)  # the members run in this process, in order
+        cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25, eps_list=(0.2, 0.1, 0.05))
+        self.unpin_last_step(monkeypatch, "hns_step", cfg.n_steps())  # eps 0.2's last
+        with pytest.raises(RuntimeError, match=r"^sweep member eps=0\.2 aborted: "
+                                               r"u wall rows not pinned"):
+            cmd_sweep(cfg)
+
+
 def report_text(d):
     """{file name: text} that cmd_report writes for the directory `d`,
     formatted here, row by row, from the CSV as `read_csv` reads it."""
@@ -786,35 +842,6 @@ class TestCmdReport:
         assert [p.name for p in paths] == list(expected)
         for path in paths:
             assert path.read_bytes() == expected[path.name].encode(), path.name
-
-    def test_run_report(self, tmp_path):
-        out = cmd_run(small_cfg(tmp_path))
-        paths = cmd_report(out)
-        names = {p.name for p in paths}
-        assert "report.txt" in names
-        dats = [p for p in paths if p.suffix == ".dat"]
-        assert dats, "expected per-term data files"
-        cols = np.loadtxt(dats[0])
-        header, data = read_csv(out / "energy.csv")
-        assert cols.shape == (len(data), 2)
-        report_lines = (out / "report.txt").read_text().splitlines()
-        assert len(report_lines) == len(data) + 1
-
-    def test_sweep_report(self, tmp_path):
-        cfg = small_cfg(
-            tmp_path,
-            Nx=32,
-            kind="sweep",
-            amplitude=1e-3,
-            T_final=0.25,
-            eps_list=(0.2, 0.1, 0.05),
-        )
-        cmd_sweep(cfg)
-        paths = cmd_report(resolve_output_dir(cfg.directory))
-        loglog = [p for p in paths if p.name == "loglog.dat"][0]
-        rows = [l for l in loglog.read_text().splitlines() if not l.startswith("#")]
-        assert len(rows) == 3
-        assert len(rows[0].split()) == 2
 
     def test_empty_dir_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError, match="nothing to report"):

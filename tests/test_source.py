@@ -143,24 +143,28 @@ def test_solvers_take_the_advection_form(name):
 
 def test_solver_options():
     # each option of a solver is one more path to keep working and test;
-    # a new parameter or state field changes this table, so it shows in
-    # review (the steppers' `linear` is their one physics switch)
+    # a new parameter, state field or config key changes this table, so it
+    # shows in review by name (the steppers' `linear` is their one physics
+    # switch, and their `check` is set by the run loop alone)
     import inspect
     from dataclasses import fields
 
-    from stripflow import hns, prandtl
+    from stripflow import harness, hns, prandtl
 
     expected = {
         "prandtl_step": ("state", "dt", "linear", "check"),
         "prandtl_rhs": ("state", "linear", "out"),
-        "hns_step": ("state", "dt", "linear", "check", "n_proj"),
+        "hns_step": ("state", "dt", "linear", "check"),
         "hns_rhs": ("state", "linear", "out"),
         "PrandtlState": ("stack", "grid", "u", "ut", "t"),
-        "HnsState": ("stack", "grid", "u", "v", "ut", "vt", "eps", "t", "steps", "energy_mark"),
+        "HnsState": ("stack", "grid", "u", "v", "ut", "vt", "eps", "t", "energy_mark"),
+        "RunConfig": ("Lx", "Nx", "Ny", "a", "lam", "poincare", "amplitude", "m_max", "u1",
+                      "dt", "T_final", "kind", "eps", "eps_list", "directory",
+                      "sample_every"),
     }
     got = {}
     for name in expected:
-        obj = getattr(prandtl, name, None) or getattr(hns, name)
+        obj = next(getattr(m, name) for m in (prandtl, hns, harness) if hasattr(m, name))
         got[name] = (tuple(f.name for f in fields(obj)) if inspect.isclass(obj)
                      else tuple(inspect.signature(obj).parameters))
     assert got == expected

@@ -153,12 +153,12 @@ class TestWithStack:
         g = Grid(16, 17)
         s = random_state(g, 4, 0)
         stack = np.zeros_like(s.stack)
-        new = s.with_stack(stack, t=1.5, steps=3)
+        new = s.with_stack(stack, t=1.5, energy_mark=3.0)
         assert new.stack is stack
         for f, rows in zip(new.fields, stack):
             assert np.shares_memory(f.rows, stack) and np.array_equal(f.rows, rows)
-        assert (new.t, new.steps, new.eps, new.grid) == (1.5, 3, s.eps, s.grid)
-        assert (s.t, s.steps) == (0.25, 0)  # the source state is unchanged
+        assert (new.t, new.energy_mark, new.eps, new.grid) == (1.5, 3.0, s.eps, s.grid)
+        assert (s.t, s.energy_mark) == (0.25, -1.0)  # the source state is unchanged
 
     def test_refuses_what_the_constructor_refuses(self):
         g = Grid(16, 17)
@@ -202,9 +202,9 @@ class TestPinnedZerosArePositive:
             s = make_hns_data(u0, self.P, eps=0.1, u1=u1)
             self.assert_pinned(s, "make_hns_data")
             self.assert_pinned(divergence_cleanup(s), "divergence_cleanup")
-            for _ in range(2):  # the second step ends with a cleanup
-                s = hns_step(s, dt, n_proj=2)
-                self.assert_pinned(s, f"hns_step {s.steps}")
+            for check in (False, True):  # the second step ends with a cleanup
+                s = hns_step(s, dt, check=check)
+                self.assert_pinned(s, f"hns_step t={s.t}")
 
     def test_prandtl_run_initial_state(self, tmp_path):
         # u1 = -u0/2 turns the +0.0 walls of u0 into -0.0 in ut; the run's
