@@ -37,6 +37,9 @@ from .paley import NormSeries, besov_norm, get_bank, norm_series_update
 #: block's temporaries add about half of its gathered rows
 BLOCK_BYTES = 96 << 10
 
+#: regularity of both energies: the point norms sit in the paper's B^{1/2}
+S = 0.5
+
 
 class Term(NamedTuple):
     """One row of a term table: prefactor times the readout ("sup" or "l2"
@@ -46,7 +49,7 @@ class Term(NamedTuple):
 
     name: str  # key in EnergyReport.terms
     label: str  # CSV label: time norm and Besov space
-    ds: float  # regularity offset from s
+    ds: float  # regularity offset from S
     rate: float  # exponential rate, in units of K
     wpow: int  # power of theta_dot weighting the time integral
     prefactor: str  # "1", "(aK)^1/2", "aK", "lam^1/2", "lam" or "lam^3/2"
@@ -63,7 +66,7 @@ class EnergyTable(NamedTuple):
     terms: tuple[Term, ...]
 
 
-# Horizontal-velocity energy of index s; K is the decay rate, a the
+# Horizontal-velocity energy at s = S = 1/2; K is the decay rate, a the
 # initial radius and lam the loss multiplier:
 #
 #   term1  sup-in-time of e^{K t}(u_Phi, dy u_Phi, (dt u)_Phi) in B^s
@@ -168,7 +171,7 @@ class EnergyReport:
             raise AssertionError("analyticity radius exceeded its initial value")
 
 
-def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
+def _assemble(samples, p: GevreyParams, K: float, table: EnergyTable,
               comps: tuple, parts) -> EnergyReport:
     """Run the samples through the terms of `table`, a block at a time.
 
@@ -198,7 +201,7 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     scale = np.array([prefactor[row.prefactor] for row in rows])
     is_sup = np.array([row.readout == "sup" for row in rows])
     g = samples[0].u.grid
-    series = NormSeries(s=np.array([s + row.ds for row in rows]),
+    series = NormSeries(s=np.array([S + row.ds for row in rows]),
                         rate=np.array([row.rate * K for row in rows]),
                         bank=get_bank(g))
 
@@ -233,7 +236,7 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
         norm_series_update(series, term_dens, t, weights)
         readouts[:, lo:hi] = (scale * np.where(is_sup, series.sup_in_time(),
                                                series.l2_in_time())).T
-        norms = besov_norm(np.array([dens["u"], dens["dy_u"], dens["ut"]]), s, series.bank)
+        norms = besov_norm(np.array([dens["u"], dens["dy_u"], dens["ut"]]), S, series.bank)
         point[:, lo:hi] = np.exp(K * t) * norms
 
     terms = dict(zip((row.name for row in rows), readouts))
@@ -255,8 +258,8 @@ def _assemble(samples, s: float, p: GevreyParams, K: float, table: EnergyTable,
     return report
 
 
-def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
-    """Assemble the horizontal-velocity energy of index s (E_S_TABLE)."""
+def energy_E_s(samples, p: GevreyParams) -> EnergyReport:
+    """Assemble the horizontal-velocity energy at s = 1/2 (E_S_TABLE)."""
 
     def parts(block, t, td, rep):
         g = block.grid
@@ -271,7 +274,7 @@ def energy_E_s(samples, s: float, p: GevreyParams) -> EnergyReport:
         dens["dt_of_u"] = y_density(Field(g, np.subtract(ut, dt_of_u, out=dt_of_u)))
         return dens
 
-    return _assemble(list(samples), s, p, p.K, E_S_TABLE, ("u", None, "ut"), parts)
+    return _assemble(list(samples), p, p.K, E_S_TABLE, ("u", None, "ut"), parts)
 
 
 def energy_E1(
@@ -301,7 +304,7 @@ def energy_E1(
         dens["dy_u"], dens["dy_ev"] = y_density(dy(q, out=qt))
         return dens
 
-    return _assemble(samples, 0.5, p, p.K if decay_rates else 0.0, E1_TABLE,
+    return _assemble(samples, p, p.K if decay_rates else 0.0, E1_TABLE,
                      ("u", "v", "ut", "vt"), parts)
 
 

@@ -74,8 +74,6 @@ class GevreyParams:
 
 
 def _check_t(t):
-    if isinstance(t, float) and t >= 0.0:  # per-sample calls skip numpy
-        return t
     t = np.asarray(t, dtype=float)
     if not (t >= 0.0).all():  # written so that NaN fails too
         raise ValueError(f"time must be nonnegative, got {t}")
@@ -168,7 +166,7 @@ def make_gevrey_data(grid: Grid, p: GevreyParams, amplitude: float = 1e-3,
     prof[0] = prof[-1] = 0.0  # pin the walls exactly (sin(2 pi) is ~1e-16)
     c = np.zeros((grid.band, grid.Ny), dtype=np.complex128)
     for m in range(1, m_max + 1):
-        c[m, :] = amplitude * np.exp(-p.a * np.sqrt(grid.xi[m])) * prof
+        c[m, :] = amplitude * np.exp(-p.a * np.sqrt(grid.band_xi[m])) * prof
     u0 = Field(grid, c)
     u1 = Field(grid, np.zeros_like(c))
     compat = np.abs(mean_y(u0)).max()

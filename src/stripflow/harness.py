@@ -26,6 +26,7 @@ import struct
 import time
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 from pathlib import Path
 
 import numpy as np
@@ -171,6 +172,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ValueError(f"config must be an object, got {type(data).__name__}")
         sections, kwargs = cls().to_dict(), {}
         for group, sub in data.items():
             if group not in sections:
@@ -477,7 +480,7 @@ def cmd_run(cfg: RunConfig, blas_threads) -> Path:
     write_snapshot(out / "snapshots" / "final.snap", run.state)
     clock.lap("io")
 
-    report = energy_E1(samples, cfg.eps, p) if pair else energy_E_s(samples, 0.5, p)
+    report = energy_E1(samples, cfg.eps, p) if pair else energy_E_s(samples, p)
     clock.lap("diagnostics")
     _energy_csv(out / "energy.csv", report, div_rel if pair else None)
     clock.lap("io")
@@ -542,11 +545,11 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
     def member_errors(i):
         """(sup, final, energy) errors of member i against the reference."""
         eps = cfg.eps_list[i]
-        member = list(trajectory(eps))
-        if tuple(m.t for m in member) != ref_times:
-            raise RuntimeError("sample times diverged from the reference")
-        diffs = [m.with_stack(m.stack - r) for m, r in zip(member, reference)]
-        del member  # its states are not needed while the energy pass runs
+        diffs = []  # built as the member's states arrive, which are not kept
+        for m, t, r in zip_longest(trajectory(eps), ref_times, reference):
+            if m is None or m.t != t:  # a time, or the count, differs
+                raise RuntimeError("sample times diverged from the reference")
+            diffs.append(m.with_stack(m.stack - r))
         report = energy_E1(diffs, eps, p, decay_rates=False)
         errs, energy = report.l2_norms["u"], report.composite[-1]
         clock.lap("diagnostics")

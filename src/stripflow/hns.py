@@ -210,13 +210,13 @@ class _Projector:
         self.modes = np.arange(1, grid.band)  # xi != 0 in the band
         e2 = eps**2
         scale = np.full((self.modes.size, grid.Ny), e2)
-        scale[:, :-2] = e2 / (basis.lam[None, :] - e2 * grid.xi[self.modes, None] ** 2)
+        scale[:, :-2] = e2 / (basis.lam[None, :] - e2 * grid.band_xi[self.modes, None] ** 2)
         self._scale = np.vstack([scale, scale])  # real rows, then imaginary
         self._gather = basis.gather
         self._spread = np.hstack([basis.spread[:, :grid.Ny],
                                   basis.spread[:, grid.Ny:] / e2])
         #: xi M over the modes 1..Nx/3: c1 = i xi M q
-        self._xi_mask = grid.xi[self.modes, None] * basis.mask[None, :]
+        self._xi_mask = grid.band_xi[self.modes, None] * basis.mask[None, :]
 
 
 @cache
@@ -236,7 +236,7 @@ def _project_pair(grid, eps, f: np.ndarray, out: np.ndarray | None = None) -> np
     f1, f2 = f
     nm, Ny = proj.modes.size, grid.Ny
     pos = slice(1, nm + 1)  # modes 1 .. Nx/3
-    xi = grid.xi[pos, None]
+    xi = grid.band_xi[pos, None]
     # rows: real parts, then imaginary parts; columns: i xi f1, then f2.
     # Filled and reused in place: fresh temporaries of this size cost
     # page faults on every call.

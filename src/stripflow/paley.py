@@ -25,7 +25,7 @@ Conventions on the periodic strip:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from functools import cache
 
 import numpy as np
@@ -36,7 +36,6 @@ __all__ = [
     "chi",
     "phi",
     "DyadicBank",
-    "build_bank",
     "get_bank",
     "delta_k",
     "S_k",
@@ -72,21 +71,19 @@ def phi(tau):
 
 @dataclass
 class DyadicBank:
-    """Cutoffs for one grid: phi/chi evaluated at every grid frequency.
+    """Cutoffs for one grid: phi/chi evaluated at its band frequencies
+    xi_m, m = 0..Nx/3, the rows a Field holds (`get_bank` builds it).
 
     k runs over the contiguous range [k_min, k_max] of blocks that see any
-    nonzero grid frequency; row i of the sample arrays is block k_min + i.
+    nonzero band frequency; row i of the sample arrays is block k_min + i.
     """
 
     grid: Grid
     k_min: int
     k_max: int
-    phi_samples: np.ndarray  # (K, Nx): phi(2^{-k} |xi_m|)
-    chi_samples: np.ndarray  # (K, Nx): chi(2^{-k} |xi_m|)
-    phi_sq: np.ndarray = dataclass_field(init=False)  # (K, band): squares, band columns
-
-    def __post_init__(self):
-        self.phi_sq = self.phi_samples[:, :self.grid.band] ** 2
+    phi_samples: np.ndarray  # (K, band): phi(2^{-k} xi_m)
+    chi_samples: np.ndarray  # (K, band): chi(2^{-k} xi_m)
+    phi_sq: np.ndarray  # (K, band): phi_samples squared
 
     @property
     def ks(self) -> np.ndarray:
@@ -102,52 +99,44 @@ class DyadicBank:
         return float(out) if out.ndim == 0 else out
 
     def row(self, k: int) -> np.ndarray:
-        """phi(2^{-k} |xi|) samples for any integer k (zeros outside range)."""
+        """phi(2^{-k} xi_m) on the band for any integer k (zeros outside range)."""
         if self.k_min <= k <= self.k_max:
             return self.phi_samples[k - self.k_min]
-        return phi(self.grid.abs_xi / 2.0**k)
+        return phi(self.grid.band_xi / 2.0**k)
 
     def chi_row(self, k: int) -> np.ndarray:
         if self.k_min <= k <= self.k_max:
             return self.chi_samples[k - self.k_min]
-        return chi(self.grid.abs_xi / 2.0**k)
-
-
-def build_bank(grid: Grid) -> DyadicBank:
-    """Evaluate the dyadic cutoffs on a grid's frequency set."""
-    nonzero = grid.abs_xi[grid.abs_xi > 0.0]
-    lo, hi = nonzero.min(), nonzero.max()
-    # phi(2^{-k} tau) != 0 requires 2^k in [3 tau / 8, 4 tau / 3]
-    k_candidates = np.arange(
-        int(np.floor(np.log2(3.0 * lo / 8.0))) - 1,
-        int(np.ceil(np.log2(4.0 * hi / 3.0))) + 2,
-    )
-    rows = [phi(grid.abs_xi / 2.0**k) for k in k_candidates]
-    live = [i for i, r in enumerate(rows) if np.any(r > 0.0)]
-    k_min = int(k_candidates[live[0]])
-    k_max = int(k_candidates[live[-1]])
-    phi_samples = np.array(rows[live[0] : live[-1] + 1])
-    chi_samples = np.array(
-        [chi(grid.abs_xi / 2.0**k) for k in range(k_min, k_max + 1)]
-    )
-    return DyadicBank(grid, k_min, k_max, phi_samples, chi_samples)
+        return chi(self.grid.band_xi / 2.0**k)
 
 
 @cache
 def get_bank(grid: Grid) -> DyadicBank:
-    """Per-grid cached bank (construction is one-shot and read-only after);
-    equal Grids share it."""
-    return build_bank(grid)
+    """The dyadic cutoffs at a grid's band frequencies, built once per grid
+    (read-only after); equal Grids share it."""
+    xi = grid.band_xi  # 0 = xi_0 < xi_1 < ... < xi_{Nx/3}
+    # phi(2^{-k} tau) != 0 requires 2^k in [3 tau / 8, 4 tau / 3]
+    k_candidates = np.arange(
+        int(np.floor(np.log2(3.0 * xi[1] / 8.0))) - 1,
+        int(np.ceil(np.log2(4.0 * xi[-1] / 3.0))) + 2,
+    )
+    rows = [phi(xi / 2.0**k) for k in k_candidates]
+    live = [i for i, r in enumerate(rows) if np.any(r > 0.0)]
+    k_min = int(k_candidates[live[0]])
+    k_max = int(k_candidates[live[-1]])
+    phi_samples = np.array(rows[live[0] : live[-1] + 1])
+    chi_samples = np.array([chi(xi / 2.0**k) for k in range(k_min, k_max + 1)])
+    return DyadicBank(grid, k_min, k_max, phi_samples, chi_samples, phi_samples**2)
 
 
 def delta_k(f: Field, k: int, bank: DyadicBank) -> Field:
     """Dyadic block projector: multiply coefficients by phi(2^{-k}|xi|)."""
-    return Field(f.grid, f.rows * bank.row(k)[:f.grid.band, None])
+    return Field(f.grid, f.rows * bank.row(k)[:, None])
 
 
 def S_k(f: Field, k: int, bank: DyadicBank) -> Field:
     """Low-pass up to block k: multiply by chi(2^{-k}|xi|) (keeps the mean)."""
-    return Field(f.grid, f.rows * bank.chi_row(k)[:f.grid.band, None])
+    return Field(f.grid, f.rows * bank.chi_row(k)[:, None])
 
 
 def block_norms(dens: np.ndarray, bank: DyadicBank) -> np.ndarray:

@@ -81,7 +81,7 @@ def test_dyadic_partition_and_overlap():
     xi = g.abs_xi[g.abs_xi > 0.0]
     on_grid = sum(phi(xi / 2.0**k) for k in ks)
     assert np.abs(on_grid - 1.0).max() <= 1e-12
-    nz = g.abs_xi > 0.0
+    nz = g.band_xi > 0.0
     assert np.abs(bank.phi_samples[:, nz].sum(axis=0) - 1.0).max() <= 1e-12
 
     low_dense = chi(tau) + sum(phi(tau / 2.0**j) for j in range(0, 15))
@@ -269,7 +269,7 @@ def test_exponential_decay():
             samples.append(state)
     rate, _ = decay_fit(series)
     assert rate <= -0.4
-    envelope = energy_E_s(samples, 0.5, P).point_norms["u"]
+    envelope = energy_E_s(samples, P).point_norms["u"]
     assert np.all(envelope <= 10.0 * envelope[0])
 
     state = make_hns_data(u0, P, eps=0.5)

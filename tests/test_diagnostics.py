@@ -233,7 +233,7 @@ class TestEnergyEs:
     def test_zero_run(self):
         g = Grid(16, 9)
         times = [0.0, 0.5, 1.0]
-        rep = energy_E_s(zero_samples(g, times), 0.5, P)
+        rep = energy_E_s(zero_samples(g, times), P)
         for arr in rep.terms.values():
             assert np.all(arr == 0.0)
         for arr in rep.point_norms.values():
@@ -246,7 +246,7 @@ class TestEnergyEs:
 
     def test_empty_run_rejected(self):
         with pytest.raises(ValueError, match="at least one sample"):
-            energy_E_s([], 0.5, P)
+            energy_E_s([], P)
 
     # nonuniform times exercise the trapezoid; the lone t = 0 sample pins
     # the first row, which cmd_run reports as data_norm
@@ -257,7 +257,7 @@ class TestEnergyEs:
         for times in self.ORACLE_TIMES:
             rng = np.random.default_rng(7)
             samples = random_samples(g, rng, times, modes=(1, 2, 3, 5))
-            rep = energy_E_s(samples, 0.5, P)
+            rep = energy_E_s(samples, P)
             expect = oracle_E_s(samples, 0.5, P)
             for name, val in expect.items():
                 got = rep.terms[name][-1]
@@ -275,8 +275,8 @@ class TestEnergyEs:
         rng = np.random.default_rng(3)
         samples = random_samples(g, rng, [0.0, 0.1, 0.2])
         c = 3.7
-        rep1 = energy_E_s(samples, 0.5, P)
-        rep2 = energy_E_s([scaled_sample(s, c) for s in samples], 0.5, P)
+        rep1 = energy_E_s(samples, P)
+        rep2 = energy_E_s([scaled_sample(s, c) for s in samples], P)
         for name in rep1.terms:
             assert np.allclose(rep2.terms[name], c * rep1.terms[name], rtol=1e-12)
         for key in rep1.point_norms:
@@ -295,7 +295,7 @@ class TestEnergyEs:
         zero = Field.zeros(g)
         times = np.linspace(0.0, 0.3, 4)
         samples = [Record(t=float(t), u=u, ut=zero) for t in times]
-        rep = energy_E_s(samples, 0.5, p2)
+        rep = energy_E_s(samples, p2)
 
         bank = paley.get_bank(g)
         u_phi0 = gv.apply_gevrey(u, 0.0, p2, +1)
@@ -340,7 +340,7 @@ class TestEnergyEs:
         g = Grid(16, 9)
         rng = np.random.default_rng(9)
         samples = random_samples(g, rng, [0.0, 1.0, 5.0, 20.0], modes=(2, 3))
-        rep = energy_E_s(samples, 0.5, P)
+        rep = energy_E_s(samples, P)
         assert np.all(rep.radius > 0.5 * P.a)
         assert np.all(rep.radius <= P.a)
         assert np.all(np.diff(rep.radius) < 0.0)
@@ -350,7 +350,7 @@ class TestEnergyEs:
     def test_validate_catches_tampering(self):
         g = Grid(16, 9)
         rng = np.random.default_rng(13)
-        rep = energy_E_s(random_samples(g, rng, [0.0, 0.1, 0.2]), 0.5, P)
+        rep = energy_E_s(random_samples(g, rng, [0.0, 0.1, 0.2]), P)
         rep.terms["term7"][-1] *= 0.5
         with pytest.raises(AssertionError, match="decreased"):
             rep.validate()
@@ -433,7 +433,7 @@ class TestRunDiagnostics:
             st = prandtl_step(st, dt)
             if (i + 1) % 4 == 0:
                 samples.append(st)
-        rep = energy_E_s(samples, 0.5, P)
+        rep = energy_E_s(samples, P)
         rep.validate()
         assert np.all(np.isfinite(rep.composite))
         assert rep.composite[-1] > 0.0
@@ -494,7 +494,7 @@ class TestBlockPass:
 
     @staticmethod
     def reports(samples):
-        return (energy_E_s(samples, 0.5, P), energy_E1(samples, 0.3, P),
+        return (energy_E_s(samples, P), energy_E1(samples, 0.3, P),
                 energy_E1(samples, 0.3, P, decay_rates=False))
 
     def test_block_size_changes_no_bit(self, monkeypatch):
@@ -531,7 +531,7 @@ class TestBlockPass:
         samples = random_samples(g, np.random.default_rng(37), times, with_pair=True)
         self.block_of(monkeypatch, g, 2)
         with pytest.raises(ValueError, match="non-monotone time sample"):
-            energy_E_s(samples, 0.5, P)
+            energy_E_s(samples, P)
         with pytest.raises(ValueError, match="non-monotone time sample"):
             energy_E1(samples, 0.3, P)
 
@@ -550,7 +550,7 @@ class TestBlockPass:
         for _ in range(64):
             s = prandtl_step(s, 0.25 * g.dy)
             samples.append(s)
-        energy_E_s(samples, 0.5, P)  # warm the caches
+        energy_E_s(samples, P)  # warm the caches
         calls = 0
 
         def count(frame, event, arg):
@@ -559,7 +559,7 @@ class TestBlockPass:
 
         sys.setprofile(count)
         try:
-            energy_E_s(samples, 0.5, P)
+            energy_E_s(samples, P)
         finally:
             sys.setprofile(None)
         assert calls <= len(samples) * self.BEFORE // 4, calls

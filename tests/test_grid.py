@@ -130,6 +130,12 @@ class TestTransforms:
         with pytest.raises(ValueError, match="shape"):
             Field(g, np.zeros((17, 9), dtype=complex))
 
+    def test_to_spectral_refuses_complex_values(self):
+        # dealiased real parts: only the guard refuses the imaginary ones
+        g = make_grid(16, 9)
+        with pytest.raises(ValueError, match="must be real"):
+            to_spectral(g, np.full((16, 9), 1.0 + 1.0j))
+
     def test_to_spectral_refuses_non_dealiased_values(self):
         g = make_grid(16, 9)
         vals = np.random.default_rng(1).standard_normal((16, 9))

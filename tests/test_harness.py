@@ -164,7 +164,12 @@ class TestConfig:
         ({"experiment": {"eps_list": [0.1, "0.05", 0.025]}}, "eps_list entries"),
         ({"data": {"amplitude": float("nan")}}, "amplitude must be finite"),
         ({"grid": {"Lx": float("inf")}}, "Lx must be finite"),
-    ], ids=["float-int", "section", "eps_list-string", "eps_list-entry", "nan", "inf"])
+        ([], "config must be an object, got list"),
+        ("x", "config must be an object, got str"),
+        (None, "config must be an object, got NoneType"),
+        (3, "config must be an object, got int"),
+    ], ids=["float-int", "section", "eps_list-string", "eps_list-entry", "nan", "inf",
+            "top-list", "top-string", "top-null", "top-number"])
     def test_bad_type_rejected_at_load(self, tmp_path, data, match):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps(data))  # writes the NaN / Infinity literals
@@ -267,6 +272,12 @@ class TestSnapshots:
         with pytest.raises(ValueError, match=match):
             read_snapshot(path)
 
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "short.snap"
+        path.write_bytes(bytes(harness._HEADER.size - 1))
+        with pytest.raises(ValueError, match="truncated snapshot header"):
+            read_snapshot(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.snap"
         path.write_bytes(b"XXXX" + bytes(60))
@@ -333,6 +344,12 @@ class TestVerifyCmd:
         report = cmd_verify(Nx=16, Ny=9, corrupt="phi")
         assert report["passed"] is False
         assert report["failed"] == ["partition-of-unity"]
+
+    def test_unknown_fault_rejected(self):
+        from stripflow.verify import verify_all
+
+        with pytest.raises(ValueError, match="unknown fault injection 'nope'"):
+            verify_all(Nx=16, Ny=9, corrupt="nope")
 
 
 class TestCmdRun:
@@ -435,7 +452,7 @@ class TestCmdRun:
         p = cfg.gevrey_params()
         u0, u1 = cfg.make_data()
         if kind == "prandtl":
-            expect = energy_E_s([PrandtlState(u0, u1)], 0.5, p).composite[0]
+            expect = energy_E_s([PrandtlState(u0, u1)], p).composite[0]
         else:
             s = make_hns_data(u0, p, eps=cfg.eps, u1=u1)
             expect = energy_E1([s], cfg.eps, p).composite[0]

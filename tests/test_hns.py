@@ -79,6 +79,16 @@ class TestStateInvariants:
         with pytest.raises(SolverAbort, match="wall"):
             s.check_invariants()
 
+    @pytest.mark.parametrize("name", ["v", "vt"])
+    def test_unpinned_x_mean_aborts(self, name):
+        # an interior x-mean value of v or vt, with the walls pinned
+        g = Grid(16, 17)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
+        c[0, 3] = 1e-3
+        s = replace(zero_state(g, 0.5), **{name: Field(g, c)})
+        with pytest.raises(SolverAbort, match=f"x-mean of {name} not pinned"):
+            s.check_invariants()
+
     def test_divergence_violation_aborts(self):
         g = Grid(32, 33)
         x = xnodes(g)

@@ -14,7 +14,6 @@ from stripflow.paley import (
     besov_norm,
     block_norms,
     bony,
-    build_bank,
     chi,
     delta_k,
     get_bank,
@@ -75,8 +74,8 @@ class TestBank:
     def test_partition_on_grid_frequencies(self):
         for (Nx, Ny, Lx) in [(64, 17, 2 * np.pi), (128, 33, 1.0), (16, 9, 7.3)]:
             g = Grid(Nx, Ny, Lx)
-            bank = build_bank(g)
-            nz = g.abs_xi > 0
+            bank = get_bank(g)
+            nz = g.band_xi > 0
             total = bank.phi_samples[:, nz].sum(axis=0)
             assert np.abs(total - 1.0).max() <= 1e-12
 
@@ -84,16 +83,16 @@ class TestBank:
     @settings(max_examples=12, deadline=None)
     def test_partition_property(self, log2nx, Lx):
         g = Grid(2**log2nx, 9, Lx)
-        bank = build_bank(g)
-        nz = g.abs_xi > 0
+        bank = get_bank(g)
+        nz = g.band_xi > 0
         total = bank.phi_samples[:, nz].sum(axis=0)
         assert np.abs(total - 1.0).max() <= 1e-12
 
     def test_range_covers_extremes(self):
         g = make_grid(128, 9)
-        bank = build_bank(g)
-        # every nonzero frequency is seen by at least one block
-        nz = g.abs_xi > 0
+        bank = get_bank(g)
+        # every nonzero band frequency is seen by at least one block
+        nz = g.band_xi > 0
         assert np.all(bank.phi_samples[:, nz].max(axis=0) > 0.1)
 
 

@@ -356,6 +356,16 @@ class TestConservation:
         assert worst_nonmean <= 1e-14 * 1e-5
         assert worst_all <= 1e-10
 
+    def test_mean_drift_aborts(self):
+        # pinned, finite rows whose y-mean is far from zero at mode 1
+        g = Grid(16, 17)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
+        c[1] = np.sin(np.pi * g.y)
+        c[1, 0] = c[1, -1] = 0.0
+        s = PrandtlState(Field(g, c), Field.zeros(g))
+        with pytest.raises(SolverAbort, match="vertical-mean drift"):
+            s.check_invariants()
+
     def test_half_factor_breaks_conservation(self):
         # any prefactor other than 1 in the mean pressure law leaks mean:
         # the stencil oracle at 1/2, stepped as prandtl_step steps

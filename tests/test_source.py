@@ -93,6 +93,19 @@ def test_unfold_only_in_grid_and_snapshots(path):
     assert lines == [], f"{path.name}: .fold( or .unfold( call on lines {lines}"
 
 
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in ("grid.py", "verify.py")],
+                         ids=lambda p: p.name)
+def test_full_frequencies_only_in_grid_and_verify(path):
+    # per-mode tables (the dyadic bank, Gevrey weights, projector scales)
+    # are band tables read from `Grid.band_xi`; the frequencies of every
+    # grid row serve the packed transform (grid.py) and the identities
+    # checked at every grid frequency (verify.py)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("xi", "abs_xi")]
+    assert lines == [], f"{path.name}: xi or abs_xi attribute read on lines {lines}"
+
+
 def _names_field(node) -> bool:
     return any((isinstance(n, ast.Name) and n.id == "Field")
                or (isinstance(n, ast.Attribute) and n.attr == "Field")
@@ -145,11 +158,12 @@ def test_solver_options():
     # each option of a solver is one more path to keep working and test;
     # a new parameter, state field or config key changes this table, so it
     # shows in review by name (the steppers' `linear` is their one physics
-    # switch, and their `check` is set by the run loop alone)
+    # switch, and their `check` is set by the run loop alone; both energies
+    # sit at s = 1/2, and `decay_rates` is the sweep's undamped E_1)
     import inspect
     from dataclasses import fields
 
-    from stripflow import harness, hns, prandtl
+    from stripflow import diagnostics, harness, hns, prandtl
 
     expected = {
         "prandtl_step": ("state", "dt", "linear", "check"),
@@ -161,10 +175,13 @@ def test_solver_options():
         "RunConfig": ("Lx", "Nx", "Ny", "a", "lam", "poincare", "amplitude", "m_max", "u1",
                       "dt", "T_final", "kind", "eps", "eps_list", "directory",
                       "sample_every"),
+        "energy_E_s": ("samples", "p"),
+        "energy_E1": ("samples", "eps", "p", "decay_rates"),
     }
     got = {}
     for name in expected:
-        obj = next(getattr(m, name) for m in (prandtl, hns, harness) if hasattr(m, name))
+        obj = next(getattr(m, name) for m in (prandtl, hns, harness, diagnostics)
+                   if hasattr(m, name))
         got[name] = (tuple(f.name for f in fields(obj)) if inspect.isclass(obj)
                      else tuple(inspect.signature(obj).parameters))
     assert got == expected

@@ -179,6 +179,22 @@ class TestWithStack:
             s.with_stack(s.stack.copy(), **{name: value})
 
 
+class TestStateGuards:
+    def test_non_finite_interior_aborts(self):
+        g = Grid(16, 17)
+        c = np.zeros((g.band, g.Ny), dtype=complex)
+        c[1, 5] = np.nan  # the walls stay pinned
+        s = PrandtlState(Field.zeros(g), Field(g, c))
+        with pytest.raises(SolverAbort, match="non-finite ut"):
+            s.check_invariants()
+
+    def test_fields_on_two_grids_refused(self):
+        # same shapes, another period: only the grid check tells them apart
+        u, ut = Field.zeros(Grid(16, 17)), Field.zeros(Grid(16, 17, Lx=1.0))
+        with pytest.raises(ValueError, match="share one grid"):
+            PrandtlState(u, ut)
+
+
 class TestPinnedZerosArePositive:
     """Each state a solver returns holds +0.0, never -0.0, at every entry
     its type pins (`StackedState.pin`, `HnsState.pin`)."""
