@@ -34,7 +34,7 @@ import numpy as np
 from . import __version__
 from .blas import one_blas_thread
 from .diagnostics import EnergyReport, energy_E1, energy_E_s
-from .gevrey import GevreyParams, make_gevrey_data
+from .gevrey import GevreyParams, apply_gevrey, make_gevrey_data
 from .grid import Field, Grid
 from .hns import HnsState, hns_step, make_hns_data
 from .prandtl import PrandtlState, prandtl_step, recover_v
@@ -106,8 +106,15 @@ class RunConfig:
         if self.amplitude < 0.0:
             raise ValueError(f"amplitude must be >= 0, got {self.amplitude}")
         # Lx / Nx / Ny, a / lam / poincare, m_max and u1 range errors come
-        # from building the grid, the Gevrey parameters and the data
-        self.make_data()
+        # from building the grid, the Gevrey parameters and the data; and
+        # weighting the data at t = 0, where the radius is largest, refuses
+        # a weight that overflows on this grid
+        u0, _ = self.make_data()
+        try:
+            apply_gevrey(u0, 0.0, self.gevrey_params(), +1)
+        except OverflowError as exc:
+            raise ValueError(f"a={self.a} is too large for the {self.Nx}x{self.Ny} "
+                             f"grid: {exc}") from None
         if self.dt is not None and self.dt <= 0.0:
             raise ValueError(f"dt must be positive or null, got {self.dt}")
         if self.T_final <= 0.0:
@@ -568,8 +575,8 @@ def cmd_sweep(cfg: RunConfig, blas_threads) -> SweepResult:
                 break
         return done
 
-    cores = len(os.sched_getaffinity(0))
-    workers = min(cores, len(cfg.eps_list)) if blas_threads else 1
+    # without thread control a sweep stays in one process and reads no cores
+    workers = min(len(os.sched_getaffinity(0)), len(cfg.eps_list)) if blas_threads else 1
     def slaved(s):  # the (u, v, ut, vt) band stack of a reference state
         v, vt = recover_v(Field(s.grid, s.stack)).rows
         return np.stack([s.stack[0], v, s.stack[1], vt])

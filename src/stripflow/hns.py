@@ -45,7 +45,7 @@ right-hand side, and projects the acceleration in place.  A step with
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cache
 
 import numpy as np
@@ -84,9 +84,10 @@ class HnsState(StackedState):
         super().pin(y)
         y[1::2, 0] = 0.0
 
-    def _check_values(self):
+    def __post_init__(self):
         if not (0.0 < self.eps <= 1.0):
             raise ValueError(f"eps must lie in (0, 1], got {self.eps}")
+        super().__post_init__()
 
     def divergence_rel(self) -> float:
         """|dx u + dy v| relative to |dx u| + |dy v|."""
@@ -225,43 +226,36 @@ def _get_projector(grid, eps: float) -> _Projector:
     return _Projector(grid, eps)
 
 
-def _project_pair(grid, eps, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """f - c into `out` (which may be f itself) or a fresh array, where
-    c = (i xi M q, eps^-2 M D q) is the masked weighted gradient of the
-    potential q that makes the divergence of f - c vanish at every mode
-    1..Nx/3; f = (f1, f2) is a pair of band rows, whose mean rows are kept.
-    q is not stored: c1 folds into the subtraction, Re(f1 - c1) =
-    Re f1 + xi M Im q and Im(f1 - c1) = Im f1 - xi M Re q."""
+def _project_pair(grid, eps, f: np.ndarray) -> np.ndarray:
+    """Project f = (f1, f2), a pair of band rows, in place and return it:
+    f - c, where c = (i xi M q, eps^-2 M D q) is the masked weighted gradient
+    of the potential q that makes the divergence of f - c vanish at every
+    mode 1..Nx/3; the mean rows are kept.  q is not stored: c1 folds into
+    the subtraction, Re(f1 - c1) = Re f1 + xi M Im q and Im(f1 - c1) =
+    Im f1 - xi M Re q."""
     proj = _get_projector(grid, eps)
-    f1, f2 = f
+    f1, f2 = f[:, 1:]  # modes 1 .. Nx/3, views of f
     nm, Ny = proj.modes.size, grid.Ny
-    pos = slice(1, nm + 1)  # modes 1 .. Nx/3
-    xi = grid.band_xi[pos, None]
+    xi = grid.band_xi[1:, None]
     # rows: real parts, then imaginary parts; columns: i xi f1, then f2.
     # Filled and reused in place: fresh temporaries of this size cost
     # page faults on every call.
     buf = np.empty((2 * nm, 2 * Ny))
-    np.multiply(f1[pos].imag, -xi, out=buf[:nm, :Ny])
-    np.multiply(f1[pos].real, xi, out=buf[nm:, :Ny])
-    buf[:nm, Ny:] = f2[pos].real
-    buf[nm:, Ny:] = f2[pos].imag
+    np.multiply(f1.imag, -xi, out=buf[:nm, :Ny])
+    np.multiply(f1.real, xi, out=buf[nm:, :Ny])
+    buf[:nm, Ny:] = f2.real
+    buf[nm:, Ny:] = f2.imag
     z = buf @ proj._gather
     z *= proj._scale
     np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
-    # f is all in buf by now, so out may be f
-    if out is None:
-        out = np.empty_like(f)
-    if out is not f:
-        out[:, 0] = f[:, 0]
     q_re, c2_re, q_im, c2_im = buf[:nm, :Ny], buf[:nm, Ny:], buf[nm:, :Ny], buf[nm:, Ny:]
-    o1, o2 = out[0, pos], out[1, pos]
-    np.subtract(f2[pos].real, c2_re, out=o2.real)
-    np.subtract(f2[pos].imag, c2_im, out=o2.imag)
+    np.subtract(f2.real, c2_re, out=f2.real)
+    np.subtract(f2.imag, c2_im, out=f2.imag)
     q_im *= proj._xi_mask  # -Re c1
     q_re *= proj._xi_mask  # Im c1
-    np.add(f1[pos].real, q_im, out=o1.real)
-    np.subtract(f1[pos].imag, q_re, out=o1.imag)
-    return out
+    np.add(f1.real, q_im, out=f1.real)
+    np.subtract(f1.imag, q_re, out=f1.imag)
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +298,7 @@ def hns_rhs(state: HnsState, linear: bool = False,
         raise SolverAbort("non-finite acceleration", state)
 
     if not linear:
-        _project_pair(g, eps, acc, out=acc)
+        _project_pair(g, eps, acc)
         if not np.isfinite(acc.view(np.float64)).all():
             raise SolverAbort("non-finite acceleration", state)
     return Field(g, acc)
@@ -320,7 +314,8 @@ def hns_step(state: HnsState, dt: float, linear: bool = False,
 
     ``check`` makes the step a checkpoint: the new state is cleaned
     (`divergence_cleanup`, not when ``linear``), the energy guard compares
-    its energy with the last checkpoint's, then `check_invariants` runs.
+    its energy with the last checkpoint's, which it replaces as the state's
+    `energy_mark`, then `check_invariants` runs.
     """
     def accel(stage, out):
         hns_rhs(stage, linear=linear, out=out)
@@ -334,7 +329,7 @@ def hns_step(state: HnsState, dt: float, linear: bool = False,
             raise SolverAbort(
                 f"energy grew {e / out.energy_mark:.1f}x since last check "
                 f"(unstable configuration)", out)
-        out = out.with_stack(out.stack, energy_mark=e)
+        out = replace(out, energy_mark=e)
         out.check_invariants()
     return out
 
@@ -348,8 +343,9 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     so the post-cleanup divergence is at solver precision, then pins.  The
     correction magnitude is logged and optionally reported.  The result is
     stacked in ``out``, a band stack shaped like the state's that may be its
-    own (each pair is copied first to measure its correction), or else in
-    a fresh array, leaving the input state as it was.
+    own, or else in a fresh array, leaving the input state as it was: each
+    pair is copied, to measure its correction, then written into the
+    output and projected there (`_project_pair` works in place).
     """
     g = state.grid
     eps = state.eps
@@ -358,7 +354,8 @@ def divergence_cleanup(state: HnsState, report: dict | None = None,
     mags = {}
     for name, pair in (("uv", slice(0, 2)), ("ut_vt", slice(2, 4))):
         f = y[pair].copy()  # the pair as it was: `new` may be `y`
-        _project_pair(g, eps, f, out=new[pair])
+        new[pair] = f
+        _project_pair(g, eps, new[pair])
         n1, n2 = l2_norm(Field(g, f - new[pair])).tolist()
         mags[name] = float(np.sqrt(n1 ** 2 + n2 ** 2))
     state.pin(new)

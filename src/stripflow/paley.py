@@ -220,7 +220,8 @@ class NormSeries:
     as sum_k 2^{ks} sqrt(integral_k) resp. sum_k 2^{ks} max_k, with the
     blocks of `bank`.  Array `s`, `rate` and weight hold one series per row.
     `integrals` and `maxima` hold the running values at each sample of the
-    last block fed, so the readouts give one value (or row) per sample.
+    last block fed, so the readouts, read after a block is fed, give one
+    value (or row) per sample.
     """
 
     s: float | np.ndarray
@@ -234,14 +235,10 @@ class NormSeries:
 
     def l2_in_time(self):
         """sum_k 2^{ks} (integral_k)^{1/2}."""
-        if self.integrals is None:
-            return 0.0
         return self.bank.besov_sum(np.sqrt(self.integrals), self._weights)
 
     def sup_in_time(self):
         """sum_k 2^{ks} max_t e^{rate t} ||delta_k a||."""
-        if self.integrals is None:
-            return 0.0
         return self.bank.besov_sum(self.maxima, self._weights)
 
 

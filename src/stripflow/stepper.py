@@ -57,12 +57,13 @@ class StackedState:
 
     The state owns `stack`, one (len(ROWS), Nx//3 + 1, Ny) complex array of
     band rows, which the Fields view: a Field is its grid and its band, and
-    no full spectrum is stored.  Made from Fields, a state checks that they share
-    one grid and copies their bands into a new stack once; `with_stack`
-    puts a state over an existing stack.  A state is not changed after it
-    is made (samples keep states), so a changed one comes from `with_stack`
-    or `dataclasses.replace`.  A state type checks its own values in
-    `_check_values`, which both of those run, and imposes its boundary rule
+    no full spectrum is stored.  Made from Fields, a state checks that they
+    share one grid (a state type checks its own values first, in its
+    `__post_init__`) and copies their bands into a new stack once;
+    `with_stack` puts a state, at another time if given, over an existing
+    stack.  A state is not changed after it is made (samples keep states),
+    so one with other fields comes from `dataclasses.replace`, which checks
+    them as the constructor does.  A state type imposes its boundary rule
     with `pin`, which `check_invariants` checks.
     """
 
@@ -71,7 +72,6 @@ class StackedState:
     grid: Grid = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._check_values()
         g = getattr(self, self.ROWS[0]).grid
         if any(f.grid != g for f in self.fields):
             raise ValueError("all state fields must share one grid")
@@ -90,27 +90,15 @@ class StackedState:
         y[..., 0] = 0.0
         y[..., -1] = 0.0
 
-    def _check_values(self) -> None:
-        """Refuse field values the state type does not allow (none here)."""
-
     @property
     def fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self.ROWS)
 
-    def with_stack(self, stack: np.ndarray, /, **changes):
-        """This state, with `changes`, over the rows of `stack` (not copied).
-        A copy of the instance dict, cheaper than `dataclasses.replace`; it refuses
-        unknown names and those `stack` sets, and checks what `__post_init__` does."""
+    def with_stack(self, stack: np.ndarray, /, t: float | None = None):
+        """This state over the rows of `stack` (not copied), at time `t` if
+        given: a copy of the instance dict, cheaper than `dataclasses.replace`."""
         new = object.__new__(type(self))
-        new.__dict__.update(self.__dict__, **changes)
-        if changes:
-            fixed = changes.keys() & {"stack", "grid", *self.ROWS}
-            if fixed:
-                raise TypeError(f"with_stack cannot change {fixed}: pass rows in the stack")
-            unknown = changes.keys() - self.__dict__.keys()
-            if unknown:
-                raise TypeError(f"{type(self).__name__} has no fields {sorted(unknown)}")
-            new._check_values()
+        new.__dict__.update(self.__dict__, t=self.t if t is None else t)
         new._set_stack(stack)
         return new
 

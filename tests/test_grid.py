@@ -497,6 +497,17 @@ class TestBand:
         full = g.unfold(u0.rows)
         assert np.array_equal(g.unfold(g.fold(full)), full)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex64])
+    def test_field_converts_other_dtypes(self, dtype):
+        # rows that are not complex128 are converted, not viewed
+        g = make_grid(32, 33)
+        band = random_band(g)
+        given = (band.real if dtype is np.float64 else band).astype(dtype)
+        f = Field(g, given)
+        assert f.rows.dtype == np.complex128
+        assert not np.shares_memory(f.rows, given)
+        assert np.array_equal(f.rows, given)
+
     def test_band_field_reads_full_spectrum(self):
         g = make_grid(32, 33)
         band = random_band(g)
@@ -640,6 +651,18 @@ class TestStackedFields:
         scale = np.abs(expect).max(axis=(-2, -1), keepdims=True)
         assert got.shape == expect.shape
         assert np.all(np.abs(got - expect) <= 1e-14 * scale)
+
+    @pytest.mark.parametrize("order", sg.Y_DENSE)
+    def test_dense_y_operator_reads_strided_rows(self, order):
+        # rows whose last axis is strided are copied before the tile loop,
+        # which reads a C-contiguous float view
+        g = make_grid(32, 33)
+        stacked, _ = self.fields(g)
+        wide = np.repeat(stacked.rows, 2, axis=-1)
+        strided = Field(g, wide[..., ::2])
+        assert not strided.rows.flags.c_contiguous
+        got = sg.y_dense(strided, order).rows
+        assert np.array_equal(got, sg.y_dense(stacked, order).rows)
 
     @pytest.mark.parametrize("Ny", [33, 65])  # one and two tiles
     @pytest.mark.parametrize("op", [

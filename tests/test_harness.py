@@ -1,5 +1,6 @@
 """Tests for configuration, persistence, commands, and the property suite."""
 
+import contextlib
 import csv
 import ctypes
 import json
@@ -130,6 +131,8 @@ class TestConfig:
             # finite keys whose step count T_final / dt overflows to inf
             (dict(T_final=1e308), "^T_final makes the step count"),
             (dict(dt=1e-320), "^dt makes the step count"),
+            # the Gevrey weight at the top band frequency, e^948.7, overflows
+            (dict(Nx=32, Ny=17, a=300.0, T_final=0.5), r"^a=300\.0 .* 32x17 grid"),
         ],
     )
     def test_bad_values_rejected(self, overrides, match):
@@ -365,6 +368,15 @@ class TestCmdRun:
         assert meta["completed_steps"] == meta["planned_steps"]
         final = read_snapshot(out / "snapshots" / "final.snap")
         assert final.t == pytest.approx(cfg.T_final, rel=1e-9)
+
+    @pytest.mark.parametrize("kind", ["prandtl", "hns"])
+    def test_overflowing_radius_makes_no_directory(self, tmp_path, kind):
+        # refused by validate, before the run's directory is made
+        cfg = RunConfig(Nx=32, Ny=17, a=300.0, T_final=0.5, kind=kind,
+                        directory=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match=r"^a=300\.0 .* 32x17 grid"):
+            cmd_run(cfg)
+        assert not (tmp_path / "out").exists()
 
     def test_zero_amplitude_gives_zero_energy(self, tmp_path):
         out = cmd_run(small_cfg(tmp_path, amplitude=0.0))
@@ -688,6 +700,41 @@ class TestCmdSweep:
         assert isinstance(cause, SolverAbort)
         assert (cause.reason, cause.stage) == ("synthetic failure", 3)
         assert (cause.state is None) == (cores > 1)  # a state never crosses the pipe
+
+    def test_member_clock_drift_raises(self, tmp_path, monkeypatch):
+        # a member whose sample times leave the reference's is refused
+        real_step = harness.hns_step
+
+        def drifting_step(state, dt, **kw):
+            out = real_step(state, dt, **kw)
+            return out.with_stack(out.stack, t=out.t + 1e-9)
+
+        monkeypatch.setattr(harness, "hns_step", drifting_step)
+        use_cores(monkeypatch, 1)
+        cfg = small_cfg(tmp_path, kind="sweep", T_final=0.25,
+                        eps_list=(0.2, 0.1, 0.05))
+        with pytest.raises(RuntimeError, match=r"eps=0\.2 failed: sample times diverged"):
+            cmd_sweep(cfg)
+
+    def test_sweep_without_affinity_or_thread_control(self, tmp_path, monkeypatch):
+        # where os.sched_getaffinity does not exist (macOS, the BSDs) and no
+        # BLAS thread control is found, a sweep stays in one process
+        use_cores(monkeypatch, 1)
+        one = cmd_sweep(small_cfg(tmp_path / "one", kind="sweep", T_final=0.25,
+                                  eps_list=(0.2, 0.1, 0.05)))
+
+        @contextlib.contextmanager
+        def no_thread_control():
+            yield False
+
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(harness, "one_blas_thread", no_thread_control)
+        res = cmd_sweep(small_cfg(tmp_path / "bare", kind="sweep", T_final=0.25,
+                                  eps_list=(0.2, 0.1, 0.05)))
+        meta = json.loads((Path(res.directory) / "metadata.json").read_text())
+        assert (meta["workers"], meta["blas_threads"]) == (1, None)
+        assert ((Path(res.directory) / "sweep.csv").read_bytes()
+                == (Path(one.directory) / "sweep.csv").read_bytes())
 
     def test_portable_errors(self):
         class Custom(Exception):

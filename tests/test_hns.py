@@ -260,7 +260,7 @@ class TestPressureSolve:
             # d_y p = -eps^2 N2 (v and Lv vanish there) with zero mean
             acc = np.stack([(Lu - N1).rows, (Lv - N2).rows])
             HnsState.pin(acc)
-            c1 = acc[0] - _project_pair(g, s.eps, acc)[0]
+            c1 = acc[0] - _project_pair(g, s.eps, acc.copy())[0]
             q = np.zeros_like(c1)
             q[1:, 1:-1] = c1[1:, 1:-1] / g._dx_rows[1:]  # c1 = i xi M q
             prof = -e2 * cumulative_trapezoid(N2.rows[0], dx=g.dy, initial=0)
@@ -296,7 +296,7 @@ class TestProjector:
         g = Grid(*shape)
         f1, f2 = random_pair(g, seed=3)
         f = np.stack([f1, f2])
-        c1, c2 = f - _project_pair(g, eps, f)
+        c1, c2 = f - _project_pair(g, eps, f.copy())
         D = dy_matrix(g.Ny)
         mask = np.ones(g.Ny)
         mask[0] = mask[-1] = 0.0
@@ -330,20 +330,19 @@ class TestProjector:
     @pytest.mark.parametrize("shape", GRIDS)
     @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125])
     def test_in_place_equals_out_of_place(self, shape, eps):
-        # the pair is read into the GEMM buffer before `out` is written, so
-        # projecting a pair into itself gives the same bits; the mean rows
-        # (m = 0, not zero here) stay as given
+        # the pair is projected in place and returned: the same bits as the
+        # projection of a copy, and the mean rows (m = 0, not zero here)
+        # stay as given
         g = Grid(*shape)
         f = np.stack(random_pair(g, seed=6))
         before = f.copy()
-        expect = _project_pair(g, eps, f)
-        assert f.tobytes() == before.tobytes()  # out of place leaves f alone
-        work = f.copy()
-        got = _project_pair(g, eps, work, out=work)
-        assert got is work
+        expect = _project_pair(g, eps, f.copy())
+        got = _project_pair(g, eps, f)
+        assert got is f
         assert got.tobytes() == expect.tobytes()
-        assert np.any(f[:, 0] != 0.0)
-        assert got[:, 0].tobytes() == f[:, 0].tobytes()
+        assert got[:, 1:].tobytes() != before[:, 1:].tobytes()  # it projected
+        assert np.any(before[:, 0] != 0.0)
+        assert got[:, 0].tobytes() == before[:, 0].tobytes()
 
     def test_eigenbasis_shared_across_eps_and_nx(self, monkeypatch):
         hns._eigenbasis.cache_clear()
@@ -512,12 +511,12 @@ class TestStep:
         s = replace(gevrey_state(g, 0.5, m_max=4), t=0.375)
         dt = 0.25 * g.dy
         e0 = s.energy()
-        ok = hns_step(s.with_stack(s.stack, energy_mark=e0), dt, check=True)
+        ok = hns_step(replace(s, energy_mark=e0), dt, check=True)
         assert ok.energy() <= hns.ENERGY_GROWTH_LIMIT * e0
         assert ok.energy_mark == ok.energy() != e0
         tiny = 1e-6 * e0
         with pytest.raises(SolverAbort) as info:
-            hns_step(s.with_stack(s.stack, energy_mark=tiny), dt, check=True)
+            hns_step(replace(s, energy_mark=tiny), dt, check=True)
         err = info.value
         assert err.reason.startswith("energy grew") and err.stage is None
         assert err.state.t == 0.375 + dt

@@ -163,7 +163,7 @@ def test_solver_options():
     import inspect
     from dataclasses import fields
 
-    from stripflow import diagnostics, harness, hns, prandtl
+    from stripflow import diagnostics, harness, hns, prandtl, stepper
 
     expected = {
         "prandtl_step": ("state", "dt", "linear", "check"),
@@ -177,11 +177,17 @@ def test_solver_options():
                       "sample_every"),
         "energy_E_s": ("samples", "p"),
         "energy_E1": ("samples", "eps", "p", "decay_rates"),
+        # one way to re-stack a state, one output form of the projection
+        "StackedState.with_stack": ("self", "stack", "t"),
+        "_project_pair": ("grid", "eps", "f"),
     }
     got = {}
     for name in expected:
-        obj = next(getattr(m, name) for m in (prandtl, hns, harness, diagnostics)
-                   if hasattr(m, name))
+        head, *rest = name.split(".")
+        obj = next(getattr(m, head) for m in (prandtl, hns, harness, diagnostics, stepper)
+                   if hasattr(m, head))
+        for attr in rest:
+            obj = getattr(obj, attr)
         got[name] = (tuple(f.name for f in fields(obj)) if inspect.isclass(obj)
                      else tuple(inspect.signature(obj).parameters))
     assert got == expected

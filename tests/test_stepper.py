@@ -1,5 +1,7 @@
 """Tests for the shared RK4 step and the stacked state layout."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -150,32 +152,39 @@ class TestRk4Step:
 
 class TestWithStack:
     def test_views_the_new_stack_and_applies_changes(self):
+        # with_stack re-stacks and re-times; any other field changes
+        # through `replace`, which stacks a copy
         g = Grid(16, 17)
         s = random_state(g, 4, 0)
         stack = np.zeros_like(s.stack)
-        new = s.with_stack(stack, t=1.5, energy_mark=3.0)
+        new = s.with_stack(stack, t=1.5)
         assert new.stack is stack
         for f, rows in zip(new.fields, stack):
             assert np.shares_memory(f.rows, stack) and np.array_equal(f.rows, rows)
-        assert (new.t, new.energy_mark, new.eps, new.grid) == (1.5, 3.0, s.eps, s.grid)
+        assert (new.t, new.energy_mark, new.eps, new.grid) == (1.5, -1.0, s.eps, s.grid)
+        assert s.with_stack(stack).t == 0.25  # no time keeps the clock
+        marked = replace(new, energy_mark=3.0)
+        assert (marked.t, marked.energy_mark, marked.eps) == (1.5, 3.0, s.eps)
+        assert marked.stack is not stack and np.array_equal(marked.stack, stack)
         assert (s.t, s.energy_mark) == (0.25, -1.0)  # the source state is unchanged
 
     def test_refuses_what_the_constructor_refuses(self):
         g = Grid(16, 17)
         s = random_state(g, 4, 1)
         with pytest.raises(ValueError, match="eps"):
-            s.with_stack(s.stack, eps=2.0)
-        with pytest.raises(TypeError, match="no fields"):
+            replace(s, eps=2.0)
+        with pytest.raises(TypeError, match="'tt'"):
             s.with_stack(s.stack, tt=1.0)
 
     @pytest.mark.parametrize("name", ["stack", "grid", "u", "v", "ut", "vt"])
     def test_refuses_what_only_the_stack_sets(self, name):
         # a row, the grid or the stack passed by name would be dropped or
-        # fail elsewhere: the stack argument alone sets them
+        # fail elsewhere: the stack argument alone sets them, and `t` is
+        # the one keyword
         g = Grid(16, 17)
         s = random_state(g, 4, 2)
         value = getattr(s, name)
-        with pytest.raises(TypeError, match="pass rows in the stack"):
+        with pytest.raises(TypeError, match=f"'{name}'"):
             s.with_stack(s.stack.copy(), **{name: value})
 
 
