@@ -16,12 +16,13 @@ discrete d/dy matrix, M the interior-row mask and F the provisional
 
 and the masked weighted gradient (i xi M q, eps^-2 M D q) is subtracted.
 All modes share the pencil (D M D, M), diagonalised once per Ny, so one
-projection of every mode is two real matrix products.  By construction
-the discrete divergence d_x(dut) + d_y(dvt) of the resulting acceleration
-vanishes at *every* row to solver precision, so the state divergence
-never drifts beyond integrator roundoff.  The tests cross-check this
-pressure against the classical route, a second-order per-mode Neumann
-solve with ghost-node wall data.
+projection of every mode is two real matrix products, both acting from
+the left on the float view of the modes laid out as complex columns with
+y leading.  By construction the discrete divergence d_x(dut) + d_y(dvt)
+of the resulting acceleration vanishes at *every* row to solver
+precision, so the state divergence never drifts beyond integrator
+roundoff.  The tests cross-check this pressure against the classical
+route, a second-order per-mode Neumann solve with ghost-node wall data.
 
 The x-mean of v is pinned to zero throughout: integrating the constraint
 up from the wall forces it, and it is the nullspace of the projection
@@ -148,6 +149,9 @@ class _Eigenbasis:
 
     The eigenvalues are real and <= 0; the two that vanish come from the
     kernel of K (the constant and (-1)^j) and are set to exactly 0.0.
+    ``gather`` and ``spread`` act from the left on columns with y leading,
+    one column per mode: ``gather`` = [W^-1, W^-1 D] maps [i xi f1; f2] to
+    the eigen-coefficients, ``spread`` holds M V and M D V.
     """
 
     def __init__(self, Ny: int):
@@ -183,11 +187,8 @@ class _Eigenbasis:
         W[:, -2:] = K[:, walls]
         Winv = np.linalg.inv(W)
         self.lam = lam
-        self.mask = mask
-        #: maps stacked [i xi f1 | f2] rows to eigen-coefficients of q
-        self.gather = np.vstack([Winv.T, (Winv @ D).T])
-        #: maps eigen-coefficients to [q | eps^2 c2]
-        self.spread = np.hstack([V.T, (mask[:, None] * (D @ V)).T])
+        self.gather = np.hstack([Winv, Winv @ D])
+        self.spread = np.stack([V, D @ V]) * mask[:, None]
 
 
 @cache
@@ -201,23 +202,24 @@ class _Projector:
     (grid, eps), applied through the Ny-shared pencil eigenbasis.
 
     Per mode, A_m^-1 = V diag(eps^2 / (lam - eps^2 xi_m^2), eps^2, eps^2)
-    W^-1, so a projection is two real matrix products over the modes
-    1..Nx/3 of the band (the zero frequency carries no x-derivative and is
-    excluded; v is pinned at the mean mode instead).
+    W^-1, so a projection is two real matrix products from the left on the
+    modes 1..Nx/3 of the band, laid out as the float view of complex
+    columns with y leading (the zero frequency carries no x-derivative and
+    is excluded; v is pinned at the mean mode instead).
     """
 
     def __init__(self, grid, eps: float):
         basis = _eigenbasis(grid.Ny)
-        self.modes = np.arange(1, grid.band)  # xi != 0 in the band
+        xi = grid.band_xi[1:]  # xi != 0 in the band
         e2 = eps**2
-        scale = np.full((self.modes.size, grid.Ny), e2)
-        scale[:, :-2] = e2 / (basis.lam[None, :] - e2 * grid.band_xi[self.modes, None] ** 2)
-        self._scale = np.vstack([scale, scale])  # real rows, then imaginary
+        scale = np.full((grid.Ny, xi.size), e2)
+        scale[:-2] = e2 / (basis.lam[:, None] - e2 * xi[None, :] ** 2)
+        #: per eigen-coefficient and mode, repeated for Re and Im
+        self._scale = np.repeat(scale, 2, axis=1)
         self._gather = basis.gather
-        self._spread = np.hstack([basis.spread[:, :grid.Ny],
-                                  basis.spread[:, grid.Ny:] / e2])
-        #: xi M over the modes 1..Nx/3: c1 = i xi M q
-        self._xi_mask = grid.band_xi[self.modes, None] * basis.mask[None, :]
+        #: maps eigen-coefficients to the stacked columns [M q; c2]
+        self._spread = np.vstack([basis.spread[0], basis.spread[1] / e2])
+        self._ixi = 1j * xi  # c1 = i xi M q
 
 
 @cache
@@ -230,31 +232,23 @@ def _project_pair(grid, eps, f: np.ndarray) -> np.ndarray:
     """Project f = (f1, f2), a pair of band rows, in place and return it:
     f - c, where c = (i xi M q, eps^-2 M D q) is the masked weighted gradient
     of the potential q that makes the divergence of f - c vanish at every
-    mode 1..Nx/3; the mean rows are kept.  q is not stored: c1 folds into
-    the subtraction, Re(f1 - c1) = Re f1 + xi M Im q and Im(f1 - c1) =
-    Im f1 - xi M Re q."""
+    mode 1..Nx/3; the mean rows are kept.  The modes are the columns of a
+    (2 Ny, Nx/3) complex buffer, [i xi f1; f2] with y leading, whose float
+    view both real products act on from the left, each complex column as
+    two float columns; they return [M q; c2] in the same layout."""
     proj = _get_projector(grid, eps)
     f1, f2 = f[:, 1:]  # modes 1 .. Nx/3, views of f
-    nm, Ny = proj.modes.size, grid.Ny
-    xi = grid.band_xi[1:, None]
-    # rows: real parts, then imaginary parts; columns: i xi f1, then f2.
-    # Filled and reused in place: fresh temporaries of this size cost
-    # page faults on every call.
-    buf = np.empty((2 * nm, 2 * Ny))
-    np.multiply(f1.imag, -xi, out=buf[:nm, :Ny])
-    np.multiply(f1.real, xi, out=buf[nm:, :Ny])
-    buf[:nm, Ny:] = f2.real
-    buf[nm:, Ny:] = f2.imag
-    z = buf @ proj._gather
+    Ny = grid.Ny
+    buf = np.empty((2 * Ny, f1.shape[0]), dtype=complex)
+    np.multiply(f1.T, proj._ixi, out=buf[:Ny])
+    buf[Ny:] = f2.T
+    z = proj._gather @ buf.view(np.float64)
     z *= proj._scale
-    np.matmul(z, proj._spread, out=buf)  # columns: q, then c2
-    q_re, c2_re, q_im, c2_im = buf[:nm, :Ny], buf[:nm, Ny:], buf[nm:, :Ny], buf[nm:, Ny:]
-    np.subtract(f2.real, c2_re, out=f2.real)
-    np.subtract(f2.imag, c2_im, out=f2.imag)
-    q_im *= proj._xi_mask  # -Re c1
-    q_re *= proj._xi_mask  # Im c1
-    np.add(f1.real, q_im, out=f1.real)
-    np.subtract(f1.imag, q_re, out=f1.imag)
+    np.matmul(proj._spread, z, out=buf.view(np.float64))
+    c1, c2 = buf[:Ny], buf[Ny:]
+    c1 *= proj._ixi
+    f1 -= c1.T
+    f2 -= c2.T
     return f
 
 

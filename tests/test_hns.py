@@ -344,6 +344,46 @@ class TestProjector:
         assert np.any(before[:, 0] != 0.0)
         assert got[:, 0].tobytes() == before[:, 0].tobytes()
 
+    @pytest.mark.parametrize("shape", GRIDS)
+    @pytest.mark.parametrize("pair", [slice(0, 2), slice(2, 4)], ids=["uv", "ut_vt"])
+    def test_pair_viewed_in_a_stack(self, shape, pair):
+        # divergence_cleanup and rk4_step's slope buffer hand over a pair
+        # that is a view into a (4, band, Ny) stack: it projects to the bits
+        # of a contiguous copy, and the other two rows stay as they were
+        g = Grid(*shape)
+        stack = np.concatenate([random_pair(g, seed=8), random_pair(g, seed=9)])
+        before = stack.copy()
+        expect = _project_pair(g, 0.1, stack[pair].copy())
+        got = _project_pair(g, 0.1, stack[pair])
+        assert np.shares_memory(got, stack)
+        assert stack[pair].tobytes() == expect.tobytes()
+        rest = np.ones(4, bool)
+        rest[pair] = False
+        assert stack[rest].tobytes() == before[rest].tobytes()
+
+    @pytest.mark.parametrize("Nx", [4, 6, 16, 128])  # Nx = 4: one mode
+    @pytest.mark.parametrize("Ny", [9, 10, 33, 64, 65])
+    @pytest.mark.parametrize("eps", [1.0, 0.1, 0.0125, 1e-3])
+    def test_idempotent_and_divergence_free_across_shapes(self, Nx, Ny, eps):
+        # Both residuals grow as eps^-2 in units of machine epsilon u.  Over
+        # these 80 cases and random pairs of seeds 0-7 the largest constants
+        # were 128 (idempotence, relative to |Pf|) and 58 (the divergence by
+        # the discrete D, relative to that of f): 2.0e-8 and 6.6e-9 at
+        # eps = 1e-3, Nx = 4, Ny = 65 for seed 7.  The bounds allow about 3
+        # times those constants.
+        g = Grid(Nx, Ny)
+        f = np.stack(random_pair(g, seed=7))
+        pf = _project_pair(g, eps, f.copy())
+        ppf = _project_pair(g, eps, pf.copy())
+        u = np.finfo(float).eps / eps**2
+        assert np.abs(ppf - pf).max() <= 400 * u * np.abs(pf).max()
+        D, ms = dy_matrix(Ny), slice(1, g.band)
+
+        def div(p):
+            return p[0, ms] * g._dx_rows[ms] + p[1, ms] @ D.T
+
+        assert np.abs(div(pf)).max() <= 180 * u * np.abs(div(f)).max()
+
     def test_eigenbasis_shared_across_eps_and_nx(self, monkeypatch):
         hns._eigenbasis.cache_clear()
         hns._get_projector.cache_clear()

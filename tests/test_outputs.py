@@ -41,7 +41,7 @@ PINNED = {
     "decay-hns": {
         "energy.csv": "4f7855568bfbc85ebd9bd62f20d6df28cf64a33658fce510d8899c9f2522e435",
         "snapshots/initial.snap": "441a987676678e1efd0ad9054a93281fa78e48130ac9b85d61034f0e26b43f02",
-        "snapshots/final.snap": "b2934508cfb66bdce2ade452d2eb78990ae5e7b1bb15b7091c7b449df2923243",
+        "snapshots/final.snap": "23e114d42e1c8cd1dc7316c9ddabf26d93f8d5d4aaa3027d5c78dca86b51d3a0",
     },
     "sweep-eps": {
         "sweep.csv": "e6a12d5f306dca310efeb5e236fca62bf0969b73db057b0ecff520dfa199424d",
